@@ -18,12 +18,15 @@ out to ``workers`` OS processes instead:
   them to the least-loaded live worker and moves on — a collector
   thread resolves futures as results stream back, so all workers
   compute concurrently;
-- answers are **bitwise identical** to :meth:`LACA.cluster`: same
-  arrays (shared pages), same engines, same arithmetic.
+- workers answer each block with the same
+  :func:`~repro.serving.service.answer_block` as the in-process
+  service, over the same arrays (shared pages), so a block gets the
+  same answers on either front-end.
 
-Fault tolerance (PR 8) rests on exactly that identity: a cluster query
-is a pure function of ``(snapshot, seed, size)``, so recomputing a lost
-block *is* the answer, not an approximation of it.  Three mechanisms:
+Fault tolerance (PR 8) rests on that: a cluster query is a pure
+function of ``(snapshot, seed, size)`` and the block's engine path, so
+recomputing a lost block *is* the answer, not an approximation of it.
+Three mechanisms:
 
 - **Supervision & respawn** — a supervisor thread detects dead workers,
   fails nothing, and respawns them with capped exponential backoff
@@ -40,7 +43,7 @@ block *is* the answer, not an approximation of it.  Three mechanisms:
 - **In-process fallback** — with ``fallback_inprocess=True``, losing
   *every* worker degrades the pool to answering blocks on the
   dispatcher thread (the plain :class:`ClusterService` path, same
-  bitwise answers) instead of failing the service; the pool re-engages
+  answers) instead of failing the service; the pool re-engages
   automatically once a respawn lands.
 
 Epoch advances reuse the in-process marker mechanism and add a barrier:
@@ -73,21 +76,13 @@ import threading
 import time
 import traceback
 
-import numpy as np
-
-from ..core.laca import top_k_cluster
+# ``top_k_cluster`` is not called here; it stays importable under this
+# module's name because perfbench/layers.py wraps it at this name.
+from ..core.laca import top_k_cluster  # noqa: F401
 from ..core.pipeline import LACA
-from ..diffusion.base import begin_kernel_tally, end_kernel_tally
 from ..graphs.shm import attach_snapshot, publish_snapshot
-from ..graphs.store import GraphStore
 from ..obs.metrics import MetricsRegistry
-from .service import (
-    ClusterService,
-    _batch_support,
-    _fail_future,
-    _Request,
-    _result_support,
-)
+from .service import ClusterService, _fail_future, _Request, answer_block
 from .telemetry import make_engine_metrics
 
 __all__ = [
@@ -159,50 +154,6 @@ def _portable_error(exc: BaseException) -> BaseException:
         pass
     tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
     return WorkerError(type(exc).__name__, str(exc), tb)
-
-
-def _compute_block(model, workspace, seeds, sizes, metrics=None):
-    """Worker-side mirror of ``ClusterService._answer_block``'s compute.
-
-    Same fast paths as the in-process dispatcher (sequential workspace
-    for singletons, block engine otherwise), so pool answers stay
-    bitwise identical and path-independent.  ``metrics`` is an optional
-    engine-introspection namespace (:func:`make_engine_metrics`) fed the
-    per-query iteration / frontier / touched-volume figures.
-    """
-    start = time.perf_counter()
-    if len(seeds) == 1:
-        result = model.scores(seeds[0], workspace=workspace)
-        clusters = [
-            top_k_cluster(
-                result.scores, sizes[0], seeds[0],
-                support=result.scores_support,
-            )
-        ]
-        supports = [_result_support(result)]
-        iteration_counts = [result.rwr.iterations + result.bdd.iterations]
-        frontier_peaks = [max(result.rwr.frontier_peak, result.bdd.frontier_peak)]
-    else:
-        result = model.scores_batch(seeds)
-        clusters = [result.cluster(b, sizes[b]) for b in range(len(seeds))]
-        supports = [_batch_support(result, b) for b in range(len(seeds))]
-        bdd = result.bdd
-        iteration_counts = [
-            int(result.rwr.column_iterations[b])
-            + (int(bdd.column_iterations[b]) if bdd is not None else 0)
-            for b in range(len(seeds))
-        ]
-        frontier_peaks = [0] * len(seeds)
-    engine_seconds = time.perf_counter() - start
-    if metrics is not None:
-        degrees = model._require_fit().degrees
-        for b, support in enumerate(supports):
-            metrics.query_iterations.observe(iteration_counts[b])
-            if frontier_peaks[b]:
-                metrics.frontier_peak.observe(frontier_peaks[b])
-            metrics.touched_nodes.observe(int(support.size))
-            metrics.touched_volume.observe(float(degrees[support].sum()))
-    return clusters, supports, engine_seconds
 
 
 def _hydrate(fit_state: dict, attached) -> LACA:
@@ -282,16 +233,8 @@ def _worker_main(
                     "worker.block",
                     worker_id=worker_id, spawn=spawn, block_index=blocks_seen,
                 )
-            tally = begin_kernel_tally()
-            try:
-                clusters, supports, engine_seconds = _compute_block(
-                    model, workspace, seeds, sizes, engine_metrics
-                )
-            finally:
-                tally = end_kernel_tally()
-            for kind, count in tally.items():
-                engine_metrics.kernel_selections.labels(kind).inc(count)
-            payload = (clusters, supports, engine_seconds, registry.drain())
+            answer = answer_block(model, workspace, seeds, sizes, engine_metrics)
+            payload = (*answer, registry.drain())
             results.put(("result", worker_id, block_id, payload, None))
         except BaseException as exc:  # noqa: BLE001 — must always answer
             results.put(
@@ -320,9 +263,9 @@ class PoolClusterService(ClusterService):
         ``None`` = no deadlines.
     max_retries:
         How many times one request may be re-enqueued after losing its
-        worker mid-flight before it fails.  Retried answers are bitwise
-        identical by construction (pure function of snapshot and
-        query).  ``0`` pins the pre-supervision behavior: a worker
+        worker mid-flight before it fails.  A retried block is answered
+        by the same :func:`~repro.serving.service.answer_block` on the
+        same snapshot.  ``0`` pins the pre-supervision behavior: a worker
         death fails its in-flight requests outright.
     restart_budget:
         How many respawns one worker slot gets per
@@ -333,7 +276,7 @@ class PoolClusterService(ClusterService):
         ``min(backoff_base_s * 2**k, backoff_max_s)``.
     fallback_inprocess:
         When True, losing every worker degrades the pool to in-process
-        answering (dispatcher-thread compute, same bitwise answers)
+        answering (dispatcher-thread compute, same answer path)
         instead of failing the service; the pool re-engages once a
         respawned worker is available.
     fault_plan:
@@ -368,7 +311,6 @@ class PoolClusterService(ClusterService):
         fault_plan=None,
         mp_context: str | None = None,
         reload_timeout_s: float = 60.0,
-        store: GraphStore | None = None,
         **kwargs,
     ) -> None:
         if workers < 1:
@@ -392,14 +334,6 @@ class PoolClusterService(ClusterService):
                 "backoff bounds must satisfy 0 <= backoff_base_s <= "
                 f"backoff_max_s, got {backoff_base_s}/{backoff_max_s}"
             )
-        # The store-head refresh normally done by the base constructor
-        # must happen *before* the snapshot is published, so workers
-        # attach the snapshot the service will actually serve.
-        graph = model._require_fit()
-        if store is not None and store.head is not graph:
-            model.refresh(store)
-            graph = model._require_fit()
-
         self.workers = int(workers)
         self.max_pending = max_pending if max_pending is None else int(max_pending)
         self.deadline_s = deadline_s if deadline_s is None else float(deadline_s)
@@ -416,11 +350,6 @@ class PoolClusterService(ClusterService):
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else "spawn"
         self._ctx = ctx = multiprocessing.get_context(mp_context)
-
-        self._shared = publish_snapshot(
-            graph, tnam_z=model.tnam.z if model.tnam is not None else None
-        )
-        worker_state = self._worker_fit_state(model)
         self._tasks = [ctx.SimpleQueue() for _ in range(self.workers)]
         self._results = ctx.Queue()
         # Pool state shared between dispatcher, collector, and supervisor.
@@ -436,12 +365,10 @@ class PoolClusterService(ClusterService):
         self._reload_event = threading.Event()
         self._collector_stop = threading.Event()
         self._pool_closed = False
-        # Supervision state.  The *current* manifest/fit-state pair is
-        # what a respawn hydrates from; the epoch barrier updates it
-        # under the pool lock, so respawns always join at the serving
-        # generation.
-        self._current_manifest = self._shared.manifest
-        self._current_state = worker_state
+        # Supervision state.  The *current* manifest/fit-state pair
+        # (set by _start_backend) is what a respawn hydrates from; the
+        # epoch barrier updates it under the pool lock, so respawns
+        # always join at the serving generation.
         self._spawn_counts = [0] * self.workers
         self._restart_times: list[list[float]] = [[] for _ in range(self.workers)]
         self._respawn_at: list[float | None] = [None] * self.workers
@@ -449,35 +376,17 @@ class PoolClusterService(ClusterService):
         self._fallback_active = False
         self._supervisor_stop = threading.Event()
         self._supervise_interval_s = 0.05
+        self._procs: list = []
+        self._shared = None
 
-        # Workers fork before any service thread exists (fork-with-
-        # threads is the classic multiprocessing deadlock).
-        self._procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(
-                    i,
-                    0,
-                    self._shared.manifest,
-                    worker_state,
-                    self._tasks[i],
-                    self._results,
-                    fault_plan,
-                ),
-                name=f"cluster-pool-worker-{i}",
-                daemon=True,
-            )
-            for i in range(self.workers)
-        ]
         try:
-            for proc in self._procs:
-                proc.start()
-            super().__init__(model, store=store, **kwargs)
+            super().__init__(model, **kwargs)
         except BaseException:
             for proc in self._procs:
                 if proc.is_alive():
                     proc.terminate()
-            self._shared.close()
+            if self._shared is not None:
+                self._shared.close()
             raise
         self._collector = threading.Thread(
             target=self._collect_loop,
@@ -517,6 +426,35 @@ class PoolClusterService(ClusterService):
 
         registry.add_hook(_pool_gauges)
 
+    def _start_backend(self, graph) -> None:
+        """Publish the served snapshot and fork the workers, before the
+        base constructor starts the dispatcher thread."""
+        model = self.model
+        self._shared = publish_snapshot(
+            graph, tnam_z=model.tnam.z if model.tnam is not None else None
+        )
+        self._current_manifest = self._shared.manifest
+        self._current_state = self._worker_fit_state(model)
+        self._procs = [
+            self._ctx.Process(
+                target=_worker_main,
+                args=(
+                    i,
+                    0,
+                    self._current_manifest,
+                    self._current_state,
+                    self._tasks[i],
+                    self._results,
+                    self._fault_plan,
+                ),
+                name=f"cluster-pool-worker-{i}",
+                daemon=True,
+            )
+            for i in range(self.workers)
+        ]
+        for proc in self._procs:
+            proc.start()
+
     @staticmethod
     def _worker_fit_state(model: LACA) -> dict:
         """Hydration state shipped to workers: no maintenance arrays
@@ -554,12 +492,7 @@ class PoolClusterService(ClusterService):
     # ------------------------------------------------------------------
     # Dispatch: assign the gathered block to a worker and move on.
     def _answer(self, block: list[_Request]) -> None:
-        if self._failed is not None:
-            error = RuntimeError("service is failed: an update did not land")
-            error.__cause__ = self._failed
-            for request in block:
-                self.telemetry.record_error("failed")
-                _fail_future(request.future, error)
+        if self._fail_if_failed(block):
             return
         now = time.perf_counter()
         live: list[_Request] = []
@@ -621,9 +554,7 @@ class PoolClusterService(ClusterService):
         with self._close_lock:
             if self._failed is None:
                 self._failed = error
-        for request in live:
-            self.telemetry.record_error("worker")
-            _fail_future(request.future, error)
+        self._fail_requests(live, error, "worker")
 
     def _dispatch(self, live: list[_Request]) -> bool:
         """Hand ``live`` to the least-loaded live worker; False if none."""
@@ -709,15 +640,9 @@ class PoolClusterService(ClusterService):
                 elif kind == "result":
                     _, worker_id, block_id, payload, error = message
                     self._resolve_block(worker_id, block_id, payload, error)
-            except BaseException as exc:  # noqa: BLE001 — keep collecting
-                if kind == "result":
-                    _, worker_id, block_id, _payload, _err = message
-                    entry = None
-                    with self._pool_lock:
-                        entry = self._inflight.pop(block_id, None)
-                    if entry is not None:
-                        for request in entry[1]:
-                            _fail_future(request.future, exc)
+            except BaseException:  # noqa: BLE001 — keep collecting
+                # _resolve already failed the block's futures.
+                self.telemetry.record_error("collector")
 
     def _note_reload_ack(self, message) -> None:
         _, worker_id, generation, error = message
@@ -735,41 +660,8 @@ class PoolClusterService(ClusterService):
             entry = self._inflight.pop(block_id, None)
             if entry is not None:
                 self._outstanding[worker_id] -= 1
-        if entry is None:
-            return  # already failed by close()/retried by reap — late result
-        _, block = entry
-        if error is not None:
-            for request in block:
-                self.telemetry.record_error("engine")
-                _fail_future(request.future, error)
-            return
-        clusters, supports, engine_seconds, metrics_delta = payload
-        # One combined telemetry call per block: the per-worker ledger
-        # folds into the same lock acquisition as the batch counters
-        # (this used to be two separate round-trips).
-        self.telemetry.record_batch(len(block), engine_seconds, worker_id=worker_id)
-        self.telemetry.merge_engine_delta(metrics_delta)
-        now = time.perf_counter()
-        for request, cluster, support in zip(block, clusters, supports):
-            cluster = np.asarray(cluster)
-            if self.cache is not None:
-                cluster = self.cache.put(request.key, cluster, support)
-            else:
-                cluster.setflags(write=False)
-            if not request.future.set_running_or_notify_cancel():
-                continue  # cancelled while queued; answer stays cached
-            span = request.span
-            if span is not None:
-                span.worker_id = worker_id
-                span.engine_s = engine_seconds
-                span.batch_size = len(block)
-                span.mark("resolved", now)
-                self.telemetry.record_span(span)
-                if self.trace_log is not None:
-                    self.trace_log.record_span(span)
-            else:
-                self.telemetry.record_latency(now - request.enqueued_at)
-            request.future.set_result(cluster)
+        if entry is not None:  # else already failed by close() or retried
+            self._resolve(entry[1], payload, error, worker_id)
 
     # ------------------------------------------------------------------
     # Supervisor: detect deaths, retry lost blocks, respawn workers.
@@ -858,7 +750,7 @@ class PoolClusterService(ClusterService):
 
         Retries ride the ordinary dispatcher queue, so they are
         re-gathered and re-dispatched exactly like fresh submissions —
-        one code path, same bitwise answers.  Requests past their
+        one code path, same answers.  Requests past their
         deadline or out of retries fail here instead.
         """
         now = time.perf_counter()
@@ -914,9 +806,7 @@ class PoolClusterService(ClusterService):
                 "service closed before this request could be retried"
             )
             error.__cause__ = cause
-            for request in requests:
-                self.telemetry.record_error("closed")
-                _fail_future(request.future, error)
+            self._fail_requests(requests, error, "closed")
 
     def _respawn_due(self) -> None:
         """Start respawns whose backoff has elapsed.
@@ -1012,9 +902,7 @@ class PoolClusterService(ClusterService):
             if self._failed is None:
                 self._failed = error
         for requests in parked:
-            for request in requests:
-                self.telemetry.record_error("worker")
-                _fail_future(request.future, error)
+            self._fail_requests(requests, error, "worker")
 
     # ------------------------------------------------------------------
     # Epoch barrier: republish, reload every worker, then retire the old
@@ -1153,13 +1041,7 @@ class PoolClusterService(ClusterService):
             "service closed before this request was answered "
             "(its pool worker was terminated)"
         )
-        for _, requests in leftovers:
-            for request in requests:
-                self.telemetry.record_error("closed")
-                _fail_future(request.future, error)
-        for requests in parked:
-            for request in requests:
-                self.telemetry.record_error("closed")
-                _fail_future(request.future, error)
+        for requests in [requests for _, requests in leftovers] + parked:
+            self._fail_requests(requests, error, "closed")
         self._shared.close()
         return clean

@@ -5,11 +5,11 @@ The block diffusion engine (PR 1) answers ``B`` seeds for far less than
 block.  :class:`ClusterService` is that someone: callers ``submit`` one
 query each and get a future; a background dispatcher drains the queue
 into blocks of up to ``max_batch`` requests (waiting at most
-``max_wait_s`` for stragglers) and answers each block with one
-:meth:`LACA.scores_batch` call.  Answers are bitwise identical to
-sequential :meth:`LACA.cluster` — the block path is an equivalent
-reformulation, not an approximation — and are remembered in an LRU
-result cache consulted before enqueueing.
+``max_wait_s`` for stragglers) and answers each block with
+:func:`answer_block` — one :meth:`LACA.scores_batch` call, or the
+sequential workspace path for a lone request.  :func:`answer_block`
+states how the two paths' answers relate.  Answers are remembered in an
+LRU result cache consulted before enqueueing.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ..obs.tracing import Span, TraceLog
 from .cache import ResultCache, config_digest, query_key
 from .telemetry import ServiceTelemetry
 
-__all__ = ["ClusterService", "UpdateTimeout"]
+__all__ = ["ClusterService", "UpdateTimeout", "answer_block"]
 
 #: Queue sentinel that tells the dispatcher to exit after the current block.
 _SHUTDOWN = object()
@@ -154,6 +154,69 @@ def _batch_support(result, b: int) -> np.ndarray:
     return np.unique(np.concatenate(parts))
 
 
+def answer_block(model: LACA, workspace, seeds, sizes, metrics):
+    """Answer one block of queries: the one engine call of both front-ends.
+
+    A lone seed takes the sequential workspace path (:meth:`LACA.scores`,
+    no length-``n`` allocations in steady state); more seeds share one
+    :meth:`LACA.scores_batch` block diffusion.  Kernel selections and
+    each query's iterations, frontier peak (untracked by the block
+    engine), touched nodes and touched volume are observed into
+    ``metrics``, a :func:`~repro.serving.telemetry.make_engine_metrics`
+    namespace; nothing is observed when an engine raises.  Returns
+    ``(clusters, supports, engine_seconds)``, where ``supports[b]`` is
+    the sorted touched-node union the result cache stores as query
+    ``b``'s invalidation footprint.
+
+    Path contract: column ``b`` of the block path equals sequential
+    :meth:`LACA.cluster` for ``seeds[b]`` up to floating-point
+    accumulation order — exactly on non-SNAS graphs, while on the SNAS
+    path Step 2 sums over the block's union support (see
+    :func:`~repro.core.laca.laca_scores_batch`).  The serving tests check
+    equal clusters on their graphs, but a top-k near-tie could flip
+    membership and make a cached answer depend on the path that computed
+    it: the open risk of item 4 in ``ROADMAP.md``.
+    """
+    start = time.perf_counter()
+    begin_kernel_tally()
+    try:
+        if len(seeds) == 1:
+            result = model.scores(seeds[0], workspace=workspace)
+            cluster = top_k_cluster(
+                result.scores, sizes[0], seeds[0], support=result.scores_support
+            )
+            clusters = [cluster]
+            supports = [_result_support(result)]
+            iteration_counts = [result.rwr.iterations + result.bdd.iterations]
+            frontier_peaks = [max(result.rwr.frontier_peak, result.bdd.frontier_peak)]
+        else:
+            result = model.scores_batch(seeds)
+            clusters = [result.cluster(b, size) for b, size in enumerate(sizes)]
+            supports = [_batch_support(result, b) for b in range(len(seeds))]
+            bdd = result.bdd
+            iteration_counts = [
+                int(result.rwr.column_iterations[b])
+                + (int(bdd.column_iterations[b]) if bdd is not None else 0)
+                for b in range(len(seeds))
+            ]
+            frontier_peaks = [0] * len(seeds)
+    finally:
+        tally = end_kernel_tally()
+    engine_seconds = time.perf_counter() - start
+    for kind, count in tally.items():
+        metrics.kernel_selections.labels(kind).inc(count)
+    degrees = model._require_fit().degrees
+    for support, iterations, frontier_peak in zip(
+        supports, iteration_counts, frontier_peaks
+    ):
+        metrics.query_iterations.observe(iterations)
+        if frontier_peak:
+            metrics.frontier_peak.observe(frontier_peak)
+        metrics.touched_nodes.observe(support.size)
+        metrics.touched_volume.observe(float(degrees[support].sum()))
+    return clusters, supports, engine_seconds
+
+
 class ClusterService:
     """Thread-safe serving front-end over one fitted :class:`LACA` model.
 
@@ -244,12 +307,20 @@ class ClusterService:
         # memoized and later calls return it without re-joining threads.
         self._closer_lock = threading.Lock()
         self._close_result: bool | None = None
+        self._start_backend(graph)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
             name=f"cluster-service-{self.name}",
             daemon=True,
         )
         self._dispatcher.start()
+
+    def _start_backend(self, graph) -> None:
+        """Construction hook, run with the fitted (store-refreshed) graph
+        before any service thread starts.  The in-process service needs
+        nothing here; :class:`~repro.serving.pool.PoolClusterService`
+        publishes the snapshot and forks its workers (forking after
+        threads exist is the classic multiprocessing deadlock)."""
 
     # ------------------------------------------------------------------
     def submit(self, seed: int, size: int) -> Future:
@@ -689,117 +760,94 @@ class ClusterService:
         republish shared-memory segments and barrier its workers onto
         the new snapshot."""
 
-    def _answer(self, block: list[_Request]) -> None:
-        """One engine call for the whole block, then resolve its futures.
+    def _fail_requests(
+        self, requests: list[_Request], error: BaseException, kind: str | None = None
+    ) -> None:
+        """Fail every request's future with ``error``, counting each as
+        an error of ``kind`` when one is given."""
+        for request in requests:
+            if kind is not None:
+                self.telemetry.record_error(kind)
+            _fail_future(request.future, error)
 
-        A lone request takes the sequential workspace fast path (zero
-        length-``n`` allocations in steady state); larger blocks go
-        through the block engine.  Both produce bitwise-identical
-        clusters, so cache entries are path-independent.
+    def _fail_if_failed(self, block: list[_Request]) -> bool:
+        """Fail ``block`` when an earlier update failed the service.
+
+        A refresh marker ahead of these requests failed, so the model may
+        be behind the epoch their keys carry; failing them beats caching
+        stale answers under fresh keys.  Returns whether it did.
         """
-        if self._failed is not None:
-            # A refresh marker ahead of these requests failed: the model
-            # may be behind the epoch their keys carry.  Fail them
-            # rather than cache stale answers under fresh keys.
-            error = RuntimeError("service is failed: an update did not land")
-            error.__cause__ = self._failed
-            for request in block:
-                self.telemetry.record_error("failed")
-                _fail_future(request.future, error)
-            return
-        try:
+        if self._failed is None:
+            return False
+        error = RuntimeError("service is failed: an update did not land")
+        error.__cause__ = self._failed
+        self._fail_requests(block, error, "failed")
+        return True
+
+    def _answer(self, block: list[_Request]) -> None:
+        """Answer the block on this thread (see :func:`answer_block`)."""
+        if not self._fail_if_failed(block):
             self._answer_block(block)
-        except BaseException as exc:  # noqa: BLE001 — liveness guard
-            # Something *outside* the engine call escaped (telemetry,
-            # cache insertion, a poisoned result object).  Resolve every
-            # future in the block before re-raising to the dispatch-loop
-            # guard — the gathered requests are no longer in the queue,
-            # so the loop's drain could never reach them.
-            error = RuntimeError(
-                "dispatcher crashed while resolving this block"
-            )
-            error.__cause__ = exc
-            for request in block:
-                _fail_future(request.future, error)
-            raise
 
     def _answer_block(self, block: list[_Request]) -> None:
         start = time.perf_counter()
         for request in block:
             if request.span is not None:
                 request.span.mark("dispatched", start)
-        tally = begin_kernel_tally()
+        seeds = [request.seed for request in block]
+        sizes = [request.size for request in block]
         try:
-            if len(block) == 1:
-                request = block[0]
-                result = self.model.scores(request.seed, workspace=self._workspace)
-                clusters = [
-                    top_k_cluster(
-                        result.scores,
-                        request.size,
-                        request.seed,
-                        support=result.scores_support,
-                    )
-                ]
-                supports = [_result_support(result)]
-                iteration_counts = [result.rwr.iterations + result.bdd.iterations]
-                frontier_peaks = [
-                    max(result.rwr.frontier_peak, result.bdd.frontier_peak)
-                ]
-            else:
-                result = self.model.scores_batch([request.seed for request in block])
-                clusters = [
-                    result.cluster(b, request.size)
-                    for b, request in enumerate(block)
-                ]
-                supports = [_batch_support(result, b) for b in range(len(block))]
-                bdd = result.bdd
-                iteration_counts = [
-                    int(result.rwr.column_iterations[b])
-                    + (int(bdd.column_iterations[b]) if bdd is not None else 0)
-                    for b in range(len(block))
-                ]
-                # The block engine's per-column frontiers are implicit in
-                # the shared mat-mat; it does not track peaks.
-                frontier_peaks = [0] * len(block)
-        except Exception as exc:  # surface engine failures per-request
-            for request in block:
-                self.telemetry.record_error("engine")
-                _fail_future(request.future, exc)
-            return
-        finally:
-            tally = end_kernel_tally()
-        engine_seconds = time.perf_counter() - start
-        self.telemetry.record_batch(len(block), engine_seconds)
-        if tally:
-            self.telemetry.record_kernel_selections(tally)
-        degrees = self.model._require_fit().degrees
-        now = time.perf_counter()
-        for b, (request, cluster, support) in enumerate(
-            zip(block, clusters, supports)
-        ):
-            self.telemetry.record_engine_introspection(
-                iteration_counts[b],
-                frontier_peaks[b],
-                support.size,
-                float(degrees[support].sum()),
+            answer = answer_block(
+                self.model, self._workspace, seeds, sizes, self.telemetry.engine_metrics
             )
-            if self.cache is not None:
-                cluster = self.cache.put(request.key, cluster, support)
-            else:
-                cluster.setflags(write=False)
-            # A caller may have cancelled while queued; resolving a
-            # cancelled future raises and would kill the dispatcher.
-            if not request.future.set_running_or_notify_cancel():
-                continue  # answer stays in the cache for the next asker
-            span = request.span
-            if span is not None:
-                span.engine_s = engine_seconds
-                span.batch_size = len(block)
-                span.mark("resolved", now)
-                self.telemetry.record_span(span)
-                if self.trace_log is not None:
-                    self.trace_log.record_span(span)
-            else:
-                self.telemetry.record_latency(now - request.enqueued_at)
-            request.future.set_result(cluster)
+        except Exception as exc:  # surface engine failures per-request
+            self._resolve(block, None, exc)
+        else:
+            self._resolve(block, (*answer, None))
+
+    def _resolve(
+        self, block: list[_Request], payload, error=None, worker_id=None
+    ) -> None:
+        """Cache, trace and answer one computed block (both front-ends).
+
+        ``payload`` is :func:`answer_block`'s result plus a pool worker's
+        drained registry delta (None in-process); an engine ``error``
+        fails every request instead.  The block's requests are no longer
+        queued, so if any step here raises, every future not yet resolved
+        fails with the cause before the exception reaches the calling
+        thread's guard.
+        """
+        if error is not None:
+            self._fail_requests(block, error, "engine")
+            return
+        try:
+            clusters, supports, engine_seconds, metrics_delta = payload
+            self.telemetry.merge_engine_delta(metrics_delta)
+            self.telemetry.record_batch(len(block), engine_seconds, worker_id)
+            now = time.perf_counter()
+            for request, cluster, support in zip(block, clusters, supports):
+                if self.cache is not None:
+                    cluster = self.cache.put(request.key, cluster, support)
+                else:
+                    cluster.setflags(write=False)
+                # A caller may have cancelled while queued; resolving a
+                # cancelled future raises and would kill this thread.
+                if not request.future.set_running_or_notify_cancel():
+                    continue  # answer stays in the cache for the next asker
+                span = request.span
+                if span is not None:
+                    span.worker_id = worker_id
+                    span.engine_s = engine_seconds
+                    span.batch_size = len(block)
+                    span.mark("resolved", now)
+                    self.telemetry.record_span(span)
+                    if self.trace_log is not None:
+                        self.trace_log.record_span(span)
+                else:
+                    self.telemetry.record_latency(now - request.enqueued_at)
+                request.future.set_result(cluster)
+        except BaseException as exc:  # noqa: BLE001 — liveness guard
+            failure = RuntimeError("serving crashed while resolving this block")
+            failure.__cause__ = exc
+            self._fail_requests(block, failure)
+            raise

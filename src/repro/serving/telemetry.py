@@ -1,20 +1,20 @@
 """Per-service telemetry: latency percentiles, occupancy, throughput.
 
-Since PR 7 the accumulator is a facade over a
-:class:`~repro.obs.metrics.MetricsRegistry`: every event updates both
+Every event is recorded once, into a
+:class:`~repro.obs.metrics.MetricsRegistry` — log-spaced-bucket
+histograms, labeled counters and gauges, O(1) memory, mergeable across
+the pool's worker processes, rendered by ``/metrics``.  :meth:`snapshot`
+(and so ``stats()``) reads its counts, sums and maxima from that
+registry.  The only state kept beside it is a small set of **exact
+windows** — bounded deques of the most recent latency, stage and update
+samples — because ``stats()`` pins its percentiles to the harness's
+:func:`~repro.eval.harness.latency_percentile` (``p50_latency_s`` here
+and ``p50_online_s`` in evaluation tables mean the same thing), which
+bucketed histograms can only approximate.
 
-* the **registry** — log-spaced-bucket histograms and labeled counters,
-  O(1) memory, mergeable across the pool's worker processes, rendered by
-  ``/metrics`` — and
-* a small set of **exact windows** — bounded deques of the most recent
-  samples, because ``stats()`` pins its percentiles to the harness's
-  :func:`~repro.eval.harness.latency_percentile` (``p50_latency_s`` here
-  and ``p50_online_s`` in evaluation tables mean the same thing), which
-  bucketed histograms can only approximate.
-
-Both sides are O(1) in traffic: counts, sums, and maxima are running
-aggregates, percentile windows are bounded, histogram buckets are fixed
-— a long-lived service never grows its telemetry footprint.
+Both are O(1) in traffic: registry families are running aggregates over
+fixed buckets and the windows are bounded, so a long-lived service never
+grows its telemetry footprint.
 
 :func:`make_engine_metrics` builds the engine-introspection family
 (kernel selections, touched volume, iterations, frontier peaks) against
@@ -86,13 +86,16 @@ def make_engine_metrics(registry: MetricsRegistry) -> SimpleNamespace:
     )
 
 
+def _by_label(metric) -> dict[str, int]:
+    """``{label value: count}`` of a one-label counter, sorted by label."""
+    return {key[0]: int(value) for key, value in metric.sample_items().items()}
+
+
 class ServiceTelemetry:
     """Thread-safe accumulator for one :class:`ClusterService`.
 
-    One lock guards the exact windows and scalar aggregates; registry
-    metrics carry their own per-family locks.  Every recorder takes the
-    telemetry lock exactly once (``record_batch`` folds the per-worker
-    ledger in rather than paying a second round-trip per pool block).
+    Registry metrics carry their own per-family locks; one telemetry
+    lock guards the exact percentile windows.
     """
 
     def __init__(
@@ -105,38 +108,17 @@ class ServiceTelemetry:
         self._stage_windows: dict[str, deque[float]] = {
             stage: deque(maxlen=latency_window) for stage in STAGE_NAMES
         }
-        self._batches = 0
-        self._occupancy_sum = 0
-        self._occupancy_max = 0
-        self._engine_seconds = 0.0
-        self._served = 0
-        self._cache_served = 0
-        self._errors = 0
-        self._errors_by_kind: dict[str, int] = {}
-        self._updates = 0
-        self._update_seconds = 0.0
         self._update_latencies: deque[float] = deque(maxlen=latency_window)
-        self._entries_invalidated = 0
-        self._entries_promoted = 0
-        # Pool-serving extensions (stay zero for in-process services).
-        self._shed = 0
-        self._deadline_misses = 0
-        self._worker_batches: dict[int, int] = {}
-        self._worker_seeds: dict[int, int] = {}
-        # Fault-tolerance extensions (PR 8).
-        self._worker_restarts = 0
-        self._block_retries = 0
-        self._wal_records = 0
 
-        # Registry twin: the mergeable / scrapeable view of the same
-        # events.  Bound children are resolved once, here, so recorders
-        # pay dict-free fast paths.
+        # Bound children are resolved once, here, so recorders pay
+        # dict-free fast paths.
         self.registry = registry if registry is not None else MetricsRegistry("laca")
         reg = self.registry
-        self._m_requests_engine = reg.counter(
+        self._m_requests = reg.counter(
             "laca_requests_total", "Requests answered, by path", ("path",)
-        ).labels("engine")
-        self._m_requests_cache = reg.get("laca_requests_total").labels("cache")
+        )
+        self._m_requests_engine = self._m_requests.labels("engine")
+        self._m_requests_cache = self._m_requests.labels("cache")
         self._m_errors = reg.counter(
             "laca_errors_total", "Failed requests, by cause", ("kind",)
         )
@@ -157,6 +139,10 @@ class ServiceTelemetry:
             "laca_batch_occupancy",
             "Requests sharing one dispatched block",
             bounds=COUNT_BUCKETS,
+        )
+        self._m_occupancy_max = reg.gauge(
+            "laca_batch_occupancy_max",
+            "Most requests one dispatched block has shared",
         )
         self._m_request_seconds = reg.histogram(
             "laca_request_seconds",
@@ -210,29 +196,12 @@ class ServiceTelemetry:
     def record_batch(
         self, occupancy: int, engine_seconds: float, worker_id: int | None = None
     ) -> None:
-        """One dispatched block: how many requests shared the traversal.
-
-        ``worker_id`` folds the pool's per-worker occupancy ledger into
-        the same lock acquisition (it used to be a second round-trip).
-        """
+        """One dispatched block: how many requests shared the traversal,
+        and (pool only) which worker answered it."""
         occupancy = int(occupancy)
-        engine_seconds = float(engine_seconds)
-        with self._lock:
-            self._batches += 1
-            self._occupancy_sum += occupancy
-            self._occupancy_max = max(self._occupancy_max, occupancy)
-            self._engine_seconds += engine_seconds
-            self._served += occupancy
-            if worker_id is not None:
-                worker_id = int(worker_id)
-                self._worker_batches[worker_id] = (
-                    self._worker_batches.get(worker_id, 0) + 1
-                )
-                self._worker_seeds[worker_id] = (
-                    self._worker_seeds.get(worker_id, 0) + occupancy
-                )
         self._m_batches.inc()
         self._m_occupancy.observe(occupancy)
+        self._m_occupancy_max.set_max(occupancy)
         self._m_engine_seconds.inc(engine_seconds)
         self._m_requests_engine.inc(occupancy)
         if worker_id is not None:
@@ -271,47 +240,31 @@ class ServiceTelemetry:
 
     def record_cache_hit(self) -> None:
         """One request resolved from the result cache (no enqueue)."""
-        with self._lock:
-            self._cache_served += 1
         self._m_requests_cache.inc()
 
     def record_error(self, kind: str = "internal") -> None:
         """One failed request, typed by cause (engine / closed / ...)."""
-        kind = str(kind)
-        with self._lock:
-            self._errors += 1
-            self._errors_by_kind[kind] = self._errors_by_kind.get(kind, 0) + 1
-        self._m_errors.labels(kind).inc()
+        self._m_errors.labels(str(kind)).inc()
 
     def record_shed(self) -> None:
         """One request rejected at admission (queue depth bound hit)."""
-        with self._lock:
-            self._shed += 1
         self._m_shed.inc()
 
     def record_deadline_miss(self) -> None:
         """One admitted request dropped because its deadline passed
         while it sat in the queue (never dispatched to a worker)."""
-        with self._lock:
-            self._deadline_misses += 1
         self._m_deadline.inc()
 
     def record_worker_restart(self) -> None:
         """One crashed pool worker respawned by the supervisor."""
-        with self._lock:
-            self._worker_restarts += 1
         self._m_worker_restarts.inc()
 
     def record_block_retry(self) -> None:
         """One block re-dispatched after its worker died mid-flight."""
-        with self._lock:
-            self._block_retries += 1
         self._m_block_retries.inc()
 
     def record_wal_append(self) -> None:
         """One graph delta appended durably to the write-ahead log."""
-        with self._lock:
-            self._wal_records += 1
         self._m_wal_records.inc()
 
     def record_update(
@@ -321,45 +274,11 @@ class ServiceTelemetry:
         result cache was reconciled (entries dropped vs carried over)."""
         seconds = float(seconds)
         with self._lock:
-            self._updates += 1
-            self._update_seconds += seconds
             self._update_latencies.append(seconds)
-            self._entries_invalidated += int(invalidated)
-            self._entries_promoted += int(promoted)
         self._m_updates.inc()
         self._m_update_seconds.observe(seconds)
         self._m_invalidated.inc(int(invalidated))
         self._m_promoted.inc(int(promoted))
-
-    # ------------------------------------------------------------------
-    def record_engine_introspection(
-        self,
-        iterations: int,
-        frontier_peak: int,
-        touched_nodes: int,
-        touched_volume: float,
-        kernels: dict | None = None,
-    ) -> None:
-        """One engine-answered query's introspection (head-side path).
-
-        Pool workers record the same figures into their own registry and
-        ship the delta home; see :meth:`merge_engine_delta`.
-        """
-        em = self.engine_metrics
-        em.query_iterations.observe(int(iterations))
-        if frontier_peak:
-            em.frontier_peak.observe(int(frontier_peak))
-        em.touched_nodes.observe(int(touched_nodes))
-        em.touched_volume.observe(float(touched_volume))
-        if kernels:
-            for kind, count in kernels.items():
-                em.kernel_selections.labels(kind).inc(count)
-
-    def record_kernel_selections(self, kernels: dict) -> None:
-        """Fold one block's kernel tally (``{kernel: count}``) in."""
-        selections = self.engine_metrics.kernel_selections
-        for kind, count in kernels.items():
-            selections.labels(kind).inc(count)
 
     def merge_engine_delta(self, families) -> None:
         """Fold a worker registry's :meth:`~MetricsRegistry.drain` home."""
@@ -371,7 +290,8 @@ class ServiceTelemetry:
         """Flat stats dict (the service merges in cache stats).
 
         Latency percentiles cover the most recent samples (the window
-        size); every other figure covers the service's whole lifetime.
+        size); every other figure is read from the registry and covers
+        the service's whole lifetime.
         """
         with self._lock:
             latencies = list(self._latencies)
@@ -379,57 +299,46 @@ class ServiceTelemetry:
                 stage: list(window)
                 for stage, window in self._stage_windows.items()
             }
-            batches = self._batches
-            occupancy_sum = self._occupancy_sum
-            occupancy_max = self._occupancy_max
-            engine_seconds = self._engine_seconds
-            served = self._served
-            cache_served = self._cache_served
-            errors = self._errors
-            errors_by_kind = dict(sorted(self._errors_by_kind.items()))
-            updates = self._updates
-            update_seconds = self._update_seconds
             update_latencies = list(self._update_latencies)
-            entries_invalidated = self._entries_invalidated
-            entries_promoted = self._entries_promoted
-            shed = self._shed
-            deadline_misses = self._deadline_misses
-            worker_restarts = self._worker_restarts
-            block_retries = self._block_retries
-            wal_records = self._wal_records
-            worker_occupancy = {
-                worker_id: {
-                    "batches": self._worker_batches[worker_id],
-                    "seeds": self._worker_seeds.get(worker_id, 0),
-                }
-                for worker_id in sorted(self._worker_batches)
-            }
-        occupancy = occupancy_sum / batches if batches else 0.0
-        seeds_per_s = served / engine_seconds if engine_seconds > 0.0 else 0.0
+        requests = _by_label(self._m_requests)
+        served = requests.get("engine", 0)
+        cache_served = requests.get("cache", 0)
+        errors_by_kind = _by_label(self._m_errors)
+        batches = int(self._m_batches.value)
+        engine_seconds = self._m_engine_seconds.value
+        worker_batches = _by_label(self._m_worker_batches)
+        worker_seeds = _by_label(self._m_worker_seeds)
         stats = {
             "requests": served + cache_served,
             "engine_served": served,
             "cache_served": cache_served,
-            "errors": errors,
+            "errors": sum(errors_by_kind.values()),
             "errors_by_kind": errors_by_kind,
             "batches": batches,
-            "mean_batch_occupancy": round(occupancy, 3),
-            "max_batch_occupancy": occupancy_max,
+            "mean_batch_occupancy": round(served / batches if batches else 0.0, 3),
+            "max_batch_occupancy": int(self._m_occupancy_max.value),
             "engine_seconds": round(engine_seconds, 6),
-            "seeds_per_s": round(seeds_per_s, 1),
+            "seeds_per_s": round(
+                served / engine_seconds if engine_seconds > 0.0 else 0.0, 1
+            ),
             "p50_latency_s": round(latency_percentile(latencies, 50.0), 6),
             "p95_latency_s": round(latency_percentile(latencies, 95.0), 6),
-            "updates": updates,
-            "update_seconds": round(update_seconds, 6),
+            "updates": int(self._m_updates.value),
+            "update_seconds": self._m_update_seconds.summary()["sum"],
             "p50_update_s": round(latency_percentile(update_latencies, 50.0), 6),
-            "entries_invalidated": entries_invalidated,
-            "entries_promoted": entries_promoted,
-            "shed": shed,
-            "deadline_misses": deadline_misses,
-            "worker_occupancy": worker_occupancy,
-            "worker_restarts": worker_restarts,
-            "block_retries": block_retries,
-            "wal_records": wal_records,
+            "entries_invalidated": int(self._m_invalidated.value),
+            "entries_promoted": int(self._m_promoted.value),
+            "shed": int(self._m_shed.value),
+            "deadline_misses": int(self._m_deadline.value),
+            "worker_occupancy": {
+                int(worker): {"batches": count, "seeds": worker_seeds.get(worker, 0)}
+                for worker, count in sorted(
+                    worker_batches.items(), key=lambda item: int(item[0])
+                )
+            },
+            "worker_restarts": int(self._m_worker_restarts.value),
+            "block_retries": int(self._m_block_retries.value),
+            "wal_records": int(self._m_wal_records.value),
         }
         for stage in STAGE_NAMES:
             window = stage_windows[stage]

@@ -599,3 +599,28 @@ class TestSpanLifecycle:
             if event["event"] == "request" and event.get("retries")
         ]
         assert request_events and request_events[0]["retries"] == 1
+
+
+class TestResolveFailure:
+    @pytest.mark.parametrize("front_end", [ClusterService, PoolClusterService])
+    def test_failing_cache_insert_fails_every_block_future(
+        self, small_sbm, front_end
+    ):
+        """A step after the engine raising (here: the cache insert) must
+        fail every future of the block with the cause, on both front-ends.
+        The pool used to drop the block's in-flight entry before resolving,
+        so its futures stayed pending forever, even after close()."""
+        kwargs = {"workers": 1} if front_end is PoolClusterService else {}
+        service = front_end(_model(small_sbm), max_wait_s=0.05, **kwargs)
+
+        def broken_put(*_args, **_kwargs):
+            raise ZeroDivisionError("cache insert exploded")
+
+        service.cache.put = broken_put
+        futures = [service.submit(seed, 10) for seed in (0, 1, 2)]
+        for future in futures:
+            with pytest.raises(RuntimeError, match="crashed") as info:
+                future.result(timeout=10)
+            assert isinstance(info.value.__cause__, ZeroDivisionError)
+        assert service.close(timeout=30) is True
+        assert all(future.done() for future in futures)

@@ -228,3 +228,41 @@ class TestPoolObservability:
         ]
         assert len(advances) == 1
         assert advances[0]["epoch"] == 1
+
+
+class TestFrontEndIntrospectionParity:
+    def test_both_front_ends_record_the_same_introspection(self, fitted_model):
+        """The in-process dispatcher and a pool worker answer through the
+        same code, so one seed stream leaves identical engine
+        introspection in both head registries."""
+        families = (
+            "laca_touched_nodes",
+            "laca_touched_volume",
+            "laca_query_iterations",
+            "laca_frontier_peak",
+        )
+        snapshots = []
+        for service in (
+            ClusterService(fitted_model, max_batch=1, cache_size=0),
+            PoolClusterService(
+                fitted_model, workers=1, max_batch=1, cache_size=0
+            ),
+        ):
+            with service:
+                futures = [service.submit(seed, 12) for seed in range(24)]
+                for future in futures:
+                    future.result(timeout=60.0)
+                snap = service.telemetry.registry.snapshot()
+            snapshots.append(
+                {
+                    key: value
+                    for key, value in snap.items()
+                    if key in families
+                    or key.startswith("laca_kernel_selections_total{")
+                }
+            )
+        in_process, pool = snapshots
+        assert set(families) <= set(in_process)
+        assert in_process["laca_touched_volume"]["count"] == 24
+        assert any(key.startswith("laca_kernel_selections") for key in in_process)
+        assert in_process == pool
