@@ -151,14 +151,28 @@ def test_frontier_results_match_reference_here(setup):
 
 
 def test_workspace_reuse_beats_fresh_allocation(setup):
-    """The workspace path must not be slower than fresh buffers."""
+    """The workspace path must not be slower than fresh buffers.
+
+    Both sides do the same diffusion work, so their true costs are close
+    and one pass of either is within timer noise of the other.  The two
+    are timed the same way — warmed, then best of several alternating
+    passes — so that load on a shared host hits both sides alike.
+    """
     graph, models, seeds = setup
     model = models["adaptive"]
     workspace = model.make_workspace()
-    with_ws = frontier_laca_ms(graph, model.config, model.tnam, seeds, workspace)
-    laca_scores(graph, seeds[0], config=model.config, tnam=model.tnam)
-    start = time.perf_counter()
-    for seed in seeds:
-        laca_scores(graph, seed, config=model.config, tnam=model.tnam)
-    without_ws = (time.perf_counter() - start) / len(seeds) * 1e3
+    config, tnam = model.config, model.tnam
+    laca_scores(graph, seeds[0], config=config, tnam=tnam)
+    with_ws = without_ws = float("inf")
+    for _ in range(5):
+        with_ws = min(
+            with_ws,
+            frontier_laca_ms(graph, config, tnam, seeds, workspace, repeats=1),
+        )
+        start = time.perf_counter()
+        for seed in seeds:
+            laca_scores(graph, seed, config=config, tnam=tnam)
+        without_ws = min(
+            without_ws, (time.perf_counter() - start) / len(seeds) * 1e3
+        )
     assert with_ws <= without_ws * 1.10  # equal is fine; slower is a bug

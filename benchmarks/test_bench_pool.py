@@ -1,8 +1,8 @@
 """Bench: multi-process pool vs. single-process serving (the PR 6 bar).
 
 One process serializes blocks — one GIL, one BLAS context — no matter
-how well the micro-batcher coalesces.  ``PoolClusterService`` fans the
-same gathered blocks out to worker processes over one shared-memory
+how well the micro-batcher coalesces.  ``ClusterService(workers=N)``
+fans the same gathered blocks out to worker processes over one shared-memory
 graph, so throughput should scale with cores while every answer stays
 bitwise identical to ``LACA.cluster``.
 
@@ -26,7 +26,7 @@ import pytest
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs.datasets import load_dataset
-from repro.serving import ClusterService, PoolClusterService
+from repro.serving import ClusterService
 
 SCALE = 21.0
 N_INFLIGHT = 256
@@ -65,7 +65,7 @@ def test_pool_answers_bitwise_identical_under_load(setup):
         model, max_batch=32, max_wait_s=0.002, cache_size=0
     ) as service:
         single, _ = _drain(service, sample)
-    with PoolClusterService(
+    with ClusterService(
         model, workers=2, max_batch=32, max_wait_s=0.002, cache_size=0
     ) as pool:
         pooled, _ = _drain(pool, sample)
@@ -87,7 +87,7 @@ def test_pool_beats_single_process_3x(setup):
     ) as service:
         _drain(service, seeds[:16])  # warm
         single, single_s = _drain(service, seeds)
-    with PoolClusterService(
+    with ClusterService(
         model, workers=WORKERS, max_batch=32, max_wait_s=0.002, cache_size=0
     ) as pool:
         _drain(pool, seeds[:16])  # warm (workers touch their pages)

@@ -4,8 +4,8 @@ Walks the full serving lifecycle:
 
 1. offline — fit LACA once and save the artifact (TNAM + config) to a
    single ``.npz`` archive next to the graph;
-2. online — reload both in a "fresh process", register the model, and
-   stand up a :class:`ClusterService`;
+2. online — reload both in a "fresh process" and stand up a
+   :class:`ClusterService`;
 3. traffic — eight submitter threads fire seed queries concurrently;
    the dispatcher coalesces them into block diffusions and the LRU
    result cache absorbs repeats;
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro import LACA, load_dataset
 from repro.graphs.io import load_graph, save_graph
-from repro.serving import ClusterService, ModelRegistry, save_model
+from repro.serving import ClusterService, load_model, save_model
 
 N_THREADS = 8
 QUERIES_PER_THREAD = 32
@@ -42,9 +42,7 @@ def main() -> None:
     print(f"fitted in {model.preprocessing_seconds:.3f}s, saved to {model_path}")
 
     # -- online: a fresh process would start here ----------------------
-    registry = ModelRegistry()
-    registry.register("cora", model_path, graph_path)
-    served_model = registry.get("cora")  # lazy load, memoized afterwards
+    served_model = load_model(model_path, load_graph(graph_path))
     assert np.array_equal(
         served_model.cluster(0, CLUSTER_SIZE), model.cluster(0, CLUSTER_SIZE)
     ), "persistence must be bitwise-faithful"

@@ -17,8 +17,8 @@ trajectory is tracked in-repo instead of vanishing with each session:
   ``LACA.refresh`` vs. the full-refit cold path, post-update query
   latency, and cache invalidation behavior (the PR 5 acceptance
   evidence: ≥ 5× for single-edge deltas on the Fig. 10 graph);
-* pool throughput — :class:`PoolClusterService` (worker processes over
-  a shared-memory graph) vs. the single-process service at 256
+* pool throughput — :class:`ClusterService` with ``workers`` (worker
+  processes over a shared-memory graph) vs. ``workers=0`` at 256
   in-flight requests on the Fig. 10 graph, with a bitwise-identity
   check over every answer (the PR 6 acceptance evidence; the ≥ 3× bar
   itself is host-dependent — ``cpu_count`` is recorded alongside);
@@ -69,7 +69,7 @@ from repro.graphs import (
     random_absent_edges,
 )
 from repro.graphs.datasets import load_dataset
-from repro.serving import ClusterService, PoolClusterService
+from repro.serving import ClusterService
 
 REFERENCE_PATCHES = {
     "greedy_diffuse": (
@@ -323,7 +323,7 @@ def bench_pool(scale: float, n_requests: int, workers: int) -> dict:
     ) as service:
         drain(service)  # warm
         single, single_s = drain(service)
-    with PoolClusterService(
+    with ClusterService(
         model, workers=workers, max_batch=32, max_wait_s=0.002, cache_size=0
     ) as pool:
         drain(pool)  # warm (workers touch their shared pages)
@@ -454,7 +454,7 @@ def bench_fault_tolerance(
     ]
 
     def drain(fault_plan):
-        service = PoolClusterService(
+        service = ClusterService(
             model, workers=workers, max_batch=32, max_wait_s=0.002,
             cache_size=0, fault_plan=fault_plan, backoff_base_s=0.05,
         )
@@ -569,16 +569,10 @@ def bench_scenario_replay(
     for name in ("service", "pool"):
         model = LACA(config).fit(scenario.base)
         store = GraphStore(scenario.base, history=epochs + 1)
-        if name == "pool":
-            service = PoolClusterService(
-                model, workers=workers, store=store, max_batch=32,
-                max_wait_s=0.002, cache_size=4096,
-            )
-        else:
-            service = ClusterService(
-                model, store=store, max_batch=32, max_wait_s=0.002,
-                cache_size=4096,
-            )
+        service = ClusterService(
+            model, workers=workers if name == "pool" else 0, store=store,
+            max_batch=32, max_wait_s=0.002, cache_size=4096,
+        )
         try:
             result = replay(service, scenario, replay_config)
         finally:

@@ -3,7 +3,7 @@
 
 Generates a seeded evolving-community scenario (membership churn,
 births, one merge), replays its delta stream and a Zipf-seeded mixed
-query trace through ``PoolClusterService`` with 2 workers, and demands
+query trace through ``ClusterService`` with 2 workers, and demands
 a perfect run:
 
 * every query drains — zero shed, zero deadline misses, zero lost
@@ -28,7 +28,7 @@ from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs import GraphStore
 from repro.scenarios import DynamicSBMConfig, ReplayConfig, generate_dynamic_sbm, replay
-from repro.serving import PoolClusterService
+from repro.serving import ClusterService
 
 EPOCHS = 4
 QUERIES_PER_EPOCH = 24
@@ -56,7 +56,7 @@ def main() -> int:
     )
     model = LACA(LacaConfig(k=8)).fit(scenario.base)
     store = GraphStore(scenario.base, history=EPOCHS + 1)
-    service = PoolClusterService(
+    service = ClusterService(
         model, workers=WORKERS, store=store, max_batch=8,
         max_wait_s=0.002, cache_size=1024,
     )

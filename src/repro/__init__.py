@@ -62,7 +62,7 @@ from .core import (
 )
 from .baselines import make_method, method_names
 from .eval import evaluate_method, precision, recall, conductance, wcss, sample_seeds
-from .serving import ClusterService, ModelRegistry, load_model, save_model
+from .serving import ClusterService, load_model, save_model
 
 __version__ = "1.0.0"
 
@@ -101,7 +101,6 @@ __all__ = [
     "wcss",
     "sample_seeds",
     "ClusterService",
-    "ModelRegistry",
     "load_model",
     "save_model",
 ]

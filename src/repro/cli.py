@@ -28,7 +28,8 @@ per line (queries are ``seed [size]`` lines on stdin or in a file)::
     python -m repro serve --graph g.npz --model m.npz --size 50
 
 Fan the same queries out to a process pool over a shared-memory graph
-(``--max-pending``/``--deadline-ms`` bound what the pool will buffer)::
+(``--max-pending``/``--deadline-ms`` bound what the service will buffer,
+with or without ``--workers``)::
 
     python -m repro serve --dataset cora --workers 4 --queries queries.txt
     python -m repro serve --dataset cora --workers 4 --max-pending 4096 \
@@ -267,12 +268,7 @@ def _read_queries(source, default_size, graph):
 def _cmd_serve(args) -> int:
     from .core.pipeline import LACA
     from .obs import MetricsServer, TraceLog
-    from .serving import (
-        ClusterService,
-        PoolClusterService,
-        load_model,
-        save_model,
-    )
+    from .serving import ClusterService, load_model, save_model
     from .testing import FaultPlan
 
     graph = _load_cli_graph(args)
@@ -322,33 +318,21 @@ def _cmd_serve(args) -> int:
     # plan (see repro.testing.faults) into the workers and collector.
     fault_plan = FaultPlan.from_env()
 
-    if args.workers > 0:
-        service_ctx = PoolClusterService(
-            model,
-            workers=args.workers,
-            max_pending=args.max_pending,
-            deadline_s=(
-                args.deadline_ms / 1000.0 if args.deadline_ms else None
-            ),
-            max_retries=args.max_retries,
-            restart_budget=args.restart_budget,
-            fallback_inprocess=args.fallback_inprocess,
-            fault_plan=fault_plan,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1000.0,
-            cache_size=args.cache_size,
-            trace_log=trace_log,
-            store=store,
-        )
-    else:
-        service_ctx = ClusterService(
-            model,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1000.0,
-            cache_size=args.cache_size,
-            trace_log=trace_log,
-            store=store,
-        )
+    service_ctx = ClusterService(
+        model,
+        workers=args.workers,
+        max_pending=args.max_pending,
+        deadline_s=args.deadline_ms / 1000.0 if args.deadline_ms else None,
+        max_retries=args.max_retries,
+        restart_budget=args.restart_budget,
+        fallback_inprocess=args.fallback_inprocess,
+        fault_plan=fault_plan,
+        max_batch=args.max_batch,
+        max_wait_s=args.max_wait_ms / 1000.0,
+        cache_size=args.cache_size,
+        trace_log=trace_log,
+        store=store,
+    )
     metrics_server = None
     try:
         with service_ctx as service:
@@ -504,8 +488,8 @@ def _cmd_replay(args) -> int:
 
     Generates a seeded dynamic SBM (or lifts an ``u v t`` timestamped
     edge file into a delta stream), fits LACA on the base snapshot, and
-    drives a ``ClusterService`` — or, with ``--workers N``, the process
-    pool — through the mixed read/write trace.  One JSON line per epoch
+    drives a ``ClusterService`` — with ``--workers N``, over N worker
+    processes — through the mixed read/write trace.  One JSON line per epoch
     plus a trace-wide summary; ``--report`` writes everything to a file.
     """
     from .core.pipeline import LACA
@@ -518,7 +502,7 @@ def _cmd_replay(args) -> int:
         parse_timestamped_edges,
         replay,
     )
-    from .serving import ClusterService, PoolClusterService
+    from .serving import ClusterService
 
     if args.edges_file:
         with open(args.edges_file, encoding="utf-8") as handle:
@@ -557,21 +541,13 @@ def _cmd_replay(args) -> int:
     )
 
     store = GraphStore(scenario.base, history=max(64, scenario.epochs + 1))
-    if args.workers > 0:
-        service_ctx = PoolClusterService(
-            model,
-            workers=args.workers,
-            max_batch=args.max_batch,
-            cache_size=args.cache_size,
-            store=store,
-        )
-    else:
-        service_ctx = ClusterService(
-            model,
-            max_batch=args.max_batch,
-            cache_size=args.cache_size,
-            store=store,
-        )
+    service_ctx = ClusterService(
+        model,
+        workers=args.workers,
+        max_batch=args.max_batch,
+        cache_size=args.cache_size,
+        store=store,
+    )
 
     replay_config = ReplayConfig(
         queries_per_epoch=args.queries_per_epoch,
@@ -667,17 +643,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="serve through N worker processes sharing the graph via "
-        "shared memory (0 = in-process service)",
+        "shared memory (0 = answer on the dispatcher thread)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=None, metavar="N",
-        help="admission bound for --workers: shed submissions beyond N "
-        "pending requests (default: unbounded)",
+        help="admission bound: shed submissions beyond N pending "
+        "requests (default: unbounded)",
     )
     serve.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
-        help="per-request deadline for --workers: drop requests still "
-        "queued after MS milliseconds (default: no deadline)",
+        help="per-request deadline: drop requests still queued after "
+        "MS milliseconds (default: no deadline)",
     )
     serve.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
@@ -802,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--cache-size", type=int, default=4096)
     rep.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="replay against an N-process pool (0 = in-process service)",
+        help="replay against N worker processes (0 = answer on the dispatcher thread)",
     )
     rep.add_argument("--report", default=None, metavar="PATH",
                      help="write per-epoch reports + summary JSON to PATH")

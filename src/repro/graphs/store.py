@@ -220,15 +220,6 @@ class GraphDelta:
 
     # ------------------------------------------------------------------
     @property
-    def is_empty(self) -> bool:
-        return (
-            self.add_edges.size == 0
-            and self.remove_edges.size == 0
-            and self.add_nodes == 0
-            and self.set_attributes is None
-        )
-
-    @property
     def touches_structure(self) -> bool:
         return bool(self.add_edges.size or self.remove_edges.size or self.add_nodes)
 

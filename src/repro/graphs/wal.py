@@ -166,13 +166,6 @@ class GraphWAL:
             self._handle.truncate(offset)
             self._handle.seek(0, os.SEEK_END)
 
-    def sync(self) -> None:
-        """Force everything buffered down to disk."""
-        with self._lock:
-            self._require_open()
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
     def close(self) -> None:
         with self._lock:
             if self._handle is not None:

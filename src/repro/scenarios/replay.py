@@ -1,7 +1,7 @@
 """Event-stream replay harness for the serving layer.
 
-Drives a :class:`~repro.serving.ClusterService` (or
-``PoolClusterService`` — same surface) with a realistic **mixed
+Drives a :class:`~repro.serving.ClusterService` (with or without
+worker processes — same surface) with a realistic **mixed
 read/write trace**: each epoch interleaves Zipf-seeded, bursty query
 arrivals around one ``apply_update`` on the scenario's delta stream.
 Schedules are deterministic in the replay seed, so two replays of the
@@ -35,7 +35,7 @@ from ..eval.metrics import f1_score, recall
 from .drift import SeedTracker
 from ..graphs.graph import AttributedGraph
 from ..graphs.store import GraphDelta
-from ..serving.pool import DeadlineExceeded, PoolSaturated
+from ..serving.service import DeadlineExceeded, PoolSaturated
 
 __all__ = [
     "ReplayConfig",

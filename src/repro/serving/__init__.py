@@ -5,18 +5,17 @@ The pipeline (``repro.core``) builds models and the batch engine
 package turns the two into a long-lived service:
 
 - :mod:`~repro.serving.persistence` — fitted models as ``.npz``
-  artifacts (:func:`save_model` / :func:`load_model`) and a lazy
-  :class:`ModelRegistry`;
+  artifacts (:func:`save_model` / :func:`load_model`);
 - :mod:`~repro.serving.service` — :class:`ClusterService`, the
   thread-safe micro-batching scheduler that coalesces concurrent
-  ``submit`` calls into block diffusions and applies live graph deltas
-  (``apply_update``) without dropping traffic;
-- :mod:`~repro.serving.pool` — :class:`PoolClusterService`, the same
-  front-end fanned out to worker *processes* over a shared-memory
-  graph (:mod:`repro.graphs.shm`), with admission control
-  (``max_pending`` load-shedding, per-request deadlines) and fault
-  tolerance (worker supervision/respawn, idempotent block retry,
-  optional in-process fallback);
+  ``submit`` calls into block diffusions, applies live graph deltas
+  (``apply_update``) without dropping traffic, and bounds what it
+  buffers (``max_pending`` load-shedding, per-request deadlines);
+- :mod:`~repro.serving.pool` — the process back-end of
+  ``ClusterService(model, workers=N)``: blocks fan out to worker
+  *processes* over a shared-memory graph (:mod:`repro.graphs.shm`),
+  with fault tolerance (worker supervision/respawn, idempotent block
+  retry, optional in-process fallback);
 - :mod:`~repro.serving.cache` — the epoch-aware LRU
   :class:`ResultCache` and the :func:`config_digest` that keys it;
 - :mod:`~repro.serving.telemetry` — per-service latency/occupancy/
@@ -35,16 +34,14 @@ Typical use::
 """
 
 from .cache import ResultCache, config_digest, query_key
-from .persistence import ModelRegistry, load_model, save_model
-from .pool import DeadlineExceeded, PoolClusterService, PoolSaturated, WorkerError
-from .service import ClusterService, UpdateTimeout
+from .persistence import load_model, save_model
+from .pool import PoolClusterService, WorkerError
+from .service import ClusterService, DeadlineExceeded, PoolSaturated, UpdateTimeout
 from .telemetry import ServiceTelemetry
 
 __all__ = [
     "ClusterService",
     "DeadlineExceeded",
-    "ModelRegistry",
-    "PoolClusterService",
     "PoolSaturated",
     "ResultCache",
     "ServiceTelemetry",

@@ -6,22 +6,20 @@ to pay it once, offline, and share the result across processes.
 the TNAM — to one compressed archive (no pickle, the same idiom as
 :mod:`repro.graphs.io`), and :func:`load_model` reattaches it to a graph
 without re-running Algo 3, bitwise-reproducing the original model's
-answers.  :class:`ModelRegistry` names such artifacts and loads each at
-most once.
+answers.
 """
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 
 import numpy as np
 
 from ..core.pipeline import LACA
 from ..graphs.graph import AttributedGraph
-from ..graphs.io import load_graph, resolve_npz_path
+from ..graphs.io import resolve_npz_path
 
-__all__ = ["save_model", "load_model", "ModelRegistry"]
+__all__ = ["save_model", "load_model"]
 
 
 def save_model(model: LACA, path: str | Path) -> Path:
@@ -49,83 +47,3 @@ def load_model(path: str | Path, graph: AttributedGraph) -> LACA:
     with np.load(path, allow_pickle=False) as archive:
         state = dict(archive.items())
     return LACA.from_fit_state(state, graph)
-
-
-class ModelRegistry:
-    """Named, lazily-loaded, memoized serving models.
-
-    Register a (model archive, graph) pair under a name; the first
-    :meth:`get` pays the disk load, every later one returns the same
-    fitted :class:`LACA` instance.  The graph side accepts either an
-    in-memory :class:`AttributedGraph` or a ``.npz`` path written by
-    :func:`~repro.graphs.io.save_graph` (itself loaded lazily and shared
-    between models registered against the same path).
-    """
-
-    def __init__(self) -> None:
-        self._specs: dict[str, tuple[Path, AttributedGraph | Path]] = {}
-        self._models: dict[str, LACA] = {}
-        self._graphs: dict[Path, AttributedGraph] = {}
-        self._lock = threading.RLock()
-
-    def register(
-        self,
-        name: str,
-        model_path: str | Path,
-        graph: AttributedGraph | str | Path,
-    ) -> None:
-        """Declare ``name`` → (archive at ``model_path``, its graph)."""
-        with self._lock:
-            if name in self._specs:
-                raise ValueError(f"model {name!r} is already registered")
-            source = graph if isinstance(graph, AttributedGraph) else Path(graph)
-            self._specs[name] = (Path(model_path), source)
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._specs)
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._specs
-
-    def loaded(self, name: str) -> bool:
-        """Whether ``name`` has been materialized (no load triggered)."""
-        with self._lock:
-            return name in self._models
-
-    def get(self, name: str) -> LACA:
-        """The fitted model for ``name``, loading it on first use.
-
-        Disk reads happen outside the registry lock so a cold load of
-        one model never stalls memoized gets of the others; if two
-        threads race the same cold load, the first materialization wins.
-        """
-        with self._lock:
-            model = self._models.get(name)
-            if model is not None:
-                return model
-            try:
-                model_path, graph_source = self._specs[name]
-            except KeyError:
-                known = ", ".join(self.names()) or "none"
-                raise KeyError(
-                    f"unknown model {name!r} (registered: {known})"
-                ) from None
-            graph = (
-                self._graphs.get(graph_source)
-                if isinstance(graph_source, Path)
-                else graph_source
-            )
-        if graph is None:
-            graph = load_graph(graph_source)
-            with self._lock:
-                graph = self._graphs.setdefault(graph_source, graph)
-        model = load_model(model_path, graph)
-        with self._lock:
-            return self._models.setdefault(name, model)
-
-    def evict(self, name: str) -> None:
-        """Drop the memoized model (the registration stays)."""
-        with self._lock:
-            self._models.pop(name, None)

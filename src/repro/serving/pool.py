@@ -1,11 +1,10 @@
-"""Multi-process serving: a worker pool over one shared-memory graph.
+"""Multi-process serving: the worker-pool back-end of ``ClusterService``.
 
 :class:`~repro.serving.service.ClusterService` parallelizes *within* a
-block (one sparse mat-mat answers the whole batch) but a single process
-still serializes blocks — one GIL, one BLAS context.
-:class:`PoolClusterService` keeps the exact same front-end (``submit`` /
-``cluster`` / ``apply_update`` / ``stats``) and fans the gathered blocks
-out to ``workers`` OS processes instead:
+block (one sparse mat-mat answers the whole batch), but one process
+still serializes blocks — one GIL, one BLAS context.  With
+``workers >= 1`` the service owns a :class:`WorkerPool` that fans the
+gathered blocks out to worker processes instead:
 
 - the head snapshot's CSR arrays and TNAM factor are published **once**
   into :mod:`multiprocessing.shared_memory` segments
@@ -14,14 +13,14 @@ out to ``workers`` OS processes instead:
   a :class:`~repro.core.pipeline.LACA` from the parent's fit state
   (:meth:`LACA.from_fit_state` — no refitting), and owns a private
   :class:`~repro.diffusion.workspace.DiffusionWorkspace`;
-- the dispatcher thread gathers blocks exactly as before but *assigns*
-  them to the least-loaded live worker and moves on — a collector
-  thread resolves futures as results stream back, so all workers
-  compute concurrently;
+- the dispatcher thread gathers blocks exactly as with ``workers=0`` but
+  *assigns* them to the least-loaded live worker and moves on — a
+  collector thread resolves futures as results stream back, so all
+  workers compute concurrently;
 - workers answer each block with the same
-  :func:`~repro.serving.service.answer_block` as the in-process
-  service, over the same arrays (shared pages), so a block gets the
-  same answers on either front-end.
+  :func:`~repro.serving.service.answer_block` the dispatcher thread
+  runs with ``workers=0``, over the same arrays (shared pages), so a
+  block gets the same answers on either path.
 
 Fault tolerance (PR 8) rests on that: a cluster query is a pure
 function of ``(snapshot, seed, size)`` and the block's engine path, so
@@ -41,13 +40,12 @@ Three mechanisms:
   advance is failed instead of recomputed — its cache key names the
   old snapshot.
 - **In-process fallback** — with ``fallback_inprocess=True``, losing
-  *every* worker degrades the pool to answering blocks on the
-  dispatcher thread (the plain :class:`ClusterService` path, same
-  answers) instead of failing the service; the pool re-engages
-  automatically once a respawn lands.
+  *every* worker degrades the service to answering blocks on the
+  dispatcher thread (the ``workers=0`` path, same answers) instead of
+  failing it; the pool re-engages automatically once a respawn lands.
 
-Epoch advances reuse the in-process marker mechanism and add a barrier:
-:meth:`_propagate_refresh` publishes the refreshed snapshot, enqueues a
+Epoch advances reuse the dispatch-queue marker and add a barrier:
+:meth:`WorkerPool.reload` publishes the refreshed snapshot, enqueues a
 ``reload`` message on every worker's task queue — FIFO order *is* the
 barrier: the reload rides behind every block gathered before the
 marker, so no worker ever answers a post-marker request on a pre-marker
@@ -57,14 +55,10 @@ removes it from the pending-ack set.  A worker that fails to reload
 fails the service closed (it could otherwise silently serve stale
 answers).
 
-Admission control bounds what the pool will buffer: ``max_pending``
-caps in-flight requests (excess is shed with :class:`PoolSaturated`),
-and ``deadline_s`` stamps each admitted request with a deadline —
-requests still queued when it passes are dropped with
-:class:`DeadlineExceeded` instead of being computed late.  Both surface
-in :meth:`stats` (``shed``, ``deadline_misses``, ``worker_occupancy``),
-as do the fault-tolerance counters (``worker_restarts``,
-``block_retries``, ``fallback_active``).
+The pool adds the fault-tolerance counters (``worker_restarts``,
+``block_retries``) and its own figures (``workers_alive``,
+``inflight_blocks``, ``parked_blocks``, ``fallback_active``) to
+:meth:`ClusterService.stats`.
 """
 
 from __future__ import annotations
@@ -82,33 +76,30 @@ from ..core.laca import top_k_cluster  # noqa: F401
 from ..core.pipeline import LACA
 from ..graphs.shm import attach_snapshot, publish_snapshot
 from ..obs.metrics import MetricsRegistry
-from .service import ClusterService, _fail_future, _Request, answer_block
+from .service import ClusterService, DeadlineExceeded, _Request, answer_block
 from .telemetry import make_engine_metrics
 
-__all__ = [
-    "PoolClusterService",
-    "PoolSaturated",
-    "DeadlineExceeded",
-    "WorkerError",
-]
+__all__ = ["WorkerError", "WorkerPool"]
 
+#: Multiprocessing start method: ``fork`` where available (Linux —
+#: instant start), else ``spawn``.  Workers fork before the service
+#: starts its dispatcher thread; respawns fork from a threaded parent,
+#: which is safe for these workers because they touch only their own
+#: state, the shared segments, and their queues.
+START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+#: Sliding window over which one worker slot's respawns count against
+#: ``restart_budget``.
+RESTART_WINDOW_S = 60.0
+#: Cap of the respawn backoff ``backoff_base_s * 2**k``.
+BACKOFF_MAX_S = 5.0
+#: How long an epoch advance waits for every worker to ack its reload
+#: before failing the service closed.
+RELOAD_TIMEOUT_S = 60.0
+#: How often the supervisor sweeps for dead workers and due respawns.
+SUPERVISE_INTERVAL_S = 0.05
 
-class PoolSaturated(RuntimeError):
-    """Typed load-shed rejection: the pool's pending-queue bound is hit.
-
-    Raised by ``submit`` *before* enqueueing, so no future is created —
-    the caller backs off (or retries) immediately instead of queueing
-    work the pool cannot absorb.
-    """
-
-
-class DeadlineExceeded(TimeoutError):
-    """An admitted request's deadline passed while it waited in queue.
-
-    The request was never dispatched to a worker (or lost its worker
-    and expired before a retry): shedding it keeps a backed-up pool
-    from burning cycles computing answers nobody is still waiting for.
-    """
+#: The multi-process front-end's former name, kept for existing callers.
+PoolClusterService = ClusterService
 
 
 class WorkerError(RuntimeError):
@@ -244,167 +235,89 @@ def _worker_main(
     attached.close()
 
 
-class PoolClusterService(ClusterService):
-    """:class:`ClusterService` front-end, multi-process back-end.
+def _worker_fit_state(model: LACA) -> dict:
+    """Hydration state shipped to workers: no maintenance arrays
+    (workers never refresh) and no TNAM factor (it travels through
+    shared memory instead of the pickle)."""
+    state = model.fit_state(include_maintenance=False)
+    state.pop("tnam_z", None)
+    return state
 
-    Parameters (beyond :class:`ClusterService`'s)
-    ----------
-    workers:
-        Number of worker processes.  Each holds a zero-copy view of the
-        shared graph and a private diffusion workspace.
-    max_pending:
-        Admission bound: highest number of admitted-but-unresolved
-        requests.  ``submit`` beyond it raises :class:`PoolSaturated`
-        (and the shed is counted in telemetry).  ``None`` = unbounded.
-    deadline_s:
-        Per-request deadline stamped at admission.  A request still
-        undisptached when it expires fails with
-        :class:`DeadlineExceeded` instead of occupying a worker.
-        ``None`` = no deadlines.
-    max_retries:
-        How many times one request may be re-enqueued after losing its
-        worker mid-flight before it fails.  A retried block is answered
-        by the same :func:`~repro.serving.service.answer_block` on the
-        same snapshot.  ``0`` pins the pre-supervision behavior: a worker
-        death fails its in-flight requests outright.
-    restart_budget:
-        How many respawns one worker slot gets per
-        ``restart_window_s`` sliding window.  ``0`` disables
-        supervision entirely (dead workers stay dead).
-    restart_window_s / backoff_base_s / backoff_max_s:
-        Respawn pacing: the k-th respawn within a window waits
-        ``min(backoff_base_s * 2**k, backoff_max_s)``.
-    fallback_inprocess:
-        When True, losing every worker degrades the pool to in-process
-        answering (dispatcher-thread compute, same answer path)
-        instead of failing the service; the pool re-engages once a
-        respawned worker is available.
-    fault_plan:
-        Optional :class:`~repro.testing.faults.FaultPlan` threaded into
-        every worker (``worker.block`` / ``worker.reload`` sites) and
-        the collector (``pool.result``) for deterministic chaos tests.
-    mp_context:
-        ``multiprocessing`` start method (``"fork"``/``"spawn"``/...).
-        Default: ``fork`` where available (Linux — instant start), else
-        ``spawn``.  Workers are started before any service thread, so
-        fork is safe here; respawns fork from a threaded parent, which
-        is safe for these workers because they touch only their own
-        state, the shared segments, and their queues.
-    reload_timeout_s:
-        How long an epoch advance waits for every worker to ack its
-        reload before failing the service closed.
+
+def _publish(model: LACA, graph):
+    return publish_snapshot(
+        graph, tnam_z=model.tnam.z if model.tnam is not None else None
+    )
+
+
+class WorkerPool:
+    """The process back-end of a :class:`ClusterService` with ``workers >= 1``.
+
+    Construction publishes the served snapshot and forks
+    ``service.workers`` processes — the service builds its pool before
+    it starts the dispatcher thread — then starts the collector and the
+    supervisor threads.  The dispatcher drives the pool through
+    :meth:`dispatch`, :meth:`park_or_fail`, :meth:`set_fallback` and
+    :meth:`reload`; the collector hands each result to
+    ``service._resolve_block``, which takes the block back with
+    :meth:`take`.  The pool reads the service's retry, restart and
+    fallback options and reports through its telemetry and trace log.
     """
 
-    def __init__(
-        self,
-        model: LACA,
-        *,
-        workers: int = 2,
-        max_pending: int | None = None,
-        deadline_s: float | None = None,
-        max_retries: int = 2,
-        restart_budget: int = 3,
-        restart_window_s: float = 60.0,
-        backoff_base_s: float = 0.25,
-        backoff_max_s: float = 5.0,
-        fallback_inprocess: bool = False,
-        fault_plan=None,
-        mp_context: str | None = None,
-        reload_timeout_s: float = 60.0,
-        **kwargs,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError(f"max_pending must be positive, got {max_pending}")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if restart_budget < 0:
-            raise ValueError(
-                f"restart_budget must be >= 0, got {restart_budget}"
-            )
-        if restart_window_s <= 0:
-            raise ValueError(
-                f"restart_window_s must be positive, got {restart_window_s}"
-            )
-        if backoff_base_s < 0 or backoff_max_s < backoff_base_s:
-            raise ValueError(
-                "backoff bounds must satisfy 0 <= backoff_base_s <= "
-                f"backoff_max_s, got {backoff_base_s}/{backoff_max_s}"
-            )
-        self.workers = int(workers)
-        self.max_pending = max_pending if max_pending is None else int(max_pending)
-        self.deadline_s = deadline_s if deadline_s is None else float(deadline_s)
-        self.max_retries = int(max_retries)
-        self.restart_budget = int(restart_budget)
-        self.restart_window_s = float(restart_window_s)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_max_s = float(backoff_max_s)
-        self.fallback_inprocess = bool(fallback_inprocess)
+    def __init__(self, service: ClusterService, graph, fault_plan=None) -> None:
+        self.service = service
+        self.size = size = service.workers
         self._fault_plan = fault_plan
-        self._reload_timeout_s = float(reload_timeout_s)
-
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = ctx = multiprocessing.get_context(mp_context)
-        self._tasks = [ctx.SimpleQueue() for _ in range(self.workers)]
+        self._ctx = ctx = multiprocessing.get_context(START_METHOD)
+        self._tasks = [ctx.SimpleQueue() for _ in range(size)]
         self._results = ctx.Queue()
         # Pool state shared between dispatcher, collector, and supervisor.
-        self._pool_lock = threading.Lock()
-        self._pending = 0
+        self._lock = threading.Lock()
         self._next_block = 0
         self._inflight: dict[int, tuple[int, list[_Request]]] = {}
-        self._outstanding = [0] * self.workers
-        self._worker_dead = [False] * self.workers
+        self._outstanding = [0] * size
+        self._worker_dead = [False] * size
         self._reload_generation = 0
         self._reload_pending: set[int] = set()
         self._reload_errors: list[BaseException] = []
         self._reload_event = threading.Event()
-        self._collector_stop = threading.Event()
-        self._pool_closed = False
-        # Supervision state.  The *current* manifest/fit-state pair
-        # (set by _start_backend) is what a respawn hydrates from; the
-        # epoch barrier updates it under the pool lock, so respawns
-        # always join at the serving generation.
-        self._spawn_counts = [0] * self.workers
-        self._restart_times: list[list[float]] = [[] for _ in range(self.workers)]
-        self._respawn_at: list[float | None] = [None] * self.workers
+        self._closed = False
+        self._spawn_counts = [0] * size
+        self._restart_times: list[list[float]] = [[] for _ in range(size)]
+        self._respawn_at: list[float | None] = [None] * size
         self._parked: list[list[_Request]] = []
         self._fallback_active = False
+        self._collector_stop = threading.Event()
         self._supervisor_stop = threading.Event()
-        self._supervise_interval_s = 0.05
+        # The *current* manifest/fit-state pair is what a respawn
+        # hydrates from; the epoch barrier updates it under the pool
+        # lock, so respawns always join at the serving generation.
+        self._shared = _publish(service.model, graph)
+        self._current_manifest = self._shared.manifest
+        self._current_state = _worker_fit_state(service.model)
         self._procs: list = []
-        self._shared = None
-
         try:
-            super().__init__(model, **kwargs)
+            for worker_id in range(size):
+                self._procs.append(self._spawn(worker_id, 0))
         except BaseException:
             for proc in self._procs:
-                if proc.is_alive():
-                    proc.terminate()
-            if self._shared is not None:
-                self._shared.close()
+                proc.terminate()
+            self._shared.close()
             raise
         self._collector = threading.Thread(
             target=self._collect_loop,
-            name=f"cluster-pool-collector-{self.name}",
+            name=f"cluster-pool-collector-{service.name}",
             daemon=True,
         )
         self._collector.start()
         self._supervisor = threading.Thread(
             target=self._supervise_loop,
-            name=f"cluster-pool-supervisor-{self.name}",
+            name=f"cluster-pool-supervisor-{service.name}",
             daemon=True,
         )
         self._supervisor.start()
 
-        registry = self.telemetry.registry
-        pending_gauge = registry.gauge(
-            "laca_pending_requests", "Admitted-but-unresolved requests"
-        )
+        registry = service.telemetry.registry
         alive_gauge = registry.gauge(
             "laca_workers_alive", "Live pool worker processes"
         )
@@ -418,150 +331,42 @@ class PoolClusterService(ClusterService):
         )
 
         def _pool_gauges() -> None:
-            with self._pool_lock:
-                pending_gauge.set(self._pending)
-                alive_gauge.set(sum(1 for dead in self._worker_dead if not dead))
+            with self._lock:
+                alive_gauge.set(self._worker_dead.count(False))
                 inflight_gauge.set(len(self._inflight))
                 fallback_gauge.set(1.0 if self._fallback_active else 0.0)
 
         registry.add_hook(_pool_gauges)
 
-    def _start_backend(self, graph) -> None:
-        """Publish the served snapshot and fork the workers, before the
-        base constructor starts the dispatcher thread."""
-        model = self.model
-        self._shared = publish_snapshot(
-            graph, tnam_z=model.tnam.z if model.tnam is not None else None
+    def _spawn(self, worker_id: int, spawn: int):
+        """Start incarnation ``spawn`` of worker slot ``worker_id`` on the
+        current manifest."""
+        suffix = f"-r{spawn}" if spawn else ""
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(
+                worker_id,
+                spawn,
+                self._current_manifest,
+                self._current_state,
+                self._tasks[worker_id],
+                self._results,
+                self._fault_plan,
+            ),
+            name=f"cluster-pool-worker-{worker_id}{suffix}",
+            daemon=True,
         )
-        self._current_manifest = self._shared.manifest
-        self._current_state = self._worker_fit_state(model)
-        self._procs = [
-            self._ctx.Process(
-                target=_worker_main,
-                args=(
-                    i,
-                    0,
-                    self._current_manifest,
-                    self._current_state,
-                    self._tasks[i],
-                    self._results,
-                    self._fault_plan,
-                ),
-                name=f"cluster-pool-worker-{i}",
-                daemon=True,
-            )
-            for i in range(self.workers)
-        ]
-        for proc in self._procs:
-            proc.start()
-
-    @staticmethod
-    def _worker_fit_state(model: LACA) -> dict:
-        """Hydration state shipped to workers: no maintenance arrays
-        (workers never refresh) and no TNAM factor (it travels through
-        shared memory instead of the pickle)."""
-        state = model.fit_state(include_maintenance=False)
-        state.pop("tnam_z", None)
-        return state
-
-    # ------------------------------------------------------------------
-    # Admission control (runs under the close lock, from submit()).
-    def _admit(self, request: _Request) -> None:
-        with self._pool_lock:
-            if self.max_pending is not None and self._pending >= self.max_pending:
-                self.telemetry.record_shed()
-                raise PoolSaturated(
-                    f"pool is saturated: {self._pending} requests pending "
-                    f"(max_pending={self.max_pending}); retry after backoff"
-                )
-            self._pending += 1
-        if self.deadline_s is not None:
-            request.deadline = request.enqueued_at + self.deadline_s
-        request.future.add_done_callback(self._release_admission)
-
-    def _release_admission(self, _future) -> None:
-        with self._pool_lock:
-            self._pending -= 1
-
-    @property
-    def pending(self) -> int:
-        """Admitted requests not yet resolved (the admission ledger)."""
-        with self._pool_lock:
-            return self._pending
+        proc.start()
+        return proc
 
     # ------------------------------------------------------------------
     # Dispatch: assign the gathered block to a worker and move on.
-    def _answer(self, block: list[_Request]) -> None:
-        if self._fail_if_failed(block):
-            return
-        now = time.perf_counter()
-        live: list[_Request] = []
-        for request in block:
-            if request.deadline is not None and now > request.deadline:
-                self.telemetry.record_deadline_miss()
-                self._trace_failed_span(request, "deadline_exceeded", now)
-                _fail_future(
-                    request.future,
-                    DeadlineExceeded(
-                        f"request (seed={request.seed}) spent more than "
-                        f"{self.deadline_s}s queued and was dropped undispatched"
-                    ),
-                )
-            elif (
-                request.requeued
-                and request.epoch is not None
-                and request.epoch != self._epoch
-            ):
-                # A retried (or parked) request that crossed an epoch
-                # advance: its cache key names the snapshot it was
-                # submitted against, and recomputing it on the new one
-                # would poison the cache with a cross-epoch answer.
-                self.telemetry.record_error("stale_epoch")
-                self._trace_failed_span(request, "stale_epoch", now)
-                _fail_future(
-                    request.future,
-                    RuntimeError(
-                        f"request (seed={request.seed}) was keyed at epoch "
-                        f"{request.epoch} but the service moved to epoch "
-                        f"{self._epoch} before it could be dispatched "
-                        "(it lost its worker mid-update); resubmit"
-                    ),
-                )
-            else:
-                if request.span is not None:
-                    request.span.mark("dispatched", now)
-                live.append(request)
-        if not live:
-            return
-        if self._dispatch(live):
-            return
-        # No live worker to take the block.
-        if self.fallback_inprocess:
-            self._set_fallback(True)
-            ClusterService._answer(self, live)
-            return
-        with self._pool_lock:
-            park = not self._pool_closed and any(
-                at is not None for at in self._respawn_at
-            )
-            if park:
-                # A respawn is scheduled: hold the block until the
-                # worker is back rather than failing the service.
-                self._parked.append(live)
-        if park:
-            return
-        error = RuntimeError("every pool worker is dead; the service is failed")
-        with self._close_lock:
-            if self._failed is None:
-                self._failed = error
-        self._fail_requests(live, error, "worker")
-
-    def _dispatch(self, live: list[_Request]) -> bool:
+    def dispatch(self, live: list[_Request]) -> bool:
         """Hand ``live`` to the least-loaded live worker; False if none."""
-        with self._pool_lock:
+        with self._lock:
             alive = [
                 i
-                for i in range(self.workers)
+                for i in range(self.size)
                 if not self._worker_dead[i] and self._procs[i].is_alive()
             ]
             if not alive:
@@ -571,7 +376,7 @@ class PoolClusterService(ClusterService):
             self._next_block += 1
             self._inflight[block_id] = (worker_id, live)
             self._outstanding[worker_id] += 1
-        self._set_fallback(False)
+        self.set_fallback(False)
         try:
             self._tasks[worker_id].put(
                 (
@@ -582,7 +387,7 @@ class PoolClusterService(ClusterService):
                 )
             )
         except BaseException as exc:  # worker pipe broke mid-dispatch
-            with self._pool_lock:
+            with self._lock:
                 self._inflight.pop(block_id, None)
                 self._outstanding[worker_id] -= 1
             # The worker is dying (or dead); run the death bookkeeping
@@ -595,23 +400,43 @@ class PoolClusterService(ClusterService):
             self._check_terminal()
         return True
 
-    def _trace_failed_span(self, request: _Request, error: str, now: float) -> None:
-        if request.span is not None and self.trace_log is not None:
-            request.span.error = error
-            request.span.mark("resolved", now)
-            self.trace_log.record_span(request.span)
+    def park_or_fail(self, live: list[_Request]) -> None:
+        """No live worker took ``live`` and there is no fallback: hold it
+        for a scheduled respawn, or fail the service when none is."""
+        with self._lock:
+            park = not self._closed and any(
+                at is not None for at in self._respawn_at
+            )
+            if park:
+                self._parked.append(live)
+        if park:
+            return
+        error = RuntimeError("every pool worker is dead; the service is failed")
+        self.service._fail_closed(error)
+        self.service._fail_requests(live, error, "worker")
 
-    def _set_fallback(self, active: bool) -> None:
-        with self._pool_lock:
+    def set_fallback(self, active: bool) -> None:
+        with self._lock:
             if self._fallback_active == active:
                 return
             self._fallback_active = active
-        if self.trace_log is not None:
-            self.trace_log.record_event("fallback_inprocess", active=active)
+        if self.service.trace_log is not None:
+            self.service.trace_log.record_event("fallback_inprocess", active=active)
+
+    def take(self, worker_id: int, block_id: int) -> list[_Request] | None:
+        """Remove an answered block from the in-flight table; None when
+        close() or a retry already claimed it."""
+        with self._lock:
+            entry = self._inflight.pop(block_id, None)
+            if entry is None:
+                return None
+            self._outstanding[worker_id] -= 1
+        return entry[1]
 
     # ------------------------------------------------------------------
     # Collector: resolve futures as workers stream results back.
     def _collect_loop(self) -> None:
+        telemetry = self.service.telemetry
         while True:
             try:
                 message = self._results.get(timeout=0.25)
@@ -625,7 +450,7 @@ class PoolClusterService(ClusterService):
                 # The message is consumed and unattributable; its block
                 # resolves through the death/retry machinery instead of
                 # taking the collector thread down with it.
-                self.telemetry.record_error("collector")
+                telemetry.record_error("collector")
                 continue
             kind = message[0]
             if kind == "collector-stop":
@@ -639,14 +464,14 @@ class PoolClusterService(ClusterService):
                     self._note_reload_ack(message)
                 elif kind == "result":
                     _, worker_id, block_id, payload, error = message
-                    self._resolve_block(worker_id, block_id, payload, error)
+                    self.service._resolve_block(worker_id, block_id, payload, error)
             except BaseException:  # noqa: BLE001 — keep collecting
                 # _resolve already failed the block's futures.
-                self.telemetry.record_error("collector")
+                telemetry.record_error("collector")
 
     def _note_reload_ack(self, message) -> None:
         _, worker_id, generation, error = message
-        with self._pool_lock:
+        with self._lock:
             if generation != self._reload_generation:
                 return  # stale ack from an abandoned reload
             if error is not None:
@@ -655,23 +480,15 @@ class PoolClusterService(ClusterService):
             if not self._reload_pending:
                 self._reload_event.set()
 
-    def _resolve_block(self, worker_id, block_id, payload, error) -> None:
-        with self._pool_lock:
-            entry = self._inflight.pop(block_id, None)
-            if entry is not None:
-                self._outstanding[worker_id] -= 1
-        if entry is not None:  # else already failed by close() or retried
-            self._resolve(entry[1], payload, error, worker_id)
-
     # ------------------------------------------------------------------
     # Supervisor: detect deaths, retry lost blocks, respawn workers.
     def _supervise_loop(self) -> None:
-        while not self._supervisor_stop.wait(self._supervise_interval_s):
+        while not self._supervisor_stop.wait(SUPERVISE_INTERVAL_S):
             try:
                 self._reap_dead_workers()
                 self._respawn_due()
             except Exception:  # noqa: BLE001 — supervision must survive
-                self.telemetry.record_error("supervisor")
+                self.service.telemetry.record_error("supervisor")
 
     def _mark_worker_dead(self, worker_id: int) -> list[list[_Request]]:
         """Bookkeeping for one observed death (idempotent).
@@ -681,7 +498,7 @@ class PoolClusterService(ClusterService):
         barrier waiting on its ack, and schedules a respawn if the
         restart budget allows.  Returns the lost request lists.
         """
-        with self._pool_lock:
+        with self._lock:
             if self._worker_dead[worker_id]:
                 return []
             self._worker_dead[worker_id] = True
@@ -702,20 +519,19 @@ class PoolClusterService(ClusterService):
             window = [
                 at
                 for at in self._restart_times[worker_id]
-                if now - at < self.restart_window_s
+                if now - at < RESTART_WINDOW_S
             ]
             self._restart_times[worker_id] = window
-            if len(window) < self.restart_budget and not self._pool_closed:
-                delay = min(
-                    self.backoff_base_s * (2 ** len(window)), self.backoff_max_s
+            if len(window) < self.service.restart_budget and not self._closed:
+                respawn_in = min(
+                    self.service.backoff_base_s * (2 ** len(window)), BACKOFF_MAX_S
                 )
-                self._respawn_at[worker_id] = now + delay
-                respawn_in = delay
+                self._respawn_at[worker_id] = now + respawn_in
             else:
                 self._respawn_at[worker_id] = None
                 respawn_in = None
-        if self.trace_log is not None:
-            self.trace_log.record_event(
+        if self.service.trace_log is not None:
+            self.service.trace_log.record_event(
                 "worker_death",
                 worker_id=worker_id,
                 exit_code=self._procs[worker_id].exitcode,
@@ -726,8 +542,8 @@ class PoolClusterService(ClusterService):
 
     def _reap_dead_workers(self) -> None:
         """Sweep for dead workers; retry their blocks, schedule respawns."""
-        for worker_id in range(self.workers):
-            with self._pool_lock:
+        for worker_id in range(self.size):
+            with self._lock:
                 undetected = (
                     not self._worker_dead[worker_id]
                     and not self._procs[worker_id].is_alive()
@@ -753,40 +569,40 @@ class PoolClusterService(ClusterService):
         one code path, same answers.  Requests past their
         deadline or out of retries fail here instead.
         """
+        service = self.service
         now = time.perf_counter()
         survivors: list[_Request] = []
         for request in requests:
             if request.deadline is not None and now > request.deadline:
-                self.telemetry.record_deadline_miss()
-                self._trace_failed_span(request, "deadline_exceeded", now)
-                _fail_future(
-                    request.future,
+                service.telemetry.record_deadline_miss()
+                service._drop(
+                    request,
                     DeadlineExceeded(
                         f"request (seed={request.seed}) lost its worker and "
                         "its deadline passed before a retry could be "
                         "dispatched"
                     ),
+                    "deadline_exceeded",
+                    now,
                 )
-            elif request.retries >= self.max_retries:
-                self.telemetry.record_error("worker")
-                self._trace_failed_span(request, "retries_exhausted", now)
+            elif request.retries >= service.max_retries:
+                service.telemetry.record_error("worker")
                 error = RuntimeError(
                     f"request (seed={request.seed}) lost its pool worker "
                     f"{request.retries + 1} time(s) and is out of retries "
-                    f"(max_retries={self.max_retries})"
+                    f"(max_retries={service.max_retries})"
                 )
                 error.__cause__ = cause
-                _fail_future(request.future, error)
+                service._drop(request, error, "retries_exhausted", now)
             else:
                 request.retries += 1
-                if request.span is not None:
-                    request.span.retries = request.retries
+                request.span.retries = request.retries
                 survivors.append(request)
         if not survivors:
             return
-        self.telemetry.record_block_retry()
-        if self.trace_log is not None:
-            self.trace_log.record_event(
+        service.telemetry.record_block_retry()
+        if service.trace_log is not None:
+            service.trace_log.record_event(
                 "block_retry",
                 worker_id=worker_id,
                 requests=len(survivors),
@@ -795,18 +611,19 @@ class PoolClusterService(ClusterService):
 
     def _requeue(self, requests: list[_Request], cause: BaseException) -> None:
         """Put requests back on the dispatcher queue (close-safe)."""
-        with self._close_lock:
-            closed = self._closed
+        service = self.service
+        with service._close_lock:
+            closed = service._closed
             if not closed:
                 for request in requests:
                     request.requeued = True
-                    self._queue.put(request)
+                    service._queue.put(request)
         if closed:
             error = RuntimeError(
                 "service closed before this request could be retried"
             )
             error.__cause__ = cause
-            self._fail_requests(requests, error, "closed")
+            service._fail_requests(requests, error, "closed")
 
     def _respawn_due(self) -> None:
         """Start respawns whose backoff has elapsed.
@@ -817,54 +634,37 @@ class PoolClusterService(ClusterService):
         then receives the reload like any live worker would have,
         queued FIFO behind nothing) or the new one (already current).
         """
+        service = self.service
         now = time.monotonic()
-        for worker_id in range(self.workers):
-            spawned = False
-            with self._pool_lock:
+        for worker_id in range(self.size):
+            with self._lock:
                 at = self._respawn_at[worker_id]
                 if (
                     at is None
                     or now < at
-                    or self._pool_closed
-                    or self._failed is not None
+                    or self._closed
+                    or service._failed is not None
                 ):
                     continue
                 self._respawn_at[worker_id] = None
                 spawn = self._spawn_counts[worker_id] + 1
-                proc = self._ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        worker_id,
-                        spawn,
-                        self._current_manifest,
-                        self._current_state,
-                        self._tasks[worker_id],
-                        self._results,
-                        self._fault_plan,
-                    ),
-                    name=f"cluster-pool-worker-{worker_id}-r{spawn}",
-                    daemon=True,
-                )
                 try:
-                    proc.start()
+                    proc = self._spawn(worker_id, spawn)
                 except Exception:  # noqa: BLE001 — fork pressure; back off
-                    self._respawn_at[worker_id] = now + self.backoff_max_s
+                    self._respawn_at[worker_id] = now + BACKOFF_MAX_S
                     continue
                 self._procs[worker_id] = proc
                 self._worker_dead[worker_id] = False
                 self._spawn_counts[worker_id] = spawn
                 self._restart_times[worker_id].append(time.monotonic())
                 parked, self._parked = self._parked, []
-                spawned = True
-            if not spawned:
-                continue
-            self.telemetry.record_worker_restart()
-            if self.trace_log is not None:
-                self.trace_log.record_event(
+            service.telemetry.record_worker_restart()
+            if service.trace_log is not None:
+                service.trace_log.record_event(
                     "worker_respawn",
                     worker_id=worker_id,
                     spawn=spawn,
-                    epoch=self._epoch,
+                    epoch=service._epoch,
                     generation=self._reload_generation,
                 )
             for requests in parked:
@@ -883,13 +683,13 @@ class PoolClusterService(ClusterService):
         closed now — including any parked blocks — instead of letting
         futures hang until close().
         """
-        if self.fallback_inprocess:
+        if self.service.fallback_inprocess:
             return
-        with self._pool_lock:
+        with self._lock:
             recoverable = (
-                any(not dead for dead in self._worker_dead)
+                not all(self._worker_dead)
                 or any(at is not None for at in self._respawn_at)
-                or self._pool_closed
+                or self._closed
             )
             if recoverable:
                 return
@@ -898,28 +698,23 @@ class PoolClusterService(ClusterService):
             "every pool worker is dead and the restart budget is "
             "exhausted; the service is failed"
         )
-        with self._close_lock:
-            if self._failed is None:
-                self._failed = error
+        self.service._fail_closed(error)
         for requests in parked:
-            self._fail_requests(requests, error, "worker")
+            self.service._fail_requests(requests, error, "worker")
 
     # ------------------------------------------------------------------
     # Epoch barrier: republish, reload every worker, then retire the old
-    # segments.  Runs on the dispatcher thread from _refresh(), after
-    # the parent model refreshed but before the serving epoch advances.
-    def _propagate_refresh(self, head) -> None:
-        model = self.model
-        state = self._worker_fit_state(model)
-        shared = publish_snapshot(
-            head, tnam_z=model.tnam.z if model.tnam is not None else None
-        )
+    # segments.  Runs on the dispatcher thread from the service's
+    # _refresh(), after the parent model refreshed but before the
+    # serving epoch advances.
+    def reload(self, head) -> None:
+        model = self.service.model
+        state = _worker_fit_state(model)
+        shared = _publish(model, head)
         previous = None
         try:
-            with self._pool_lock:
-                live = [
-                    i for i in range(self.workers) if not self._worker_dead[i]
-                ]
+            with self._lock:
+                live = [i for i in range(self.size) if not self._worker_dead[i]]
                 self._reload_generation += 1
                 generation = self._reload_generation
                 self._reload_pending = set(live)
@@ -937,12 +732,12 @@ class PoolClusterService(ClusterService):
                     self._tasks[worker_id].put(
                         ("reload", generation, shared.manifest, state)
                     )
-                if not self._reload_event.wait(self._reload_timeout_s):
+                if not self._reload_event.wait(RELOAD_TIMEOUT_S):
                     raise RuntimeError(
                         f"epoch {head.epoch} reload: not every worker acked "
-                        f"within {self._reload_timeout_s}s"
+                        f"within {RELOAD_TIMEOUT_S}s"
                     )
-                with self._pool_lock:
+                with self._lock:
                     errors = list(self._reload_errors)
                 if errors:
                     raise RuntimeError(
@@ -950,8 +745,8 @@ class PoolClusterService(ClusterService):
                         f"{len(errors)} worker(s)"
                     ) from errors[0]
             else:
-                with self._pool_lock:
-                    recoverable = self.fallback_inprocess or any(
+                with self._lock:
+                    recoverable = self.service.fallback_inprocess or any(
                         at is not None for at in self._respawn_at
                     )
                 if not recoverable:
@@ -960,7 +755,7 @@ class PoolClusterService(ClusterService):
                 # (swapped above), and fallback serves from the parent
                 # model, which is already refreshed.
         except BaseException:
-            with self._pool_lock:
+            with self._lock:
                 if previous is not None:
                     self._current_manifest, self._current_state = previous
             shared.close()  # don't leak segments for a failed reload
@@ -974,29 +769,23 @@ class PoolClusterService(ClusterService):
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        snapshot = super().stats()
-        with self._pool_lock:
-            snapshot["workers"] = self.workers
-            snapshot["workers_alive"] = sum(
-                1 for dead in self._worker_dead if not dead
-            )
-            snapshot["pending"] = self._pending
-            snapshot["inflight_blocks"] = len(self._inflight)
-            snapshot["parked_blocks"] = len(self._parked)
-            snapshot["fallback_active"] = self._fallback_active
-        snapshot["max_pending"] = self.max_pending
-        snapshot["deadline_s"] = self.deadline_s
-        snapshot["max_retries"] = self.max_retries
-        snapshot["restart_budget"] = self.restart_budget
-        return snapshot
+        with self._lock:
+            return {
+                "workers_alive": self._worker_dead.count(False),
+                "inflight_blocks": len(self._inflight),
+                "parked_blocks": len(self._parked),
+                "fallback_active": self._fallback_active,
+            }
 
-    # ------------------------------------------------------------------
-    def _do_close(self, timeout: float | None) -> bool:
-        clean = super()._do_close(timeout)
-        with self._pool_lock:
-            first_close = not self._pool_closed
-            self._pool_closed = True
-            self._respawn_at = [None] * self.workers
+    def close(self, timeout: float | None) -> bool:
+        """Stop the workers and pool threads after the dispatcher exited;
+        fail whatever is still in flight.  Returns whether every process
+        and thread exited within ``timeout``."""
+        clean = True
+        with self._lock:
+            first_close = not self._closed
+            self._closed = True
+            self._respawn_at = [None] * self.size
         self._supervisor_stop.set()
         if first_close:
             for tasks in self._tasks:
@@ -1021,27 +810,26 @@ class PoolClusterService(ClusterService):
             self._results.put(("collector-stop",))
         except Exception:
             pass
-        self._collector.join(max(1.0, deadline - time.monotonic()))
-        if self._collector.is_alive():
-            clean = False
-        self._supervisor.join(max(1.0, deadline - time.monotonic()))
-        if self._supervisor.is_alive():
-            clean = False
+        for thread in (self._collector, self._supervisor):
+            thread.join(max(1.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                clean = False
         # The supervisor may have re-enqueued retries after the
         # dispatcher consumed the shutdown sentinel; nothing will ever
         # gather them, so fail them now.
-        self._drain_queue(
+        service = self.service
+        service._drain_queue(
             RuntimeError("service closed before this request was answered")
         )
-        with self._pool_lock:
-            leftovers = list(self._inflight.values())
+        with self._lock:
+            leftovers = [requests for _, requests in self._inflight.values()]
             self._inflight.clear()
             parked, self._parked = self._parked, []
         error = RuntimeError(
             "service closed before this request was answered "
             "(its pool worker was terminated)"
         )
-        for requests in [requests for _, requests in leftovers] + parked:
-            self._fail_requests(requests, error, "closed")
+        for requests in leftovers + parked:
+            service._fail_requests(requests, error, "closed")
         self._shared.close()
         return clean

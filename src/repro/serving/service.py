@@ -10,6 +10,16 @@ into blocks of up to ``max_batch`` requests (waiting at most
 sequential workspace path for a lone request.  :func:`answer_block`
 states how the two paths' answers relate.  Answers are remembered in an
 LRU result cache consulted before enqueueing.
+
+With ``workers=0`` (the default) the dispatcher answers every block on
+its own thread; the service then runs exactly one thread and no
+process.  ``workers >= 1`` adds the process back-end of
+:mod:`~repro.serving.pool`: the dispatcher hands each block to a worker
+process and answers on its own thread only when no worker takes it.
+Admission control (``max_pending`` load-shedding with
+:class:`PoolSaturated`, per-request ``deadline_s`` with
+:class:`DeadlineExceeded`) runs in :meth:`ClusterService.submit` and
+:meth:`ClusterService._answer` for every ``workers`` value.
 """
 
 from __future__ import annotations
@@ -31,10 +41,42 @@ from ..obs.tracing import Span, TraceLog
 from .cache import ResultCache, config_digest, query_key
 from .telemetry import ServiceTelemetry
 
-__all__ = ["ClusterService", "UpdateTimeout", "answer_block"]
+__all__ = [
+    "ClusterService",
+    "DeadlineExceeded",
+    "PoolSaturated",
+    "UpdateTimeout",
+    "answer_block",
+]
 
 #: Queue sentinel that tells the dispatcher to exit after the current block.
 _SHUTDOWN = object()
+
+#: The pool figures of :meth:`ClusterService.stats` when ``workers=0``.
+_NO_POOL_STATS = {
+    "workers_alive": 0,
+    "inflight_blocks": 0,
+    "parked_blocks": 0,
+    "fallback_active": False,
+}
+
+
+class PoolSaturated(RuntimeError):
+    """Typed load-shed rejection: the service's pending bound is hit.
+
+    Raised by ``submit`` *before* enqueueing, so no future is created —
+    the caller backs off (or retries) immediately instead of queueing
+    work the service cannot absorb.
+    """
+
+
+class DeadlineExceeded(TimeoutError):
+    """An admitted request's deadline passed while it waited in queue.
+
+    The request was never answered (or lost its worker and expired
+    before a retry): shedding it keeps a backed-up service from burning
+    cycles computing answers nobody is still waiting for.
+    """
 
 
 class UpdateTimeout(TimeoutError):
@@ -81,19 +123,17 @@ class _Request:
     seed: int
     size: int
     key: tuple
-    future: Future = field(default_factory=Future)
-    enqueued_at: float = field(default_factory=time.perf_counter)
-    #: Absolute ``perf_counter`` deadline, or None for "no deadline".
-    #: Stamped by admission control (:class:`PoolClusterService`);
-    #: the in-process service never sets one.
-    deadline: float | None = None
-    #: Per-request trace span (stage timestamps + trace id); created at
-    #: submission, resolved alongside the future.
-    span: Span | None = None
     #: Graph epoch the request was keyed at.  A retry that crossed an
     #: epoch advance must not be recomputed — its cache key names the
     #: old snapshot — so the dispatcher fails it instead.
-    epoch: int | None = None
+    epoch: int
+    #: Absolute ``perf_counter`` deadline, or None for "no deadline".
+    #: Stamped at admission when the service has a ``deadline_s``.
+    deadline: float | None
+    #: Per-request trace span (stage timestamps + trace id); created at
+    #: submission, resolved alongside the future.
+    span: Span
+    future: Future = field(default_factory=Future)
     #: How many times this request was re-enqueued after losing its
     #: worker (the pool's idempotent-retry path).
     retries: int = 0
@@ -155,7 +195,7 @@ def _batch_support(result, b: int) -> np.ndarray:
 
 
 def answer_block(model: LACA, workspace, seeds, sizes, metrics):
-    """Answer one block of queries: the one engine call of both front-ends.
+    """Answer one block of queries: the one engine call of every back-end.
 
     A lone seed takes the sequential workspace path (:meth:`LACA.scores`,
     no length-``n`` allocations in steady state); more seeds share one
@@ -225,6 +265,11 @@ class ClusterService:
     model:
         A fitted LACA instance (fresh :meth:`~LACA.fit` or
         :func:`~repro.serving.persistence.load_model`).
+    workers:
+        Number of worker processes answering blocks over one
+        shared-memory snapshot (see :mod:`~repro.serving.pool`).  ``0``
+        answers every block on the dispatcher thread and starts no
+        process, queue or thread besides the dispatcher.
     name:
         Model identity used in cache keys and stats; defaults to the
         fitted graph's name.
@@ -247,6 +292,34 @@ class ClusterService:
         spans are sampled into it, and lifecycle events (epoch advances,
         worker deaths) always log.  The service does not own it — the
         caller closes it after :meth:`close`.
+    max_pending:
+        Admission bound: highest number of admitted-but-unresolved
+        requests.  ``submit`` beyond it raises :class:`PoolSaturated`
+        (and the shed is counted in telemetry).  ``None`` = unbounded.
+    deadline_s:
+        Per-request deadline stamped at admission.  A request still
+        unanswered when its block is dispatched after the deadline fails
+        with :class:`DeadlineExceeded` instead of being computed late.
+        ``None`` = no deadlines.
+    max_retries:
+        How many times one request may be re-enqueued after losing its
+        worker mid-flight before it fails.  ``0`` fails a worker death's
+        in-flight requests outright.
+    restart_budget:
+        How many respawns one worker slot gets per
+        :data:`~repro.serving.pool.RESTART_WINDOW_S`.  ``0`` disables
+        supervision entirely (dead workers stay dead).
+    backoff_base_s:
+        Respawn pacing: the k-th respawn within a window waits
+        ``min(backoff_base_s * 2**k, BACKOFF_MAX_S)``.
+    fallback_inprocess:
+        When True, losing every worker degrades to answering on the
+        dispatcher thread (the ``workers=0`` path) instead of failing
+        the service; workers re-engage once a respawn lands.
+    fault_plan:
+        Optional :class:`~repro.testing.faults.FaultPlan` threaded into
+        every worker (``worker.block`` / ``worker.reload`` sites) and
+        the collector (``pool.result``) for deterministic chaos tests.
 
     Use as a context manager, or call :meth:`close` when done.
     """
@@ -255,25 +328,50 @@ class ClusterService:
         self,
         model: LACA,
         *,
+        workers: int = 0,
         name: str | None = None,
         max_batch: int = 64,
         max_wait_s: float = 0.002,
         cache_size: int = 1024,
         store: GraphStore | None = None,
         trace_log: TraceLog | None = None,
+        max_pending: int | None = None,
+        deadline_s: float | None = None,
+        max_retries: int = 2,
+        restart_budget: int = 3,
+        backoff_base_s: float = 0.25,
+        fallback_inprocess: bool = False,
+        fault_plan=None,
     ) -> None:
         graph = model._require_fit()
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         if max_wait_s < 0.0:
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
+        if max_pending is not None and max_pending < 1:
+            raise ValueError(f"max_pending must be positive, got {max_pending}")
+        if deadline_s is not None and deadline_s <= 0:
+            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if restart_budget < 0:
+            raise ValueError(f"restart_budget must be >= 0, got {restart_budget}")
         if store is not None and store.head is not graph:
             model.refresh(store)
             graph = model._require_fit()
         self.model = model
+        self.workers = int(workers)
         self.name = name if name is not None else graph.name
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_s)
+        self.max_pending = max_pending if max_pending is None else int(max_pending)
+        self.deadline_s = deadline_s if deadline_s is None else float(deadline_s)
+        self.max_retries = int(max_retries)
+        self.restart_budget = int(restart_budget)
+        self.backoff_base_s = float(backoff_base_s)
+        self.fallback_inprocess = bool(fallback_inprocess)
         self.digest = config_digest(model.config)
         self.cache: ResultCache | None = (
             ResultCache(cache_size) if cache_size else None
@@ -287,6 +385,10 @@ class ClusterService:
             "laca_epoch", "Graph epoch new submissions are answered at"
         )
         registry.add_hook(lambda: epoch_gauge.set(self._epoch))
+        pending_gauge = registry.gauge(
+            "laca_pending_requests", "Admitted-but-unresolved requests"
+        )
+        registry.add_hook(lambda: pending_gauge.set(self._pending))
         self._store = store
         self._epoch = graph.epoch
         self._update_lock = threading.Lock()
@@ -296,6 +398,9 @@ class ClusterService:
         #: service fails closed instead.
         self._failed: BaseException | None = None
         self._n = graph.n
+        # The admission ledger: admitted requests not yet resolved.
+        self._pending = 0
+        self._pending_lock = threading.Lock()
         # Owned by the dispatcher thread only: preallocated diffusion
         # buffers so steady-state single-query blocks allocate nothing
         # of length n (PR 3's zero-allocation hot path).
@@ -307,20 +412,19 @@ class ClusterService:
         # memoized and later calls return it without re-joining threads.
         self._closer_lock = threading.Lock()
         self._close_result: bool | None = None
-        self._start_backend(graph)
+        self._pool = None
+        if self.workers:
+            from .pool import WorkerPool  # the pool module imports this one
+
+            # Forks the workers before the dispatcher thread exists
+            # (forking after threads exist is the classic deadlock).
+            self._pool = WorkerPool(self, graph, fault_plan)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
             name=f"cluster-service-{self.name}",
             daemon=True,
         )
         self._dispatcher.start()
-
-    def _start_backend(self, graph) -> None:
-        """Construction hook, run with the fitted (store-refreshed) graph
-        before any service thread starts.  The in-process service needs
-        nothing here; :class:`~repro.serving.pool.PoolClusterService`
-        publishes the snapshot and forks its workers (forking after
-        threads exist is the classic multiprocessing deadlock)."""
 
     # ------------------------------------------------------------------
     def submit(self, seed: int, size: int) -> Future:
@@ -367,23 +471,36 @@ class ClusterService:
                     if self.trace_log is not None:
                         self.trace_log.record_span(span)
                     return future
-            request = _Request(seed=seed, size=size, key=key, epoch=self._epoch)
+            with self._pending_lock:
+                if self.max_pending is not None and self._pending >= self.max_pending:
+                    self.telemetry.record_shed()
+                    raise PoolSaturated(
+                        f"service is saturated: {self._pending} requests "
+                        f"pending (max_pending={self.max_pending}); retry "
+                        "after backoff"
+                    )
+                self._pending += 1
+            now = time.perf_counter()
             span = Span(seed=seed, size=size)
             span.path = "engine"
-            span.mark("admitted", request.enqueued_at)
-            span.mark("enqueued", request.enqueued_at)
-            request.span = span
+            span.mark("admitted", now)
+            span.mark("enqueued", now)
+            request = _Request(
+                seed=seed,
+                size=size,
+                key=key,
+                epoch=self._epoch,
+                deadline=None if self.deadline_s is None else now + self.deadline_s,
+                span=span,
+            )
             request.future.trace_id = span.trace_id
-            self._admit(request)
+            request.future.add_done_callback(self._release_admission)
             self._queue.put(request)
         return request.future
 
-    def _admit(self, request: _Request) -> None:
-        """Admission-control hook, called under the close lock just
-        before ``request`` is enqueued.  The in-process service admits
-        everything; :class:`~repro.serving.pool.PoolClusterService`
-        overrides this to bound queue depth (load-shedding with a typed
-        rejection) and stamp per-request deadlines."""
+    def _release_admission(self, _future) -> None:
+        with self._pending_lock:
+            self._pending -= 1
 
     def cluster(self, seed: int, size: int) -> np.ndarray:
         """Blocking convenience: ``submit(seed, size).result()``."""
@@ -506,6 +623,12 @@ class ClusterService:
         """The graph epoch new submissions are answered at."""
         return self._epoch
 
+    @property
+    def _procs(self) -> list:
+        """The live worker processes' handles (none with ``workers=0``);
+        peak-RSS measurement reads their pids."""
+        return self._pool._procs if self._pool is not None else []
+
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Telemetry snapshot merged with cache and identity info.
@@ -520,6 +643,16 @@ class ClusterService:
         snapshot["config_digest"] = self.digest
         snapshot["max_batch"] = self.max_batch
         snapshot["max_wait_s"] = self.max_wait_s
+        snapshot["workers"] = self.workers
+        snapshot["max_pending"] = self.max_pending
+        snapshot["deadline_s"] = self.deadline_s
+        snapshot["max_retries"] = self.max_retries
+        snapshot["restart_budget"] = self.restart_budget
+        with self._pending_lock:
+            snapshot["pending"] = self._pending
+        snapshot.update(
+            self._pool.stats() if self._pool is not None else _NO_POOL_STATS
+        )
         with self._close_lock:
             snapshot["epoch"] = self._epoch
             snapshot["cache"] = (
@@ -532,14 +665,15 @@ class ClusterService:
 
     # ------------------------------------------------------------------
     def close(self, timeout: float | None = None) -> bool:
-        """Stop accepting queries, answer what is queued, join the thread.
+        """Stop accepting queries, answer what is queued, join the threads.
 
-        Returns ``True`` when the dispatcher exited within ``timeout``.
-        When it did not (a slow block, or a wedged worker downstream),
-        every future still sitting in the queue is failed with a
-        ``RuntimeError`` instead of being left to hang forever, and
-        ``False`` is returned — the caller knows the join was
-        incomplete rather than silently assuming a clean shutdown.
+        Returns ``True`` when the dispatcher (and, with workers, every
+        worker process and pool thread) exited within ``timeout``.  When
+        it did not (a slow block, or a wedged worker), every future
+        still queued or in flight is failed with a ``RuntimeError``
+        instead of being left to hang forever, and ``False`` is
+        returned — the caller knows the join was incomplete rather than
+        silently assuming a clean shutdown.
 
         Idempotent: once a close completed cleanly, every later call
         returns ``True`` immediately instead of racing the thread joins
@@ -554,26 +688,20 @@ class ClusterService:
         with self._closer_lock:
             if self._close_result is not None:
                 return self._close_result
-            result = self._do_close(timeout)
-            if result:
-                self._close_result = True
-            return result
-
-    def _do_close(self, timeout: float | None) -> bool:
-        """The actual teardown, serialized by ``close()``: join the
-        dispatcher and fail whatever would otherwise hang.  Subclasses
-        extend this (never ``close`` itself) so idempotency memoization
-        stays in one place."""
-        self._dispatcher.join(timeout)
-        if self._dispatcher.is_alive():
-            self._drain_queue(
-                RuntimeError(
-                    "service closed before this request was answered "
-                    "(dispatcher did not finish within the close timeout)"
+            self._dispatcher.join(timeout)
+            clean = not self._dispatcher.is_alive()
+            if not clean:
+                self._drain_queue(
+                    RuntimeError(
+                        "service closed before this request was answered "
+                        "(dispatcher did not finish within the close timeout)"
+                    )
                 )
-            )
-            return False
-        return True
+            if self._pool is not None:
+                clean = self._pool.close(timeout) and clean
+            if clean:
+                self._close_result = True
+            return clean
 
     def _drain_queue(self, exc: BaseException) -> None:
         """Fail every future still queued; re-enqueue the sentinel last.
@@ -646,9 +774,7 @@ class ClusterService:
         failing everything behind it — new submissions are already
         rejected at ``submit`` once ``_failed`` is set.
         """
-        with self._close_lock:
-            if self._failed is None:
-                self._failed = exc
+        self._fail_closed(exc)
         error = RuntimeError(
             "dispatcher crashed while serving; the service is failed"
         )
@@ -713,7 +839,10 @@ class ClusterService:
             self.model.refresh(self._store)
             head = self.model._require_fit()
             self._workspace = self.model.make_workspace()
-            self._propagate_refresh(head)
+            if self._pool is not None:
+                # The epoch barrier: every worker reloads before the
+                # serving epoch advances.
+                self._pool.reload(head)
             promoted = invalidated = 0
             # Epoch bump and cache reconciliation land under one hold of
             # the close lock so stats() never observes the new epoch
@@ -731,8 +860,7 @@ class ClusterService:
                         head.epoch, touched, expected_epoch=previous
                     )
         except Exception as exc:
-            with self._close_lock:
-                self._failed = exc
+            self._fail_closed(exc)
             _fail_future(update.future, exc)
             if self.trace_log is not None:
                 self.trace_log.record_event(
@@ -751,14 +879,6 @@ class ClusterService:
             )
         if update.future.set_running_or_notify_cancel():
             update.future.set_result((promoted, invalidated))
-
-    def _propagate_refresh(self, head) -> None:
-        """Post-refresh hook, run on the dispatcher thread with the
-        refreshed model in hand but *before* the epoch advances.  The
-        in-process service needs nothing here;
-        :class:`~repro.serving.pool.PoolClusterService` overrides it to
-        republish shared-memory segments and barrier its workers onto
-        the new snapshot."""
 
     def _fail_requests(
         self, requests: list[_Request], error: BaseException, kind: str | None = None
@@ -784,16 +904,77 @@ class ClusterService:
         self._fail_requests(block, error, "failed")
         return True
 
+    def _fail_closed(self, error: BaseException) -> None:
+        """Mark the service failed (the first failure wins): every later
+        submission, update and block is refused with ``error`` as cause."""
+        with self._close_lock:
+            if self._failed is None:
+                self._failed = error
+
+    def _drop(
+        self, request: _Request, error: BaseException, label: str, now: float
+    ) -> None:
+        """Fail one request that never reached an engine, tracing its span."""
+        if self.trace_log is not None:
+            request.span.error = label
+            request.span.mark("resolved", now)
+            self.trace_log.record_span(request.span)
+        _fail_future(request.future, error)
+
     def _answer(self, block: list[_Request]) -> None:
-        """Answer the block on this thread (see :func:`answer_block`)."""
-        if not self._fail_if_failed(block):
-            self._answer_block(block)
+        """Answer a gathered block: drop what expired or went stale, then
+        hand the rest to a pool worker, or answer it on this thread when
+        no worker takes it (always so with ``workers=0``)."""
+        if self._fail_if_failed(block):
+            return
+        now = time.perf_counter()
+        live: list[_Request] = []
+        for request in block:
+            if request.deadline is not None and now > request.deadline:
+                self.telemetry.record_deadline_miss()
+                self._drop(
+                    request,
+                    DeadlineExceeded(
+                        f"request (seed={request.seed}) spent more than "
+                        f"{self.deadline_s}s queued and was dropped undispatched"
+                    ),
+                    "deadline_exceeded",
+                    now,
+                )
+            elif request.requeued and request.epoch != self._epoch:
+                # A retried (or parked) request that crossed an epoch
+                # advance: its cache key names the snapshot it was
+                # submitted against, and recomputing it on the new one
+                # would poison the cache with a cross-epoch answer.
+                self.telemetry.record_error("stale_epoch")
+                self._drop(
+                    request,
+                    RuntimeError(
+                        f"request (seed={request.seed}) was keyed at epoch "
+                        f"{request.epoch} but the service moved to epoch "
+                        f"{self._epoch} before it could be dispatched "
+                        "(it lost its worker mid-update); resubmit"
+                    ),
+                    "stale_epoch",
+                    now,
+                )
+            else:
+                request.span.mark("dispatched", now)
+                live.append(request)
+        if not live:
+            return
+        pool = self._pool
+        if pool is not None:
+            if pool.dispatch(live):
+                return
+            if not self.fallback_inprocess:
+                pool.park_or_fail(live)
+                return
+            pool.set_fallback(True)
+        self._answer_block(live)
 
     def _answer_block(self, block: list[_Request]) -> None:
-        start = time.perf_counter()
-        for request in block:
-            if request.span is not None:
-                request.span.mark("dispatched", start)
+        """Answer ``block`` on this thread (see :func:`answer_block`)."""
         seeds = [request.seed for request in block]
         sizes = [request.size for request in block]
         try:
@@ -805,10 +986,16 @@ class ClusterService:
         else:
             self._resolve(block, (*answer, None))
 
+    def _resolve_block(self, worker_id, block_id, payload, error) -> None:
+        """Resolve one block a pool worker answered (collector thread)."""
+        block = self._pool.take(worker_id, block_id)
+        if block is not None:  # else already failed by close() or retried
+            self._resolve(block, payload, error, worker_id)
+
     def _resolve(
         self, block: list[_Request], payload, error=None, worker_id=None
     ) -> None:
-        """Cache, trace and answer one computed block (both front-ends).
+        """Cache, trace and answer one computed block (either back-end).
 
         ``payload`` is :func:`answer_block`'s result plus a pool worker's
         drained registry delta (None in-process); an engine ``error``
@@ -835,16 +1022,13 @@ class ClusterService:
                 if not request.future.set_running_or_notify_cancel():
                     continue  # answer stays in the cache for the next asker
                 span = request.span
-                if span is not None:
-                    span.worker_id = worker_id
-                    span.engine_s = engine_seconds
-                    span.batch_size = len(block)
-                    span.mark("resolved", now)
-                    self.telemetry.record_span(span)
-                    if self.trace_log is not None:
-                        self.trace_log.record_span(span)
-                else:
-                    self.telemetry.record_latency(now - request.enqueued_at)
+                span.worker_id = worker_id
+                span.engine_s = engine_seconds
+                span.batch_size = len(block)
+                span.mark("resolved", now)
+                self.telemetry.record_span(span)
+                if self.trace_log is not None:
+                    self.trace_log.record_span(span)
                 request.future.set_result(cluster)
         except BaseException as exc:  # noqa: BLE001 — liveness guard
             failure = RuntimeError("serving crashed while resolving this block")

@@ -98,11 +98,7 @@ class ServiceTelemetry:
     lock guards the exact percentile windows.
     """
 
-    def __init__(
-        self,
-        latency_window: int = _LATENCY_WINDOW,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, latency_window: int = _LATENCY_WINDOW) -> None:
         self._lock = threading.Lock()
         self._latencies: deque[float] = deque(maxlen=latency_window)
         self._stage_windows: dict[str, deque[float]] = {
@@ -112,7 +108,7 @@ class ServiceTelemetry:
 
         # Bound children are resolved once, here, so recorders pay
         # dict-free fast paths.
-        self.registry = registry if registry is not None else MetricsRegistry("laca")
+        self.registry = MetricsRegistry("laca")
         reg = self.registry
         self._m_requests = reg.counter(
             "laca_requests_total", "Requests answered, by path", ("path",)

@@ -11,7 +11,7 @@ plan is installed)::
         {"site": "worker.block", "match": {"worker_id": 0, "spawn": 0},
          "after": 2, "action": "exit"},
     ])
-    service = PoolClusterService(model, workers=2, fault_plan=plan)
+    service = ClusterService(model, workers=2, fault_plan=plan)
 
 Rules trigger on *counted observations*, not wall-clock or randomness:
 each rule keeps a per-process hit counter over the site events matching

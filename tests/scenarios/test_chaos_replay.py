@@ -14,7 +14,7 @@ from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs import GraphStore
 from repro.scenarios import DynamicSBMConfig, ReplayConfig, generate_dynamic_sbm, replay
-from repro.serving import PoolClusterService
+from repro.serving import ClusterService
 from repro.testing import FaultPlan, FaultRule
 
 
@@ -38,7 +38,7 @@ def _run(scenario, fault_plan=None):
     # Fresh fit per run: apply_update refreshes the model in place.
     model = LACA(LacaConfig(k=8)).fit(scenario.base)
     store = GraphStore(scenario.base, history=scenario.epochs + 1)
-    service = PoolClusterService(
+    service = ClusterService(
         model,
         workers=2,
         store=store,

@@ -17,12 +17,7 @@ import pytest
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs import GraphDelta, GraphStore
-from repro.serving import (
-    ClusterService,
-    DeadlineExceeded,
-    PoolClusterService,
-    WorkerError,
-)
+from repro.serving import ClusterService, DeadlineExceeded, WorkerError
 from repro.testing import FaultError, FaultPlan, FaultRule
 
 
@@ -63,7 +58,7 @@ class TestRetryAndRespawn:
                 ),
             ]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             workers=3,
             fault_plan=plan,
@@ -103,7 +98,7 @@ class TestRetryAndRespawn:
                 )
             ]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             store=store,
             workers=2,
@@ -145,7 +140,7 @@ class TestRetryAndRespawn:
             [FaultRule(site="worker.block", match={"spawn": 0},
                        action="exit", times=2)]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             workers=2,
             fault_plan=plan,
@@ -183,7 +178,7 @@ class TestRetryAndRespawn:
                 ),
             ]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             workers=1,
             fault_plan=plan,
@@ -216,7 +211,7 @@ class TestRetryAndRespawn:
         plan = FaultPlan(
             [FaultRule(site="worker.block", action="exit", times=0)]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             workers=1,
             fault_plan=plan,
@@ -241,7 +236,7 @@ class TestRetryAndRespawn:
         plan = FaultPlan(
             [FaultRule(site="worker.block", action="exit", times=0)]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             workers=1,
             fault_plan=plan,
@@ -268,7 +263,7 @@ class TestRetryAndRespawn:
         the portable error, the worker keeps serving, nothing respawns."""
         model = _model(small_sbm)
         plan = FaultPlan([FaultRule(site="worker.block")])
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             workers=1,
             fault_plan=plan,
@@ -299,7 +294,7 @@ class TestRetryAndRespawn:
                 )
             ]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             workers=1,
             fault_plan=plan,
@@ -324,7 +319,7 @@ class TestRetryAndRespawn:
             [FaultRule(site="worker.block", match={"spawn": 0},
                        action="exit")]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             workers=1,
             fault_plan=plan,
@@ -352,7 +347,7 @@ class TestFallback:
         plan = FaultPlan(
             [FaultRule(site="worker.block", action="exit", times=0)]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             workers=2,
             fault_plan=plan,
@@ -386,7 +381,7 @@ class TestFallback:
         plan = FaultPlan(
             [FaultRule(site="worker.block", action="exit", times=0)]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             store=store,
             workers=1,
@@ -427,7 +422,7 @@ class TestReloadBarrierFaults:
                 )
             ]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             store=store,
             workers=2,
@@ -453,7 +448,7 @@ class TestReloadBarrierFaults:
         plan = FaultPlan(
             [FaultRule(site="worker.reload", match={"worker_id": 0})]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             store=store,
             workers=2,
@@ -486,7 +481,7 @@ class TestReloadBarrierFaults:
                 )
             ]
         )
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             store=store,
             workers=2,
@@ -517,7 +512,7 @@ class TestReloadBarrierFaults:
 
 class TestCloseIdempotency:
     def test_pool_double_close_returns_first_result(self, small_sbm):
-        service = PoolClusterService(_model(small_sbm), workers=1)
+        service = ClusterService(_model(small_sbm), workers=1)
         service.cluster(0, 10)
         first = service.close(timeout=60)
         assert first is True
@@ -526,7 +521,7 @@ class TestCloseIdempotency:
     def test_pool_concurrent_close_is_race_free(self, small_sbm):
         """Two threads racing close() must both observe a clean result
         instead of racing the thread joins."""
-        service = PoolClusterService(_model(small_sbm), workers=1)
+        service = ClusterService(_model(small_sbm), workers=1)
         results = []
 
         def closer():
@@ -574,7 +569,7 @@ class TestSpanLifecycle:
         )
         path = tmp_path / "trace.jsonl"
         trace = TraceLog(path)
-        service = PoolClusterService(
+        service = ClusterService(
             _model(small_sbm),
             workers=1,
             fault_plan=plan,
@@ -602,16 +597,18 @@ class TestSpanLifecycle:
 
 
 class TestResolveFailure:
-    @pytest.mark.parametrize("front_end", [ClusterService, PoolClusterService])
+    @pytest.mark.parametrize("workers", [0, 1])
     def test_failing_cache_insert_fails_every_block_future(
-        self, small_sbm, front_end
+        self, small_sbm, workers
     ):
         """A step after the engine raising (here: the cache insert) must
-        fail every future of the block with the cause, on both front-ends.
-        The pool used to drop the block's in-flight entry before resolving,
-        so its futures stayed pending forever, even after close()."""
-        kwargs = {"workers": 1} if front_end is PoolClusterService else {}
-        service = front_end(_model(small_sbm), max_wait_s=0.05, **kwargs)
+        fail every future of the block with the cause, with and without
+        worker processes.  The pool used to drop the block's in-flight
+        entry before resolving, so its futures stayed pending forever,
+        even after close()."""
+        service = ClusterService(
+            _model(small_sbm), workers=workers, max_wait_s=0.05
+        )
 
         def broken_put(*_args, **_kwargs):
             raise ZeroDivisionError("cache insert exploded")

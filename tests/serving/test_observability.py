@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.pipeline import LACA
 from repro.obs import TraceLog
-from repro.serving import ClusterService, PoolClusterService
+from repro.serving import ClusterService
 from repro.serving.telemetry import ServiceTelemetry
 
 #: Golden stats() keys: additions are fine (append here), but removing
@@ -157,7 +157,10 @@ class TestInProcessServiceObservability:
             stats = service.stats()
         service_keys = {
             "model", "config_digest", "max_batch", "max_wait_s", "epoch",
-            "cache", "cache_hit_rate",
+            "cache", "cache_hit_rate", "workers", "max_pending",
+            "deadline_s", "max_retries", "restart_budget", "pending",
+            "workers_alive", "inflight_blocks", "parked_blocks",
+            "fallback_active",
         }
         assert set(stats) == EXPECTED_STATS_KEYS | service_keys
 
@@ -166,7 +169,7 @@ class TestPoolObservability:
     def test_worker_metrics_merge_into_head_registry(self, fitted_model, tmp_path):
         trace_path = tmp_path / "pool-trace.jsonl"
         with TraceLog(trace_path) as trace_log:
-            with PoolClusterService(
+            with ClusterService(
                 fitted_model, workers=2, max_batch=8, max_wait_s=0.005,
                 trace_log=trace_log,
             ) as service:
@@ -232,9 +235,9 @@ class TestPoolObservability:
 
 class TestFrontEndIntrospectionParity:
     def test_both_front_ends_record_the_same_introspection(self, fitted_model):
-        """The in-process dispatcher and a pool worker answer through the
-        same code, so one seed stream leaves identical engine
-        introspection in both head registries."""
+        """The dispatcher thread (``workers=0``) and a pool worker
+        (``workers=1``) answer through the same code, so one seed stream
+        leaves identical engine introspection in both head registries."""
         families = (
             "laca_touched_nodes",
             "laca_touched_volume",
@@ -242,13 +245,10 @@ class TestFrontEndIntrospectionParity:
             "laca_frontier_peak",
         )
         snapshots = []
-        for service in (
-            ClusterService(fitted_model, max_batch=1, cache_size=0),
-            PoolClusterService(
-                fitted_model, workers=1, max_batch=1, cache_size=0
-            ),
-        ):
-            with service:
+        for workers in (0, 1):
+            with ClusterService(
+                fitted_model, workers=workers, max_batch=1, cache_size=0
+            ) as service:
                 futures = [service.submit(seed, 12) for seed in range(24)]
                 for future in futures:
                     future.result(timeout=60.0)

@@ -1,12 +1,11 @@
-"""Tests for model persistence: save/load round-trips and the registry."""
+"""Tests for model persistence: save/load round-trips."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
-from repro.graphs.io import save_graph
-from repro.serving import ModelRegistry, load_model, save_model
+from repro.serving import load_model, save_model
 
 
 class TestSaveLoadRoundTrip:
@@ -82,92 +81,6 @@ class TestSaveLoadRoundTrip:
     def test_unfitted_model_cannot_be_saved(self, tmp_path):
         with pytest.raises(RuntimeError, match="fit"):
             save_model(LACA(), tmp_path / "m")
-
-
-class TestModelRegistry:
-    def _saved(self, graph, tmp_path, name="m"):
-        model = LACA(LacaConfig(k=8)).fit(graph)
-        return model, save_model(model, tmp_path / name)
-
-    def test_lazy_load_and_memoize(self, small_sbm, tmp_path):
-        model, path = self._saved(small_sbm, tmp_path)
-        registry = ModelRegistry()
-        registry.register("sbm", path, small_sbm)
-        assert "sbm" in registry
-        assert not registry.loaded("sbm")
-        loaded = registry.get("sbm")
-        assert registry.loaded("sbm")
-        assert registry.get("sbm") is loaded
-        np.testing.assert_array_equal(
-            loaded.cluster(0, 25), model.cluster(0, 25)
-        )
-
-    def test_graph_by_path_shared_between_models(self, small_sbm, tmp_path):
-        _, path_a = self._saved(small_sbm, tmp_path, "a")
-        _, path_b = self._saved(small_sbm, tmp_path, "b")
-        graph_path = save_graph(small_sbm, tmp_path / "graph")
-        registry = ModelRegistry()
-        registry.register("a", path_a, graph_path)
-        registry.register("b", path_b, graph_path)
-        assert registry.get("a").graph is registry.get("b").graph
-
-    def test_duplicate_name_rejected(self, small_sbm, tmp_path):
-        _, path = self._saved(small_sbm, tmp_path)
-        registry = ModelRegistry()
-        registry.register("m", path, small_sbm)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("m", path, small_sbm)
-
-    def test_unknown_name_lists_registered(self, small_sbm, tmp_path):
-        _, path = self._saved(small_sbm, tmp_path)
-        registry = ModelRegistry()
-        registry.register("m", path, small_sbm)
-        with pytest.raises(KeyError, match="registered: m"):
-            registry.get("missing")
-
-    def test_evict_reloads(self, small_sbm, tmp_path):
-        _, path = self._saved(small_sbm, tmp_path)
-        registry = ModelRegistry()
-        registry.register("m", path, small_sbm)
-        first = registry.get("m")
-        registry.evict("m")
-        assert not registry.loaded("m")
-        assert registry.get("m") is not first
-
-    def test_reload_after_evict_answers_identically(self, small_sbm, tmp_path):
-        """Evicting only drops the memo: the reloaded instance is a
-        fresh object that clusters bitwise identically and is memoized
-        again."""
-        model, path = self._saved(small_sbm, tmp_path)
-        registry = ModelRegistry()
-        registry.register("m", path, small_sbm)
-        before = registry.get("m").cluster(17, 25)
-        registry.evict("m")
-        reloaded = registry.get("m")
-        assert registry.loaded("m")
-        assert registry.get("m") is reloaded  # memoized again
-        np.testing.assert_array_equal(reloaded.cluster(17, 25), before)
-        np.testing.assert_array_equal(reloaded.cluster(17, 25), model.cluster(17, 25))
-
-    def test_evict_unknown_or_unloaded_is_noop(self, small_sbm, tmp_path):
-        _, path = self._saved(small_sbm, tmp_path)
-        registry = ModelRegistry()
-        registry.register("m", path, small_sbm)
-        registry.evict("m")        # never loaded: nothing to drop
-        registry.evict("missing")  # never registered: still fine
-        assert "m" in registry and not registry.loaded("m")
-
-    def test_evict_keeps_other_models_loaded(self, small_sbm, tmp_path):
-        _, path_a = self._saved(small_sbm, tmp_path, "a")
-        _, path_b = self._saved(small_sbm, tmp_path, "b")
-        registry = ModelRegistry()
-        registry.register("a", path_a, small_sbm)
-        registry.register("b", path_b, small_sbm)
-        kept = registry.get("b")
-        registry.get("a")
-        registry.evict("a")
-        assert not registry.loaded("a")
-        assert registry.get("b") is kept
 
 
 class TestEpochRoundTrip:

@@ -1,9 +1,9 @@
-"""Tests for PoolClusterService: cross-process parity, epoch barrier,
-admission control, and lifecycle.
+"""Tests for ClusterService with workers: cross-process parity, epoch
+barrier, admission control, and lifecycle.
 
 Everything here runs real worker processes over real shared-memory
 segments — the cross-process complement of tests/graphs/test_shm.py.
-The governing contract is inherited from ClusterService: answers are
+The governing contract is the same as with ``workers=0``: answers are
 bitwise identical to ``LACA.cluster``, and no future ever hangs.
 """
 
@@ -16,11 +16,8 @@ import pytest
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs import GraphDelta, GraphStore
-from repro.serving import (
-    DeadlineExceeded,
-    PoolClusterService,
-    PoolSaturated,
-)
+from repro.serving import ClusterService, DeadlineExceeded, PoolSaturated
+from repro.serving.pool import _worker_fit_state
 
 
 def _model(graph, **overrides):
@@ -34,7 +31,7 @@ class TestCrossProcessParity:
         seeds = [0, 7, 33, 60, 91, 7]
         size = 25
         expected = {seed: model.cluster(seed, size) for seed in set(seeds)}
-        with PoolClusterService(
+        with ClusterService(
             model, workers=2, max_batch=8, max_wait_s=0.02
         ) as service:
             futures = [service.submit(seed, size) for seed in seeds]
@@ -53,7 +50,7 @@ class TestCrossProcessParity:
 
     def test_non_attributed_graph(self, plain_graph):
         model = _model(plain_graph)
-        with PoolClusterService(model, workers=2, max_wait_s=0.0) as service:
+        with ClusterService(model, workers=2, max_wait_s=0.0) as service:
             for seed in (0, 10, 55):
                 np.testing.assert_array_equal(
                     service.cluster(seed, 20), model.cluster(seed, 20)
@@ -64,7 +61,7 @@ class TestCrossProcessParity:
         worker must end up answering (the dispatcher is least-loaded,
         not sticky)."""
         model = _model(small_sbm)
-        with PoolClusterService(
+        with ClusterService(
             model, workers=2, max_batch=1, max_wait_s=0.0, cache_size=0
         ) as service:
             futures = [service.submit(seed, 10) for seed in range(24)]
@@ -80,7 +77,7 @@ class TestEpochBarrier:
     def test_update_answers_track_head(self, small_sbm):
         config = LacaConfig(k=16)
         model = LACA(config).fit(small_sbm)
-        with PoolClusterService(model, workers=2, cache_size=64) as service:
+        with ClusterService(model, workers=2, cache_size=64) as service:
             before = service.cluster(0, 20)
             out = service.apply_update(
                 GraphDelta(add_edges=[(0, 60), (0, 90)]), timeout=60
@@ -108,7 +105,7 @@ class TestEpochBarrier:
 
         mismatches = []
         stop = threading.Event()
-        with PoolClusterService(
+        with ClusterService(
             model, workers=2, cache_size=64, max_batch=4
         ) as service:
             def reader():
@@ -144,7 +141,7 @@ class TestEpochBarrier:
     def test_consecutive_updates(self, small_sbm):
         config = LacaConfig(k=16)
         model = LACA(config).fit(small_sbm)
-        with PoolClusterService(model, workers=2, cache_size=16) as service:
+        with ClusterService(model, workers=2, cache_size=16) as service:
             for step in range(3):
                 service.apply_update(
                     GraphDelta(add_edges=[(step, 90 + step)]), timeout=60
@@ -159,7 +156,7 @@ class TestEpochBarrier:
 class TestAdmissionControl:
     def test_saturation_sheds_with_typed_rejection(self, small_sbm):
         model = _model(small_sbm)
-        service = PoolClusterService(
+        service = ClusterService(
             model, workers=1, max_pending=2, max_wait_s=0.0, cache_size=0
         )
         try:
@@ -185,7 +182,7 @@ class TestAdmissionControl:
         wedged single worker), at most max_pending requests are ever
         admitted."""
         model = _model(small_sbm)
-        service = PoolClusterService(
+        service = ClusterService(
             model,
             workers=1,
             max_pending=3,
@@ -218,7 +215,7 @@ class TestAdmissionControl:
         request in the block expires while queued: all must fail with
         DeadlineExceeded (never be computed late) and be counted."""
         model = _model(small_sbm)
-        service = PoolClusterService(
+        service = ClusterService(
             model,
             workers=1,
             deadline_s=0.05,
@@ -240,37 +237,33 @@ class TestAdmissionControl:
     def test_invalid_pool_parameters(self, small_sbm):
         model = _model(small_sbm)
         with pytest.raises(ValueError, match="workers"):
-            PoolClusterService(model, workers=0)
+            ClusterService(model, workers=-1)
         with pytest.raises(ValueError, match="max_pending"):
-            PoolClusterService(model, max_pending=0)
+            ClusterService(model, max_pending=0)
         with pytest.raises(ValueError, match="deadline_s"):
-            PoolClusterService(model, deadline_s=0.0)
+            ClusterService(model, deadline_s=0.0)
         with pytest.raises(ValueError, match="max_retries"):
-            PoolClusterService(model, max_retries=-1)
+            ClusterService(model, max_retries=-1)
         with pytest.raises(ValueError, match="restart_budget"):
-            PoolClusterService(model, restart_budget=-1)
-        with pytest.raises(ValueError, match="restart_window_s"):
-            PoolClusterService(model, restart_window_s=0.0)
-        with pytest.raises(ValueError, match="backoff"):
-            PoolClusterService(model, backoff_base_s=1.0, backoff_max_s=0.5)
+            ClusterService(model, restart_budget=-1)
 
 
 class TestPoolLifecycle:
     def test_close_answers_queued_work(self, small_sbm):
         model = _model(small_sbm)
-        service = PoolClusterService(model, workers=2, max_wait_s=0.1)
+        service = ClusterService(model, workers=2, max_wait_s=0.1)
         futures = [service.submit(seed, 15) for seed in (0, 1, 2)]
         assert service.close(timeout=60) is True
         for future in futures:
             assert len(future.result(timeout=1)) == 15
 
     def test_close_is_idempotent(self, small_sbm):
-        service = PoolClusterService(_model(small_sbm), workers=1)
+        service = ClusterService(_model(small_sbm), workers=1)
         assert service.close(timeout=60) is True
         service.close(timeout=10)
 
     def test_submit_after_close_raises(self, small_sbm):
-        service = PoolClusterService(_model(small_sbm), workers=1)
+        service = ClusterService(_model(small_sbm), workers=1)
         service.close(timeout=60)
         with pytest.raises(RuntimeError, match="closed"):
             service.submit(0, 10)
@@ -281,7 +274,7 @@ class TestPoolLifecycle:
         disabled here to pin the pre-respawn degraded mode (the
         recovering behavior lives in test_fault_tolerance.py)."""
         model = _model(small_sbm)
-        service = PoolClusterService(
+        service = ClusterService(
             model,
             workers=2,
             max_wait_s=0.0,
@@ -294,7 +287,7 @@ class TestPoolLifecycle:
             service._procs[0].join(10)
             deadline = time.perf_counter() + 10
             while (
-                not service._worker_dead[0] and time.perf_counter() < deadline
+                not service._pool._worker_dead[0] and time.perf_counter() < deadline
             ):
                 time.sleep(0.05)  # collector reaps on its poll interval
             # the pool still serves on the surviving worker
@@ -305,7 +298,7 @@ class TestPoolLifecycle:
 
     def test_pool_fit_state_drops_maintenance_and_factor(self, small_sbm):
         model = _model(small_sbm)
-        state = PoolClusterService._worker_fit_state(model)
+        state = _worker_fit_state(model)
         assert "tnam_z" not in state
         assert "tnam_y" not in state and "tnam_basis" not in state
         assert "tnam_metric" in state  # identity scalars still travel

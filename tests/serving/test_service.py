@@ -6,6 +6,7 @@ dispatcher forms, every answer must equal the sequential
 ``LACA.cluster`` output exactly.
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -15,7 +16,12 @@ import pytest
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs import GraphDelta
-from repro.serving import ClusterService, UpdateTimeout
+from repro.serving import (
+    ClusterService,
+    DeadlineExceeded,
+    PoolSaturated,
+    UpdateTimeout,
+)
 
 ENGINES = ["greedy", "nongreedy", "adaptive"]
 
@@ -255,6 +261,103 @@ def _stall_single_queries(service, started, release):
         return original(seed, workspace=workspace)
 
     service.model.scores = slow_scores
+
+
+class TestInThreadService:
+    """``workers=0``: the dispatcher answers every block itself, and
+    admission control still applies."""
+
+    def test_starts_no_process_and_no_pool_thread(self, small_sbm):
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        with ClusterService(_model(small_sbm), name="light") as service:
+            assert len(service.cluster(0, 10)) == 10
+            assert set(multiprocessing.active_children()) == children
+            started = set(threading.enumerate()) - threads
+            assert [thread.name for thread in started] == ["cluster-service-light"]
+            assert not any(
+                thread.name.startswith(("cluster-pool-collector", "cluster-pool-supervisor"))
+                for thread in threading.enumerate()
+            )
+
+    def test_max_pending_sheds_while_first_is_pending(self, small_sbm):
+        service = ClusterService(
+            _model(small_sbm), max_pending=1, max_wait_s=0.0, cache_size=0
+        )
+        started, release = threading.Event(), threading.Event()
+        _stall_single_queries(service, started, release)
+        try:
+            first = service.submit(0, 10)
+            assert started.wait(10)
+            with pytest.raises(PoolSaturated, match="max_pending=1"):
+                service.submit(1, 10)
+            assert service.stats()["shed"] == 1
+            release.set()
+            assert len(first.result(timeout=10)) == 10
+            # The resolved request left the ledger: the next one admits.
+            assert len(service.cluster(1, 10)) == 10
+            assert service.stats()["pending"] == 0
+        finally:
+            release.set()
+            service.close(timeout=10)
+
+    def test_deadline_drops_requests_queued_past_it(self, small_sbm):
+        service = ClusterService(
+            _model(small_sbm), deadline_s=0.05, max_wait_s=0.0, cache_size=0
+        )
+        started, release = threading.Event(), threading.Event()
+        _stall_single_queries(service, started, release)
+        try:
+            first = service.submit(0, 10)
+            assert started.wait(10)
+            queued = [service.submit(seed, 10) for seed in (1, 2)]
+            time.sleep(0.1)  # the queued requests expire behind the stall
+            release.set()
+            assert len(first.result(timeout=10)) == 10
+            for future in queued:
+                with pytest.raises(DeadlineExceeded):
+                    future.result(timeout=10)
+            stats = service.stats()
+            assert stats["deadline_misses"] == 2
+            assert stats["engine_served"] == 1
+        finally:
+            release.set()
+            service.close(timeout=10)
+
+
+    def test_stats_report_no_pool(self, small_sbm):
+        """With no worker processes the pool figures are fixed zeros, and
+        an answered request leaves nothing pending."""
+        with ClusterService(_model(small_sbm), max_pending=4) as service:
+            assert len(service.cluster(0, 10)) == 10
+            stats = service.stats()
+        assert stats["workers"] == 0
+        assert stats["max_pending"] == 4
+        assert stats["pending"] == 0
+        assert stats["workers_alive"] == 0
+        assert stats["inflight_blocks"] == 0
+        assert stats["parked_blocks"] == 0
+        assert stats["fallback_active"] is False
+        assert stats["engine_served"] == 1
+
+    def test_pool_cluster_service_is_an_alias(self, small_sbm):
+        """Both old import paths name the one class, so a caller that
+        still builds ``PoolClusterService(model, workers=N)`` gets it."""
+        from repro.serving import PoolClusterService
+        from repro.serving.pool import PoolClusterService as pool_alias
+
+        assert PoolClusterService is ClusterService
+        assert pool_alias is ClusterService
+
+    @pytest.mark.parametrize(
+        "option",
+        ["mp_context", "reload_timeout_s", "restart_window_s", "backoff_max_s"],
+    )
+    def test_removed_options_are_rejected(self, small_sbm, option):
+        """Options no caller set are module constants now, so passing one
+        fails at construction instead of being silently ignored."""
+        with pytest.raises(TypeError, match=option):
+            ClusterService(_model(small_sbm), **{option: 1.0})
 
 
 class TestFailureContainment:

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import build_parser, main as cli_main
 from repro.experiments.__main__ import main as experiments_main
 from repro.graphs.io import save_graph
+from repro.serving import DeadlineExceeded, PoolSaturated
 
 
 class TestReproCLI:
@@ -133,7 +134,7 @@ class TestServeCLI:
     def test_serve_with_worker_pool_matches_in_process(
         self, small_sbm, tmp_path, capsys
     ):
-        """--workers N routes through PoolClusterService; members must be
+        """--workers N serves through N worker processes; members must be
         identical to the single-process service and the pool knobs reach
         the stats line."""
         graph_path = save_graph(small_sbm, tmp_path / "graph")
@@ -158,6 +159,28 @@ class TestServeCLI:
         assert stats["workers"] == 2
         assert stats["max_pending"] == 128
         assert stats["shed"] == 0 and stats["deadline_misses"] == 0
+
+    def test_serve_in_process_applies_max_pending(self, small_sbm, tmp_path):
+        """Without --workers the admission bound still holds: the long
+        coalescing window keeps the first query pending, so the second
+        submission is shed."""
+        graph_path = save_graph(small_sbm, tmp_path / "graph")
+        queries = tmp_path / "queries.txt"
+        queries.write_text("0 10\n7 10\n23 10\n")
+        with pytest.raises(PoolSaturated, match="max_pending=1"):
+            cli_main(["serve", "--graph", str(graph_path),
+                      "--queries", str(queries), "--max-pending", "1",
+                      "--max-wait-ms", "2000"])
+
+    def test_serve_in_process_applies_deadline(self, small_sbm, tmp_path):
+        """Without --workers a query still queued past --deadline-ms is
+        dropped instead of answered late."""
+        graph_path = save_graph(small_sbm, tmp_path / "graph")
+        queries = tmp_path / "queries.txt"
+        queries.write_text("0 10\n7 10\n")
+        with pytest.raises(DeadlineExceeded):
+            cli_main(["serve", "--graph", str(graph_path),
+                      "--queries", str(queries), "--deadline-ms", "0.001"])
 
     def test_serve_round_trips_saved_model(self, small_sbm, tmp_path, capsys):
         graph_path = save_graph(small_sbm, tmp_path / "graph")
