@@ -76,9 +76,9 @@ class LocalClusteringMethod(abc.ABC):
         """Answer many seed queries at once; element ``b`` is the cluster
         of ``seeds[b]`` at size ``sizes[b]``.
 
-        The default loops over :meth:`cluster`; methods with a batched
-        scoring path (LACA's block diffusion) override this so the whole
-        batch shares each sparse mat-mat.
+        The default loops over :meth:`cluster`; LACA overrides this with
+        its routed block path (:meth:`~repro.core.pipeline.LACA.cluster_block`),
+        which shares each sparse mat-mat once the queries saturate.
         """
         if len(seeds) != len(sizes):
             raise ValueError(

@@ -52,12 +52,7 @@ class _LacaAdapter(LocalClusteringMethod):
         return [result.column(b) for b in range(len(seeds))]
 
     def cluster_batch(self, seeds, sizes):
-        if len(seeds) != len(sizes):
-            raise ValueError(
-                f"got {len(seeds)} seeds but {len(sizes)} cluster sizes"
-            )
-        result = self.model.scores_batch(seeds)
-        return [result.cluster(b, int(size)) for b, size in enumerate(sizes)]
+        return self.model.cluster_block(seeds, sizes)
 
 
 def _embedding_variants(cls, label: str) -> dict[str, Callable[[], LocalClusteringMethod]]:

@@ -12,7 +12,8 @@ Cluster with LACA on a registered dataset::
     python -m repro cluster --dataset cora --seed 42
     python -m repro cluster --dataset yelp --seed 7 --method "SimAttr (C)"
 
-Answer many seeds in one batched query (block diffusion)::
+Answer many seeds in one batched query (routed: sequential while the
+queries stay local, one block diffusion once they saturate)::
 
     python -m repro cluster --dataset cora --seed 3 14 159 --batch
 

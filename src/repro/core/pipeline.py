@@ -9,10 +9,10 @@ the TNAM once, reusable for every seed) and a per-seed online stage
     >>> model = LACA(metric="cosine").fit(graph)
     >>> cluster = model.cluster(seed=0, size=120)
 
-Concurrent seed queries should go through the batched entry points —
-:meth:`LACA.scores_batch` and :meth:`LACA.cluster_many` — which stack the
-seeds into one ``n × B`` block and answer them with shared sparse
-mat-mats instead of ``B`` independent traversals:
+Many seed queries go through :meth:`LACA.cluster_many`, which answers
+them one at a time while they stay local and stacks the rest of a block
+into one ``n × B`` block diffusion (:meth:`LACA.scores_batch`, shared
+sparse mat-mats instead of ``B`` traversals) once they saturate the graph:
 
     >>> clusters = model.cluster_many([0, 17, 42], size=120)
     >>> block = model.scores_batch([0, 17, 42])  # per-seed ρ′ columns
@@ -26,6 +26,11 @@ import time
 import numpy as np
 
 from ..attributes.tnam import TNAM, build_tnam
+from ..diffusion.base import (
+    begin_kernel_tally,
+    block_diffusion_pays,
+    end_kernel_tally,
+)
 from ..diffusion.workspace import DiffusionWorkspace
 from ..graphs.graph import AttributedGraph
 from ..graphs.store import GraphStore
@@ -183,18 +188,52 @@ class LACA:
         graph = self._require_fit()
         return laca_scores_batch(graph, seeds, config=self.config, tnam=self.tnam)
 
+    def cluster_block(
+        self, seeds, sizes, workspace: DiffusionWorkspace | None = None
+    ) -> list[np.ndarray]:
+        """Clusters of one block of seeds, routed by the engines' kernels.
+
+        Element ``b`` is the top-``sizes[b]`` cluster of ``seeds[b]``.
+        Seeds are answered one at a time on the sequential path (bitwise
+        :meth:`cluster`) while they stay local; once the block's kernel
+        tally shows they saturate the graph
+        (:func:`~repro.diffusion.base.block_diffusion_pays`), the
+        remaining seeds share one :meth:`scores_batch` block diffusion.
+        This is the rule the serving layer's ``answer_block`` applies.
+        """
+        if len(seeds) != len(sizes):
+            raise ValueError(f"got {len(seeds)} seeds but {len(sizes)} cluster sizes")
+        if workspace is None:
+            workspace = self.make_workspace()
+        clusters: list[np.ndarray] = []
+        tally = begin_kernel_tally()
+        try:
+            for b, seed in enumerate(seeds):
+                if len(seeds) - b > 1 and block_diffusion_pays(tally):
+                    result = self.scores_batch(seeds[b:])
+                    clusters += [
+                        result.cluster(c, int(size)) for c, size in enumerate(sizes[b:])
+                    ]
+                    break
+                clusters.append(self.cluster(int(seed), int(sizes[b]), workspace))
+        finally:
+            end_kernel_tally()
+        return clusters
+
     def cluster_many(
         self, seeds, size: int | None = None, batch_size: int | None = None
     ) -> dict[int, np.ndarray]:
-        """Batched queries sharing preprocessing *and* diffusion mat-mats.
+        """Batched queries sharing preprocessing and, once they saturate,
+        diffusion mat-mats.
 
-        Seeds are answered in blocks through :meth:`scores_batch`, which
-        is the fleet-serving hot path (one sparse mat-mat per iteration
-        for the whole block).  ``size=None`` uses each seed's
-        ground-truth cluster size (the paper's evaluation protocol);
-        that requires the graph to carry communities.  ``batch_size``
-        caps the block width (None answers all seeds in one block;
-        ``1`` recovers the sequential per-seed path).
+        Seeds are answered in blocks of up to ``batch_size`` through
+        :meth:`cluster_block`: sequentially while the queries stay local,
+        and the rest of a block through one :meth:`scores_batch` block
+        diffusion once they saturate the graph.  ``size=None`` uses each
+        seed's ground-truth cluster size (the paper's evaluation
+        protocol); that requires the graph to carry communities.
+        ``batch_size`` caps the block width (None answers all seeds in
+        one block; ``1`` is the sequential per-seed path).
         """
         graph = self._require_fit()
         seeds = [int(seed) for seed in seeds]
@@ -205,16 +244,12 @@ class LACA:
             for seed in seeds
         ]
         clusters: dict[int, np.ndarray] = {}
-        if batch_size == 1:
-            for seed, target in zip(seeds, sizes):
-                clusters[seed] = self.cluster(seed, target)
-            return clusters
+        workspace = self.make_workspace()
         step = batch_size or max(len(seeds), 1)
         for lo in range(0, len(seeds), step):
             chunk = seeds[lo : lo + step]
-            result = self.scores_batch(chunk)
-            for b, seed in enumerate(chunk):
-                clusters[seed] = result.cluster(b, sizes[lo + b])
+            answers = self.cluster_block(chunk, sizes[lo : lo + step], workspace)
+            clusters.update(zip(chunk, answers))
         return clusters
 
     # ------------------------------------------------------------------

@@ -23,6 +23,7 @@ __all__ = [
     "DiffusionResult",
     "validate_diffusion_inputs",
     "selective_scatter_is_cheaper",
+    "block_diffusion_pays",
     "full_scatter_cost",
     "SELECTIVE_VOLUME_FRACTION",
     "begin_kernel_tally",
@@ -63,6 +64,22 @@ def selective_scatter_is_cheaper(support_volume: float, full_cost: float) -> boo
     pure performance decision.
     """
     return support_volume <= SELECTIVE_VOLUME_FRACTION * full_cost
+
+
+def block_diffusion_pays(kernel_counts: dict) -> bool:
+    """Whether the rest of a block should share one block diffusion.
+
+    ``kernel_counts`` is the kernel tally of the seeds a block answered
+    so far, one at a time.  The block engine does Θ(n·B) work per
+    iteration, which only pays once the sequential engines stop being
+    local — i.e. once :func:`selective_scatter_is_cheaper` sends the
+    majority of their scatters to the graph-wide ``"full"`` kernel.  A
+    majority, not a single ``"full"``: one stray hub-heavy iteration of
+    an otherwise local query must not send the rest of a local block
+    into the block engine.  An empty tally (nothing answered yet) is
+    never a majority, so every block answers its first seed sequentially.
+    """
+    return 2 * kernel_counts.get("full", 0) > sum(kernel_counts.values())
 
 
 # --------------------------------------------------------------------------

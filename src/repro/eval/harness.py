@@ -138,7 +138,7 @@ def evaluate_method(
     ``compute_quality`` additionally records conductance and WCSS
     (Table VII); precision/recall are always recorded.  ``batch_size``
     answers seeds in blocks of that width through the method's
-    ``cluster_batch`` (LACA's block diffusion path); each block's wall
+    ``cluster_batch`` (LACA's routed block path); each block's wall
     time is split evenly over its seeds so per-seed statistics stay
     comparable with the sequential protocol.
     """

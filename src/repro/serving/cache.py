@@ -59,6 +59,20 @@ def query_key(
     return (str(model_name), int(seed), int(size), str(digest), int(epoch))
 
 
+def _intersects(support: np.ndarray, touched: np.ndarray) -> bool:
+    """Whether sorted ``support`` shares a node with sorted ``touched``.
+
+    One binary search per touched node, O(|touched| · log |support|):
+    a delta touches few nodes while a local query's support spans a
+    sizeable share of the graph, so scanning the support (``np.isin``)
+    would make an epoch advance cost O(entries · support).
+    """
+    if support.size == 0:
+        return False
+    at = np.minimum(np.searchsorted(support, touched), support.size - 1)
+    return bool((support[at] == touched).any())
+
+
 class ResultCache:
     """Thread-safe LRU of answered cluster queries with hit/miss counters.
 
@@ -148,7 +162,7 @@ class ResultCache:
         new_epoch = int(new_epoch)
         expected = new_epoch - 1 if expected_epoch is None else int(expected_epoch)
         if touched is not None:
-            touched = np.asarray(touched, dtype=np.int64)
+            touched = np.unique(np.asarray(touched, dtype=np.int64))
         promoted = invalidated = 0
         with self._lock:
             entries = self._entries
@@ -162,10 +176,7 @@ class ResultCache:
                     key[_EPOCH_SLOT] == expected
                     and touched is not None
                     and support is not None
-                    and (
-                        touched.size == 0
-                        or not np.isin(support, touched, assume_unique=True).any()
-                    )
+                    and not _intersects(support, touched)
                 ):
                     fresh = key[:_EPOCH_SLOT] + (new_epoch,)
                     reconciled[fresh] = entry

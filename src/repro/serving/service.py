@@ -1,15 +1,17 @@
-"""Micro-batching cluster service: concurrent queries share traversals.
+"""Micro-batching cluster service: concurrent queries share one dispatch.
 
-The block diffusion engine (PR 1) answers ``B`` seeds for far less than
-``B`` sequential traversals, but only if someone stacks the seeds into a
-block.  :class:`ClusterService` is that someone: callers ``submit`` one
-query each and get a future; a background dispatcher drains the queue
-into blocks of up to ``max_batch`` requests (waiting at most
-``max_wait_s`` for stragglers) and answers each block with
-:func:`answer_block` — one :meth:`LACA.scores_batch` call, or the
-sequential workspace path for a lone request.  :func:`answer_block`
-states how the two paths' answers relate.  Answers are remembered in an
-LRU result cache consulted before enqueueing.
+Callers ``submit`` one query each and get a future; a background
+dispatcher drains the queue into blocks of up to ``max_batch`` requests
+(waiting at most ``max_wait_s`` for stragglers) and answers each block
+with :func:`answer_block`.  That function routes the block by the scatter
+kernels the engines themselves pick: while the queries stay local
+(Theorem IV.1: cost tied to the touched volume, not to ``n``) every seed
+is answered on the sequential workspace path, bitwise equal to
+:meth:`LACA.cluster`; once the block's queries saturate the graph (most
+scatters go graph-wide), the remaining seeds share one
+:meth:`LACA.scores_batch` block diffusion.  :func:`answer_block` states
+how the two paths' answers relate.  Answers are remembered in an LRU
+result cache consulted before enqueueing.
 
 With ``workers=0`` (the default) the dispatcher answers every block on
 its own thread; the service then runs exactly one thread and no
@@ -35,7 +37,11 @@ import numpy as np
 
 from ..core.laca import top_k_cluster
 from ..core.pipeline import LACA
-from ..diffusion.base import begin_kernel_tally, end_kernel_tally
+from ..diffusion.base import (
+    begin_kernel_tally,
+    block_diffusion_pays,
+    end_kernel_tally,
+)
 from ..graphs.store import GraphDelta, GraphStore
 from ..obs.tracing import Span, TraceLog
 from .cache import ResultCache, config_digest, query_key
@@ -165,16 +171,19 @@ def _result_support(result) -> np.ndarray:
     a later delta whose touched set is disjoint from it cannot have
     influenced the query (no touched node's adjacency row, degree, or
     attribute row was ever read), so the cached cluster stays exact.
-    Copies out of any workspace views before they are recycled.
+    The union is a boolean mask over the nodes — one Θ(n) pass that costs
+    far less than sorting the parts, which are themselves length-``n``
+    once a workspace slot has gone graph-wide (``touched is None``) —
+    and the result is a fresh array, safe past the workspace's next query.
     """
-    parts = []
+    mask = np.zeros(result.scores.shape[0], dtype=bool)
     for diffusion in (result.rwr, result.bdd):
         if diffusion.touched is not None:
-            parts.append(diffusion.touched)
+            mask[diffusion.touched] = True
         else:
-            parts.append(np.flatnonzero(diffusion.q))
-            parts.append(np.flatnonzero(diffusion.residual))
-    return np.unique(np.concatenate(parts))
+            mask |= diffusion.q != 0.0
+            mask |= diffusion.residual != 0.0
+    return np.flatnonzero(mask)
 
 
 def _batch_support(result, b: int) -> np.ndarray:
@@ -182,66 +191,77 @@ def _batch_support(result, b: int) -> np.ndarray:
 
     Final ``q``/``residual`` non-zeros cover every touched node: mass is
     non-negative (no cancellation to exactly 0.0) and any processed
-    residual deposits ``α·r > 0`` into ``q``.
+    residual deposits ``α·r > 0`` into ``q``.  Built as a boolean mask,
+    like :func:`_result_support`.
     """
-    parts = [
-        np.flatnonzero(result.rwr.q[:, b]),
-        np.flatnonzero(result.rwr.residual[:, b]),
-    ]
+    mask = result.rwr.q[:, b] != 0.0
+    mask |= result.rwr.residual[:, b] != 0.0
     if result.bdd is not None:
-        parts.append(np.flatnonzero(result.bdd.q[:, b]))
-        parts.append(np.flatnonzero(result.bdd.residual[:, b]))
-    return np.unique(np.concatenate(parts))
+        mask |= result.bdd.q[:, b] != 0.0
+        mask |= result.bdd.residual[:, b] != 0.0
+    return np.flatnonzero(mask)
 
 
 def answer_block(model: LACA, workspace, seeds, sizes, metrics):
     """Answer one block of queries: the one engine call of every back-end.
 
-    A lone seed takes the sequential workspace path (:meth:`LACA.scores`,
-    no length-``n`` allocations in steady state); more seeds share one
-    :meth:`LACA.scores_batch` block diffusion.  Kernel selections and
-    each query's iterations, frontier peak (untracked by the block
-    engine), touched nodes and touched volume are observed into
-    ``metrics``, a :func:`~repro.serving.telemetry.make_engine_metrics`
-    namespace; nothing is observed when an engine raises.  Returns
+    Seeds are answered in order, one at a time, on the sequential
+    workspace path (:meth:`LACA.scores`, no length-``n`` allocations in
+    steady state), until the block's kernel tally shows the queries
+    saturate the graph (:func:`~repro.diffusion.base.block_diffusion_pays`:
+    most scatters went to the graph-wide ``"full"`` kernel).  The
+    remaining seeds, if more than one, then share one
+    :meth:`LACA.scores_batch` block diffusion, whose Θ(n·B) mat-mats only
+    pay off in that regime.  Kernel selections and each query's
+    iterations, frontier peak (untracked by the block engine), touched
+    nodes and touched volume are observed into ``metrics``, a
+    :func:`~repro.serving.telemetry.make_engine_metrics` namespace;
+    nothing is observed when an engine raises.  Returns
     ``(clusters, supports, engine_seconds)``, where ``supports[b]`` is
     the sorted touched-node union the result cache stores as query
     ``b``'s invalidation footprint.
 
-    Path contract: column ``b`` of the block path equals sequential
-    :meth:`LACA.cluster` for ``seeds[b]`` up to floating-point
-    accumulation order — exactly on non-SNAS graphs, while on the SNAS
-    path Step 2 sums over the block's union support (see
+    Path contract: a block whose queries stay local is answered entirely
+    on the sequential path, bitwise equal to :meth:`LACA.cluster`.  Only
+    the block remainder of a saturating block takes the block path, whose
+    column ``b`` equals sequential :meth:`LACA.cluster` up to
+    floating-point accumulation order — exactly on non-SNAS graphs, while
+    on the SNAS path Step 2 sums over the block's union support (see
     :func:`~repro.core.laca.laca_scores_batch`).  The serving tests check
-    equal clusters on their graphs, but a top-k near-tie could flip
+    equal clusters on their graphs, but there a top-k near-tie could flip
     membership and make a cached answer depend on the path that computed
     it: the open risk of item 4 in ``ROADMAP.md``.
     """
     start = time.perf_counter()
-    begin_kernel_tally()
+    tally = begin_kernel_tally()
+    clusters, supports, iteration_counts, frontier_peaks = [], [], [], []
     try:
-        if len(seeds) == 1:
-            result = model.scores(seeds[0], workspace=workspace)
-            cluster = top_k_cluster(
-                result.scores, sizes[0], seeds[0], support=result.scores_support
+        for b, seed in enumerate(seeds):
+            if len(seeds) - b > 1 and block_diffusion_pays(tally):
+                result = model.scores_batch(seeds[b:])
+                bdd = result.bdd
+                for c, size in enumerate(sizes[b:]):
+                    clusters.append(result.cluster(c, size))
+                    supports.append(_batch_support(result, c))
+                    iteration_counts.append(
+                        int(result.rwr.column_iterations[c])
+                        + (int(bdd.column_iterations[c]) if bdd is not None else 0)
+                    )
+                    frontier_peaks.append(0)
+                break
+            result = model.scores(seed, workspace=workspace)
+            clusters.append(
+                top_k_cluster(
+                    result.scores, sizes[b], seed, support=result.scores_support
+                )
             )
-            clusters = [cluster]
-            supports = [_result_support(result)]
-            iteration_counts = [result.rwr.iterations + result.bdd.iterations]
-            frontier_peaks = [max(result.rwr.frontier_peak, result.bdd.frontier_peak)]
-        else:
-            result = model.scores_batch(seeds)
-            clusters = [result.cluster(b, size) for b, size in enumerate(sizes)]
-            supports = [_batch_support(result, b) for b in range(len(seeds))]
-            bdd = result.bdd
-            iteration_counts = [
-                int(result.rwr.column_iterations[b])
-                + (int(bdd.column_iterations[b]) if bdd is not None else 0)
-                for b in range(len(seeds))
-            ]
-            frontier_peaks = [0] * len(seeds)
+            supports.append(_result_support(result))
+            iteration_counts.append(result.rwr.iterations + result.bdd.iterations)
+            frontier_peaks.append(
+                max(result.rwr.frontier_peak, result.bdd.frontier_peak)
+            )
     finally:
-        tally = end_kernel_tally()
+        end_kernel_tally()
     engine_seconds = time.perf_counter() - start
     for kind, count in tally.items():
         metrics.kernel_selections.labels(kind).inc(count)

@@ -165,6 +165,44 @@ class TestClusterEquality:
             )
 
 
+class TestClusterManyRouting:
+    """cluster_many answers local blocks sequentially and saturating
+    blocks' remainders with the block engine; clusters are unchanged."""
+
+    @pytest.mark.parametrize(
+        "scale, epsilon, block_calls",
+        [(0.25, 1e-4, 0), (0.1, 1e-6, 2)],  # local, then saturating
+    )
+    def test_clusters_unchanged(self, scale, epsilon, block_calls, monkeypatch):
+        graph = load_dataset("arxiv", scale=scale)
+        model = _fit(graph, _config("greedy", epsilon=epsilon))
+        rng = np.random.default_rng(5)
+        seeds = [int(s) for s in rng.choice(graph.n, 8, replace=False)]
+        block_only = {}
+        for lo in (0, 4):
+            batch = model.scores_batch(seeds[lo : lo + 4])
+            for b, seed in enumerate(seeds[lo : lo + 4]):
+                block_only[seed] = batch.cluster(b, 15)
+        widths = []
+        original = model.scores_batch
+
+        def counting(chunk):
+            widths.append(len(chunk))
+            return original(chunk)
+
+        monkeypatch.setattr(model, "scores_batch", counting)
+        routed = model.cluster_many(seeds, size=15, batch_size=4)
+        assert widths == [3] * block_calls
+        for seed in seeds:
+            np.testing.assert_array_equal(routed[seed], model.cluster(seed, 15))
+            np.testing.assert_array_equal(routed[seed], block_only[seed])
+
+    def test_cluster_block_validates_sizes(self, small_sbm):
+        model = _fit(small_sbm, _config("greedy"))
+        with pytest.raises(ValueError, match="cluster sizes"):
+            model.cluster_block([0, 1], [5])
+
+
 class TestPipelineBatchAPI:
     def test_scores_batch_requires_fit(self):
         with pytest.raises(RuntimeError, match="fit"):

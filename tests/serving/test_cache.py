@@ -127,6 +127,34 @@ class TestEpochBehavior:
         assert cache.get(query_key("m", 0, 3, "d", epoch=1)) is None
         assert cache.get(query_key("m", 2, 3, "d", epoch=1)) is None
 
+    def test_advance_epoch_matches_isin_on_sorted_supports(self):
+        """The binary-search intersection promotes exactly the entries
+        whose sorted support ``np.isin`` finds disjoint from ``touched``,
+        including empty supports, empty and unsorted touched sets, and
+        touched nodes past either end of a support."""
+        rng = np.random.default_rng(0)
+        supports = [np.empty(0, dtype=np.int64), np.array([0]), np.array([999])]
+        supports += [
+            np.sort(rng.choice(1000, size=size, replace=False))
+            for size in (1, 5, 50, 500, 990)
+        ]
+        touched_sets = [np.empty(0, dtype=np.int64), np.array([0]), np.array([999])]
+        touched_sets += [rng.choice(1000, size=size) for size in (1, 3, 30)]
+        for touched in touched_sets:
+            cache = ResultCache(capacity=len(supports))
+            for seed, support in enumerate(supports):
+                cache.put(query_key("m", seed, 3, "d"), np.array([seed]), support)
+            expected = [
+                not np.isin(support, touched).any() for support in supports
+            ]
+            promoted, invalidated = cache.advance_epoch(1, touched=touched)
+            assert (promoted, invalidated) == (
+                sum(expected), len(expected) - sum(expected)
+            )
+            for seed, kept in enumerate(expected):
+                key = query_key("m", seed, 3, "d", epoch=1)
+                assert (key in cache) == kept
+
     def test_advance_epoch_unknown_touched_drops_everything(self):
         cache = ResultCache(capacity=8)
         cache.put(query_key("m", 0, 3, "d"), np.array([0]), support=np.array([0]))

@@ -199,11 +199,13 @@ class TestLifecycleAndValidation:
     def test_engine_failure_propagates_to_futures(self, small_sbm):
         model = _model(small_sbm)
         with ClusterService(model, max_wait_s=0.1) as service:
-            def boom(_seeds):
+            def boom(*_args, **_kwargs):
                 raise RuntimeError("engine exploded")
 
             service.model = type(
-                "Broken", (), {"scores_batch": staticmethod(boom)}
+                "Broken",
+                (),
+                {"scores": staticmethod(boom), "scores_batch": staticmethod(boom)},
             )()
             futures = [service.submit(seed, 10) for seed in (0, 1)]
             for future in futures:
@@ -211,6 +213,27 @@ class TestLifecycleAndValidation:
                     future.result()
             stats = service.stats()
         assert stats["errors"] == 2
+
+    def test_block_remainder_failure_propagates_to_futures(self, small_sbm):
+        """small_sbm saturates (its queries scatter graph-wide), so a block
+        answers its first seed sequentially and the rest through
+        ``scores_batch``; a failure there fails the whole block."""
+        model = _model(small_sbm)
+        remainders = []
+
+        def boom(seeds):
+            remainders.append(list(seeds))
+            raise RuntimeError("block engine exploded")
+
+        with ClusterService(model, max_wait_s=0.2, cache_size=0) as service:
+            model.scores_batch = boom
+            futures = [service.submit(seed, 10) for seed in (0, 1, 2)]
+            for future in futures:
+                with pytest.raises(RuntimeError, match="exploded"):
+                    future.result(timeout=10)
+            stats = service.stats()
+        assert remainders == [[1, 2]]
+        assert stats["errors"] == 3
 
     def test_cancelled_future_does_not_kill_dispatcher(self, small_sbm):
         model = _model(small_sbm)
