@@ -138,7 +138,13 @@ class TNAM:
         the dense-kernel factorizations).  The rebuild path reuses the
         deterministic default generator, so it is bitwise identical to
         refitting — ``update_rows`` is *never* less accurate than a
-        refit, only cheaper when it can be.
+        refit, only cheaper when it can be.  For the cosine metric with
+        a few hundred features or fewer, that rebuild is the Gram
+        eigensolve of :func:`~repro.attributes.svd.truncated_svd`,
+        ``O(n·d² + d³)``: about 0.3 s at ``n = 168k``, ``d = 128`` on one
+        BLAS thread.  Real attribute rows usually take it — a row redrawn
+        from another node is not in a rank-``k`` span of ``d > k``
+        features.
 
         ``rows`` must cover every appended row when ``attributes`` has
         grown (the graph layer guarantees this for store deltas).

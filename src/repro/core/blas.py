@@ -1,0 +1,76 @@
+"""One BLAS thread for LACA's Step 2 products.
+
+Step 2 of :func:`~repro.core.laca.laca_scores` and
+:func:`~repro.core.laca.laca_scores_batch` is a pair of skinny dense
+products (``|support| × k`` against a vector or an ``× B`` block) sitting
+between sparse diffusions that run on the calling thread alone.  A
+multithreaded OpenBLAS wakes its helper threads for them, and the
+helpers then spin-wait for the next call.  On a 2-CPU host a helper that
+lands on the diffusion's CPU can slow every later block of the process:
+with two busy background processes, the best B=64 block of the arxiv
+analog at scale 0.12 took 50–99 ms uncapped against 34–43 ms capped.
+:func:`single_blas_thread` caps OpenBLAS at one thread for Step 2 and
+puts the previous count back afterwards, so the rest of the program (the
+k-SVD's Gram product, for one) keeps its threads.
+
+The libraries are found through ``/proc/self/maps``: OpenBLAS as bundled
+by the numpy/scipy wheels (``scipy_openblas``, 32- or 64-bit ints) or as
+a system ``libopenblas``.  Elsewhere — another BLAS vendor, no procfs —
+the cap does nothing.  The thread count is process-wide: two threads
+inside Step 2 at once can leave it at one when both exit, which only
+extends the cap.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+from contextlib import contextmanager
+
+__all__ = ["single_blas_thread"]
+
+_SYMBOL_PREFIXES = ("openblas", "scipy_openblas")
+_SYMBOL_SUFFIXES = ("", "64_")
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[object, object], ...]:
+    """``(get_num_threads, set_num_threads)`` of each mapped OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                fields[5].strip()
+                for fields in (line.split(None, 5) for line in maps)
+                if len(fields) == 6 and "openblas" in fields[5]
+            }
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in _SYMBOL_PREFIXES:
+            for suffix in _SYMBOL_SUFFIXES:
+                get = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the ``with`` body with OpenBLAS capped at one thread."""
+    capped = []
+    for get, set_ in _openblas_thread_controls():
+        count = get()
+        if count > 1:
+            set_(1)
+            capped.append((set_, count))
+    try:
+        yield
+    finally:
+        for set_, count in capped:
+            set_(count)

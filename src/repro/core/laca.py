@@ -23,6 +23,7 @@ from ..diffusion.nongreedy import nongreedy_diffuse
 from ..diffusion.push import push_diffuse
 from ..diffusion.workspace import DiffusionWorkspace
 from ..graphs.graph import AttributedGraph
+from .blas import single_blas_thread
 from .config import LacaConfig
 
 __all__ = [
@@ -157,8 +158,9 @@ def laca_scores(
         phi = np.zeros(graph.n)
     if use_snas:
         z_rows = tnam.z[support]
-        psi = pi[support] @ z_rows
-        phi[support] = np.maximum(z_rows @ psi, 0.0) * degrees[support]
+        with single_blas_thread():
+            psi = pi[support] @ z_rows
+            phi[support] = np.maximum(z_rows @ psi, 0.0) * degrees[support]
     else:
         phi[support] = pi[support] * degrees[support]
 
@@ -296,13 +298,15 @@ def laca_scores_batch(
     # mask run on the *union support* of the block — the rows some
     # column actually reached — so Step 2 costs O(|U|·k·B), not
     # O(n·k·B), and the old dense n×B ``Phi[Pi == 0.0]`` mask is gone.
+    # Both mat-mats run on one BLAS thread (see ``core/blas.py``).
     psi = None
     if use_snas:
         union = np.flatnonzero(Pi.any(axis=1))
         z_union = tnam.z[union]
         pi_union = Pi[union]
-        psi = pi_union.T @ z_union
-        phi_union = np.maximum(z_union @ psi.T, 0.0) * degrees[union][:, None]
+        with single_blas_thread():
+            psi = pi_union.T @ z_union
+            phi_union = np.maximum(z_union @ psi.T, 0.0) * degrees[union][:, None]
         phi_union[pi_union == 0.0] = 0.0
         masses = phi_union.sum(axis=0)
     else:

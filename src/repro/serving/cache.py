@@ -65,10 +65,17 @@ def _intersects(support: np.ndarray, touched: np.ndarray) -> bool:
     One binary search per touched node, O(|touched| · log |support|):
     a delta touches few nodes while a local query's support spans a
     sizeable share of the graph, so scanning the support (``np.isin``)
-    would make an epoch advance cost O(entries · support).
+    would make an epoch advance cost O(entries · support).  ``touched``
+    is cast to the support's dtype first: searching int64 keys in an
+    int32 support would make numpy copy the whole support up to int64.
+    Ids past the support dtype's range cannot be in it and are dropped
+    before the cast, so the cast never wraps.
     """
     if support.size == 0:
         return False
+    if touched.dtype != support.dtype:
+        touched = touched[touched <= np.iinfo(support.dtype).max]
+        touched = touched.astype(support.dtype)
     at = np.minimum(np.searchsorted(support, touched), support.size - 1)
     return bool((support[at] == touched).any())
 
@@ -124,11 +131,15 @@ class ResultCache:
         ``support`` (sorted node ids the answering diffusion explored)
         enables cross-epoch promotion in :meth:`advance_epoch`; entries
         stored without it are always invalidated by an epoch advance.
+        An int32 support is stored as int32 (the service hands int32
+        while ``n < 2³¹``); any other dtype is stored as int64.
         """
         cluster = np.asarray(cluster)
         cluster.setflags(write=False)
         if support is not None:
-            support = np.asarray(support, dtype=np.int64)
+            support = np.asarray(support)
+            if support.dtype != np.int32:
+                support = np.asarray(support, dtype=np.int64)
             support.setflags(write=False)
         with self._lock:
             if key in self._entries:

@@ -156,12 +156,25 @@ class _Update:
 
     The dispatcher refreshes the model and reconciles the cache when it
     reaches this marker; the future resolves to the cache's
-    ``(promoted, invalidated)`` counts once serving is on the new epoch.
+    ``(promoted, invalidated)`` counts once serving is on the new epoch,
+    and ``refresh_s`` then holds the :meth:`LACA.refresh` time.
     """
 
     epoch: int
     touched: np.ndarray | None
     future: Future = field(default_factory=Future)
+    refresh_s: float = 0.0
+
+
+def _support_ids(mask: np.ndarray) -> np.ndarray:
+    """Sorted indices of ``mask``'s set entries, as int32 while ``n < 2³¹``.
+
+    A cached answer holds its support for its lifetime, and a local
+    query's support spans a sizeable share of the graph, so half the
+    bytes per id is half the cache's memory.
+    """
+    ids = np.flatnonzero(mask)
+    return ids.astype(np.int32) if mask.shape[0] < 2**31 else ids
 
 
 def _result_support(result) -> np.ndarray:
@@ -174,7 +187,8 @@ def _result_support(result) -> np.ndarray:
     The union is a boolean mask over the nodes — one Θ(n) pass that costs
     far less than sorting the parts, which are themselves length-``n``
     once a workspace slot has gone graph-wide (``touched is None``) —
-    and the result is a fresh array, safe past the workspace's next query.
+    and the result is a fresh array, safe past the workspace's next query
+    (int32, see :func:`_support_ids`).
     """
     mask = np.zeros(result.scores.shape[0], dtype=bool)
     for diffusion in (result.rwr, result.bdd):
@@ -183,7 +197,7 @@ def _result_support(result) -> np.ndarray:
         else:
             mask |= diffusion.q != 0.0
             mask |= diffusion.residual != 0.0
-    return np.flatnonzero(mask)
+    return _support_ids(mask)
 
 
 def _batch_support(result, b: int) -> np.ndarray:
@@ -199,7 +213,7 @@ def _batch_support(result, b: int) -> np.ndarray:
     if result.bdd is not None:
         mask |= result.bdd.q[:, b] != 0.0
         mask |= result.bdd.residual[:, b] != 0.0
-    return np.flatnonzero(mask)
+    return _support_ids(mask)
 
 
 def answer_block(model: LACA, workspace, seeds, sizes, metrics):
@@ -558,7 +572,9 @@ class ClusterService:
         Updates are serialized; blocks until the refresh has landed (at
         most ``timeout`` seconds).  Must not be called from a future
         callback — it would deadlock the dispatcher against itself.
-        Returns a summary dict (new epoch/n/m, latency, cache counts).
+        Returns a summary dict: new epoch/n/m, ``update_s`` (the whole
+        call), ``refresh_s`` (its :meth:`LACA.refresh` share) and the
+        cache counts.
 
         Timeout semantics: if ``timeout`` expires before the refresh
         marker lands, :class:`UpdateTimeout` is raised but the service
@@ -629,6 +645,7 @@ class ClusterService:
                 "n": head.n,
                 "m": head.m,
                 "update_s": round(seconds, 6),
+                "refresh_s": round(update.refresh_s, 6),
                 "entries_promoted": promoted,
                 "entries_invalidated": invalidated,
             }
@@ -857,6 +874,7 @@ class ClusterService:
         try:
             previous = self.model._require_fit().epoch
             self.model.refresh(self._store)
+            update.refresh_s = self.model.refresh_seconds
             head = self.model._require_fit()
             self._workspace = self.model.make_workspace()
             if self._pool is not None:

@@ -1,4 +1,4 @@
-"""Tests for the randomized truncated SVD (Algo 3's first step)."""
+"""Tests for the truncated SVD (Algo 3's first step): randomized and Gram branches."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,9 +63,11 @@ class TestTruncatedSVD:
         exact = np.linalg.svd(matrix, compute_uv=False)[:5]
         assert np.allclose(sigma, exact)
 
-    def test_lemma_v1_gram_error_bound(self, rng):
-        """‖(UΛ)(UΛ)ᵀ − XXᵀ‖₂ ≤ λ_{k+1}² (Lemma V.1), exact branch."""
-        matrix = _low_rank_matrix(rng, n=60, d=30, rank=8, noise=0.3)
+    @pytest.mark.parametrize("n", [60, 500])
+    def test_lemma_v1_gram_error_bound(self, rng, n):
+        """‖(UΛ)(UΛ)ᵀ − XXᵀ‖₂ ≤ λ_{k+1}² (Lemma V.1), exact branch —
+        also with n past the threshold, where the short side d keeps it exact."""
+        matrix = _low_rank_matrix(rng, n=n, d=30, rank=8, noise=0.3)
         k = 4
         u, sigma, _ = truncated_svd(matrix, k=k)
         gram_approx = (u * sigma) @ (u * sigma).T
@@ -79,3 +81,57 @@ class TestTruncatedSVD:
         u, sigma, _ = truncated_svd(matrix, k=6, exact_threshold=100, rng=rng)
         exact = np.linalg.svd(matrix, compute_uv=False)[:6]
         assert np.allclose(sigma, exact, rtol=1e-2)
+
+
+class TestGramBranch:
+    """The exact branch eigendecomposes the Gram matrix on the short side."""
+
+    def test_tall_dense_matches_lapack(self, rng):
+        matrix = _low_rank_matrix(rng, n=600, d=40, rank=10, noise=0.1)
+        u, sigma, vt = truncated_svd(matrix, k=12)
+        assert u.shape == (600, 12) and vt.shape == (12, 40)
+        exact = np.linalg.svd(matrix, compute_uv=False)[:12]
+        np.testing.assert_allclose(sigma, exact, rtol=1e-10)
+        np.testing.assert_allclose(u.T @ u, np.eye(12), atol=1e-8)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(12), atol=1e-12)
+
+    def test_sparse_matches_dense_copy(self, rng):
+        matrix = sp.random(700, 60, density=0.05, random_state=3, format="csr")
+        sparse_result = truncated_svd(matrix, k=8)
+        dense_result = truncated_svd(matrix.toarray(), k=8)
+        for got, want in zip(sparse_result, dense_result):
+            np.testing.assert_array_equal(got, want)
+
+    def test_wide_input(self, rng):
+        matrix = _low_rank_matrix(rng, n=30, d=200, rank=6, noise=0.05)
+        u, sigma, vt = truncated_svd(matrix, k=5)
+        assert u.shape == (30, 5) and sigma.shape == (5,) and vt.shape == (5, 200)
+        exact = np.linalg.svd(matrix, compute_uv=False)[:5]
+        np.testing.assert_allclose(sigma, exact, rtol=1e-10)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(5), atol=1e-8)
+        np.testing.assert_allclose((u * sigma) @ vt, matrix @ vt.T @ vt, atol=1e-10)
+
+    def test_rank_deficient_k_beyond_rank(self, rng):
+        matrix = _low_rank_matrix(rng, n=450, d=20, rank=3, noise=0.0)
+        u, sigma, _ = truncated_svd(matrix, k=10)
+        assert np.isfinite(u).all()
+        assert (np.diff(sigma) <= 1e-12).all()
+        factor = u * sigma
+        np.testing.assert_allclose(
+            factor @ factor.T, matrix @ matrix.T, atol=1e-8 * sigma[0] ** 2
+        )
+
+    def test_tall_branch_never_factorizes_the_full_matrix(self, rng, monkeypatch):
+        """The tall branch pays O(n·d²) on the Gram, never an n×d SVD."""
+        threshold = 400
+        real_svd = np.linalg.svd
+
+        def guarded(matrix, *args, **kwargs):
+            if np.shape(matrix)[0] > threshold:
+                raise AssertionError("truncated_svd factorized the n×d matrix")
+            return real_svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", guarded)
+        matrix = _low_rank_matrix(rng, n=2000, d=64, rank=10, noise=0.05)
+        u, sigma, vt = truncated_svd(matrix, k=16, exact_threshold=threshold)
+        assert u.shape == (2000, 16)

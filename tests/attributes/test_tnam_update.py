@@ -72,16 +72,19 @@ class TestCosineSvdPath:
         new_attrs = _updated(rng, attrs, [7])
         tnam.update_rows(new_attrs, [7])
 
-    def test_out_of_span_row_triggers_exact_rebuild(self, rng):
+    @pytest.mark.parametrize("n", [120, 1200])
+    def test_out_of_span_row_triggers_exact_rebuild(self, rng, n):
         """A row the truncated basis cannot express forces a rebuild,
-        and the rebuild is bitwise identical to a fresh build."""
-        attrs = _unit_rows(rng, 120, 24)
+        and the rebuild is bitwise identical to a fresh build — also on
+        a tall matrix (n past the exact-branch threshold, d below it)."""
+        attrs = _unit_rows(rng, n, 24)
         tnam = build_tnam(attrs, k=8, metric="cosine")
         assert tnam.basis.shape == (8, 24)
         new_attrs = attrs.copy()
         new_attrs[5] = np.eye(24)[23]  # almost surely escapes an 8-dim span
         updated = tnam.update_rows(new_attrs, [5])
         rebuilt = build_tnam(new_attrs, k=8, metric="cosine")
+        assert not np.array_equal(updated.basis, tnam.basis)
         np.testing.assert_array_equal(updated.z, rebuilt.z)
 
     def test_laca_clusters_identical_after_update(self, rng, small_sbm):

@@ -155,6 +155,33 @@ class TestEpochBehavior:
                 key = query_key("m", seed, 3, "d", epoch=1)
                 assert (key in cache) == kept
 
+    @pytest.mark.parametrize(
+        "given, stored",
+        [
+            (np.int32, np.int32),
+            (np.int64, np.int64),
+            (np.int16, np.int64),
+            (np.uint8, np.int64),
+        ],
+    )
+    def test_support_dtype_and_promotion(self, given, stored):
+        """int32 supports are stored as given (the service hands int32);
+        every other dtype is widened to int64.  Promotion depends on the
+        node ids alone: a touched id past the stored dtype's range must
+        not wrap onto a support id (``2**32 + 9`` would read as 9 in any
+        narrower integer)."""
+        cache = ResultCache(capacity=8)
+        supports = {0: [0, 5, 6], 1: [1, 9], 2: [7, 100]}
+        for seed, support in supports.items():
+            cache.put(
+                query_key("m", seed, 3, "d"), np.array([seed]),
+                support=np.array(support, dtype=given),
+            )
+        assert all(entry[1].dtype == stored for entry in cache._entries.values())
+        touched = np.array([5, 100, 2**32 + 9], dtype=np.int64)
+        assert cache.advance_epoch(1, touched=touched) == (1, 2)
+        assert query_key("m", 1, 3, "d", epoch=1) in cache
+
     def test_advance_epoch_unknown_touched_drops_everything(self):
         cache = ResultCache(capacity=8)
         cache.put(query_key("m", 0, 3, "d"), np.array([0]), support=np.array([0]))

@@ -155,6 +155,13 @@ class TestApplyUpdate:
             assert stats["p50_update_s"] > 0.0
             assert stats["epoch"] == 1
 
+    def test_update_summary_reports_refresh_time(self, rng, small_sbm):
+        model = LACA(LacaConfig(k=16)).fit(small_sbm)
+        row = np.abs(rng.normal(size=(1, small_sbm.attributes.shape[1])))
+        with ClusterService(model, workers=0) as service:
+            out = service.apply_update(GraphDelta(set_attributes=([5], row)))
+        assert 0.0 <= out["refresh_s"] <= out["update_s"]
+
     def test_closed_service_rejects_updates(self, small_sbm):
         model = LACA(LacaConfig(k=16)).fit(small_sbm)
         service = ClusterService(model, cache_size=16)

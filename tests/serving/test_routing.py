@@ -137,7 +137,7 @@ class TestSupportParity:
                     untracked += diffusion.touched is None
                 got = _result_support(result)
                 np.testing.assert_array_equal(got, _old_result_support(result))
-                assert got.dtype == np.int64
+                assert got.dtype == np.int32
         # Each regime exercises the branch it is here for.
         assert (tracked if regime == "frontier_model" else untracked) > 0
 
@@ -155,4 +155,6 @@ class TestSupportParity:
                     )
                 ]
             )
-            np.testing.assert_array_equal(_batch_support(result, b), expected)
+            got = _batch_support(result, b)
+            np.testing.assert_array_equal(got, expected)
+            assert got.dtype == np.int32
