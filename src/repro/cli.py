@@ -644,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="serve through N worker processes sharing the graph via "
-        "shared memory (0 = answer on the dispatcher thread)",
+        "shared memory (0 = answer in this process)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=None, metavar="N",
@@ -779,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--cache-size", type=int, default=4096)
     rep.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="replay against N worker processes (0 = answer on the dispatcher thread)",
+        help="replay against N worker processes (0 = answer in this process)",
     )
     rep.add_argument("--report", default=None, metavar="PATH",
                      help="write per-epoch reports + summary JSON to PATH")

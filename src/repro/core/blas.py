@@ -16,15 +16,22 @@ k-SVD's Gram product, for one) keeps its threads.
 The libraries are found through ``/proc/self/maps``: OpenBLAS as bundled
 by the numpy/scipy wheels (``scipy_openblas``, 32- or 64-bit ints) or as
 a system ``libopenblas``.  Elsewhere — another BLAS vendor, no procfs —
-the cap does nothing.  The thread count is process-wide: two threads
-inside Step 2 at once can leave it at one when both exit, which only
-extends the cap.
+the cap does nothing.  The thread count is process-wide, and a fanned-out
+serving block runs Step 2 on several threads at once, so the cap is
+reference-counted under a module lock: the first thread in saves the
+counts and sets one, the last thread out puts them back, and no thread
+is ever inside Step 2 with the cap lifted.  A process forked while
+another thread holds the cap (a pool worker respawned during in-process
+fallback answering) starts with a fresh lock and the saved counts put
+back, because no thread of the child is inside Step 2.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import os
+import threading
 from contextlib import contextmanager
 
 __all__ = ["single_blas_thread"]
@@ -60,17 +67,45 @@ def _openblas_thread_controls() -> tuple[tuple[object, object], ...]:
     return tuple(controls)
 
 
+#: Guards the reference count below and the counts it saved.
+_CAP_LOCK = threading.Lock()
+#: Threads inside :func:`single_blas_thread` right now.
+_cap_depth = 0
+#: ``(set_num_threads, count)`` of each library the first thread capped.
+_capped: list[tuple[object, int]] = []
+
+
 @contextmanager
 def single_blas_thread():
     """Run the ``with`` body with OpenBLAS capped at one thread."""
-    capped = []
-    for get, set_ in _openblas_thread_controls():
-        count = get()
-        if count > 1:
-            set_(1)
-            capped.append((set_, count))
+    global _cap_depth
+    with _CAP_LOCK:
+        if _cap_depth == 0:
+            for get, set_ in _openblas_thread_controls():
+                count = get()
+                if count > 1:
+                    set_(1)
+                    _capped.append((set_, count))
+        _cap_depth += 1
     try:
         yield
     finally:
-        for set_, count in capped:
-            set_(count)
+        with _CAP_LOCK:
+            _cap_depth -= 1
+            if _cap_depth == 0:
+                for set_, count in _capped:
+                    set_(count)
+                _capped.clear()
+
+
+def _after_fork_in_child() -> None:
+    global _CAP_LOCK, _cap_depth
+    _CAP_LOCK = threading.Lock()
+    _cap_depth = 0
+    for set_, count in _capped:
+        set_(count)
+    _capped.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)

@@ -26,11 +26,6 @@ import time
 import numpy as np
 
 from ..attributes.tnam import TNAM, build_tnam
-from ..diffusion.base import (
-    begin_kernel_tally,
-    block_diffusion_pays,
-    end_kernel_tally,
-)
 from ..diffusion.workspace import DiffusionWorkspace
 from ..graphs.graph import AttributedGraph
 from ..graphs.store import GraphStore
@@ -42,6 +37,7 @@ from .laca import (
     laca_scores_batch,
     top_k_cluster,
 )
+from .routing import route_block
 
 __all__ = ["LACA"]
 
@@ -151,8 +147,9 @@ class LACA:
         Thread one workspace through repeated :meth:`scores` /
         :meth:`cluster` calls and steady-state queries perform zero
         length-``n`` allocations (results become views valid until the
-        next query on the same workspace).  One workspace per thread —
-        the serving dispatcher owns its own.
+        next query on the same workspace).  One workspace per thread:
+        the serving dispatcher owns one per usable CPU and lends all but
+        the first to the helper threads of a fanned-out block.
         """
         return DiffusionWorkspace(self._require_fit())
 
@@ -199,25 +196,16 @@ class LACA:
         tally shows they saturate the graph
         (:func:`~repro.diffusion.base.block_diffusion_pays`), the
         remaining seeds share one :meth:`scores_batch` block diffusion.
-        This is the rule the serving layer's ``answer_block`` applies.
+        This is :func:`~repro.core.routing.route_block` on one
+        workspace, so every seed runs on the calling thread.
         """
         if len(seeds) != len(sizes):
             raise ValueError(f"got {len(seeds)} seeds but {len(sizes)} cluster sizes")
         if workspace is None:
             workspace = self.make_workspace()
-        clusters: list[np.ndarray] = []
-        tally = begin_kernel_tally()
-        try:
-            for b, seed in enumerate(seeds):
-                if len(seeds) - b > 1 and block_diffusion_pays(tally):
-                    result = self.scores_batch(seeds[b:])
-                    clusters += [
-                        result.cluster(c, int(size)) for c, size in enumerate(sizes[b:])
-                    ]
-                    break
-                clusters.append(self.cluster(int(seed), int(sizes[b]), workspace))
-        finally:
-            end_kernel_tally()
+        clusters, _ = route_block(
+            self, [workspace], seeds, sizes, LacaResult.cluster, LacaBatchResult.cluster
+        )
         return clusters
 
     def cluster_many(

@@ -15,8 +15,9 @@ each engine run records exactly the indices it dirtied, and
 query whose diffusion stays in the local regime performs **zero**
 length-``n`` allocations.
 
-A workspace is single-threaded state: share one per thread (the serving
-dispatcher owns one), never across threads.
+A workspace is single-threaded state: one per thread, never shared
+across threads.  The serving dispatcher owns one per usable CPU, one for
+each thread of a fanned-out block (:mod:`repro.core.routing`).
 """
 
 from __future__ import annotations

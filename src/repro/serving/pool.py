@@ -1,10 +1,11 @@
 """Multi-process serving: the worker-pool back-end of ``ClusterService``.
 
-:class:`~repro.serving.service.ClusterService` parallelizes *within* a
-block (one sparse mat-mat answers the whole batch), but one process
-still serializes blocks — one GIL, one BLAS context.  With
-``workers >= 1`` the service owns a :class:`WorkerPool` that fans the
-gathered blocks out to worker processes instead:
+With ``workers=0``, :class:`~repro.serving.service.ClusterService`
+parallelizes only *within* a block (one sparse mat-mat for a saturated
+remainder, or one thread per CPU for large local queries) and answers
+blocks one after another.  With ``workers >= 1`` the service owns a
+:class:`WorkerPool` that fans the gathered blocks out to worker
+processes instead:
 
 - the head snapshot's CSR arrays and TNAM factor are published **once**
   into :mod:`multiprocessing.shared_memory` segments
@@ -12,13 +13,14 @@ gathered blocks out to worker processes instead:
   zero-copy :class:`~repro.graphs.graph.AttributedGraph` view, hydrates
   a :class:`~repro.core.pipeline.LACA` from the parent's fit state
   (:meth:`LACA.from_fit_state` — no refitting), and owns a private
-  :class:`~repro.diffusion.workspace.DiffusionWorkspace`;
+  :class:`~repro.diffusion.workspace.DiffusionWorkspace`, so it answers
+  each block on one thread (the worker processes already fill the CPUs);
 - the dispatcher thread gathers blocks exactly as with ``workers=0`` but
   *assigns* them to the least-loaded live worker and moves on — a
   collector thread resolves futures as results stream back, so all
   workers compute concurrently;
 - workers answer each block with the same
-  :func:`~repro.serving.service.answer_block` the dispatcher thread
+  :func:`~repro.serving.service.answer_block` the dispatcher
   runs with ``workers=0``, over the same arrays (shared pages), so a
   block gets the same answers on either path.
 
@@ -40,8 +42,8 @@ Three mechanisms:
   advance is failed instead of recomputed — its cache key names the
   old snapshot.
 - **In-process fallback** — with ``fallback_inprocess=True``, losing
-  *every* worker degrades the service to answering blocks on the
-  dispatcher thread (the ``workers=0`` path, same answers) instead of
+  *every* worker degrades the service to answering blocks in its own
+  process (the ``workers=0`` path, same answers) instead of
   failing it; the pool re-engages automatically once a respawn lands.
 
 Epoch advances reuse the dispatch-queue marker and add a barrier:
@@ -224,7 +226,7 @@ def _worker_main(
                     "worker.block",
                     worker_id=worker_id, spawn=spawn, block_index=blocks_seen,
                 )
-            answer = answer_block(model, workspace, seeds, sizes, engine_metrics)
+            answer = answer_block(model, [workspace], seeds, sizes, engine_metrics)
             payload = (*answer, registry.drain())
             results.put(("result", worker_id, block_id, payload, None))
         except BaseException as exc:  # noqa: BLE001 — must always answer

@@ -13,11 +13,14 @@ scatters go graph-wide), the remaining seeds share one
 how the two paths' answers relate.  Answers are remembered in an LRU
 result cache consulted before enqueueing.
 
-With ``workers=0`` (the default) the dispatcher answers every block on
-its own thread; the service then runs exactly one thread and no
-process.  ``workers >= 1`` adds the process back-end of
-:mod:`~repro.serving.pool`: the dispatcher hands each block to a worker
-process and answers on its own thread only when no worker takes it.
+With ``workers=0`` (the default) the dispatcher answers every block
+itself and starts no process.  It holds one workspace per usable CPU: a
+block of large local queries fans out over that many threads for the
+duration of the block (see :func:`answer_block`), and every other block
+runs on the dispatcher thread alone.  ``workers >= 1`` adds the process
+back-end of :mod:`~repro.serving.pool`: the dispatcher hands each block
+to a worker process, which answers it on one thread, and answers it
+in-process only when no worker takes it.
 Admission control (``max_pending`` load-shedding with
 :class:`PoolSaturated`, per-request ``deadline_s`` with
 :class:`DeadlineExceeded`) runs in :meth:`ClusterService.submit` and
@@ -37,11 +40,7 @@ import numpy as np
 
 from ..core.laca import top_k_cluster
 from ..core.pipeline import LACA
-from ..diffusion.base import (
-    begin_kernel_tally,
-    block_diffusion_pays,
-    end_kernel_tally,
-)
+from ..core.routing import route_block, usable_cpus
 from ..graphs.store import GraphDelta, GraphStore
 from ..obs.tracing import Span, TraceLog
 from .cache import ResultCache, config_digest, query_key
@@ -216,73 +215,74 @@ def _batch_support(result, b: int) -> np.ndarray:
     return _support_ids(mask)
 
 
-def answer_block(model: LACA, workspace, seeds, sizes, metrics):
+def _answer_seed(result, size: int) -> tuple:
+    """Record of one query answered on the sequential path: cluster,
+    support, iterations and frontier peak (see :func:`answer_block`)."""
+    return (
+        top_k_cluster(result.scores, size, result.seed, support=result.scores_support),
+        _result_support(result),
+        result.rwr.iterations + result.bdd.iterations,
+        max(result.rwr.frontier_peak, result.bdd.frontier_peak),
+    )
+
+
+def _answer_column(result, c: int, size: int) -> tuple:
+    """Record of column ``c`` of a block diffusion, as :func:`_answer_seed`;
+    the block engine tracks no frontier peak."""
+    bdd = result.bdd
+    iterations = int(result.rwr.column_iterations[c])
+    if bdd is not None:
+        iterations += int(bdd.column_iterations[c])
+    return result.cluster(c, size), _batch_support(result, c), iterations, 0
+
+
+def answer_block(model: LACA, workspaces, seeds, sizes, metrics):
     """Answer one block of queries: the one engine call of every back-end.
 
-    Seeds are answered in order, one at a time, on the sequential
-    workspace path (:meth:`LACA.scores`, no length-``n`` allocations in
-    steady state), until the block's kernel tally shows the queries
-    saturate the graph (:func:`~repro.diffusion.base.block_diffusion_pays`:
-    most scatters went to the graph-wide ``"full"`` kernel).  The
-    remaining seeds, if more than one, then share one
-    :meth:`LACA.scores_batch` block diffusion, whose Θ(n·B) mat-mats only
-    pay off in that regime.  Kernel selections and each query's
-    iterations, frontier peak (untracked by the block engine), touched
-    nodes and touched volume are observed into ``metrics``, a
-    :func:`~repro.serving.telemetry.make_engine_metrics` namespace;
-    nothing is observed when an engine raises.  Returns
-    ``(clusters, supports, engine_seconds)``, where ``supports[b]`` is
-    the sorted touched-node union the result cache stores as query
-    ``b``'s invalidation footprint.
+    The block is routed by :func:`~repro.core.routing.route_block`, the
+    rule :meth:`LACA.cluster_block` applies too: the first seed runs
+    alone on the sequential workspace path (:meth:`LACA.scores`); a
+    saturating remainder shares one :meth:`LACA.scores_batch` block
+    diffusion; a remainder of large local queries fans out over one
+    thread per workspace; anything else stays on the calling thread.
+    The dispatcher passes one workspace per usable CPU, a pool worker its
+    single one.  Kernel selections and each query's iterations, frontier
+    peak (untracked by the block engine), touched nodes and touched
+    volume are observed into ``metrics``, a
+    :func:`~repro.serving.telemetry.make_engine_metrics` namespace, on
+    the calling thread; nothing is observed when an engine raises on any
+    thread.  Returns ``(clusters, supports, engine_seconds)``, where
+    ``supports[b]`` is the sorted touched-node union the result cache
+    stores as query ``b``'s invalidation footprint.
 
     Path contract: a block whose queries stay local is answered entirely
-    on the sequential path, bitwise equal to :meth:`LACA.cluster`.  Only
-    the block remainder of a saturating block takes the block path, whose
-    column ``b`` equals sequential :meth:`LACA.cluster` up to
-    floating-point accumulation order — exactly on non-SNAS graphs, while
-    on the SNAS path Step 2 sums over the block's union support (see
-    :func:`~repro.core.laca.laca_scores_batch`).  The serving tests check
-    equal clusters on their graphs, but there a top-k near-tie could flip
-    membership and make a cached answer depend on the path that computed
-    it: the open risk of item 4 in ``ROADMAP.md``.
+    on the sequential path, bitwise equal to :meth:`LACA.cluster`, on
+    whichever thread.  Only the block remainder of a saturating block
+    takes the block path, whose column ``b`` equals sequential
+    :meth:`LACA.cluster` up to floating-point accumulation order —
+    exactly on non-SNAS graphs, while on the SNAS path Step 2 sums over
+    the block's union support (see
+    :func:`~repro.core.laca.laca_scores_batch`).  In a fanned-out block,
+    the seed at which a saturating block switches to the block path may
+    depend on thread timing.  Block composition already depends on timing
+    through the gather window, so this adds no new kind of path
+    dependence.  The serving tests check equal clusters on their graphs,
+    but a top-k near-tie could flip membership and make a cached answer
+    depend on the path that computed it: the open risk of item 4 in
+    ``ROADMAP.md``.
     """
     start = time.perf_counter()
-    tally = begin_kernel_tally()
-    clusters, supports, iteration_counts, frontier_peaks = [], [], [], []
-    try:
-        for b, seed in enumerate(seeds):
-            if len(seeds) - b > 1 and block_diffusion_pays(tally):
-                result = model.scores_batch(seeds[b:])
-                bdd = result.bdd
-                for c, size in enumerate(sizes[b:]):
-                    clusters.append(result.cluster(c, size))
-                    supports.append(_batch_support(result, c))
-                    iteration_counts.append(
-                        int(result.rwr.column_iterations[c])
-                        + (int(bdd.column_iterations[c]) if bdd is not None else 0)
-                    )
-                    frontier_peaks.append(0)
-                break
-            result = model.scores(seed, workspace=workspace)
-            clusters.append(
-                top_k_cluster(
-                    result.scores, sizes[b], seed, support=result.scores_support
-                )
-            )
-            supports.append(_result_support(result))
-            iteration_counts.append(result.rwr.iterations + result.bdd.iterations)
-            frontier_peaks.append(
-                max(result.rwr.frontier_peak, result.bdd.frontier_peak)
-            )
-    finally:
-        end_kernel_tally()
+    records, tally = route_block(
+        model, workspaces, seeds, sizes, _answer_seed, _answer_column
+    )
     engine_seconds = time.perf_counter() - start
     for kind, count in tally.items():
         metrics.kernel_selections.labels(kind).inc(count)
     degrees = model._require_fit().degrees
-    for support, iterations, frontier_peak in zip(
-        supports, iteration_counts, frontier_peaks
-    ):
+    clusters, supports = [], []
+    for cluster, support, iterations, frontier_peak in records:
+        clusters.append(cluster)
+        supports.append(support)
         metrics.query_iterations.observe(iterations)
         if frontier_peak:
             metrics.frontier_peak.observe(frontier_peak)
@@ -302,8 +302,9 @@ class ClusterService:
     workers:
         Number of worker processes answering blocks over one
         shared-memory snapshot (see :mod:`~repro.serving.pool`).  ``0``
-        answers every block on the dispatcher thread and starts no
-        process, queue or thread besides the dispatcher.
+        answers every block in-process and starts no process or queue;
+        besides the dispatcher, only a fanned-out block's helper threads
+        run, and none outlives its block.
     name:
         Model identity used in cache keys and stats; defaults to the
         fitted graph's name.
@@ -347,8 +348,8 @@ class ClusterService:
         Respawn pacing: the k-th respawn within a window waits
         ``min(backoff_base_s * 2**k, BACKOFF_MAX_S)``.
     fallback_inprocess:
-        When True, losing every worker degrades to answering on the
-        dispatcher thread (the ``workers=0`` path) instead of failing
+        When True, losing every worker degrades to answering in the
+        service's own process (the ``workers=0`` path) instead of failing
         the service; workers re-engage once a respawn lands.
     fault_plan:
         Optional :class:`~repro.testing.faults.FaultPlan` threaded into
@@ -436,9 +437,10 @@ class ClusterService:
         self._pending = 0
         self._pending_lock = threading.Lock()
         # Owned by the dispatcher thread only: preallocated diffusion
-        # buffers so steady-state single-query blocks allocate nothing
-        # of length n (PR 3's zero-allocation hot path).
-        self._workspace = model.make_workspace()
+        # buffers, one per usable CPU, so steady-state queries allocate
+        # nothing of length n and a fanned-out block gives each of its
+        # threads its own (see answer_block).
+        self._workspaces = [model.make_workspace() for _ in range(usable_cpus())]
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = False
         self._close_lock = threading.Lock()
@@ -876,7 +878,9 @@ class ClusterService:
             self.model.refresh(self._store)
             update.refresh_s = self.model.refresh_seconds
             head = self.model._require_fit()
-            self._workspace = self.model.make_workspace()
+            self._workspaces = [
+                self.model.make_workspace() for _ in self._workspaces
+            ]
             if self._pool is not None:
                 # The epoch barrier: every worker reloads before the
                 # serving epoch advances.
@@ -1017,7 +1021,7 @@ class ClusterService:
         sizes = [request.size for request in block]
         try:
             answer = answer_block(
-                self.model, self._workspace, seeds, sizes, self.telemetry.engine_metrics
+                self.model, self._workspaces, seeds, sizes, self.telemetry.engine_metrics
             )
         except Exception as exc:  # surface engine failures per-request
             self._resolve(block, None, exc)

@@ -1,7 +1,11 @@
 """Tests for the one-BLAS-thread cap around LACA's Step 2 products."""
 
+import multiprocessing
+import threading
+
 import pytest
 
+from repro.core import blas
 from repro.core.blas import _openblas_thread_controls, single_blas_thread
 
 
@@ -30,3 +34,91 @@ def test_restores_after_an_exception(two_threads):
         raise RuntimeError
     assert [get() for get, _ in two_threads] == [2] * len(two_threads)
 
+
+
+def test_cap_holds_until_the_last_thread_leaves(two_threads):
+    """A saves 2 and sets 1, B enters, A leaves: B still runs capped, and
+    the count comes back only when B leaves too."""
+    both_inside = threading.Barrier(2, timeout=10)
+    a_left = threading.Barrier(2, timeout=10)
+    b_entered = threading.Barrier(2, timeout=10)
+    seen = {}
+    errors = []
+
+    def counts():
+        return [get() for get, _ in two_threads]
+
+    def thread_a():
+        try:
+            with single_blas_thread():
+                b_entered.wait()
+                both_inside.wait()
+            a_left.wait()
+        except BaseException as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    def thread_b():
+        try:
+            b_entered.wait()
+            with single_blas_thread():
+                both_inside.wait()
+                a_left.wait()
+                seen["inside_b"] = counts()
+            seen["after_b"] = counts()
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+        assert not thread.is_alive()
+    assert not errors, errors
+    assert seen["inside_b"] == [1] * len(two_threads)
+    assert seen["after_b"] == [2] * len(two_threads)
+
+
+def _check_child_uncapped(controls_count):
+    """In a forked child: the counts are back at two and the cap works."""
+    counts = [get() for get, _ in _openblas_thread_controls()]
+    assert counts == [2] * controls_count, counts
+    with single_blas_thread():
+        counts = [get() for get, _ in _openblas_thread_controls()]
+        assert counts == [1] * controls_count, counts
+    counts = [get() for get, _ in _openblas_thread_controls()]
+    assert counts == [2] * controls_count, counts
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_a_forked_child_gets_a_free_lock_and_its_counts_back(two_threads):
+    """Fork while one thread is inside the cap and another holds its lock:
+    the child must neither deadlock on the lock nor stay capped."""
+    inside, release = threading.Event(), threading.Event()
+
+    def hold_cap():
+        with single_blas_thread():
+            inside.set()
+            release.wait(30)
+
+    holder = threading.Thread(target=hold_cap)
+    holder.start()
+    try:
+        assert inside.wait(30)
+        child = multiprocessing.get_context("fork").Process(
+            target=_check_child_uncapped, args=(len(two_threads),)
+        )
+        with blas._CAP_LOCK:
+            child.start()
+    finally:
+        release.set()
+        holder.join(30)
+    assert not holder.is_alive()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("forked child hung on the BLAS cap")
+    assert child.exitcode == 0

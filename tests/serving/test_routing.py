@@ -1,20 +1,31 @@
 """Tests for answer_block's routing: frontier loop while queries stay local,
-block mat-mat only once they saturate.
+block mat-mat only once they saturate, and one thread per workspace for a
+block of large local queries.
 
-Every test runs the in-thread service (``workers=0``) and a live 2-worker
-pool (``workers=2``), because the pool workers call the same
-``answer_block`` as the dispatcher.
+Every service test runs the in-thread service (``workers=0``) and a live
+2-worker pool (``workers=2``), because the pool workers call the same
+``answer_block`` as the dispatcher (on their single workspace).
 """
+
+import os
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.serving.service as service_module
+from repro.core import routing
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.diffusion.base import block_diffusion_pays
 from repro.graphs.datasets import load_dataset
+from repro.graphs.store import GraphDelta
+from repro.obs.metrics import MetricsRegistry
 from repro.serving import ClusterService
-from repro.serving.service import _batch_support, _result_support
+from repro.serving.cache import query_key
+from repro.serving.service import _batch_support, _result_support, answer_block
+from repro.serving.telemetry import make_engine_metrics
 
 WORKERS = [0, 2]
 BLOCK = 10
@@ -158,3 +169,188 @@ class TestSupportParity:
             got = _batch_support(result, b)
             np.testing.assert_array_equal(got, expected)
             assert got.dtype == np.int32
+
+
+# -- fan-out over one thread per workspace ------------------------------
+
+FANOUT_CPUS = 3
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Names of the helper threads the routing starts (a test seam: the
+    routing module sees a ``threading`` whose ``Thread`` records them)."""
+    started = []
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(
+        routing, "threading", SimpleNamespace(Thread=RecordingThread, Lock=threading.Lock)
+    )
+    return started
+
+
+@pytest.fixture
+def fanout(monkeypatch, helpers):
+    """Three workspaces and no volume guard, so every local block of the
+    in-thread service fans out; returns the started helper names."""
+    monkeypatch.setattr(service_module, "usable_cpus", lambda: FANOUT_CPUS)
+    monkeypatch.setattr(routing, "FANOUT_MIN_SCATTER_VOLUME", 0)
+    return helpers
+
+
+def _single_thread(model, seeds):
+    """answer_block on one workspace: clusters, supports, kernel tally."""
+    registry = MetricsRegistry("reference")
+    clusters, supports, _ = answer_block(
+        model, [model.make_workspace()], seeds, [SIZE] * len(seeds),
+        make_engine_metrics(registry),
+    )
+    family = registry.get("laca_kernel_selections_total")
+    kernels = {key[0]: value for key, value in family.sample_items().items()}
+    return clusters, supports, kernels
+
+
+def _expect_helpers(helpers, workers):
+    """The in-thread service fanned out; pool workers never do."""
+    if workers:
+        assert helpers == [], helpers
+    else:
+        assert len(helpers) >= FANOUT_CPUS - 1, helpers
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_fanout_answers_and_supports_match_single_thread(local_model, workers, fanout):
+    seeds = _seeds(local_model, BLOCK, seed=5)
+    expected, expected_supports, _ = _single_thread(local_model, seeds)
+    with ClusterService(
+        local_model, workers=workers, max_batch=BLOCK, max_wait_s=0.5, cache_size=64
+    ) as service:
+        answers = [f.result(timeout=60) for f in service.submit_many(seeds, SIZE)]
+        cached = {
+            seed: service.cache._entries[
+                query_key(service.name, seed, SIZE, service.digest, service.epoch)
+            ]
+            for seed in seeds
+        }
+    _expect_helpers(fanout, workers)
+    workspace = local_model.make_workspace()
+    for seed, answer, cluster, support in zip(
+        seeds, answers, expected, expected_supports
+    ):
+        np.testing.assert_array_equal(answer, cluster)
+        np.testing.assert_array_equal(answer, local_model.cluster(seed, SIZE, workspace))
+        np.testing.assert_array_equal(cached[seed][0], cluster)
+        np.testing.assert_array_equal(cached[seed][1], support)
+        assert cached[seed][1].dtype == support.dtype
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_fanout_kernel_counts_sum_to_single_thread(local_model, workers, fanout):
+    seeds = _seeds(local_model, BLOCK, seed=6)
+    _, _, expected = _single_thread(local_model, seeds)
+    _, kernels, _ = _serve_one_block(local_model, seeds, workers)
+    _expect_helpers(fanout, workers)
+    assert kernels == expected
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_small_scatters_start_no_helper(local_model, workers, helpers, monkeypatch):
+    seeds = _seeds(local_model, BLOCK, seed=7)
+    first = routing.mean_scatter_volume(local_model.scores(seeds[0]))
+    monkeypatch.setattr(service_module, "usable_cpus", lambda: FANOUT_CPUS)
+    monkeypatch.setattr(routing, "FANOUT_MIN_SCATTER_VOLUME", first + 1.0)
+    answers, _, _ = _serve_one_block(local_model, seeds, workers)
+    assert helpers == []
+    for seed, answer in zip(seeds, answers):
+        np.testing.assert_array_equal(answer, local_model.cluster(seed, SIZE))
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_helper_failure_fails_the_block_and_serving_goes_on(
+    local_model, workers, fanout, monkeypatch
+):
+    seeds = _seeds(local_model, 2 * BLOCK, seed=8)
+    failing, healthy = seeds[:BLOCK], seeds[BLOCK:]
+    expected = [local_model.cluster(seed, SIZE) for seed in healthy]
+    poisoned = set(failing[1:])
+    raised = threading.Event()
+    parent = os.getpid()
+    scores = LACA.scores
+
+    def failing_scores(self, seed, workspace=None):
+        # Raise on a helper thread (or in a pool worker, which has none);
+        # the dispatcher waits for that before answering a poisoned seed,
+        # so a helper is sure to claim one.
+        if seed in poisoned:
+            if threading.current_thread().name.startswith("laca-block-"):
+                raised.set()
+                raise RuntimeError("injected engine failure")
+            if os.getpid() != parent:
+                raise RuntimeError("injected engine failure")
+            raised.wait(10)
+        return scores(self, seed, workspace=workspace)
+
+    # Patched before the pool forks, so its workers inherit it.
+    monkeypatch.setattr(LACA, "scores", failing_scores)
+    with ClusterService(
+        local_model, workers=workers, max_batch=BLOCK, max_wait_s=0.5, cache_size=0
+    ) as service:
+        futures = service.submit_many(failing, SIZE)
+        for future in futures:
+            with pytest.raises(Exception, match="injected engine failure"):
+                future.result(timeout=60)
+        answers = [f.result(timeout=60) for f in service.submit_many(healthy, SIZE)]
+    if not workers:
+        assert raised.is_set()
+    _expect_helpers(fanout, workers)
+    for answer, cluster in zip(answers, expected):
+        np.testing.assert_array_equal(answer, cluster)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_no_thread_outlives_its_block(local_model, workers, fanout):
+    with ClusterService(
+        local_model, workers=workers, max_batch=BLOCK, max_wait_s=0.5, cache_size=0
+    ) as service:
+        service.cluster(0, SIZE)
+        baseline = threading.active_count()
+        for round_ in range(3):
+            seeds = _seeds(local_model, BLOCK, seed=20 + round_)
+            for future in service.submit_many(seeds, SIZE):
+                future.result(timeout=60)
+            assert threading.active_count() == baseline
+    _expect_helpers(fanout, workers)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_update_rebuilds_every_workspace(local_model, workers, fanout):
+    model = LACA(local_model.config).fit(local_model.graph)
+    graph = model.graph
+    n = graph.n
+    rng = np.random.default_rng(9)
+    delta = GraphDelta(
+        add_nodes=1,
+        add_edges=[(n, 0), (n, 1), (2, 3)],
+        add_attributes=np.abs(rng.normal(size=(1, graph.d))) + 0.05,
+        add_communities=[0],
+        set_attributes=(np.array([5]), np.abs(rng.normal(size=(1, graph.d))) + 0.05),
+    )
+    with ClusterService(
+        model, workers=workers, max_batch=BLOCK, max_wait_s=0.5, cache_size=0
+    ) as service:
+        service.cluster(0, SIZE)
+        service.apply_update(delta)
+        head = service.store.head
+        assert len(service._workspaces) == FANOUT_CPUS
+        assert all(ws.graph is head for ws in service._workspaces)
+        seeds = [n, *_seeds(model, BLOCK - 1, seed=10)]
+        answers = [f.result(timeout=60) for f in service.submit_many(seeds, SIZE)]
+    fresh = LACA(local_model.config).fit(head)
+    workspace = fresh.make_workspace()
+    for seed, answer in zip(seeds, answers):
+        np.testing.assert_array_equal(answer, fresh.cluster(seed, SIZE, workspace))
+    _expect_helpers(fanout, workers)
