@@ -11,9 +11,9 @@ single-process service by **≥ 3×** at 256 in-flight requests on the
 Fig. 10 scalability graph (the arxiv analog at the paper's ogbn-arxiv
 operating point).  The bar is gated on host parallelism: a 3× pool win
 is physically impossible on < 4 cores, so the gate skips there (CI and
-dev boxes vary) while the parity assertion below always runs.
-``scripts/bench_report.py`` records the same measurements — honest
-numbers for whatever host ran it — into ``BENCH_pr6.json``.
+dev boxes vary) while the parity assertion below always runs, in the
+blocking CI job too.  perfbench's ``churn`` workload times a 2-worker
+pool with repeated runs (``perfbench/README.md``).
 """
 
 import os

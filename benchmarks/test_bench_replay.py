@@ -11,8 +11,9 @@ The asserts pin the *shape* the scenario suite guarantees: queries all
 drain, incremental updates are cheap, tracking recall stays high on a
 well-separated evolving SBM, and the verify pass never catches the
 incrementally refreshed service diverging from a cold refit.
-``scripts/bench_report.py`` records the same trace — at 21 epochs x
-256 queries through both front-ends — into ``BENCH_pr9.json``.
+``scripts/replay_smoke.py`` runs a smaller trace through a 2-worker
+pool in the blocking CI job; ``python -m repro replay`` runs a trace of
+any length.
 """
 
 import pytest

@@ -10,8 +10,8 @@ Headline assertion — the acceptance bar: incremental ``store.apply`` +
 ``LACA.refresh`` beats the full refit by **≥ 5×** for single-edge deltas
 on the Fig. 10 scalability graph (the arxiv analog at the paper's
 ogbn-arxiv operating point, same graph as ``test_bench_frontier``).
-``scripts/bench_report.py`` records the same measurements into
-``BENCH_pr5.json``.
+The parity test below also runs in the blocking CI job; perfbench
+reports the served update cost as ``update_p50_ms`` on every workload.
 """
 
 import time

@@ -8,7 +8,7 @@ verbatim — same operations, same accumulation order — because the
 frontier engines promise **bitwise identical** outputs, and these are the
 oracle that promise is tested against (``tests/diffusion/
 test_frontier_parity.py``) and benchmarked against (``benchmarks/
-test_bench_frontier.py``, ``scripts/bench_report.py``).
+test_bench_frontier.py``).
 
 Do not "improve" this module: its value is that it does not change.
 """
