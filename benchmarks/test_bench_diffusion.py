@@ -9,9 +9,7 @@ greedy and stays within the same accuracy guarantee.
 import numpy as np
 import pytest
 
-from repro.diffusion.adaptive import adaptive_diffuse
-from repro.diffusion.greedy import greedy_diffuse
-from repro.diffusion.nongreedy import nongreedy_diffuse
+from repro.diffusion import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from repro.diffusion.push import push_diffuse
 from repro.graphs.datasets import load_dataset
 

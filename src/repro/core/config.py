@@ -17,8 +17,10 @@ class LacaConfig:
         RWR restart factor α ∈ (0, 1); mass moves with probability α.
         Paper's parameter study (Fig. 9a/b) favors large values, 0.8-0.9.
     sigma:
-        AdaptiveDiffuse balancing parameter σ ∈ [0, 1]; small values run
-        more non-greedy iterations (Fig. 9c/d favors ≤ 0.1).
+        AdaptiveDiffuse balancing parameter σ ≥ 0; small values run more
+        one-shot (non-greedy) iterations (Fig. 9c/d favors ≤ 0.1), and
+        σ ≥ 1 runs none, which is GreedyDiffuse (Lemma IV.3).  Only the
+        "adaptive" engine reads it.
     epsilon:
         Diffusion threshold ε; output volume and work are O(1/((1-α)ε)).
     k:
@@ -33,8 +35,13 @@ class LacaConfig:
     use_svd:
         Table VI ablation switch — False skips the k-SVD denoising.
     diffusion:
-        "adaptive" (Algo 2), "greedy" (Algo 1, the w/o-AdaptiveDiffuse
-        ablation), "nongreedy", or "push".
+        The Step 1 / Step 3 diffusion engine.  "adaptive" is Algo 2: each
+        iteration converts either the above-threshold batch or every
+        residual, chosen by σ and a cost budget.  "greedy" is Algo 1,
+        the above-threshold batch only (the w/o-AdaptiveDiffuse
+        ablation; the same bits as "adaptive" with σ ≥ 1).  "nongreedy"
+        converts every residual each iteration (Eq. 17).  "push" converts
+        one node at a time from a queue (the traversal baseline).
     """
 
     alpha: float = 0.8

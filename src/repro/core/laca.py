@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..attributes.tnam import TNAM
-from ..diffusion.adaptive import adaptive_diffuse
 from ..diffusion.base import DiffusionResult
 from ..diffusion.batch import BatchDiffusionResult, batch_diffuse
-from ..diffusion.greedy import greedy_diffuse
-from ..diffusion.nongreedy import nongreedy_diffuse
+from ..diffusion.frontier import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from ..diffusion.push import push_diffuse
 from ..diffusion.workspace import DiffusionWorkspace
 from ..graphs.graph import AttributedGraph
@@ -382,7 +380,8 @@ def top_k_cluster(
     Selection runs in O(n) via a partition rather than a full
     O(n log n) sort; with ``support`` — a sorted index array covering
     every non-zero (non-negative) score, as tracked by the frontier
-    engines — it drops to O(support), the per-query serving hot path.
+    engines — it drops to O(support + size), the per-query serving hot
+    path, with no length-``n`` allocation.
     The result is identical either way (property-tested against a
     brute-force argsort reference).
     """
@@ -392,18 +391,26 @@ def top_k_cluster(
     size = min(size, n)
     if size == n:
         return np.arange(n)
-    above = tied = None
-    if support is not None and size <= support.size < n:
+    if support is not None and support.size < n:
         values = scores[support]
-        kth = values[
-            np.argpartition(values, support.size - size)[support.size - size :]
-        ].min()
+        kth = 0.0
+        if support.size >= size:
+            kth = values[
+                np.argpartition(values, support.size - size)[support.size - size :]
+            ].min()
         if kth > 0.0:
             # All retained nodes score above zero, hence live in the
             # support; the dense scan below would find exactly these.
             above = support[values > kth]
             tied = support[values == kth]
-    if above is None:
+        else:
+            # Fewer than ``size`` positive scores: keep them all and fill
+            # the rest with the lowest-index zero-score nodes, which lie
+            # in ``range(size)`` once the positive ones are skipped.
+            above = support[values > 0.0]
+            need = size - above.size
+            tied = np.setdiff1d(np.arange(size), above, assume_unique=True)[:need]
+    else:
         # size-th largest value; everything strictly above it is retained,
         # the remaining slots go to boundary ties in ascending-index order.
         kth = scores[np.argpartition(scores, n - size)[n - size :]].min()

@@ -10,9 +10,7 @@ from .batch import (
     validate_batch_inputs,
 )
 from .exact import exact_diffusion, exact_rwr, rwr_matrix
-from .greedy import greedy_diffuse
-from .nongreedy import nongreedy_diffuse
-from .adaptive import adaptive_diffuse
+from .frontier import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from .push import push_diffuse
 from .workspace import DiffusionWorkspace
 

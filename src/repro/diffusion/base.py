@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "DiffusionResult",
     "validate_diffusion_inputs",
+    "check_diffusion_parameters",
     "selective_scatter_is_cheaper",
     "block_diffusion_pays",
     "full_scatter_cost",
@@ -174,17 +175,29 @@ class DiffusionResult:
         return int(np.count_nonzero(self.q))
 
 
-def validate_diffusion_inputs(
+def check_diffusion_parameters(
     f: np.ndarray, n: int, alpha: float, epsilon: float
 ) -> np.ndarray:
-    """Check and canonicalize diffusion inputs shared by every algorithm."""
+    """Canonicalize ``f`` and check its shape, ``alpha`` and ``epsilon``.
+
+    Everything :func:`validate_diffusion_inputs` checks except the Θ(n)
+    non-negativity scan, which a caller vouching for ``supp(f)`` skips.
+    """
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (n,):
         raise ValueError(f"input vector has shape {f.shape}, expected ({n},)")
-    if np.any(f < 0):
-        raise ValueError("diffusion input vector must be non-negative")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"restart factor alpha must be in (0, 1), got {alpha}")
     if epsilon <= 0.0:
         raise ValueError(f"diffusion threshold epsilon must be positive, got {epsilon}")
+    return f
+
+
+def validate_diffusion_inputs(
+    f: np.ndarray, n: int, alpha: float, epsilon: float
+) -> np.ndarray:
+    """Check and canonicalize diffusion inputs shared by every algorithm."""
+    f = check_diffusion_parameters(f, n, alpha, epsilon)
+    if np.any(f < 0):
+        raise ValueError("diffusion input vector must be non-negative")
     return f

@@ -45,7 +45,7 @@ def push_diffuse(
     """Queue-based push diffusion of ``f`` with threshold ``ε``.
 
     ``workspace`` / ``f_support`` follow the same contract as
-    :func:`~repro.diffusion.greedy.greedy_diffuse`.
+    :func:`~repro.diffusion.frontier.greedy_diffuse`.
     """
     f, slot, candidates, _staging = engine_setup(
         graph, f, alpha, epsilon, workspace, f_support

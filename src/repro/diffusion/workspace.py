@@ -25,7 +25,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.graph import AttributedGraph
-from .base import full_scatter_cost, note_kernel, selective_scatter_is_cheaper
+from .base import (
+    check_diffusion_parameters,
+    full_scatter_cost,
+    note_kernel,
+    selective_scatter_is_cheaper,
+    validate_diffusion_inputs,
+)
 
 __all__ = [
     "DiffusionWorkspace",
@@ -183,8 +189,6 @@ def engine_setup(
     ``supp(f)`` whose caller vouches ``f`` is non-negative and zero
     elsewhere, letting LACA skip the engine's only length-``n`` scans.
     """
-    from .base import validate_diffusion_inputs
-
     n = graph.n
     if workspace is not None and workspace.n != n:
         raise ValueError(f"workspace was built for n={workspace.n}, graph has n={n}")
@@ -192,15 +196,7 @@ def engine_setup(
         f = validate_diffusion_inputs(f, n, alpha, epsilon)
         candidates = np.flatnonzero(f)
     else:
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape != (n,):
-            raise ValueError(f"input vector has shape {f.shape}, expected ({n},)")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"restart factor alpha must be in (0, 1), got {alpha}")
-        if epsilon <= 0.0:
-            raise ValueError(
-                f"diffusion threshold epsilon must be positive, got {epsilon}"
-            )
+        f = check_diffusion_parameters(f, n, alpha, epsilon)
         candidates = np.asarray(f_support, dtype=np.int64)
     if workspace is None:
         slot = _EngineSlot(n)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..diffusion.greedy import greedy_diffuse
-from ..diffusion.nongreedy import nongreedy_diffuse
+from ..diffusion import greedy_diffuse, nongreedy_diffuse
 from ..eval.reporting import format_series
 from .common import prepared
 

@@ -74,10 +74,12 @@ class TestPropertySweep:
 
     def test_all_zero_scores(self):
         scores = np.zeros(9)
-        np.testing.assert_array_equal(
-            top_k_cluster(scores, 4, seed=7),
-            brute_force_reference(scores, 4, 7),
-        )
+        for seed in (2, 7):
+            for support in _supports(scores):
+                np.testing.assert_array_equal(
+                    top_k_cluster(scores, 4, seed=seed, support=support),
+                    brute_force_reference(scores, 4, seed),
+                )
 
     def test_support_path_matches_dense_path(self, rng):
         """The O(support) fast path and the dense path agree bitwise."""

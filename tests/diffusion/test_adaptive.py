@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.diffusion.adaptive import adaptive_diffuse
-from repro.diffusion.greedy import greedy_diffuse
+from repro.diffusion import DiffusionWorkspace, adaptive_diffuse, greedy_diffuse
+from repro.graphs.generators import SBMConfig, attributed_sbm
 
 
 def _one_hot(n, index):
@@ -20,17 +20,40 @@ class TestStrategyMix:
         )
         assert result.nongreedy_steps > 0
 
-    def test_sigma_one_plus_is_pure_greedy(self, small_sbm):
-        """σ ≥ 1 disables non-greedy (Lemma IV.3's β = 1 case)."""
-        adaptive = adaptive_diffuse(
-            small_sbm, _one_hot(small_sbm.n, 5), alpha=0.8, sigma=1.0, epsilon=1e-5
+    @pytest.mark.parametrize("avg_degree", [4.0, 28.0])
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-5])
+    @pytest.mark.parametrize("sigma", [1.0, np.inf])
+    @pytest.mark.parametrize("use_workspace", [False, True])
+    def test_sigma_one_plus_is_pure_greedy(
+        self, avg_degree, epsilon, sigma, use_workspace
+    ):
+        """σ ≥ 1 is GreedyDiffuse bit for bit (Lemma IV.3's β = 1 case),
+        over the frontier-parity grid of densities, thresholds and inputs."""
+        graph = attributed_sbm(
+            SBMConfig(n=120, n_communities=3, avg_degree=avg_degree, d=8),
+            seed=0,
+            name=f"lemma-deg{avg_degree:g}",
         )
-        assert adaptive.nongreedy_steps == 0
-        greedy = greedy_diffuse(
-            small_sbm, _one_hot(small_sbm.n, 5), alpha=0.8, epsilon=1e-5
-        )
-        assert np.allclose(adaptive.q, greedy.q)
-        assert adaptive.iterations == greedy.iterations
+        rng = np.random.default_rng(0)
+        inputs = {
+            "one_hot": _one_hot(graph.n, 3),
+            "sparse": rng.random(graph.n) * (rng.random(graph.n) < 0.3),
+            "dense": rng.random(graph.n),
+        }
+        ws = DiffusionWorkspace(graph) if use_workspace else None
+        for name, f in inputs.items():
+            if ws is not None:
+                ws.begin()
+            adaptive = adaptive_diffuse(
+                graph, f, alpha=0.8, sigma=sigma, epsilon=epsilon, workspace=ws
+            )
+            greedy = greedy_diffuse(graph, f, alpha=0.8, epsilon=epsilon, workspace=ws)
+            assert adaptive.nongreedy_steps == 0, name
+            assert np.array_equal(adaptive.q, greedy.q), name
+            assert np.array_equal(adaptive.residual, greedy.residual), name
+            assert adaptive.iterations == greedy.iterations, name
+            assert adaptive.greedy_steps == greedy.greedy_steps, name
+            assert adaptive.work == greedy.work, name
 
     def test_counts_sum(self, small_sbm):
         result = adaptive_diffuse(

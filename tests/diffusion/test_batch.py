@@ -10,7 +10,7 @@ bookkeeping is compared exactly.
 import numpy as np
 import pytest
 
-from repro.diffusion.adaptive import adaptive_diffuse
+from repro.diffusion import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from repro.diffusion.base import DiffusionResult
 from repro.diffusion.batch import (
     BatchDiffusionResult,
@@ -21,8 +21,6 @@ from repro.diffusion.batch import (
     validate_batch_inputs,
 )
 from repro.diffusion.exact import exact_diffusion
-from repro.diffusion.greedy import greedy_diffuse
-from repro.diffusion.nongreedy import nongreedy_diffuse
 from repro.diffusion.push import push_diffuse
 
 ALPHA = 0.8

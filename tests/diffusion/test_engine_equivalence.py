@@ -12,10 +12,8 @@ in ``[exact − ε·d, exact]``, hence any two engines differ by at most
 import numpy as np
 import pytest
 
-from repro.diffusion.adaptive import adaptive_diffuse
+from repro.diffusion import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from repro.diffusion.batch import batch_diffuse
-from repro.diffusion.greedy import greedy_diffuse
-from repro.diffusion.nongreedy import nongreedy_diffuse
 from repro.diffusion.push import push_diffuse
 from repro.graphs.generators import SBMConfig, attributed_sbm
 

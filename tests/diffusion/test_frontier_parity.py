@@ -1,8 +1,10 @@
 """Bitwise pinning: frontier engines vs. the pre-frontier reference kernels.
 
-PR 3 rewrote every sequential engine around an explicit frontier with
-three scatter kernels (volume-local gather, row-sliced CSC mat-vec, full
-mat-vec).  The contract is that this is a pure reorganization: on any
+The sequential engines run around an explicit frontier with three
+scatter kernels (volume-local gather, row-sliced CSC mat-vec, full
+mat-vec); greedy, non-greedy and adaptive are modes of one loop,
+:func:`repro.diffusion.frontier._frontier_diffuse`, and push keeps its
+own queue.  The contract is that this is a pure reorganization: on any
 input, every engine's ``q``/``residual`` must equal the retained
 reference implementation **bit for bit** (``np.array_equal``, not
 allclose), the iteration/step counts exactly, and — for adaptive — the
@@ -20,9 +22,7 @@ import pytest
 import repro.diffusion.base as diffusion_base
 import repro.diffusion.workspace as workspace_mod
 from repro.diffusion import reference as ref
-from repro.diffusion.adaptive import adaptive_diffuse
-from repro.diffusion.greedy import greedy_diffuse
-from repro.diffusion.nongreedy import nongreedy_diffuse
+from repro.diffusion import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from repro.diffusion.push import push_diffuse
 from repro.diffusion.workspace import DiffusionWorkspace
 from repro.graphs.generators import SBMConfig, attributed_sbm

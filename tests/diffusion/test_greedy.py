@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.diffusion.greedy import greedy_diffuse
+from repro.diffusion import greedy_diffuse
 from repro.diffusion.push import push_diffuse
 
 

@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.diffusion.adaptive import adaptive_diffuse
+from repro.diffusion import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from repro.diffusion.exact import exact_diffusion
-from repro.diffusion.greedy import greedy_diffuse
-from repro.diffusion.nongreedy import nongreedy_diffuse
 from repro.diffusion.push import push_diffuse
 from repro.graphs.generators import SBMConfig, attributed_sbm
 

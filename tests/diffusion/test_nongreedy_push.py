@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.diffusion.nongreedy import nongreedy_diffuse
+from repro.diffusion import nongreedy_diffuse
 from repro.diffusion.push import push_diffuse
 
 

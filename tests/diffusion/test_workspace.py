@@ -16,9 +16,7 @@ import pytest
 from repro.core.config import LacaConfig
 from repro.core.laca import laca_scores
 from repro.core.pipeline import LACA
-from repro.diffusion.adaptive import adaptive_diffuse
-from repro.diffusion.greedy import greedy_diffuse
-from repro.diffusion.nongreedy import nongreedy_diffuse
+from repro.diffusion import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from repro.diffusion.push import push_diffuse
 from repro.diffusion.workspace import DiffusionWorkspace, sorted_union
 from repro.graphs.generators import SBMConfig, attributed_sbm
@@ -144,37 +142,49 @@ class TestBufferHygiene:
         assert not ws.in_queue.any()
 
 
+@pytest.fixture(scope="module")
+def big_graph():
+    return attributed_sbm(
+        SBMConfig(n=40_000, n_communities=10, avg_degree=6.0, d=8),
+        seed=3,
+        name="ws-big",
+    )
+
+
 class TestZeroAllocationHotPath:
-    def test_local_query_allocates_no_length_n_arrays(self):
+    @pytest.mark.parametrize(
+        "engine, seed",
+        [("greedy", 13), ("adaptive", 12), ("adaptive", 13)],
+    )
+    def test_local_query_allocates_no_length_n_arrays(self, big_graph, engine, seed):
         """A steady-state query in the local regime must not allocate any
-        length-``n`` array (the PR 3 serving contract)."""
-        big = attributed_sbm(
-            SBMConfig(n=40_000, n_communities=10, avg_degree=6.0, d=8),
-            seed=3,
-            name="ws-big",
-        )
-        config = LacaConfig(
-            metric="cosine", k=8, diffusion="greedy", epsilon=1e-3
-        )
-        model = LACA(config).fit(big)
+        length-``n`` array, not even a transient one, with the greedy or
+        the adaptive engine.  Adaptive seed 13 ends with an empty Step 3
+        support, so it also covers top-k's fill with zero-score nodes."""
+        config = LacaConfig(metric="cosine", k=8, diffusion=engine, epsilon=1e-3)
+        model = LACA(config).fit(big_graph)
         ws = model.make_workspace()
         model.cluster(11, 8, workspace=ws)  # warm: caches and pools settled
-        result = laca_scores(big, 12, config=config, tnam=model.tnam, workspace=ws)
+        result = laca_scores(
+            big_graph, seed, config=config, tnam=model.tnam, workspace=ws
+        )
         # ε=1e-3 bounds the touched volume at 5000 ≪ n/8: every scatter
         # stays on the zero-allocation unique route.
-        assert 8 < result.scores_support.size < big.n // 8
-        threshold = big.n * 8 // 2  # half a float64 length-n buffer
+        assert 8 < result.rwr.touched.size < big_graph.n // 8
+        if (engine, seed) == ("adaptive", 13):
+            assert result.scores_support.size < 8
+        else:
+            assert 8 < result.scores_support.size < big_graph.n // 8
+        threshold = big_graph.n * 8 // 2  # half a float64 length-n buffer
         tracemalloc.start()
         try:
-            model.cluster(13, 8, workspace=ws)
-            snapshot = tracemalloc.take_snapshot()
+            tracemalloc.reset_peak()
+            model.cluster(seed, 8, workspace=ws)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        big_blocks = [
-            trace for trace in snapshot.traces if trace.size >= threshold
-        ]
-        assert not big_blocks, (
-            f"hot path allocated {len(big_blocks)} length-n-scale block(s)"
+        assert peak < threshold, (
+            f"hot path peaked at {peak} traced bytes, a length-n-scale allocation"
         )
 
 

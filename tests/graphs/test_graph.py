@@ -236,7 +236,7 @@ class TestKernelSwitch:
     def test_switch_is_output_neutral_on_star(self):
         """Both kernels answer the hub scatter identically, so the
         switch is pure performance (diffusion outputs pinned)."""
-        from repro.diffusion.greedy import greedy_diffuse
+        from repro.diffusion import greedy_diffuse
         from repro.diffusion.reference import reference_greedy_diffuse
 
         n = 300
