@@ -2,8 +2,8 @@
 
 Step 2 of :func:`~repro.core.laca.laca_scores` and
 :func:`~repro.core.laca.laca_scores_batch` is a pair of skinny dense
-products (``|support| × k`` against a vector or an ``× B`` block) sitting
-between sparse diffusions that run on the calling thread alone.  A
+products per seed (``|support| × k`` against a vector) sitting between
+sparse diffusions that run on the calling thread alone.  A
 multithreaded OpenBLAS wakes its helper threads for them, and the
 helpers then spin-wait for the next call.  On a 2-CPU host a helper that
 lands on the diffusion's CPU can slow every later block of the process:

@@ -92,6 +92,35 @@ def _diffuse(
     raise ValueError(f"unknown diffusion engine {config.diffusion!r}")
 
 
+def _snas_input(
+    pi: np.ndarray,
+    support: np.ndarray,
+    degrees: np.ndarray,
+    z: np.ndarray | None,
+    phi: np.ndarray,
+) -> tuple[np.ndarray | None, float]:
+    """Step 2 of Algo 4 for one seed, the same on every path.
+
+    ψ = Σ_{i∈supp(π′)} π′_i z(i) (Eq. 12), then φ′_i = max(ψ · z(i), 0) ·
+    d(vi) on the same ``support`` (Eq. 13), written into ``phi`` — a
+    contiguous length-``n`` vector that is zero off the support.  With
+    ``z`` None (no SNAS) φ′_i = π′_i · d(vi).  Returns ``(ψ, ‖φ′‖₁)``,
+    the mass summed over all of ``phi`` so that both paths add the same
+    numbers in the same order.  The products run on one BLAS thread
+    (see ``core/blas.py``).
+    """
+    # A graph-wide support is a plain slice: Z is read in place, not copied.
+    rows = slice(None) if support.size == phi.shape[0] else support
+    if z is None:
+        phi[rows] = pi[rows] * degrees[rows]
+        return None, float(phi.sum())
+    z_rows = z[rows]
+    with single_blas_thread():
+        psi = pi[rows] @ z_rows
+        phi[rows] = np.maximum(z_rows @ psi, 0.0) * degrees[rows]
+    return psi, float(phi.sum())
+
+
 def laca_scores(
     graph: AttributedGraph,
     seed: int,
@@ -145,25 +174,16 @@ def laca_scores(
     else:
         support = np.flatnonzero(pi)
 
-    # Step 2: ψ = Σ_{i∈supp(π′)} π′_i z(i) (Eq. 12), then
-    # φ′_i = (ψ · z(i)) · d(vi) on the same support (Eq. 13).
-    psi = None
+    # Step 2: ψ (Eq. 12) and φ′ (Eq. 13) on π′'s support.
     if workspace is not None:
         phi = workspace.input  # recycled in place: clear the seed staging
         phi[seed] = 0.0
         workspace.note_input(support)
     else:
         phi = np.zeros(graph.n)
-    if use_snas:
-        z_rows = tnam.z[support]
-        with single_blas_thread():
-            psi = pi[support] @ z_rows
-            phi[support] = np.maximum(z_rows @ psi, 0.0) * degrees[support]
-    else:
-        phi[support] = pi[support] * degrees[support]
+    psi, phi_mass = _snas_input(pi, support, degrees, tnam.z if use_snas else None, phi)
 
     # Step 3: diffuse φ′ with threshold ε·‖φ′‖₁ and divide by degrees.
-    phi_mass = float(phi.sum())
     if phi_mass <= 0.0:
         if workspace is not None:
             slot = workspace.acquire()
@@ -205,14 +225,15 @@ class LacaBatchResult:
     """Scores and diagnostics from one batched LACA run over ``B`` seeds.
 
     ``scores`` stacks the per-seed approximate BDD vectors ρ′ as columns;
-    column ``b`` answers ``seeds[b]``.  Diagnostics expose the two block
-    diffusions (``bdd`` is None when every column had zero SNAS mass).
+    column ``b`` answers ``seeds[b]`` and is bitwise the ``scores`` of
+    :func:`laca_scores` for that seed.  Diagnostics expose the two block
+    diffusions, one column per seed.
     """
 
     scores: np.ndarray
     seeds: np.ndarray
     rwr: BatchDiffusionResult
-    bdd: BatchDiffusionResult | None
+    bdd: BatchDiffusionResult
     psi: np.ndarray | None
 
     @property
@@ -220,16 +241,27 @@ class LacaBatchResult:
         return self.seeds.shape[0]
 
     def support_sizes(self) -> np.ndarray:
-        """Per-query count of nodes the diffusion actually touched."""
+        """Per-query count of non-zero scores."""
         return np.count_nonzero(self.scores, axis=0)
 
     def column(self, b: int) -> np.ndarray:
         """The ρ′ vector of query ``b`` (a copy-free column view)."""
         return self.scores[:, b]
 
-    def cluster(self, b: int, size: int) -> np.ndarray:
-        """Top-``size`` nodes of query ``b`` (its seed always included)."""
-        return top_k_cluster(self.scores[:, b], size, int(self.seeds[b]))
+    def query(self, b: int) -> LacaResult:
+        """Query ``b`` as a :class:`LacaResult` of column views.
+
+        Its scores, and so its :meth:`LacaResult.cluster`, are bitwise
+        those of :func:`laca_scores` for ``seeds[b]``.  The block engine
+        tracks no frontier, so ``touched`` and ``scores_support`` are None.
+        """
+        return LacaResult(
+            scores=self.scores[:, b],
+            seed=int(self.seeds[b]),
+            rwr=self.rwr.column(b),
+            bdd=self.bdd.column(b),
+            psi=None if self.psi is None else self.psi[b],
+        )
 
 
 def _batch_diffuse_cfg(
@@ -253,16 +285,15 @@ def laca_scores_batch(
 ) -> LacaBatchResult:
     """Run Algo 4 for many seeds at once via block diffusion.
 
-    Column ``b`` of the result matches ``laca_scores(graph, seeds[b])``
-    run with the same config — exactly on non-SNAS graphs, and up to
-    floating-point accumulation order on the SNAS path, where Step 2's
-    batched mat-mats sum over the block's union support instead of each
-    column's own support slice (O(1e-16) relative noise; the diffusion
-    schedules themselves are identical).  Step 1 diffuses all one-hot
-    seed columns as one ``n × B`` block, Step 2 computes every ψ via one
-    ``Π[U]ᵀ Z[U]`` mat-mat and every φ′ via one ``Z[U] Ψᵀ`` mat-mat over
-    the union support ``U`` (Eqs. 12/13), and Step 3 block-diffuses Φ′
-    with per-column thresholds ``ε·‖φ′_b‖₁``.
+    Column ``b`` of the result is bitwise ``laca_scores(graph, seeds[b])``
+    run with the same config.  Step 1 diffuses all one-hot seed columns
+    as one ``n × B`` block; Step 2 runs per column, through the same
+    Eqs. 12–13 code as :func:`laca_scores` on that column's own support;
+    Step 3 block-diffuses Φ′ with per-column thresholds ``ε·‖φ′_b‖₁``.
+    The block diffusions replay each column's sequential schedule, so
+    the columns agree bit for bit.  A zero-mass column (no positive SNAS
+    mass on its support) has an all-zero input, never activates, and
+    keeps all-zero scores, as :func:`laca_scores` returns.
     Duplicate seeds are answered independently (identical columns); a
     ``"push"`` diffusion config degrades to a per-column loop because the
     queue-based engine has no block form.
@@ -290,76 +321,31 @@ def laca_scores_batch(
     rwr_result = _batch_diffuse_cfg(graph, F, config, config.epsilon)
     Pi = rwr_result.q
 
-    # Step 2 (block): Ψ = Πᵀ Z (Eq. 12, one mat-mat for every column's
-    # support sum) and Φ′ = relu(Z Ψᵀ) ⊙ d restricted to each column's
-    # own support (Eq. 13).  The mat-mats and the per-column support
-    # mask run on the *union support* of the block — the rows some
-    # column actually reached — so Step 2 costs O(|U|·k·B), not
-    # O(n·k·B), and the old dense n×B ``Phi[Pi == 0.0]`` mask is gone.
-    # Both mat-mats run on one BLAS thread (see ``core/blas.py``).
-    psi = None
-    if use_snas:
-        union = np.flatnonzero(Pi.any(axis=1))
-        z_union = tnam.z[union]
-        pi_union = Pi[union]
-        with single_blas_thread():
-            psi = pi_union.T @ z_union
-            phi_union = np.maximum(z_union @ psi.T, 0.0) * degrees[union][:, None]
-        phi_union[pi_union == 0.0] = 0.0
-        masses = phi_union.sum(axis=0)
-    else:
-        Phi = Pi * degrees[:, None]
-        masses = Phi.sum(axis=0)
+    # Step 2, column by column, through laca_scores' own code: π′_b and
+    # φ′_b are contiguous rows of the transposed blocks, as in laca_scores.
+    z = tnam.z if use_snas else None
+    psi = np.zeros((n_queries, z.shape[1])) if use_snas else None
+    masses = np.zeros(n_queries)
+    PhiT = np.zeros((n_queries, n))
+    with single_blas_thread():
+        for b, pi in enumerate(np.ascontiguousarray(Pi.T)):
+            psi_b, masses[b] = _snas_input(pi, np.flatnonzero(pi), degrees, z, PhiT[b])
+            if use_snas:
+                psi[b] = psi_b
 
-    # Step 3 (block): diffuse the surviving Φ′ columns with per-column
-    # thresholds ε·‖φ′_b‖₁ and divide by degrees.  Zero-mass columns
-    # (no positive SNAS mass on the support) keep all-zero scores.
-    live = np.flatnonzero(masses > 0.0)
-    scores = np.zeros((n, n_queries))
-    bdd_result = None
-    if live.size:
-        if use_snas:
-            live_block = np.zeros((n, live.size))
-            live_block[union] = phi_union[:, live]
-        else:
-            live_block = Phi[:, live]
-        bdd_result = _batch_diffuse_cfg(
-            graph, live_block, config, config.epsilon * masses[live]
-        )
-        if live.size < n_queries:
-            bdd_result = _expand_columns(bdd_result, live, n_queries)
-        scores = bdd_result.q / degrees[:, None]
-    return LacaBatchResult(
-        scores=scores, seeds=seeds, rwr=rwr_result, bdd=bdd_result, psi=psi
+    # Step 3 (block): diffuse Φ′ with per-column thresholds ε·‖φ′_b‖₁
+    # and divide by degrees.  A zero-mass column gets any positive
+    # threshold: its all-zero input never activates.
+    thresholds = config.epsilon * np.where(masses > 0.0, masses, 1.0)
+    bdd_result = _batch_diffuse_cfg(
+        graph, np.ascontiguousarray(PhiT.T), config, thresholds
     )
-
-
-def _expand_columns(
-    result: BatchDiffusionResult, live: np.ndarray, n_queries: int
-) -> BatchDiffusionResult:
-    """Re-insert retired all-zero columns so diagnostics align with seeds."""
-    n = result.q.shape[0]
-    q = np.zeros((n, n_queries))
-    residual = np.zeros((n, n_queries))
-    column_iterations = np.zeros(n_queries, dtype=np.int64)
-    greedy_steps = np.zeros(n_queries, dtype=np.int64)
-    nongreedy_steps = np.zeros(n_queries, dtype=np.int64)
-    work = np.zeros(n_queries)
-    q[:, live] = result.q
-    residual[:, live] = result.residual
-    column_iterations[live] = result.column_iterations
-    greedy_steps[live] = result.greedy_steps
-    nongreedy_steps[live] = result.nongreedy_steps
-    work[live] = result.work
-    return BatchDiffusionResult(
-        q=q,
-        residual=residual,
-        iterations=result.iterations,
-        column_iterations=column_iterations,
-        greedy_steps=greedy_steps,
-        nongreedy_steps=nongreedy_steps,
-        work=work,
-        residual_history=result.residual_history,
+    return LacaBatchResult(
+        scores=bdd_result.q / degrees[:, None],
+        seeds=seeds,
+        rwr=rwr_result,
+        bdd=bdd_result,
+        psi=psi,
     )
 
 

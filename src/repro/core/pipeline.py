@@ -12,7 +12,8 @@ the TNAM once, reusable for every seed) and a per-seed online stage
 Many seed queries go through :meth:`LACA.cluster_many`, which answers
 them one at a time while they stay local and stacks the rest of a block
 into one ``n × B`` block diffusion (:meth:`LACA.scores_batch`, shared
-sparse mat-mats instead of ``B`` traversals) once they saturate the graph:
+sparse mat-mats instead of ``B`` traversals) once they saturate the graph.
+Both paths return bitwise the same scores, hence the same clusters:
 
     >>> clusters = model.cluster_many([0, 17, 42], size=120)
     >>> block = model.scores_batch([0, 17, 42])  # per-seed ρ′ columns
@@ -178,9 +179,10 @@ class LACA:
     def scores_batch(self, seeds) -> LacaBatchResult:
         """Answer many seed queries with one block diffusion (Algo 4 ×B).
 
-        Column ``b`` of the result is the ρ′ vector of ``seeds[b]``; all
-        columns share a single sparse mat-mat per diffusion iteration
-        instead of one traversal per seed.
+        Column ``b`` of the result is the ρ′ vector of ``seeds[b]``,
+        bitwise :meth:`scores` of that seed; all columns share a single
+        sparse mat-mat per diffusion iteration instead of one traversal
+        per seed.
         """
         graph = self._require_fit()
         return laca_scores_batch(graph, seeds, config=self.config, tnam=self.tnam)
@@ -190,9 +192,9 @@ class LACA:
     ) -> list[np.ndarray]:
         """Clusters of one block of seeds, routed by the engines' kernels.
 
-        Element ``b`` is the top-``sizes[b]`` cluster of ``seeds[b]``.
-        Seeds are answered one at a time on the sequential path (bitwise
-        :meth:`cluster`) while they stay local; once the block's kernel
+        Element ``b`` is the top-``sizes[b]`` cluster of ``seeds[b]``,
+        bitwise :meth:`cluster`.  Seeds are answered one at a time on the
+        sequential path while they stay local; once the block's kernel
         tally shows they saturate the graph
         (:func:`~repro.diffusion.base.block_diffusion_pays`), the
         remaining seeds share one :meth:`scores_batch` block diffusion.
@@ -203,9 +205,7 @@ class LACA:
             raise ValueError(f"got {len(seeds)} seeds but {len(sizes)} cluster sizes")
         if workspace is None:
             workspace = self.make_workspace()
-        clusters, _ = route_block(
-            self, [workspace], seeds, sizes, LacaResult.cluster, LacaBatchResult.cluster
-        )
+        clusters, _ = route_block(self, [workspace], seeds, sizes, LacaResult.cluster)
         return clusters
 
     def cluster_many(
@@ -217,7 +217,8 @@ class LACA:
         Seeds are answered in blocks of up to ``batch_size`` through
         :meth:`cluster_block`: sequentially while the queries stay local,
         and the rest of a block through one :meth:`scores_batch` block
-        diffusion once they saturate the graph.  ``size=None`` uses each
+        diffusion once they saturate the graph.  Every cluster is bitwise
+        :meth:`cluster`, whatever ``batch_size``.  ``size=None`` uses each
         seed's ground-truth cluster size (the paper's evaluation
         protocol); that requires the graph to carry communities.
         ``batch_size`` caps the block width (None answers all seeds in

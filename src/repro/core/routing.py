@@ -26,8 +26,10 @@ tally and scatter volume then route the rest:
 - **Otherwise** the calling thread answers the rest alone, checking the
   tally before each seed.
 
-Every sequentially answered seed is bitwise equal to
-:meth:`~repro.core.pipeline.LACA.cluster`, whichever thread ran it.
+Every seed's scores are bitwise those of
+:meth:`~repro.core.pipeline.LACA.scores`, whichever path and thread
+answered it: a batch column runs the same Step 2 code as the sequential
+path (see :func:`~repro.core.laca.laca_scores_batch`).
 Helper threads live only inside one :func:`route_block` call, and an
 exception on any thread fails the whole call.
 """
@@ -139,23 +141,23 @@ class _Block:
             end_kernel_tally()
 
 
-def route_block(model, workspaces, seeds, sizes, take, take_column):
+def route_block(model, workspaces, seeds, sizes, take):
     """Answer one block of seeds by the routing rule of this module.
 
     ``workspaces`` is a non-empty sequence of
     :class:`~repro.diffusion.DiffusionWorkspace`; the calling thread uses
     the first, and each other one may serve one helper thread.
-    ``take(result, size)`` turns a sequential
-    :class:`~repro.core.laca.LacaResult` into the record kept for its
-    seed; it runs on the thread that answered the seed, before that
-    workspace's next query.  ``take_column(result, c, size)`` does the
-    same for column ``c`` of a :class:`~repro.core.laca.LacaBatchResult`.
+    ``take(result, size)`` turns a seed's
+    :class:`~repro.core.laca.LacaResult` into the record kept for it.  A
+    sequential result is taken on the thread that answered the seed,
+    before that workspace's next query; a batched seed's result is
+    :meth:`~repro.core.laca.LacaBatchResult.query` of its column.
 
     Returns ``(records, tally)``: ``records[b]`` answers ``seeds[b]`` and
     ``tally`` is the block's merged kernel-selection count.  The seed at
     which a saturating block switches to the batch may depend on thread
-    timing when the block fans out; the answers of the sequential path
-    do not.
+    timing when the block fans out; the answers do not, because both
+    paths return bitwise the same scores.
     """
     block = _Block(model, seeds, sizes, take)
     local = begin_kernel_tally()
@@ -185,7 +187,7 @@ def route_block(model, workspaces, seeds, sizes, take, take_column):
         if rest < len(seeds):
             result = model.scores_batch(seeds[rest:])
             for c, size in enumerate(sizes[rest:]):
-                block.records[rest + c] = take_column(result, c, int(size))
+                block.records[rest + c] = take(result.query(c), int(size))
             block.merge(local)
     finally:
         end_kernel_tally()

@@ -95,10 +95,13 @@ class BatchDiffusionResult:
         return np.count_nonzero(self.q, axis=0)
 
     def column(self, b: int) -> DiffusionResult:
-        """View column ``b`` as a sequential-style :class:`DiffusionResult`."""
+        """View column ``b`` as a sequential-style :class:`DiffusionResult`.
+
+        ``q`` and ``residual`` are views into the block, not copies.
+        """
         return DiffusionResult(
-            q=self.q[:, b].copy(),
-            residual=self.residual[:, b].copy(),
+            q=self.q[:, b],
+            residual=self.residual[:, b],
             iterations=int(self.column_iterations[b]),
             greedy_steps=int(self.greedy_steps[b]),
             nongreedy_steps=int(self.nongreedy_steps[b]),

@@ -224,11 +224,16 @@ class GraphDelta:
         return bool(self.add_edges.size or self.remove_edges.size or self.add_nodes)
 
     def touched_nodes(self, n: int) -> np.ndarray:
-        """Sorted ids a delta against an ``n``-node graph can affect.
+        """Sorted ids whose adjacency row, degree or attribute row the
+        delta against an ``n``-node graph rewrites or appends.
 
-        A diffusion whose explored region is disjoint from this set is
-        bitwise unaffected by the delta — the invalidation contract the
-        serving cache relies on.
+        A diffusion whose explored region is disjoint from this set reads
+        none of the rows the delta changed.  That keeps a cached answer
+        exact when the answer depends only on those rows: structural
+        deltas, or a model without a TNAM.  An attribute delta moves
+        every TNAM row (the k-SVD basis and y* are global), so the
+        serving cache drops every answer of a TNAM model on one (see
+        :meth:`~repro.serving.ClusterService.apply_update`).
         """
         parts = [self.add_edges.ravel(), self.remove_edges.ravel()]
         if self.set_attributes is not None:

@@ -6,12 +6,12 @@ dispatcher drains the queue into blocks of up to ``max_batch`` requests
 with :func:`answer_block`.  That function routes the block by the scatter
 kernels the engines themselves pick: while the queries stay local
 (Theorem IV.1: cost tied to the touched volume, not to ``n``) every seed
-is answered on the sequential workspace path, bitwise equal to
-:meth:`LACA.cluster`; once the block's queries saturate the graph (most
-scatters go graph-wide), the remaining seeds share one
-:meth:`LACA.scores_batch` block diffusion.  :func:`answer_block` states
-how the two paths' answers relate.  Answers are remembered in an LRU
-result cache consulted before enqueueing.
+is answered on the sequential workspace path; once the block's queries
+saturate the graph (most scatters go graph-wide), the remaining seeds
+share one :meth:`LACA.scores_batch` block diffusion.  Either way each
+answer is bitwise :meth:`LACA.cluster` (see :func:`answer_block`).
+Answers are remembered in an LRU result cache consulted before
+enqueueing.
 
 With ``workers=0`` (the default) the dispatcher answers every block
 itself and starts no process.  It holds one workspace per usable CPU: a
@@ -180,14 +180,20 @@ def _result_support(result) -> np.ndarray:
     """Sorted union of every node the two diffusions of one query touched.
 
     This is the invalidation footprint the cache stores with the answer:
-    a later delta whose touched set is disjoint from it cannot have
-    influenced the query (no touched node's adjacency row, degree, or
-    attribute row was ever read), so the cached cluster stays exact.
+    a later structural delta whose touched set is disjoint from it cannot
+    have influenced the query (no touched node's adjacency row or degree
+    was ever read), so the cached cluster stays exact.  Attribute deltas
+    of a model with a TNAM invalidate every entry instead (see
+    :meth:`ClusterService._refresh`).
     The union is a boolean mask over the nodes — one Θ(n) pass that costs
     far less than sorting the parts, which are themselves length-``n``
-    once a workspace slot has gone graph-wide (``touched is None``) —
-    and the result is a fresh array, safe past the workspace's next query
-    (int32, see :func:`_support_ids`).
+    once a workspace slot has gone graph-wide — and the result is a fresh
+    array, safe past the workspace's next query (int32, see
+    :func:`_support_ids`).  A diffusion that tracked no frontier
+    (``touched is None``: a graph-wide workspace slot, or a block column)
+    contributes its final ``q``/``residual`` non-zeros, which cover every
+    node it touched: mass is non-negative, so nothing cancels to exactly
+    0.0, and any processed residual deposits ``α·r > 0`` into ``q``.
     """
     mask = np.zeros(result.scores.shape[0], dtype=bool)
     for diffusion in (result.rwr, result.bdd):
@@ -199,41 +205,16 @@ def _result_support(result) -> np.ndarray:
     return _support_ids(mask)
 
 
-def _batch_support(result, b: int) -> np.ndarray:
-    """Per-column touched-node union for one query of a batched block.
-
-    Final ``q``/``residual`` non-zeros cover every touched node: mass is
-    non-negative (no cancellation to exactly 0.0) and any processed
-    residual deposits ``α·r > 0`` into ``q``.  Built as a boolean mask,
-    like :func:`_result_support`.
-    """
-    mask = result.rwr.q[:, b] != 0.0
-    mask |= result.rwr.residual[:, b] != 0.0
-    if result.bdd is not None:
-        mask |= result.bdd.q[:, b] != 0.0
-        mask |= result.bdd.residual[:, b] != 0.0
-    return _support_ids(mask)
-
-
 def _answer_seed(result, size: int) -> tuple:
-    """Record of one query answered on the sequential path: cluster,
-    support, iterations and frontier peak (see :func:`answer_block`)."""
+    """Record of one query's :class:`~repro.core.laca.LacaResult`, from
+    either path: cluster, support, iterations and frontier peak (see
+    :func:`answer_block`)."""
     return (
         top_k_cluster(result.scores, size, result.seed, support=result.scores_support),
         _result_support(result),
         result.rwr.iterations + result.bdd.iterations,
         max(result.rwr.frontier_peak, result.bdd.frontier_peak),
     )
-
-
-def _answer_column(result, c: int, size: int) -> tuple:
-    """Record of column ``c`` of a block diffusion, as :func:`_answer_seed`;
-    the block engine tracks no frontier peak."""
-    bdd = result.bdd
-    iterations = int(result.rwr.column_iterations[c])
-    if bdd is not None:
-        iterations += int(bdd.column_iterations[c])
-    return result.cluster(c, size), _batch_support(result, c), iterations, 0
 
 
 def answer_block(model: LACA, workspaces, seeds, sizes, metrics):
@@ -255,26 +236,16 @@ def answer_block(model: LACA, workspaces, seeds, sizes, metrics):
     ``supports[b]`` is the sorted touched-node union the result cache
     stores as query ``b``'s invalidation footprint.
 
-    Path contract: a block whose queries stay local is answered entirely
-    on the sequential path, bitwise equal to :meth:`LACA.cluster`, on
-    whichever thread.  Only the block remainder of a saturating block
-    takes the block path, whose column ``b`` equals sequential
-    :meth:`LACA.cluster` up to floating-point accumulation order —
-    exactly on non-SNAS graphs, while on the SNAS path Step 2 sums over
-    the block's union support (see
-    :func:`~repro.core.laca.laca_scores_batch`).  In a fanned-out block,
-    the seed at which a saturating block switches to the block path may
-    depend on thread timing.  Block composition already depends on timing
-    through the gather window, so this adds no new kind of path
-    dependence.  The serving tests check equal clusters on their graphs,
-    but a top-k near-tie could flip membership and make a cached answer
-    depend on the path that computed it: the open risk of item 4 in
-    ``ROADMAP.md``.
+    Path contract: every answer is bitwise :meth:`LACA.cluster`, on
+    whichever path, thread or block it was computed.  A block column of
+    :meth:`LACA.scores_batch` runs Step 2 through the same code as
+    :meth:`LACA.scores` and is handed to the same record function.  Only
+    the supports may differ by path: the sequential path stores the
+    union of its touched sets, the block path the non-zero ``q``/``r``
+    mask of its columns, and both are sound invalidation footprints.
     """
     start = time.perf_counter()
-    records, tally = route_block(
-        model, workspaces, seeds, sizes, _answer_seed, _answer_column
-    )
+    records, tally = route_block(model, workspaces, seeds, sizes, _answer_seed)
     engine_seconds = time.perf_counter() - start
     for kind, count in tally.items():
         metrics.kernel_selections.labels(kind).inc(count)
@@ -569,7 +540,10 @@ class ClusterService:
         the refreshed model under the new epoch.  Cached answers from
         the previous epoch are reconciled eagerly — entries whose
         recorded support is disjoint from the delta's touched nodes are
-        carried over (still bitwise exact), the rest are invalidated.
+        carried over (still bitwise exact), the rest are invalidated.  A
+        delta that rewrites or appends attribute rows invalidates every
+        entry when the model has a TNAM, because the refresh moves every
+        row of Z.
 
         Updates are serialized; blocks until the refresh has landed (at
         most ``timeout`` seconds).  Must not be called from a future
@@ -898,6 +872,12 @@ class ClusterService:
                     touched = update.touched
                     if head.epoch != update.epoch:
                         touched = self._store.touched_since(previous)
+                    if self.model.tnam is not None:
+                        rows = self._store.attribute_rows_since(previous)
+                        if rows is None or rows.size:
+                            # A TNAM refresh moves every row of Z: the
+                            # k-SVD basis and y* = Σ y(ℓ) are global.
+                            touched = None
                     promoted, invalidated = self.cache.advance_epoch(
                         head.epoch, touched, expected_epoch=previous
                     )

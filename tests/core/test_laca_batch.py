@@ -1,10 +1,11 @@
 """Tests for the batched LACA path: laca_scores_batch and the pipeline.
 
 The batched path must be an *equivalent reformulation*, not an
-approximation: per-seed scores match the sequential ``laca_scores`` to
-float-accumulation noise and the extracted clusters match exactly,
-including the edge cases (B=1, duplicate seeds, zero-φ′ columns,
-non-attributed graphs) and across every registered synthetic dataset.
+approximation: every column's scores are bitwise the sequential
+``laca_scores`` answer, because Step 2 runs through the same code on
+both paths, including the edge cases (B=1, duplicate seeds, zero-φ′
+columns, non-attributed graphs) and across every registered synthetic
+dataset.
 """
 
 import numpy as np
@@ -16,44 +17,60 @@ from repro.core.laca import laca_scores, laca_scores_batch
 from repro.core.pipeline import LACA
 from repro.graphs.datasets import dataset_names, load_dataset
 
-#: Step 2's batched mat-mats accumulate in a different (BLAS) order than
-#: the sequential support-sliced products, so scores carry O(1e-16)
-#: noise; everything downstream of identical diffusion schedules agrees
-#: to this tolerance.
-ATOL = 1e-12
-
 ENGINES = ["greedy", "nongreedy", "adaptive", "push"]
+
+#: Step 2 variants: the two SNAS metrics and the attribute-free ablation.
+VARIANTS = {
+    "cosine": {"metric": "cosine"},
+    "exp_cosine": {"metric": "exp_cosine"},
+    "no_snas": {"metric": "cosine", "use_snas": False},
+}
 
 
 def _config(engine="greedy", **overrides):
     overrides.setdefault("k", 8)
-    return LacaConfig(metric="cosine", diffusion=engine, **overrides)
+    overrides.setdefault("metric", "cosine")
+    return LacaConfig(diffusion=engine, **overrides)
 
 
 def _fit(graph, config):
     return LACA(config).fit(graph)
 
 
+def _assert_columns_bitwise(batch, graph, seeds, config, tnam):
+    for b, seed in enumerate(seeds):
+        seq = laca_scores(graph, seed, config=config, tnam=tnam)
+        np.testing.assert_array_equal(batch.scores[:, b], seq.scores)
+
+
 class TestScoresParity:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_columns_match_sequential(self, small_sbm, engine):
-        config = _config(engine)
+    def test_columns_match_sequential(self, small_sbm, engine, variant):
+        config = _config(engine, **VARIANTS[variant])
         model = _fit(small_sbm, config)
         seeds = [0, 5, 33, 60]
         batch = laca_scores_batch(small_sbm, seeds, config=config, tnam=model.tnam)
-        for b, seed in enumerate(seeds):
-            seq = laca_scores(small_sbm, seed, config=config, tnam=model.tnam)
-            np.testing.assert_allclose(
-                batch.scores[:, b], seq.scores, rtol=0, atol=ATOL
-            )
+        _assert_columns_bitwise(batch, small_sbm, seeds, config, model.tnam)
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-6])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_saturating_columns_match_sequential(self, engine, epsilon):
+        """On the arxiv analog at ε = 1e-6 every column reaches all n, so
+        Step 2 reads Z in place; at 1e-4 it gathers the support rows."""
+        graph = load_dataset("arxiv", scale=0.1)
+        config = _config(engine, epsilon=epsilon)
+        model = _fit(graph, config)
+        seeds = [3, 150, 411, 799]
+        batch = model.scores_batch(seeds)
+        _assert_columns_bitwise(batch, graph, seeds, config, model.tnam)
 
     def test_single_seed_batch(self, small_sbm):
         config = _config()
         model = _fit(small_sbm, config)
         batch = laca_scores_batch(small_sbm, [7], config=config, tnam=model.tnam)
-        seq = laca_scores(small_sbm, 7, config=config, tnam=model.tnam)
         assert batch.n_queries == 1
-        np.testing.assert_allclose(batch.scores[:, 0], seq.scores, rtol=0, atol=ATOL)
+        _assert_columns_bitwise(batch, small_sbm, [7], config, model.tnam)
 
     def test_duplicate_seeds_identical_columns(self, small_sbm):
         config = _config()
@@ -68,21 +85,23 @@ class TestScoresParity:
         config = _config()
         seeds = [0, 10, 55]
         batch = laca_scores_batch(plain_graph, seeds, config=config)
-        for b, seed in enumerate(seeds):
-            seq = laca_scores(plain_graph, seed, config=config)
-            np.testing.assert_allclose(
-                batch.scores[:, b], seq.scores, rtol=0, atol=ATOL
-            )
+        _assert_columns_bitwise(batch, plain_graph, seeds, config, None)
 
-    def test_without_snas(self, small_sbm):
-        config = _config(use_snas=False)
-        seeds = [2, 8]
-        batch = laca_scores_batch(small_sbm, seeds, config=config)
+    def test_query_is_the_sequential_result(self, small_sbm):
+        """``query(b)`` carries the column's diagnostics and clusters like
+        the sequential result."""
+        config = _config()
+        model = _fit(small_sbm, config)
+        seeds = [0, 5, 33]
+        batch = model.scores_batch(seeds)
         for b, seed in enumerate(seeds):
-            seq = laca_scores(small_sbm, seed, config=config)
-            np.testing.assert_allclose(
-                batch.scores[:, b], seq.scores, rtol=0, atol=ATOL
-            )
+            result, seq = batch.query(b), model.scores(seed)
+            assert result.seed == seed
+            np.testing.assert_array_equal(result.scores, seq.scores)
+            np.testing.assert_array_equal(result.rwr.q, seq.rwr.q)
+            np.testing.assert_array_equal(result.psi, seq.psi)
+            assert np.shares_memory(result.bdd.q, batch.bdd.q)
+            np.testing.assert_array_equal(result.cluster(12), model.cluster(seed, 12))
 
 
 class TestZeroMassColumns:
@@ -107,33 +126,33 @@ class TestZeroMassColumns:
         z[dead_nodes] = 0.0
         return TNAM(z=z, metric="cosine", k=2)
 
-    def test_zero_phi_column_among_live_ones(self, two_triangles):
-        config = LacaConfig(metric="cosine", k=2, diffusion="greedy", epsilon=1e-3)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_zero_phi_column_among_live_ones(self, two_triangles, engine):
+        config = LacaConfig(metric="cosine", k=2, diffusion=engine, epsilon=1e-3)
         tnam = self._tnam(two_triangles.n, dead_nodes=[0, 1, 2])
-        seeds = [0, 4]
+        seeds = [0, 4, 1, 3]
         batch = laca_scores_batch(two_triangles, seeds, config=config, tnam=tnam)
-        for b, seed in enumerate(seeds):
-            seq = laca_scores(two_triangles, seed, config=config, tnam=tnam)
-            np.testing.assert_allclose(
-                batch.scores[:, b], seq.scores, rtol=0, atol=ATOL
-            )
-        assert batch.scores[:, 0].sum() == 0.0
-        assert batch.scores[:, 1].sum() > 0.0
-        assert batch.support_sizes()[0] == 0
-        # Diagnostics for the dead column are all-zero but still aligned.
-        assert batch.bdd is not None
-        assert batch.bdd.column_iterations[0] == 0
-        assert batch.bdd.column_iterations[1] > 0
+        _assert_columns_bitwise(batch, two_triangles, seeds, config, tnam)
+        assert batch.scores[:, [0, 2]].sum() == 0.0
+        assert (batch.scores[:, [1, 3]].sum(axis=0) > 0.0).all()
+        np.testing.assert_array_equal(batch.support_sizes()[[0, 2]], [0, 0])
+        # Diagnostics for the dead columns are all-zero but still aligned.
+        np.testing.assert_array_equal(batch.bdd.column_iterations[[0, 2]], [0, 0])
+        assert (batch.bdd.column_iterations[[1, 3]] > 0).all()
 
     def test_all_columns_zero_mass(self, two_triangles):
         config = LacaConfig(metric="cosine", k=2, diffusion="greedy", epsilon=1e-3)
         tnam = self._tnam(two_triangles.n, dead_nodes=list(range(6)))
         batch = laca_scores_batch(two_triangles, [0, 3], config=config, tnam=tnam)
-        assert batch.bdd is None
         assert batch.scores.sum() == 0.0
+        assert not batch.bdd.q.any() and not batch.bdd.residual.any()
+        np.testing.assert_array_equal(batch.bdd.column_iterations, [0, 0])
         # Clusters still contain the forced seed plus index-order filler.
-        cluster = batch.cluster(0, 3)
+        cluster = batch.query(0).cluster(3)
         assert 0 in cluster
+        np.testing.assert_array_equal(
+            cluster, laca_scores(two_triangles, 0, config, tnam).cluster(3)
+        )
 
 
 class TestClusterEquality:
@@ -161,7 +180,7 @@ class TestClusterEquality:
         for b, seed in enumerate(seeds):
             size = graph.ground_truth_cluster(seed).shape[0]
             np.testing.assert_array_equal(
-                batch.cluster(b, size), model.cluster(seed, size)
+                batch.query(b).cluster(size), model.cluster(seed, size)
             )
 
 
@@ -182,7 +201,7 @@ class TestClusterManyRouting:
         for lo in (0, 4):
             batch = model.scores_batch(seeds[lo : lo + 4])
             for b, seed in enumerate(seeds[lo : lo + 4]):
-                block_only[seed] = batch.cluster(b, 15)
+                block_only[seed] = batch.query(b).cluster(15)
         widths = []
         original = model.scores_batch
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import routing
 from repro.core.config import LacaConfig
-from repro.core.laca import LacaBatchResult, LacaResult
+from repro.core.laca import LacaResult
 from repro.core.pipeline import LACA
 from repro.graphs.datasets import load_dataset
 
@@ -32,9 +32,7 @@ def test_more_threads_than_cores_lose_no_update(model, monkeypatch):
     sizes = [SIZE] * len(seeds)
 
     def route(workspaces):
-        return routing.route_block(
-            model, workspaces, seeds, sizes, LacaResult.cluster, LacaBatchResult.cluster
-        )
+        return routing.route_block(model, workspaces, seeds, sizes, LacaResult.cluster)
 
     expected, expected_tally = route([model.make_workspace()])
     assert "full" not in expected_tally, expected_tally

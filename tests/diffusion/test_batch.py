@@ -175,6 +175,9 @@ class TestDispatcher:
         assert isinstance(column, DiffusionResult)
         np.testing.assert_array_equal(column.q, result.q[:, 0])
         assert column.iterations == result.column_iterations[0]
+        # Views into the block, not copies.
+        assert np.shares_memory(column.q, result.q)
+        assert np.shares_memory(column.residual, result.residual)
 
 
 class TestValidation:

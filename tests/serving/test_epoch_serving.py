@@ -90,6 +90,35 @@ class TestApplyUpdate:
                 hit, _fresh_answer(service.store.head, config, 0, 4)
             )
 
+    def test_attribute_delta_invalidates_every_tnam_answer(
+        self, rng, two_component_graph
+    ):
+        """A TNAM refresh moves every row of Z (the k-SVD basis and y* are
+        global), so an attribute delta promotes nothing, even an entry in
+        the other component; an edge-only delta still promotes it."""
+        config = LacaConfig(k=6)
+        model = LACA(config).fit(two_component_graph)
+        seeds = [0, 3, 8]
+        with ClusterService(model, cache_size=64) as service:
+            for seed in seeds:
+                service.cluster(seed, 4)
+            row = np.abs(rng.normal(size=(1, two_component_graph.d))) + 0.05
+            out = service.apply_update(GraphDelta(set_attributes=([9], row)))
+            assert out["entries_promoted"] == 0
+            assert out["entries_invalidated"] == len(seeds)
+            head = service.store.head
+            for seed in seeds:
+                np.testing.assert_array_equal(
+                    service.cluster(seed, 4), _fresh_answer(head, config, seed, 4)
+                )
+            out = service.apply_update(GraphDelta(remove_edges=[(8, 9)]))
+            assert out["entries_promoted"] == 2  # seeds 0 and 3
+            head = service.store.head
+            for seed in seeds:
+                np.testing.assert_array_equal(
+                    service.cluster(seed, 4), _fresh_answer(head, config, seed, 4)
+                )
+
     def test_update_with_node_append_extends_seed_range(self, rng, small_sbm):
         config = LacaConfig(k=16)
         model = LACA(config).fit(small_sbm)

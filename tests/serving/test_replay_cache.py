@@ -9,7 +9,8 @@ two properties that make epoch-aware caching trustworthy at scale:
   epoch (promotion never serves a stale answer), and
 * the promoted/invalidated counters match the trace's overlap
   structure exactly — an entry survives iff its recorded support is
-  disjoint from the delta's touched set.
+  disjoint from the delta's touched set and the delta rewrote no
+  attribute row (a TNAM refresh moves every row of Z).
 """
 
 import numpy as np
@@ -28,8 +29,9 @@ _SIZE = 12
 def scenario():
     # Structure-dominated evolution: sparse, localized churn keeps many
     # query supports disjoint from each delta, so promotion actually
-    # fires (pure drift scenarios touch rows everywhere and invalidate
-    # nearly everything — also covered, by the last test).
+    # fires for a model without a TNAM.  Every epoch also re-draws some
+    # attribute rows (churn and births do), which invalidates every
+    # answer of a TNAM model.
     config = DynamicSBMConfig(
         n=420,
         n_communities=6,
@@ -55,11 +57,13 @@ def _probe_seeds(scenario, per_community=2):
 
 
 class TestEpochCacheUnderReplay:
-    def test_promotions_exact_and_counters_match_overlap(self, scenario):
+    @pytest.mark.parametrize("use_snas", [True, False], ids=["tnam", "no_snas"])
+    def test_promotions_exact_and_counters_match_overlap(self, scenario, use_snas):
         # A large epsilon keeps diffusion supports local (output volume
         # is O(1/((1-α)ε))); with the paper-default 1e-6 every support
         # spans the whole graph and nothing could ever be promoted.
-        model = LACA(LacaConfig(epsilon=0.05)).fit(scenario.base)
+        config = LacaConfig(epsilon=0.05, use_snas=use_snas)
+        model = LACA(config).fit(scenario.base)
         store = GraphStore(scenario.base, history=scenario.epochs + 1)
         probes = _probe_seeds(scenario)
         promoted_total = invalidated_total = 0
@@ -72,6 +76,9 @@ class TestEpochCacheUnderReplay:
                 n_prev = store.head.n
                 expected_epoch = store.head.epoch
                 touched = record.delta.touched_nodes(n_prev)
+                attribute_delta = (
+                    use_snas and record.delta.attribute_rows(n_prev).size > 0
+                )
                 cache = service.cache
                 with cache._lock:
                     entries = list(cache._entries.items())
@@ -79,6 +86,7 @@ class TestEpochCacheUnderReplay:
                     1
                     for key, (_, support) in entries
                     if key[4] == expected_epoch
+                    and not attribute_delta
                     and support is not None
                     and (
                         touched.size == 0
@@ -119,13 +127,15 @@ class TestEpochCacheUnderReplay:
                         fresh.cluster(seed, _SIZE),
                     )
 
-        # The replay must actually exercise both outcomes.
-        assert promoted_total > 0
+        # Without a TNAM the replay exercises both outcomes; with one,
+        # every epoch's attribute rows leave nothing to promote.
         assert invalidated_total > 0
+        assert (promoted_total == 0) if use_snas else (promoted_total > 0)
 
     def test_drift_heavy_stream_invalidates_broadly(self):
-        """Attribute drift everywhere leaves little to promote, and the
-        counters still reconcile epoch by epoch."""
+        """Attribute drift rewrites attribute rows every epoch, so no entry
+        of the TNAM model is promoted, and the counters still reconcile
+        epoch by epoch."""
         config = DynamicSBMConfig(
             n=200,
             n_communities=4,
@@ -147,8 +157,5 @@ class TestEpochCacheUnderReplay:
                 before = service.stats()["cache"]
                 live = before["size"]
                 stats = service.apply_update(record.delta)
-                assert (
-                    stats["entries_promoted"] + stats["entries_invalidated"]
-                    == live
-                )
-                assert stats["entries_invalidated"] > 0
+                assert stats["entries_promoted"] == 0
+                assert stats["entries_invalidated"] == live > 0

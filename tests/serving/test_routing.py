@@ -24,7 +24,7 @@ from repro.graphs.store import GraphDelta
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import ClusterService
 from repro.serving.cache import query_key
-from repro.serving.service import _batch_support, _result_support, answer_block
+from repro.serving.service import _result_support, answer_block
 from repro.serving.telemetry import make_engine_metrics
 
 WORKERS = [0, 2]
@@ -133,42 +133,29 @@ def _old_result_support(result):
 
 
 class TestSupportParity:
-    """The mask unions return exactly the old ``np.unique`` set."""
+    """The mask unions return exactly the old ``np.unique`` set, for a
+    sequential result (with and without a workspace) and for a block
+    column's :class:`~repro.core.laca.LacaResult`."""
 
     @pytest.mark.parametrize("regime", ["frontier_model", "saturated_model"])
     def test_result_support(self, regime, request):
         model = request.getfixturevalue(regime)
         workspace = model.make_workspace()
+        seeds = _seeds(model, 6, seed=3)
+        batch = model.scores_batch(seeds)
         tracked = untracked = 0
-        for seed in _seeds(model, 6, seed=3):
-            for ws in (workspace, None):
-                result = model.scores(seed, workspace=ws)
+        for b, seed in enumerate(seeds):
+            sequential = [model.scores(seed, workspace=workspace), model.scores(seed)]
+            for result in sequential:
                 for diffusion in (result.rwr, result.bdd):
                     tracked += diffusion.touched is not None
                     untracked += diffusion.touched is None
+            for result in (*sequential, batch.query(b)):
                 got = _result_support(result)
                 np.testing.assert_array_equal(got, _old_result_support(result))
                 assert got.dtype == np.int32
-        # Each regime exercises the branch it is here for.
-        assert (tracked if regime == "frontier_model" else untracked) > 0
-
-    @pytest.mark.parametrize("regime", ["frontier_model", "saturated_model"])
-    def test_batch_support(self, regime, request):
-        model = request.getfixturevalue(regime)
-        result = model.scores_batch(_seeds(model, 4, seed=4))
-        for b in range(result.n_queries):
-            expected = _unique_support(
-                [
-                    np.flatnonzero(part[:, b])
-                    for part in (
-                        result.rwr.q, result.rwr.residual,
-                        result.bdd.q, result.bdd.residual,
-                    )
-                ]
-            )
-            got = _batch_support(result, b)
-            np.testing.assert_array_equal(got, expected)
-            assert got.dtype == np.int32
+        # Each sequential regime exercises the branch it is here for.
+        assert tracked > 0 if regime == "frontier_model" else untracked > 0
 
 
 # -- fan-out over one thread per workspace ------------------------------

@@ -2,13 +2,14 @@
 
 Beyond the per-module property tests, these exercise compositions of the
 core data structures over randomly generated inputs: cluster extraction,
-metrics algebra, sweep-cut consistency, and LACA's output invariants.
+metrics algebra, sweep-cut consistency, and LACA's path independence.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.laca import top_k_cluster
+from repro.core.pipeline import LACA
 from repro.core.sweep import sweep_cut
 from repro.eval.metrics import conductance, f1_score, precision, recall
 from repro.graphs.generators import SBMConfig, attributed_sbm
@@ -100,3 +101,33 @@ class TestSweepProperties:
             conductance(graph, result.cluster), result.conductance
         )
         assert (result.profile >= result.conductance - 1e-12).all()
+
+
+class TestLacaPathIndependence:
+    @given(
+        graph_seed=st.integers(min_value=0, max_value=40),
+        seeds_seed=st.integers(min_value=0, max_value=1000),
+        width=st.integers(min_value=1, max_value=6),
+        engine=st.sampled_from(["greedy", "nongreedy", "adaptive", "push"]),
+        step2=st.sampled_from(["cosine", "exp_cosine", "no_snas"]),
+        epsilon=st.sampled_from([1e-3, 1e-5, 1e-7]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_columns_are_bitwise_sequential(
+        self, graph_seed, seeds_seed, width, engine, step2, epsilon
+    ):
+        """Every column of ``scores_batch`` is bitwise ``scores(seed)``."""
+        graph = _graph(graph_seed)
+        model = LACA(
+            metric="cosine" if step2 == "no_snas" else step2,
+            use_snas=step2 != "no_snas",
+            diffusion=engine,
+            epsilon=epsilon,
+            k=4,
+        ).fit(graph)
+        seeds = np.random.default_rng(seeds_seed).choice(graph.n, size=width)
+        batch = model.scores_batch(seeds)
+        for b, seed in enumerate(seeds):
+            np.testing.assert_array_equal(
+                batch.scores[:, b], model.scores(int(seed)).scores
+            )
