@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from operator import add
 
 __all__ = [
     "Counter",
@@ -386,9 +387,7 @@ class MetricsRegistry:
                         f"{existing.labelnames}, requested {tuple(labelnames)}"
                     )
                 bounds = kwargs.get("bounds")
-                if bounds is not None and tuple(
-                    float(bound) for bound in bounds
-                ) != existing.bounds:
+                if bounds is not None and tuple(map(float, bounds)) != existing.bounds:
                     raise ValueError(
                         f"histogram {name!r} already registered with "
                         "different bucket bounds"
@@ -514,7 +513,7 @@ class MetricsRegistry:
                 elif kind == "gauge":
                     metric._set_child(key, value)
                 else:
-                    if list(value["bounds"]) != list(metric.bounds):
+                    if tuple(value["bounds"]) != metric.bounds:
                         raise ValueError(
                             f"histogram {metric.name!r}: cannot merge "
                             "mismatched bucket bounds"
@@ -523,8 +522,7 @@ class MetricsRegistry:
                         state = metric._children.get(key)
                         if state is None:
                             state = metric._children[key] = metric._new_state()
-                        for index, count in enumerate(value["counts"]):
-                            state.counts[index] += count
+                        state.counts = list(map(add, state.counts, value["counts"]))
                         state.sum += value["sum"]
 
     def snapshot(self) -> dict:

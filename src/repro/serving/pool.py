@@ -4,7 +4,7 @@ With ``workers=0``, :class:`~repro.serving.service.ClusterService`
 parallelizes only *within* a block (one sparse mat-mat for a saturated
 remainder, or one thread per CPU for large local queries) and answers
 blocks one after another.  With ``workers >= 1`` the service owns a
-:class:`WorkerPool` that fans the gathered blocks out to worker
+:class:`WorkerPool` that spreads each gathered block over worker
 processes instead:
 
 - the head snapshot's CSR arrays and TNAM factor are published **once**
@@ -15,14 +15,21 @@ processes instead:
   (:meth:`LACA.from_fit_state` — no refitting), and owns a private
   :class:`~repro.diffusion.workspace.DiffusionWorkspace`, so it answers
   each block on one thread (the worker processes already fill the CPUs);
-- the dispatcher thread gathers blocks exactly as with ``workers=0`` but
-  *assigns* them to the least-loaded live worker and moves on — a
-  collector thread resolves futures as results stream back, so all
-  workers compute concurrently;
-- workers answer each block with the same
+- the dispatcher thread gathers blocks exactly as with ``workers=0``,
+  splits each into contiguous shards, at most one per live worker, and
+  *assigns* each shard to one of the least-loaded live workers, then
+  moves on — a collector thread resolves futures as shards stream back,
+  so all workers compute concurrently, even on one gathered block;
+- workers answer each shard with the same
   :func:`~repro.serving.service.answer_block` the dispatcher
-  runs with ``workers=0``, over the same arrays (shared pages), so a
-  block gets the same answers on either path.
+  runs with ``workers=0``, over the same arrays (shared pages).  A
+  sequential seed's answer depends only on that seed and a block column
+  is bitwise the sequential answer, so a query gets the same answer
+  whichever shard, worker or path computed it.
+
+Every shard is an ordinary in-flight block with its own id: retry,
+respawn, close() and the epoch barrier below never see the gathered
+block it came from.
 
 Fault tolerance (PR 8) rests on that: a cluster query is a pure
 function of ``(snapshot, seed, size)`` and the block's engine path, so
@@ -49,9 +56,10 @@ Three mechanisms:
 Epoch advances reuse the dispatch-queue marker and add a barrier:
 :meth:`WorkerPool.reload` publishes the refreshed snapshot, enqueues a
 ``reload`` message on every worker's task queue — FIFO order *is* the
-barrier: the reload rides behind every block gathered before the
-marker, so no worker ever answers a post-marker request on a pre-marker
-snapshot — and waits for all acks before unlinking the old segments.
+barrier: the reload rides behind every shard of every block gathered
+before the marker, so no worker ever answers a post-marker request on a
+pre-marker snapshot — and waits for all acks before unlinking the old
+segments.
 A worker that dies mid-barrier no longer hangs it: the supervisor
 removes it from the pending-ack set.  A worker that fails to reload
 fails the service closed (it could otherwise silently serve stale
@@ -362,9 +370,12 @@ class WorkerPool:
         return proc
 
     # ------------------------------------------------------------------
-    # Dispatch: assign the gathered block to a worker and move on.
+    # Dispatch: split the gathered block over the workers and move on.
     def dispatch(self, live: list[_Request]) -> bool:
-        """Hand ``live`` to the least-loaded live worker; False if none."""
+        """Split ``live`` into contiguous shards, at most one per live
+        worker, and hand each to one of the least-loaded live workers;
+        False when no worker is alive.  The gathered block is recorded
+        once, as one coalesced block of ``len(live)`` requests."""
         with self._lock:
             alive = [
                 i
@@ -373,33 +384,42 @@ class WorkerPool:
             ]
             if not alive:
                 return False
-            worker_id = min(alive, key=lambda i: self._outstanding[i])
-            block_id = self._next_block
-            self._next_block += 1
-            self._inflight[block_id] = (worker_id, live)
-            self._outstanding[worker_id] += 1
+            alive.sort(key=lambda i: self._outstanding[i])
+            # Contiguous shards whose sizes differ by at most one; the
+            # larger ones go to the less-loaded workers.
+            count = min(len(alive), len(live))
+            size, extra = divmod(len(live), count)
+            cuts = [k * size + min(k, extra) for k in range(count + 1)]
+            shards = []
+            for worker_id, start, stop in zip(alive, cuts, cuts[1:]):
+                shard = live[start:stop]
+                block_id = self._next_block
+                self._next_block += 1
+                self._inflight[block_id] = (worker_id, shard)
+                self._outstanding[worker_id] += 1
+                shards.append((worker_id, block_id, shard))
         self.set_fallback(False)
-        try:
-            self._tasks[worker_id].put(
-                (
-                    "block",
-                    block_id,
-                    [int(request.seed) for request in live],
-                    [int(request.size) for request in live],
+        for worker_id, block_id, shard in shards:
+            try:
+                self._tasks[worker_id].put(
+                    (
+                        "block",
+                        block_id,
+                        [int(request.seed) for request in shard],
+                        [int(request.size) for request in shard],
+                    )
                 )
-            )
-        except BaseException as exc:  # worker pipe broke mid-dispatch
-            with self._lock:
-                self._inflight.pop(block_id, None)
-                self._outstanding[worker_id] -= 1
-            # The worker is dying (or dead); run the death bookkeeping
-            # now rather than waiting for the supervisor's next sweep,
-            # then send these requests down the ordinary retry path.
-            self._mark_worker_dead(worker_id)
-            error = RuntimeError(f"dispatch to pool worker {worker_id} failed")
-            error.__cause__ = exc
-            self._retry_or_fail(live, error, worker_id)
-            self._check_terminal()
+            except BaseException as exc:  # worker pipe broke mid-dispatch
+                # The worker is dying (or dead); run the death bookkeeping
+                # now rather than waiting for the supervisor's next sweep,
+                # and retry every block it still owed, this shard included
+                # (none if the supervisor already took them back).
+                error = RuntimeError(f"dispatch to pool worker {worker_id} failed")
+                error.__cause__ = exc
+                for requests in self._mark_worker_dead(worker_id):
+                    self._retry_or_fail(requests, error, worker_id)
+                self._check_terminal()
+        self.service.telemetry.record_coalesced(len(live))
         return True
 
     def park_or_fail(self, live: list[_Request]) -> None:
@@ -816,6 +836,11 @@ class WorkerPool:
             thread.join(max(1.0, deadline - time.monotonic()))
             if thread.is_alive():
                 clean = False
+        if not self._collector.is_alive():
+            # The stop marker started the result queue's feeder thread,
+            # which would otherwise live on until the queue is collected.
+            self._results.close()
+            self._results.join_thread()
         # The supervisor may have re-enqueued retries after the
         # dispatcher consumed the shutdown sentinel; nothing will ever
         # gather them, so fail them now.

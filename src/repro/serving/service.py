@@ -18,9 +18,10 @@ itself and starts no process.  It holds one workspace per usable CPU: a
 block of large local queries fans out over that many threads for the
 duration of the block (see :func:`answer_block`), and every other block
 runs on the dispatcher thread alone.  ``workers >= 1`` adds the process
-back-end of :mod:`~repro.serving.pool`: the dispatcher hands each block
-to a worker process, which answers it on one thread, and answers it
-in-process only when no worker takes it.
+back-end of :mod:`~repro.serving.pool`: the dispatcher splits each block
+into shards, at most one per live worker process, each worker answers
+its shard on one thread, and the dispatcher answers the block
+in-process only when no worker is alive.
 Admission control (``max_pending`` load-shedding with
 :class:`PoolSaturated`, per-request ``deadline_s`` with
 :class:`DeadlineExceeded`) runs in :meth:`ClusterService.submit` and
@@ -271,8 +272,10 @@ class ClusterService:
         A fitted LACA instance (fresh :meth:`~LACA.fit` or
         :func:`~repro.serving.persistence.load_model`).
     workers:
-        Number of worker processes answering blocks over one
-        shared-memory snapshot (see :mod:`~repro.serving.pool`).  ``0``
+        Number of worker processes answering over one shared-memory
+        snapshot (see :mod:`~repro.serving.pool`).  Each gathered block
+        is split into contiguous shards, at most one per live worker,
+        and each shard goes to one of the least-loaded workers.  ``0``
         answers every block in-process and starts no process or queue;
         besides the dispatcher, only a fanned-out block's helper threads
         run, and none outlives its block.
@@ -1032,7 +1035,10 @@ class ClusterService:
         try:
             clusters, supports, engine_seconds, metrics_delta = payload
             self.telemetry.merge_engine_delta(metrics_delta)
-            self.telemetry.record_batch(len(block), engine_seconds, worker_id)
+            if worker_id is None:
+                self.telemetry.record_batch(len(block), engine_seconds)
+            else:  # one shard; dispatch recorded the gathered block
+                self.telemetry.record_answered(len(block), engine_seconds, worker_id)
             now = time.perf_counter()
             for request, cluster, support in zip(block, clusters, supports):
                 if self.cache is not None:

@@ -169,7 +169,7 @@ class ServiceTelemetry:
             "Cache entries carried across epoch advances (support-disjoint)",
         )
         self._m_worker_batches = reg.counter(
-            "laca_worker_batches_total", "Blocks answered per pool worker", ("worker",)
+            "laca_worker_batches_total", "Shards answered per pool worker", ("worker",)
         )
         self._m_worker_seeds = reg.counter(
             "laca_worker_seeds_total", "Seeds answered per pool worker", ("worker",)
@@ -189,20 +189,32 @@ class ServiceTelemetry:
         self.engine_metrics = make_engine_metrics(reg)
 
     # ------------------------------------------------------------------
-    def record_batch(
-        self, occupancy: int, engine_seconds: float, worker_id: int | None = None
-    ) -> None:
-        """One dispatched block: how many requests shared the traversal,
-        and (pool only) which worker answered it."""
+    def record_batch(self, occupancy: int, engine_seconds: float) -> None:
+        """One dispatched block answered whole, in the service's own
+        process: :meth:`record_coalesced` and :meth:`record_answered`."""
+        self.record_coalesced(occupancy)
+        self.record_answered(occupancy, engine_seconds)
+
+    def record_coalesced(self, occupancy: int) -> None:
+        """One dispatched block: how many requests the dispatcher
+        gathered into it (the pool records it once, however many shards
+        it is split into)."""
         occupancy = int(occupancy)
         self._m_batches.inc()
         self._m_occupancy.observe(occupancy)
         self._m_occupancy_max.set_max(occupancy)
+
+    def record_answered(
+        self, seeds: int, engine_seconds: float, worker_id: int | None = None
+    ) -> None:
+        """One engine call answered ``seeds`` requests: a whole block,
+        or (pool only) one shard and the worker that answered it."""
+        seeds = int(seeds)
         self._m_engine_seconds.inc(engine_seconds)
-        self._m_requests_engine.inc(occupancy)
+        self._m_requests_engine.inc(seeds)
         if worker_id is not None:
             self._m_worker_batches.labels(worker_id).inc()
-            self._m_worker_seeds.labels(worker_id).inc(occupancy)
+            self._m_worker_seeds.labels(worker_id).inc(seeds)
 
     def record_latency(self, seconds: float) -> None:
         """Submit→resolve latency of one engine-answered request."""

@@ -84,6 +84,73 @@ class TestRetryAndRespawn:
         finally:
             service.close(timeout=60)
 
+    def test_lost_shard_is_retried_alone(self, small_sbm, tmp_path):
+        """One gathered block is split over both workers; killing the
+        worker holding the first shard retries that shard alone, while
+        the other shard's futures resolve on their first dispatch."""
+        import json
+
+        from repro.obs import TraceLog
+
+        model = _model(small_sbm)
+        seeds = list(range(8))
+        oracle = {seed: model.cluster(seed, 12) for seed in seeds}
+        plan = FaultPlan(
+            [
+                # The least-loaded order is stable, so worker 0 gets the
+                # first shard; its first incarnation dies on it.
+                FaultRule(
+                    site="worker.block",
+                    match={"worker_id": 0, "spawn": 0},
+                    action="exit",
+                )
+            ]
+        )
+        path = tmp_path / "trace.jsonl"
+        trace = TraceLog(path)
+        threads_before = set(threading.enumerate())
+        service = ClusterService(
+            _model(small_sbm),
+            workers=2,
+            fault_plan=plan,
+            backoff_base_s=0.05,
+            max_batch=len(seeds),
+            max_wait_s=0.5,
+            cache_size=0,
+            trace_log=trace,
+        )
+        try:
+            futures = [service.submit(seed, 12) for seed in seeds]
+            for seed, future in zip(seeds, futures):
+                np.testing.assert_array_equal(
+                    future.result(timeout=60), oracle[seed]
+                )
+            stats = service.stats()
+        finally:
+            clean = service.close(timeout=60)
+            trace.close()
+        assert clean is True
+        assert stats["block_retries"] == 1
+        assert all(future.done() for future in futures)
+        leftover = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread not in threads_before
+        ]
+        assert leftover == []
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        (retry,) = [event for event in events if event["event"] == "block_retry"]
+        assert retry["worker_id"] == 0 and retry["requests"] == 4
+        requests = [event for event in events if event["event"] == "request"]
+        assert len(requests) == len(seeds)
+        retried = {event["seed"] for event in requests if event.get("retries")}
+        first_try = {event["seed"] for event in requests if not event.get("retries")}
+        assert retried == set(seeds[:4])
+        assert first_try == set(seeds[4:])
+        assert all(
+            event["worker_id"] == 1 for event in requests if event["seed"] in first_try
+        )
+
     def test_respawned_worker_rejoins_at_current_epoch(self, small_sbm):
         """A worker killed before an epoch advance must come back
         hydrated from the *new* generation's manifest and serve the new
@@ -373,6 +440,51 @@ class TestFallback:
             assert families["laca_fallback_active"]["samples"] == [[[], 1.0]]
         finally:
             service.close(timeout=60)
+
+    def test_broken_task_pipe_retries_every_block_the_worker_owed(
+        self, small_sbm
+    ):
+        """A task-queue put that fails in ``dispatch`` marks its worker
+        dead; every block that worker still owed must be retried with
+        the new one, not only the block being sent (the earlier one's
+        future used to hang, even past close())."""
+        model = _model(small_sbm)
+        plan = FaultPlan(
+            # Holds block A in flight on the worker while B is sent.
+            [FaultRule(site="worker.block", action="delay", delay_s=2.0)]
+        )
+        service = ClusterService(
+            _model(small_sbm),
+            workers=1,
+            fault_plan=plan,
+            restart_budget=0,
+            fallback_inprocess=True,
+            max_batch=1,
+            max_wait_s=0.0,
+            cache_size=0,
+        )
+
+        class BrokenPipe:
+            def put(self, _message):
+                raise BrokenPipeError("injected: task pipe broke")
+
+        pool = service._pool
+        tasks = pool._tasks[0]
+        try:
+            first = service.submit(0, 10)
+            assert _wait(lambda: service.stats()["inflight_blocks"] == 1)
+            pool._tasks[0] = BrokenPipe()
+            second = service.submit(1, 10)
+            for seed, future in ((0, first), (1, second)):
+                np.testing.assert_array_equal(
+                    future.result(timeout=30), model.cluster(seed, 10)
+                )
+            stats = service.stats()
+            assert stats["block_retries"] == 2
+            assert stats["fallback_active"] is True
+        finally:
+            pool._tasks[0] = tasks  # so close() can stop the worker
+            assert service.close(timeout=60) is True
 
     def test_fallback_survives_epoch_advance(self, small_sbm):
         """Updates keep landing while in fallback: the parent model

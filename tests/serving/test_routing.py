@@ -118,6 +118,27 @@ def test_saturating_block_switches_to_block_engine(saturated_model, workers):
         np.testing.assert_array_equal(answer, saturated_model.cluster(seed, SIZE))
 
 
+@pytest.mark.parametrize("regime", ["local_model", "saturated_model"])
+def test_pool_spreads_one_block_over_every_worker(regime, request):
+    """One gathered block is split into one shard per live worker; it is
+    still recorded as one coalesced block, and every shard's answers are
+    bitwise ``LACA.cluster``."""
+    model = request.getfixturevalue(regime)
+    seeds = _seeds(model, BLOCK, seed=4)
+    answers, _, stats = _serve_one_block(model, seeds, workers=2)
+    occupancy = stats["worker_occupancy"]
+    assert len(occupancy) == 2, occupancy
+    assert all(entry["seeds"] > 0 for entry in occupancy.values()), occupancy
+    assert sum(entry["seeds"] for entry in occupancy.values()) == BLOCK
+    assert stats["batches"] == 1, stats
+    assert stats["max_batch_occupancy"] == BLOCK, stats
+    workspace = model.make_workspace()
+    for seed, answer in zip(seeds, answers):
+        expected = model.cluster(seed, SIZE, workspace)
+        assert answer.dtype == expected.dtype
+        np.testing.assert_array_equal(answer, expected)
+
+
 def _unique_support(parts):
     return np.unique(np.concatenate(parts))
 
