@@ -9,6 +9,12 @@ blocks) and clear the seeds/sec of the same seeds answered by sequential
 ``LACA.cluster`` calls.  The result cache is disabled throughout so the
 comparison measures scheduling, not memoization.
 
+A same-run ratio pins the saturated split: on the arxiv analog at scale
+1, where every query reaches all n, the default service (one workspace
+and routing thread per usable CPU) must answer a closed loop of 16
+outstanding queries at least 1.1× as fast as the same service held to
+one CPU, with bitwise the same answers.
+
 The last test holds the README's tracing-overhead claim: with every span
 written to a :class:`TraceLog`, the log costs under 3% of a drain of the
 Fig. 10 scalability graph (the arxiv analog at scale 21, n = 168k).
@@ -16,7 +22,7 @@ Fig. 10 scalability graph (the arxiv analog at scale 21, n = 168k).
 
 import threading
 import time
-from concurrent.futures import wait
+from concurrent.futures import FIRST_COMPLETED, wait
 
 import numpy as np
 import pytest
@@ -24,6 +30,8 @@ import pytest
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs.datasets import load_dataset
+import repro.serving.service as service_module
+from repro.core.routing import usable_cpus
 from repro.obs import TraceLog
 from repro.serving import ClusterService
 
@@ -123,6 +131,74 @@ def test_telemetry_accounts_every_request(setup):
     assert stats["engine_served"] == N_SEEDS
     assert stats["requests"] == N_SEEDS
     assert stats["p95_latency_s"] >= stats["p50_latency_s"] > 0.0
+
+
+SPLIT_SCALE = 1.0
+SPLIT_WINDOW = 16
+SPLIT_SEEDS = 128
+SPLIT_ROUNDS = 9
+#: Between the readings on a shared 2-CPU host: a service that does not
+#: split read 0.93–1.07×, the split 1.18–1.42× (its low end inside full
+#: test-suite runs).
+SPLIT_BAR = 1.1
+
+
+def _closed_loop(service, seeds, window):
+    """Keep ``window`` queries outstanding until every seed is answered;
+    returns queries per second and each seed's answer."""
+    pending, answers = {}, {}
+    queue = iter(seeds)
+
+    def submit_next():
+        seed = next(queue, None)
+        if seed is not None:
+            pending[service.submit(seed, CLUSTER_SIZE)] = seed
+
+    start = time.perf_counter()
+    for _ in range(window):
+        submit_next()
+    while pending:
+        done, _ = wait(pending, return_when=FIRST_COMPLETED)
+        for future in done:
+            answers[pending.pop(future)] = future.result()
+            submit_next()
+    return len(seeds) / (time.perf_counter() - start), answers
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="needs at least 2 usable CPUs")
+def test_saturated_blocks_split_over_every_cpu(monkeypatch):
+    """Same-run ratio, alternating best-of-9 rounds: the default service
+    against one built to see a single CPU, on saturating blocks.
+
+    A shared host lends its second CPU only part of the time, and that
+    costs the two-thread service more than the one-thread one, so each
+    side keeps its best round.  A service that does not split its blocks
+    reads about 1.0× on the same measure."""
+    graph = load_dataset("arxiv", scale=SPLIT_SCALE)
+    model = LACA(LacaConfig(metric="cosine", diffusion="greedy")).fit(graph)
+    rng = np.random.default_rng(5)
+    seeds = [int(seed) for seed in rng.choice(graph.n, SPLIT_SEEDS, replace=False)]
+    expected = {seed: model.cluster(seed, CLUSTER_SIZE) for seed in seeds}
+    with monkeypatch.context() as patch:
+        patch.setattr(service_module, "usable_cpus", lambda: 1)
+        one_cpu = ClusterService(model, cache_size=0)
+    with one_cpu, ClusterService(model, cache_size=0) as every_cpu:
+        sides = [("one", one_cpu), ("every", every_cpu)]
+        for _, service in sides:  # warm up
+            _closed_loop(service, seeds[:SPLIT_WINDOW], SPLIT_WINDOW)
+        best = {"every": 0.0, "one": 0.0}
+        for round_ in range(SPLIT_ROUNDS):
+            for name, service in sides[:: -1 if round_ % 2 else 1]:
+                rate, answers = _closed_loop(service, seeds, SPLIT_WINDOW)
+                best[name] = max(best[name], rate)
+                for seed, answer in answers.items():
+                    np.testing.assert_array_equal(answer, expected[seed])
+    ratio = best["every"] / best["one"]
+    print(
+        f"saturated split: {best['every']:.1f} q/s on {usable_cpus()} CPUs "
+        f"vs {best['one']:.1f} q/s on one ({ratio:.2f}x)"
+    )
+    assert ratio >= SPLIT_BAR, best
 
 
 @pytest.fixture(scope="module")

@@ -1,29 +1,32 @@
-"""One BLAS thread for LACA's Step 2 products.
+"""One BLAS thread for LACA's Step 2 products and block diffusions.
 
 Step 2 of :func:`~repro.core.laca.laca_scores` and
 :func:`~repro.core.laca.laca_scores_batch` is a pair of skinny dense
 products per seed (``|support| × k`` against a vector) sitting between
-sparse diffusions that run on the calling thread alone.  A
-multithreaded OpenBLAS wakes its helper threads for them, and the
-helpers then spin-wait for the next call.  On a 2-CPU host a helper that
-lands on the diffusion's CPU can slow every later block of the process:
-with two busy background processes, the best B=64 block of the arxiv
-analog at scale 0.12 took 50–99 ms uncapped against 34–43 ms capped.
-:func:`single_blas_thread` caps OpenBLAS at one thread for Step 2 and
-puts the previous count back afterwards, so the rest of the program (the
+sparse diffusions that run on the calling thread alone; the block
+diffusions of :func:`~repro.core.laca.laca_scores_batch` add two dense
+``degrees @ mask`` products per iteration.  A multithreaded OpenBLAS
+wakes its helper threads for them, and the helpers then spin-wait for
+the next call.  On a 2-CPU host a helper that lands on the diffusion's
+CPU can slow every later block of the process: with two busy background
+processes, the best B=64 block of the arxiv analog at scale 0.12 took
+50–99 ms uncapped against 34–43 ms capped.  :func:`single_blas_thread`
+caps OpenBLAS at one thread for Step 2 and the block diffusions and puts
+the previous count back afterwards, so the rest of the program (the
 k-SVD's Gram product, for one) keeps its threads.
 
 The libraries are found through ``/proc/self/maps``: OpenBLAS as bundled
 by the numpy/scipy wheels (``scipy_openblas``, 32- or 64-bit ints) or as
 a system ``libopenblas``.  Elsewhere — another BLAS vendor, no procfs —
-the cap does nothing.  The thread count is process-wide, and a fanned-out
-serving block runs Step 2 on several threads at once, so the cap is
-reference-counted under a module lock: the first thread in saves the
-counts and sets one, the last thread out puts them back, and no thread
-is ever inside Step 2 with the cap lifted.  A process forked while
-another thread holds the cap (a pool worker respawned during in-process
-fallback answering) starts with a fresh lock and the saved counts put
-back, because no thread of the child is inside Step 2.
+the cap does nothing.  The thread count is process-wide, and a routed
+serving block runs Step 2 and block diffusions on several threads at
+once, so the cap is reference-counted under a module lock: the first
+thread in saves the counts and sets one, the last thread out puts them
+back, and no thread is ever inside a capped section with the cap
+lifted.  A process forked while another thread holds the cap (a pool
+worker respawned during in-process fallback answering) starts with a
+fresh lock and the saved counts put back, because no thread of the child
+is inside a capped section.
 """
 
 from __future__ import annotations

@@ -267,14 +267,17 @@ class LacaBatchResult:
 def _batch_diffuse_cfg(
     graph: AttributedGraph, F: np.ndarray, config: LacaConfig, epsilon
 ) -> BatchDiffusionResult:
-    return batch_diffuse(
-        graph,
-        F,
-        alpha=config.alpha,
-        epsilon=epsilon,
-        engine=config.diffusion,
-        sigma=config.sigma,
-    )
+    # The block engine's per-iteration volumes (``degrees @ sel``) are
+    # dense float·bool products, so they reach BLAS as Step 2 does.
+    with single_blas_thread():
+        return batch_diffuse(
+            graph,
+            F,
+            alpha=config.alpha,
+            epsilon=epsilon,
+            engine=config.diffusion,
+            sigma=config.sigma,
+        )
 
 
 def laca_scores_batch(

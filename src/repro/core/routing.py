@@ -8,23 +8,30 @@ harness) calls it with one workspace; the serving layer's
 per usable CPU.
 
 The block's first seed always runs alone on the calling thread, on the
-sequential :meth:`~repro.core.pipeline.LACA.scores` path.  Its kernel
-tally and scatter volume then route the rest:
+sequential :meth:`~repro.core.pipeline.LACA.scores` path.  Its scatter
+volume decides which threads answer the rest, and the merged kernel
+tally decides what each of them claims next:
 
-- **Saturated.**  Once the merged kernel tally says the queries go
-  graph-wide (:func:`~repro.diffusion.base.block_diffusion_pays`), the
-  remaining seeds, if more than one, share one
-  :meth:`~repro.core.pipeline.LACA.scores_batch` block diffusion.
-- **Local with large scatters.**  With more than one workspace, and a
-  first seed whose mean scatter volume reaches
-  :data:`FANOUT_MIN_SCATTER_VOLUME`, the remaining seeds fan out over one
-  thread per workspace.  Each thread claims the next seed from a shared
-  cursor and answers it on its own workspace; numpy and scipy release the
-  GIL in their C loops, so the queries' scatters overlap.  Every thread
-  checks the merged tally before each claim, so a block that starts to
-  saturate part-way still sends its rest to one batch.
-- **Otherwise** the calling thread answers the rest alone, checking the
-  tally before each seed.
+- **Routing threads.**  With more than one workspace, more than one seed
+  left and a first seed whose mean scatter volume reaches
+  :data:`FANOUT_MIN_SCATTER_VOLUME`, one helper thread per further
+  workspace joins the calling thread.  numpy and scipy release the GIL
+  in their C loops, so large scatters and block diffusions overlap;
+  small ones are bound by Python overhead, so their blocks stay on the
+  calling thread.
+- **Local claims.**  While the tally stays local, each claim takes the
+  next seed from a shared cursor and answers it sequentially on the
+  thread's own workspace.
+- **Saturated claims.**  The first claim that finds the tally saturated
+  (:func:`~repro.diffusion.base.block_diffusion_pays`), with more than
+  one seed left, cuts the rest into contiguous chunks, one per routing
+  thread, whose sizes differ by at most one.  Each thread then claims
+  one chunk and answers it with one
+  :meth:`~repro.core.pipeline.LACA.scores_batch` block diffusion.  On
+  one thread the rest is one chunk; a fanned-out block that saturates
+  part-way splits its rest over the same threads.
+
+One claim loop, :meth:`_Block.answer_next`, hands out both kinds.
 
 Every seed's scores are bitwise those of
 :meth:`~repro.core.pipeline.LACA.scores`, whichever path and thread
@@ -45,16 +52,23 @@ from ..diffusion.base import (
     end_kernel_tally,
 )
 
-__all__ = ["FANOUT_MIN_SCATTER_VOLUME", "route_block", "usable_cpus"]
+__all__ = [
+    "FANOUT_MIN_SCATTER_VOLUME",
+    "contiguous_cuts",
+    "route_block",
+    "usable_cpus",
+]
 
 #: Smallest mean scatter volume (edges per diffusion iteration) of a
-#: block's first seed at which the rest of the block fans out over
-#: threads.  Smaller scatters are bound by Python overhead, where two
-#: threads contend for the GIL: measured ``model.cluster`` rates of two
-#: threads over one, on a 2-CPU host, were 0.49–0.72 on a churn SBM at
-#: ε = 1e-4 (0.6–1.2k edges per scatter) and 0.44–0.65 on cora (~6.4k),
-#: against 1.13–1.73 on the arxiv analog at scale 2–5 (67–76k) and
-#: 1.43–1.74 at scale 21 (21–32k).
+#: block's first seed at which the rest of the block, local or
+#: saturated, runs on threads.  Smaller scatters are bound by Python
+#: overhead, where two threads contend for the GIL: measured
+#: ``model.cluster`` rates of two threads over one, on a 2-CPU host,
+#: were 0.49–0.72 on a churn SBM at ε = 1e-4 (0.6–1.2k edges per
+#: scatter) and 0.44–0.65 on cora (~6.4k), against 1.13–1.73 on the
+#: arxiv analog at scale 2–5 (67–76k) and 1.43–1.74 at scale 21
+#: (21–32k).  Saturating queries scatter 46–94k edges on the arxiv
+#: analog at scale 1 and at most 10.0k at scale 0.1 (100 seeds each).
 FANOUT_MIN_SCATTER_VOLUME = 2**14
 
 
@@ -74,9 +88,19 @@ def mean_scatter_volume(result) -> float:
     return (result.rwr.work + result.bdd.work) / iterations
 
 
+def contiguous_cuts(start: int, stop: int, count: int) -> list[int]:
+    """Bounds of ``count`` contiguous chunks of ``range(start, stop)``
+    whose sizes differ by at most one, larger chunks first: chunk ``k``
+    is ``[cuts[k], cuts[k + 1])``.  ``count`` must be in
+    ``1..stop - start``."""
+    size, extra = divmod(stop - start, count)
+    return [start + k * size + min(k, extra) for k in range(count + 1)]
+
+
 class _Block:
-    """Shared state of one routed block: the claim cursor, the merged
-    kernel tally, each seed's record and the first error."""
+    """Shared state of one routed block: the claim cursor, the chunks of a
+    saturated rest, the merged kernel tally, each seed's record and the
+    first error."""
 
     def __init__(self, model, seeds, sizes, take) -> None:
         self.model = model
@@ -86,31 +110,54 @@ class _Block:
         self.records: list = [None] * len(seeds)
         self.tally: dict[str, int] = {}
         self.cursor = 0
+        #: Routing threads, the calling thread included; set before any
+        #: helper starts, and so before the block can saturate.
+        self.threads = 1
+        self.chunks: list[tuple[int, int]] = []
         self.error: BaseException | None = None
         self.lock = threading.Lock()
 
     def answer_next(self, workspace, local: dict):
-        """Claim the next seed and answer it sequentially on ``workspace``.
+        """Claim the next seed or chunk and answer it on this thread.
 
-        Returns the seed's :class:`~repro.core.laca.LacaResult`, or None
-        when there is nothing left for the sequential path: every seed is
-        claimed, another thread failed, or the merged tally says the rest
-        (more than one seed) belongs to the block engine.  ``local`` is
-        this thread's kernel tally; it is merged and cleared per seed.
+        While the block stays local, the next seed is answered
+        sequentially on ``workspace`` and its
+        :class:`~repro.core.laca.LacaResult` returned.  The first claim
+        that finds the merged tally saturated (with more than one seed
+        left) cuts the rest into one chunk per routing thread; each claim
+        after that takes one chunk and answers it with one
+        :meth:`~repro.core.pipeline.LACA.scores_batch`.  Returns None once
+        this thread is done: it answered a chunk, nothing is left to
+        claim, or another thread failed.  ``local`` is this thread's
+        kernel tally; it is merged and cleared per claim.
         """
         with self.lock:
-            remaining = len(self.seeds) - self.cursor
-            if (
-                self.error is not None
-                or remaining == 0
-                or (remaining > 1 and block_diffusion_pays(self.tally))
-            ):
+            if self.error is not None:
                 return None
-            b = self.cursor
-            self.cursor += 1
-        result = self.model.scores(int(self.seeds[b]), workspace=workspace)
-        # Taken before this workspace's next query overwrites its views.
-        self.records[b] = self.take(result, int(self.sizes[b]))
+            end = len(self.seeds)
+            rest = end - self.cursor
+            if rest > 1 and block_diffusion_pays(self.tally):
+                cuts = contiguous_cuts(self.cursor, end, min(self.threads, rest))
+                self.chunks = list(zip(cuts, cuts[1:]))
+                self.cursor = end
+            if self.cursor < end:
+                b = self.cursor
+                self.cursor += 1
+            elif self.chunks:
+                start, stop = self.chunks.pop(0)
+                b = None
+            else:
+                return None
+        if b is not None:
+            result = self.model.scores(int(self.seeds[b]), workspace=workspace)
+            # Taken before this workspace's next query overwrites its views.
+            self.records[b] = self.take(result, int(self.sizes[b]))
+        else:
+            batch = self.model.scores_batch(self.seeds[start:stop])
+            for c in range(stop - start):
+                size = int(self.sizes[start + c])
+                self.records[start + c] = self.take(batch.query(c), size)
+            result = None
         self.merge(local)
         return result
 
@@ -122,7 +169,7 @@ class _Block:
         local.clear()
 
     def drain(self, workspace, local: dict) -> None:
-        """Answer seeds on this thread until :meth:`answer_next` stops;
+        """Claim and answer on this thread until :meth:`answer_next` stops;
         an exception is kept for the calling thread and stops the others."""
         try:
             while self.answer_next(workspace, local) is not None:
@@ -154,10 +201,11 @@ def route_block(model, workspaces, seeds, sizes, take):
     :meth:`~repro.core.laca.LacaBatchResult.query` of its column.
 
     Returns ``(records, tally)``: ``records[b]`` answers ``seeds[b]`` and
-    ``tally`` is the block's merged kernel-selection count.  The seed at
-    which a saturating block switches to the batch may depend on thread
-    timing when the block fans out; the answers do not, because both
-    paths return bitwise the same scores.
+    ``tally`` is the block's merged kernel-selection count, every
+    thread's sequential and block kernels included.  The seed at which a
+    saturating block switches to chunks may depend on thread timing when
+    the block fans out; the answers do not, because both paths return
+    bitwise the same scores.
     """
     block = _Block(model, seeds, sizes, take)
     local = begin_kernel_tally()
@@ -165,11 +213,8 @@ def route_block(model, workspaces, seeds, sizes, take):
         first = block.answer_next(workspaces[0], local)
         threads = min(len(workspaces), len(seeds) - block.cursor)
         helpers = []
-        if (
-            threads > 1
-            and not block_diffusion_pays(block.tally)
-            and mean_scatter_volume(first) >= FANOUT_MIN_SCATTER_VOLUME
-        ):
+        if threads > 1 and mean_scatter_volume(first) >= FANOUT_MIN_SCATTER_VOLUME:
+            block.threads = threads
             helpers = [
                 threading.Thread(
                     target=block.help, args=(workspace,), name=f"laca-block-{i}"
@@ -183,12 +228,6 @@ def route_block(model, workspaces, seeds, sizes, take):
             helper.join()
         if block.error is not None:
             raise block.error
-        rest = block.cursor
-        if rest < len(seeds):
-            result = model.scores_batch(seeds[rest:])
-            for c, size in enumerate(sizes[rest:]):
-                block.records[rest + c] = take(result.query(c), int(size))
-            block.merge(local)
     finally:
         end_kernel_tally()
     return block.records, block.tally

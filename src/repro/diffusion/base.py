@@ -68,7 +68,7 @@ def selective_scatter_is_cheaper(support_volume: float, full_cost: float) -> boo
 
 
 def block_diffusion_pays(kernel_counts: dict) -> bool:
-    """Whether the rest of a block should share one block diffusion.
+    """Whether the rest of a block should go to the block engine.
 
     ``kernel_counts`` is the kernel tally of the seeds a block answered
     so far, one at a time.  The block engine does Θ(n·B) work per

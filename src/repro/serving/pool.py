@@ -84,6 +84,7 @@ import traceback
 # module's name because perfbench/layers.py wraps it at this name.
 from ..core.laca import top_k_cluster  # noqa: F401
 from ..core.pipeline import LACA
+from ..core.routing import contiguous_cuts
 from ..graphs.shm import attach_snapshot, publish_snapshot
 from ..obs.metrics import MetricsRegistry
 from .service import ClusterService, DeadlineExceeded, _Request, answer_block
@@ -387,9 +388,7 @@ class WorkerPool:
             alive.sort(key=lambda i: self._outstanding[i])
             # Contiguous shards whose sizes differ by at most one; the
             # larger ones go to the less-loaded workers.
-            count = min(len(alive), len(live))
-            size, extra = divmod(len(live), count)
-            cuts = [k * size + min(k, extra) for k in range(count + 1)]
+            cuts = contiguous_cuts(0, len(live), min(len(alive), len(live)))
             shards = []
             for worker_id, start, stop in zip(alive, cuts, cuts[1:]):
                 shard = live[start:stop]

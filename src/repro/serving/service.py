@@ -8,20 +8,20 @@ kernels the engines themselves pick: while the queries stay local
 (Theorem IV.1: cost tied to the touched volume, not to ``n``) every seed
 is answered on the sequential workspace path; once the block's queries
 saturate the graph (most scatters go graph-wide), the remaining seeds
-share one :meth:`LACA.scores_batch` block diffusion.  Either way each
-answer is bitwise :meth:`LACA.cluster` (see :func:`answer_block`).
-Answers are remembered in an LRU result cache consulted before
-enqueueing.
+go to :meth:`LACA.scores_batch` block diffusions, one contiguous chunk
+per routing thread.  Either way each answer is bitwise
+:meth:`LACA.cluster` (see :func:`answer_block`).  Answers are remembered
+in an LRU result cache consulted before enqueueing.
 
 With ``workers=0`` (the default) the dispatcher answers every block
 itself and starts no process.  It holds one workspace per usable CPU: a
-block of large local queries fans out over that many threads for the
-duration of the block (see :func:`answer_block`), and every other block
-runs on the dispatcher thread alone.  ``workers >= 1`` adds the process
-back-end of :mod:`~repro.serving.pool`: the dispatcher splits each block
-into shards, at most one per live worker process, each worker answers
-its shard on one thread, and the dispatcher answers the block
-in-process only when no worker is alive.
+block of large queries, local or saturated, runs on that many threads
+for the duration of the block (see :func:`answer_block`), and every
+other block runs on the dispatcher thread alone.  ``workers >= 1`` adds
+the process back-end of :mod:`~repro.serving.pool`: the dispatcher
+splits each block into shards, at most one per live worker process,
+each worker answers its shard on one thread, and the dispatcher answers
+the block in-process only when no worker is alive.
 Admission control (``max_pending`` load-shedding with
 :class:`PoolSaturated`, per-request ``deadline_s`` with
 :class:`DeadlineExceeded`) runs in :meth:`ClusterService.submit` and
@@ -223,10 +223,11 @@ def answer_block(model: LACA, workspaces, seeds, sizes, metrics):
 
     The block is routed by :func:`~repro.core.routing.route_block`, the
     rule :meth:`LACA.cluster_block` applies too: the first seed runs
-    alone on the sequential workspace path (:meth:`LACA.scores`); a
-    saturating remainder shares one :meth:`LACA.scores_batch` block
-    diffusion; a remainder of large local queries fans out over one
-    thread per workspace; anything else stays on the calling thread.
+    alone on the sequential workspace path (:meth:`LACA.scores`).  When
+    its scatters are large, the rest fans out over one thread per
+    workspace; a saturating remainder is cut into one contiguous chunk
+    per routing thread, each answered by one :meth:`LACA.scores_batch`
+    block diffusion; anything else stays on the calling thread.
     The dispatcher passes one workspace per usable CPU, a pool worker its
     single one.  Kernel selections and each query's iterations, frontier
     peak (untracked by the block engine), touched nodes and touched

@@ -1,12 +1,17 @@
-"""Tests for the one-BLAS-thread cap around LACA's Step 2 products."""
+"""Tests for the one-BLAS-thread cap around LACA's Step 2 products and
+block diffusions."""
 
 import multiprocessing
 import threading
 
 import pytest
 
+import repro.core.laca as laca_module
 from repro.core import blas
 from repro.core.blas import _openblas_thread_controls, single_blas_thread
+from repro.core.config import LacaConfig
+from repro.core.pipeline import LACA
+from repro.graphs.datasets import load_dataset
 
 
 @pytest.fixture
@@ -34,6 +39,24 @@ def test_restores_after_an_exception(two_threads):
         raise RuntimeError
     assert [get() for get, _ in two_threads] == [2] * len(two_threads)
 
+
+def test_block_diffusions_run_capped(two_threads, monkeypatch):
+    """Both block diffusions of ``scores_batch`` (whose per-iteration
+    ``degrees @ mask`` volumes reach BLAS) run with the cap set."""
+    model = LACA(LacaConfig(metric="cosine", diffusion="greedy", k=8)).fit(
+        load_dataset("arxiv", scale=0.1)
+    )
+    seen = []
+    batch_diffuse = laca_module.batch_diffuse
+
+    def recording_batch_diffuse(*args, **kwargs):
+        seen.append([get() for get, _ in two_threads])
+        return batch_diffuse(*args, **kwargs)
+
+    monkeypatch.setattr(laca_module, "batch_diffuse", recording_batch_diffuse)
+    model.scores_batch([0, 1, 2])
+    assert seen == [[1] * len(two_threads)] * 2
+    assert [get() for get, _ in two_threads] == [2] * len(two_threads)
 
 
 def test_cap_holds_until_the_last_thread_leaves(two_threads):

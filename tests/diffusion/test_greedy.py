@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.config import LacaConfig
+from repro.core.pipeline import LACA
 from repro.diffusion import greedy_diffuse
 from repro.diffusion.push import push_diffuse
+from repro.graphs.generators import SBMConfig, attributed_sbm
 
 
 def _one_hot(n, index):
@@ -94,3 +97,33 @@ class TestBehaviour:
         tight = greedy_diffuse(small_sbm, f, alpha=0.8, epsilon=1e-6)
         assert loose.work <= tight.work
         assert loose.support_size <= tight.support_size
+
+
+def test_work_per_query_is_bounded_and_flat_in_n():
+    """Theorem IV.1 by counts, with no ``+ n`` term: each diffusion's work
+    stays under ``‖f‖₁ / ((1-α)·ε_f)`` — for Step 1 (one-hot input,
+    threshold ε) and for Step 3 (input φ′, threshold ε·‖φ′‖₁) alike that is
+    ``1 / ((1-α)ε)`` — and the median work per query at n = 80k does not
+    exceed the median at n = 20k, on graphs whose communities, degrees
+    and attributes look alike at both sizes."""
+    alpha, epsilon = 0.8, 1e-5
+    bound = (1.0 + 1e-9) / ((1.0 - alpha) * epsilon)
+    medians = {}
+    for n in (20_000, 80_000):
+        graph = attributed_sbm(
+            SBMConfig(n, n_communities=n // 200, avg_degree=14, mixing=0.15, d=32),
+            seed=0,
+        )
+        config = LacaConfig(
+            alpha=alpha, epsilon=epsilon, metric="cosine", diffusion="greedy"
+        )
+        model = LACA(config).fit(graph)
+        workspace = model.make_workspace()
+        works = []
+        for seed in np.random.default_rng(0).choice(n, size=20, replace=False):
+            result = model.scores(int(seed), workspace=workspace)
+            assert result.rwr.work <= bound, (n, int(seed), result.rwr.work)
+            assert result.bdd.work <= bound, (n, int(seed), result.bdd.work)
+            works.append(result.rwr.work + result.bdd.work)
+        medians[n] = float(np.median(works))
+    assert medians[80_000] <= medians[20_000], medians

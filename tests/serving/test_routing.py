@@ -277,35 +277,43 @@ def test_small_scatters_start_no_helper(local_model, workers, helpers, monkeypat
         np.testing.assert_array_equal(answer, local_model.cluster(seed, SIZE))
 
 
+#: Each regime's engine call: seeds of a local block run one at a time
+#: on ``LACA.scores``; the rest of a saturating block runs in chunks on
+#: ``LACA.scores_batch``.
+REGIME_ENGINES = [("local_model", "scores"), ("saturated_model", "scores_batch")]
+
+
+@pytest.mark.parametrize(("regime", "engine"), REGIME_ENGINES)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_helper_failure_fails_the_block_and_serving_goes_on(
-    local_model, workers, fanout, monkeypatch
+    regime, engine, workers, fanout, monkeypatch, request
 ):
-    seeds = _seeds(local_model, 2 * BLOCK, seed=8)
+    model = request.getfixturevalue(regime)
+    seeds = _seeds(model, 2 * BLOCK, seed=8)
     failing, healthy = seeds[:BLOCK], seeds[BLOCK:]
-    expected = [local_model.cluster(seed, SIZE) for seed in healthy]
+    expected = [model.cluster(seed, SIZE) for seed in healthy]
     poisoned = set(failing[1:])
     raised = threading.Event()
     parent = os.getpid()
-    scores = LACA.scores
+    original = getattr(LACA, engine)
 
-    def failing_scores(self, seed, workspace=None):
+    def failing_engine(self, seeds, *args, **kwargs):
         # Raise on a helper thread (or in a pool worker, which has none);
         # the dispatcher waits for that before answering a poisoned seed,
         # so a helper is sure to claim one.
-        if seed in poisoned:
+        if poisoned.intersection(np.atleast_1d(seeds).tolist()):
             if threading.current_thread().name.startswith("laca-block-"):
                 raised.set()
                 raise RuntimeError("injected engine failure")
             if os.getpid() != parent:
                 raise RuntimeError("injected engine failure")
             raised.wait(10)
-        return scores(self, seed, workspace=workspace)
+        return original(self, seeds, *args, **kwargs)
 
     # Patched before the pool forks, so its workers inherit it.
-    monkeypatch.setattr(LACA, "scores", failing_scores)
+    monkeypatch.setattr(LACA, engine, failing_engine)
     with ClusterService(
-        local_model, workers=workers, max_batch=BLOCK, max_wait_s=0.5, cache_size=0
+        model, workers=workers, max_batch=BLOCK, max_wait_s=0.5, cache_size=0
     ) as service:
         futures = service.submit_many(failing, SIZE)
         for future in futures:
@@ -319,15 +327,17 @@ def test_helper_failure_fails_the_block_and_serving_goes_on(
         np.testing.assert_array_equal(answer, cluster)
 
 
+@pytest.mark.parametrize("regime", ["local_model", "saturated_model"])
 @pytest.mark.parametrize("workers", WORKERS)
-def test_no_thread_outlives_its_block(local_model, workers, fanout):
+def test_no_thread_outlives_its_block(regime, workers, fanout, request):
+    model = request.getfixturevalue(regime)
     with ClusterService(
-        local_model, workers=workers, max_batch=BLOCK, max_wait_s=0.5, cache_size=0
+        model, workers=workers, max_batch=BLOCK, max_wait_s=0.5, cache_size=0
     ) as service:
         service.cluster(0, SIZE)
         baseline = threading.active_count()
         for round_ in range(3):
-            seeds = _seeds(local_model, BLOCK, seed=20 + round_)
+            seeds = _seeds(model, BLOCK, seed=20 + round_)
             for future in service.submit_many(seeds, SIZE):
                 future.result(timeout=60)
             assert threading.active_count() == baseline
