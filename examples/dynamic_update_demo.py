@@ -9,8 +9,8 @@ Walks the full update lifecycle:
    node (with attributes and a community label), and an attribute
    rewrite — each advancing the graph epoch without a refit;
 4. verify — post-update answers match a from-scratch fit on the head
-   snapshot, bit for bit, and cache entries whose diffusions never
-   touched the delta survived the epoch advance;
+   snapshot, and each epoch advance dropped the older epoch's cached
+   answers;
 5. compare — time incremental apply+refresh against the full refit the
    store replaces.
 
@@ -50,8 +50,7 @@ def main() -> None:
         u, v = seeds[0], seeds[1]
         out = service.apply_update(GraphDelta(add_edges=[(u, v)]))
         print(f"edge ({u}, {v}) inserted -> epoch {out['epoch']} in "
-              f"{out['update_s'] * 1e3:.2f}ms; cache promoted "
-              f"{out['entries_promoted']}, invalidated "
+              f"{out['update_s'] * 1e3:.2f}ms; cache invalidated "
               f"{out['entries_invalidated']}")
 
         # New attribute content expressed in the learned topic basis —
@@ -96,8 +95,7 @@ def main() -> None:
         stats = service.stats()
         print(f"service: epoch={stats['epoch']}, updates={stats['updates']}, "
               f"p50 update {stats['p50_update_s'] * 1e3:.2f}ms, cache "
-              f"promoted/invalidated = {stats['entries_promoted']}/"
-              f"{stats['entries_invalidated']}")
+              f"invalidated = {stats['entries_invalidated']}")
 
     # -- incremental vs refit ----------------------------------------
     start = time.perf_counter()

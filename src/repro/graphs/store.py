@@ -26,10 +26,10 @@ attributes) to ``AttributedGraph.from_edges`` called on the final edge
 set, which the parity suite pins.
 
 Epoch bookkeeping for the layers above: the store keeps a bounded log
-of which nodes each delta touched, so :meth:`touched_since` /
-:meth:`attribute_rows_since` let a fitted model
-(:meth:`repro.core.pipeline.LACA.refresh`) and the serving cache
-invalidate exactly the state a delta could have affected.
+of which attribute rows each delta rewrote, so
+:meth:`attribute_rows_since` lets a fitted model
+(:meth:`repro.core.pipeline.LACA.refresh`) update exactly the TNAM rows
+a delta could have affected.
 """
 
 from __future__ import annotations
@@ -225,16 +225,7 @@ class GraphDelta:
 
     def touched_nodes(self, n: int) -> np.ndarray:
         """Sorted ids whose adjacency row, degree or attribute row the
-        delta against an ``n``-node graph rewrites or appends.
-
-        A diffusion whose explored region is disjoint from this set reads
-        none of the rows the delta changed.  That keeps a cached answer
-        exact when the answer depends only on those rows: structural
-        deltas, or a model without a TNAM.  An attribute delta moves
-        every TNAM row (the k-SVD basis and y* are global), so the
-        serving cache drops every answer of a TNAM model on one (see
-        :meth:`~repro.serving.ClusterService.apply_update`).
-        """
+        delta against an ``n``-node graph rewrites or appends."""
         parts = [self.add_edges.ravel(), self.remove_edges.ravel()]
         if self.set_attributes is not None:
             parts.append(self.set_attributes[0])
@@ -314,7 +305,6 @@ class GraphDelta:
 @dataclass(frozen=True)
 class _LogEntry:
     epoch: int
-    touched: np.ndarray
     attribute_rows: np.ndarray
 
 
@@ -333,9 +323,9 @@ class GraphStore:
         coordinate build (cheaper than many large splices).  Both paths
         produce identical snapshots.
     history:
-        How many applied deltas of touched-node bookkeeping to retain
-        for :meth:`touched_since`; callers further behind than this get
-        ``None`` ("unknown — treat everything as touched").
+        How many applied deltas of attribute-row bookkeeping to retain
+        for :meth:`attribute_rows_since`; callers further behind than
+        this get ``None`` ("unknown — treat every row as rewritten").
     wal:
         Optional :class:`~repro.graphs.wal.GraphWAL`; when set, every
         delta is appended (and per the WAL's policy fsynced) *before*
@@ -539,7 +529,6 @@ class GraphStore:
         self._log.append(
             _LogEntry(
                 epoch=head.epoch,
-                touched=delta.touched_nodes(n_old),
                 attribute_rows=(
                     delta.attribute_rows(n_old)
                     if graph.attributes is not None
@@ -563,21 +552,6 @@ class GraphStore:
         if len(entries) != head_epoch - epoch:
             return None  # bookkeeping evicted: caller must assume everything
         return entries
-
-    def touched_since(self, epoch: int) -> np.ndarray | None:
-        """Union of nodes touched after ``epoch``, or None if unknown.
-
-        ``None`` means the bounded log no longer covers that far back;
-        callers must treat *every* node as potentially touched (full
-        invalidation / rebuild).
-        """
-        with self._lock:
-            entries = self._entries_since(epoch)
-        if entries is None:
-            return None
-        if not entries:
-            return _EMPTY_NODES
-        return np.unique(np.concatenate([entry.touched for entry in entries]))
 
     def attribute_rows_since(self, epoch: int) -> np.ndarray | None:
         """Union of attribute rows rewritten after ``epoch`` (None=unknown)."""

@@ -10,10 +10,10 @@ the *temporal* measures —
 * :func:`partition_drift` — fraction of surviving nodes whose planted
   label changed between two epochs (the ground-truth churn rate the
   tracker is up against);
-* :func:`staleness_ledger` — aggregates the cache's promotion /
-  invalidation counters over a replay into a staleness budget: how much
-  cached state an update stream preserved vs. destroyed, and how much
-  read traffic was served from carried-over entries.
+* :func:`staleness_ledger` — aggregates the cache's invalidation and
+  hit counters over a replay: how much cached state an update stream
+  destroyed, and how much read traffic the cache still served after
+  the first update.
 """
 
 from __future__ import annotations
@@ -65,22 +65,16 @@ def partition_drift(labels_before: np.ndarray, labels_after: np.ndarray) -> floa
 def staleness_ledger(epoch_reports: list[dict]) -> dict:
     """Aggregate the cache's epoch-advance counters over a replay.
 
-    ``survival_rate`` is the fraction of live cache entries each update
-    preserved (promoted / (promoted + invalidated)); ``stale_free_hits``
-    counts hits served after at least one update — all of which are
-    exact by the support-disjointness contract, so a nonzero value with
-    verified replays quantifies how much traffic epoch-aware caching
-    (vs. flush-on-write) saved.
+    ``entries_invalidated`` counts the entries every update dropped (a
+    cached answer lives for one epoch); ``stale_free_hits`` counts hits
+    served after at least one update, all of them repeats within the
+    epoch the answer was computed on.
     """
-    promoted = sum(r.get("cache_promotions", 0) for r in epoch_reports)
     invalidated = sum(r.get("cache_invalidations", 0) for r in epoch_reports)
     hits_after_update = sum(
         r.get("cache_hits", 0) for r in epoch_reports[1:]
     )
-    churned = promoted + invalidated
     return {
-        "entries_promoted": int(promoted),
         "entries_invalidated": int(invalidated),
-        "survival_rate": promoted / churned if churned else None,
         "stale_free_hits": int(hits_after_update),
     }

@@ -235,8 +235,8 @@ class ReplayConfig:
     it was issued against (the paper's ``|Cs| = |Ys|`` protocol);
     truthless streams fall back to ``fallback_size``.  ``verify_every=k``
     refits a fresh model from scratch every ``k`` epochs and demands the
-    service's (possibly cache-promoted, incrementally refreshed) answers
-    be bitwise-equal.
+    service's (cached or incrementally refreshed) answers be
+    bitwise-equal.
     """
 
     queries_per_epoch: int = 64
@@ -297,7 +297,6 @@ class ReplayResult:
             "mean_tracked_stability": (
                 float(np.mean(stabilities)) if stabilities else None
             ),
-            "entries_promoted": int(sum(r["entries_promoted"] for r in reports)),
             "entries_invalidated": int(
                 sum(r["entries_invalidated"] for r in reports)
             ),
@@ -319,7 +318,7 @@ def _query_size(scenario, epoch: int, seed: int, config: ReplayConfig) -> int:
     return int(truth.shape[0])
 
 
-_NO_CACHE = {"hits": 0, "misses": 0, "invalidations": 0, "promotions": 0}
+_NO_CACHE = {"hits": 0, "misses": 0, "invalidations": 0}
 
 
 def _cache_stats(service) -> dict:
@@ -336,7 +335,7 @@ def replay(service, scenario, config: ReplayConfig = ReplayConfig()) -> ReplayRe
     after it), submits the other half, then drains and scores: recall/F1
     against the planted partition at the epoch each query was issued
     against, Jaccard stability of tracked seeds' clusters across epochs,
-    and the cache's promotion/invalidation counters for the staleness
+    and the cache's hit/invalidation counters for the staleness
     ledger.  The service is left open; callers own its lifecycle.
     """
     rng = np.random.default_rng(config.seed)
@@ -465,7 +464,6 @@ def replay(service, scenario, config: ReplayConfig = ReplayConfig()) -> ReplayRe
             "shed": shed,
             "deadline_misses": deadline_misses,
             "update_s": update_stats["update_s"],
-            "entries_promoted": update_stats["entries_promoted"],
             "entries_invalidated": update_stats["entries_invalidated"],
             "query_p50_ms": (
                 float(np.percentile(latencies, 50) * 1e3) if latencies else None
@@ -481,9 +479,6 @@ def replay(service, scenario, config: ReplayConfig = ReplayConfig()) -> ReplayRe
             "cache_invalidations": (
                 cache_after["invalidations"] - cache_before["invalidations"]
             ),
-            "cache_promotions": (
-                cache_after["promotions"] - cache_before["promotions"]
-            ),
             "verified_bitwise": verified,
         })
 
@@ -498,7 +493,7 @@ def _verify_epoch(service, scenario, epoch, config, pending) -> bool:
     """Refit from scratch at ``epoch``; demand bitwise-equal answers.
 
     Exercises the full incremental stack — ``GraphStore`` splice,
-    ``LACA.refresh``, epoch-aware cache promotion — against the ground
+    ``LACA.refresh``, the per-epoch result cache — against the ground
     truth of a cold fit on the from-scratch snapshot.
     """
     fresh = LACA(service.model.config).fit(scenario.graph_at(epoch))

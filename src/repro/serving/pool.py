@@ -189,11 +189,11 @@ def _worker_main(
     original, +1 per respawn) — fault-plan rules match on it to target
     a specific incarnation, since rule counters are per-process state.
 
-    Result payloads are ``(clusters, supports, engine_seconds,
-    metrics_delta)``: the worker observes engine introspection into a
-    private registry and drains it per block, so its counters ride the
-    existing result queue home and merge into the head registry —
-    no extra IPC channel, no shared locks.
+    Result payloads are ``(clusters, engine_seconds, metrics_delta)``:
+    the worker observes engine introspection into a private registry
+    and drains it per block, so its counters ride the existing result
+    queue home and merge into the head registry — no extra IPC
+    channel, no shared locks.
     """
     attached = attach_snapshot(manifest)
     model = _hydrate(fit_state, attached)

@@ -93,8 +93,8 @@ class UpdateTimeout(TimeoutError):
     and queued behind the refresh marker, and the marker still lands in
     dispatch order — the model is refreshed before any of those queued
     requests is answered.  :attr:`pending` resolves to the marker's
-    ``(promoted, invalidated)`` cache counts once it does (or raises if
-    the refresh failed, at which point the service fails closed).
+    count of dropped cache entries once it does (or raises if the
+    refresh failed, at which point the service fails closed).
     """
 
     def __init__(self, message: str, pending: Future) -> None:
@@ -154,47 +154,25 @@ class _Request:
 class _Update:
     """A graph-epoch advance queued behind the in-flight query blocks.
 
-    The dispatcher refreshes the model and reconciles the cache when it
-    reaches this marker; the future resolves to the cache's
-    ``(promoted, invalidated)`` counts once serving is on the new epoch,
-    and ``refresh_s`` then holds the :meth:`LACA.refresh` time.
+    The dispatcher refreshes the model and drops the older epochs' cache
+    entries when it reaches this marker; the future resolves to the
+    number of entries dropped once serving is on the new epoch, and
+    ``refresh_s`` then holds the :meth:`LACA.refresh` time.
     """
 
     epoch: int
-    touched: np.ndarray | None
     future: Future = field(default_factory=Future)
     refresh_s: float = 0.0
 
 
-def _support_ids(mask: np.ndarray) -> np.ndarray:
-    """Sorted indices of ``mask``'s set entries, as int32 while ``n < 2³¹``.
+def _touched_mask(result) -> np.ndarray:
+    """Boolean mask of every node the two diffusions of one query touched.
 
-    A cached answer holds its support for its lifetime, and a local
-    query's support spans a sizeable share of the graph, so half the
-    bytes per id is half the cache's memory.
-    """
-    ids = np.flatnonzero(mask)
-    return ids.astype(np.int32) if mask.shape[0] < 2**31 else ids
-
-
-def _result_support(result) -> np.ndarray:
-    """Sorted union of every node the two diffusions of one query touched.
-
-    This is the invalidation footprint the cache stores with the answer:
-    a later structural delta whose touched set is disjoint from it cannot
-    have influenced the query (no touched node's adjacency row or degree
-    was ever read), so the cached cluster stays exact.  Attribute deltas
-    of a model with a TNAM invalidate every entry instead (see
-    :meth:`ClusterService._refresh`).
-    The union is a boolean mask over the nodes — one Θ(n) pass that costs
-    far less than sorting the parts, which are themselves length-``n``
-    once a workspace slot has gone graph-wide — and the result is a fresh
-    array, safe past the workspace's next query (int32, see
-    :func:`_support_ids`).  A diffusion that tracked no frontier
-    (``touched is None``: a graph-wide workspace slot, or a block column)
-    contributes its final ``q``/``residual`` non-zeros, which cover every
-    node it touched: mass is non-negative, so nothing cancels to exactly
-    0.0, and any processed residual deposits ``α·r > 0`` into ``q``.
+    A diffusion that tracked no frontier (``touched is None``: a
+    graph-wide workspace slot, or a block column) contributes its final
+    ``q``/``residual`` non-zeros, which cover every node it touched: mass
+    is non-negative, so nothing cancels to exactly 0.0, and any processed
+    residual deposits ``α·r > 0`` into ``q``.
     """
     mask = np.zeros(result.scores.shape[0], dtype=bool)
     for diffusion in (result.rwr, result.bdd):
@@ -203,19 +181,7 @@ def _result_support(result) -> np.ndarray:
         else:
             mask |= diffusion.q != 0.0
             mask |= diffusion.residual != 0.0
-    return _support_ids(mask)
-
-
-def _answer_seed(result, size: int) -> tuple:
-    """Record of one query's :class:`~repro.core.laca.LacaResult`, from
-    either path: cluster, support, iterations and frontier peak (see
-    :func:`answer_block`)."""
-    return (
-        top_k_cluster(result.scores, size, result.seed, support=result.scores_support),
-        _result_support(result),
-        result.rwr.iterations + result.bdd.iterations,
-        max(result.rwr.frontier_peak, result.bdd.frontier_peak),
-    )
+    return mask
 
 
 def answer_block(model: LACA, workspaces, seeds, sizes, metrics):
@@ -231,37 +197,44 @@ def answer_block(model: LACA, workspaces, seeds, sizes, metrics):
     The dispatcher passes one workspace per usable CPU, a pool worker its
     single one.  Kernel selections and each query's iterations, frontier
     peak (untracked by the block engine), touched nodes and touched
-    volume are observed into ``metrics``, a
-    :func:`~repro.serving.telemetry.make_engine_metrics` namespace, on
-    the calling thread; nothing is observed when an engine raises on any
-    thread.  Returns ``(clusters, supports, engine_seconds)``, where
-    ``supports[b]`` is the sorted touched-node union the result cache
-    stores as query ``b``'s invalidation footprint.
+    volume (size and degree sum of :func:`_touched_mask`) are observed
+    into ``metrics``, a :func:`~repro.serving.telemetry.make_engine_metrics`
+    namespace, on the calling thread; nothing is observed when an engine
+    raises on any thread.  Returns ``(clusters, engine_seconds)``.
 
     Path contract: every answer is bitwise :meth:`LACA.cluster`, on
     whichever path, thread or block it was computed.  A block column of
     :meth:`LACA.scores_batch` runs Step 2 through the same code as
-    :meth:`LACA.scores` and is handed to the same record function.  Only
-    the supports may differ by path: the sequential path stores the
-    union of its touched sets, the block path the non-zero ``q``/``r``
-    mask of its columns, and both are sound invalidation footprints.
+    :meth:`LACA.scores` and is handed to the same record function.
     """
+
+    def record(result, size: int) -> tuple:
+        mask = _touched_mask(result)
+        degrees = model._require_fit().degrees
+        return (
+            top_k_cluster(
+                result.scores, size, result.seed, support=result.scores_support
+            ),
+            result.rwr.iterations + result.bdd.iterations,
+            max(result.rwr.frontier_peak, result.bdd.frontier_peak),
+            int(mask.sum()),
+            float(degrees[mask].sum()),
+        )
+
     start = time.perf_counter()
-    records, tally = route_block(model, workspaces, seeds, sizes, _answer_seed)
+    records, tally = route_block(model, workspaces, seeds, sizes, record)
     engine_seconds = time.perf_counter() - start
     for kind, count in tally.items():
         metrics.kernel_selections.labels(kind).inc(count)
-    degrees = model._require_fit().degrees
-    clusters, supports = [], []
-    for cluster, support, iterations, frontier_peak in records:
+    clusters = []
+    for cluster, iterations, frontier_peak, nodes, volume in records:
         clusters.append(cluster)
-        supports.append(support)
         metrics.query_iterations.observe(iterations)
         if frontier_peak:
             metrics.frontier_peak.observe(frontier_peak)
-        metrics.touched_nodes.observe(support.size)
-        metrics.touched_volume.observe(float(degrees[support].sum()))
-    return clusters, supports, engine_seconds
+        metrics.touched_nodes.observe(nodes)
+        metrics.touched_volume.observe(volume)
+    return clusters, engine_seconds
 
 
 class ClusterService:
@@ -541,20 +514,16 @@ class ClusterService:
         in-flight query blocks: blocks gathered before the marker are
         answered on the old snapshot (and cached under the old epoch),
         everything submitted after this method returns is answered by
-        the refreshed model under the new epoch.  Cached answers from
-        the previous epoch are reconciled eagerly — entries whose
-        recorded support is disjoint from the delta's touched nodes are
-        carried over (still bitwise exact), the rest are invalidated.  A
-        delta that rewrites or appends attribute rows invalidates every
-        entry when the model has a TNAM, because the refresh moves every
-        row of Z.
+        the refreshed model under the new epoch.  An answer is cached for
+        one epoch only: every entry keyed at an older epoch is dropped
+        when the refresh lands.
 
         Updates are serialized; blocks until the refresh has landed (at
         most ``timeout`` seconds).  Must not be called from a future
         callback — it would deadlock the dispatcher against itself.
         Returns a summary dict: new epoch/n/m, ``update_s`` (the whole
-        call), ``refresh_s`` (its :meth:`LACA.refresh` share) and the
-        cache counts.
+        call), ``refresh_s`` (its :meth:`LACA.refresh` share) and
+        ``entries_invalidated``, the number of cache entries dropped.
 
         Timeout semantics: if ``timeout`` expires before the refresh
         marker lands, :class:`UpdateTimeout` is raised but the service
@@ -578,14 +547,11 @@ class ClusterService:
                 if self._store is None:
                     self._store = GraphStore(self.model._require_fit())
             store = self._store
-            epoch_before = store.epoch
             start = time.perf_counter()
             head = store.apply(delta)
             if store.wal is not None:
                 self.telemetry.record_wal_append()
-            update = _Update(
-                epoch=head.epoch, touched=store.touched_since(epoch_before)
-            )
+            update = _Update(epoch=head.epoch)
             with self._close_lock:
                 if self._closed:
                     raise RuntimeError(
@@ -601,16 +567,13 @@ class ClusterService:
             def _record(marker: Future) -> None:
                 if marker.cancelled() or marker.exception() is not None:
                     return
-                landed_promoted, landed_invalidated = marker.result()
                 self.telemetry.record_update(
-                    time.perf_counter() - start,
-                    landed_invalidated,
-                    landed_promoted,
+                    time.perf_counter() - start, marker.result()
                 )
 
             update.future.add_done_callback(_record)
             try:
-                promoted, invalidated = update.future.result(timeout)
+                invalidated = update.future.result(timeout)
             except (_FutureTimeout, TimeoutError):
                 raise UpdateTimeout(
                     f"graph update to epoch {head.epoch} did not land within "
@@ -626,7 +589,6 @@ class ClusterService:
                 "m": head.m,
                 "update_s": round(seconds, 6),
                 "refresh_s": round(update.refresh_s, 6),
-                "entries_promoted": promoted,
                 "entries_invalidated": invalidated,
             }
 
@@ -831,15 +793,14 @@ class ClusterService:
         return block, False, None
 
     def _refresh(self, update: _Update) -> None:
-        """Land a queued epoch advance: refresh model, reconcile cache.
+        """Land a queued epoch advance: refresh model, drop stale answers.
 
         The model refreshes to the store's *current* head, which with a
         shared store may already be past this marker's epoch (another
-        consumer applied further deltas).  Reconciliation is therefore
-        computed against what actually happened — everything touched
-        since the model's previous epoch — and the serving epoch follows
-        the model, so a cached answer's epoch stamp always names the
-        snapshot it was computed on.  On any failure the service fails
+        consumer applied further deltas).  The serving epoch follows the
+        model, so a cached answer's epoch stamp always names the
+        snapshot it was computed on, and the cache keeps only entries
+        stamped with the head's epoch.  On any failure the service fails
         closed (see :attr:`_failed`): its epoch may already be ahead of
         the model, and serving through that gap would poison the cache
         with stale answers under fresh keys.
@@ -852,7 +813,6 @@ class ClusterService:
             _fail_future(update.future, error)
             return
         try:
-            previous = self.model._require_fit().epoch
             self.model.refresh(self._store)
             update.refresh_s = self.model.refresh_seconds
             head = self.model._require_fit()
@@ -863,28 +823,17 @@ class ClusterService:
                 # The epoch barrier: every worker reloads before the
                 # serving epoch advances.
                 self._pool.reload(head)
-            promoted = invalidated = 0
-            # Epoch bump and cache reconciliation land under one hold of
-            # the close lock so stats() never observes the new epoch
-            # paired with the old epoch's cache (lock order is always
+            invalidated = 0
+            # Epoch bump and cache sweep land under one hold of the close
+            # lock so stats() never observes the new epoch paired with
+            # the old epoch's cache (lock order is always
             # _close_lock -> cache._lock, matching submit/stats).
             with self._close_lock:
                 if head.epoch > self._epoch:
                     self._epoch = head.epoch
                     self._n = head.n
                 if self.cache is not None:
-                    touched = update.touched
-                    if head.epoch != update.epoch:
-                        touched = self._store.touched_since(previous)
-                    if self.model.tnam is not None:
-                        rows = self._store.attribute_rows_since(previous)
-                        if rows is None or rows.size:
-                            # A TNAM refresh moves every row of Z: the
-                            # k-SVD basis and y* = Σ y(ℓ) are global.
-                            touched = None
-                    promoted, invalidated = self.cache.advance_epoch(
-                        head.epoch, touched, expected_epoch=previous
-                    )
+                    invalidated = self.cache.advance_epoch(head.epoch)
         except Exception as exc:
             self._fail_closed(exc)
             _fail_future(update.future, exc)
@@ -900,11 +849,10 @@ class ClusterService:
                 "epoch_advance",
                 epoch=head.epoch,
                 n=head.n,
-                entries_promoted=promoted,
                 entries_invalidated=invalidated,
             )
         if update.future.set_running_or_notify_cancel():
-            update.future.set_result((promoted, invalidated))
+            update.future.set_result(invalidated)
 
     def _fail_requests(
         self, requests: list[_Request], error: BaseException, kind: str | None = None
@@ -1034,16 +982,16 @@ class ClusterService:
             self._fail_requests(block, error, "engine")
             return
         try:
-            clusters, supports, engine_seconds, metrics_delta = payload
+            clusters, engine_seconds, metrics_delta = payload
             self.telemetry.merge_engine_delta(metrics_delta)
             if worker_id is None:
                 self.telemetry.record_batch(len(block), engine_seconds)
             else:  # one shard; dispatch recorded the gathered block
                 self.telemetry.record_answered(len(block), engine_seconds, worker_id)
             now = time.perf_counter()
-            for request, cluster, support in zip(block, clusters, supports):
+            for request, cluster in zip(block, clusters):
                 if self.cache is not None:
-                    cluster = self.cache.put(request.key, cluster, support)
+                    cluster = self.cache.put(request.key, cluster)
                 else:
                     cluster.setflags(write=False)
                 # A caller may have cancelled while queued; resolving a

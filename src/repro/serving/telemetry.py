@@ -164,10 +164,6 @@ class ServiceTelemetry:
             "laca_cache_entries_invalidated_total",
             "Cache entries dropped by epoch advances",
         )
-        self._m_promoted = reg.counter(
-            "laca_cache_entries_promoted_total",
-            "Cache entries carried across epoch advances (support-disjoint)",
-        )
         self._m_worker_batches = reg.counter(
             "laca_worker_batches_total", "Shards answered per pool worker", ("worker",)
         )
@@ -275,18 +271,15 @@ class ServiceTelemetry:
         """One graph delta appended durably to the write-ahead log."""
         self._m_wal_records.inc()
 
-    def record_update(
-        self, seconds: float, invalidated: int = 0, promoted: int = 0
-    ) -> None:
-        """One applied graph delta: apply→refresh latency and how the
-        result cache was reconciled (entries dropped vs carried over)."""
+    def record_update(self, seconds: float, invalidated: int = 0) -> None:
+        """One applied graph delta: apply→refresh latency and how many
+        result-cache entries its epoch advance dropped."""
         seconds = float(seconds)
         with self._lock:
             self._update_latencies.append(seconds)
         self._m_updates.inc()
         self._m_update_seconds.observe(seconds)
         self._m_invalidated.inc(int(invalidated))
-        self._m_promoted.inc(int(promoted))
 
     def merge_engine_delta(self, families) -> None:
         """Fold a worker registry's :meth:`~MetricsRegistry.drain` home."""
@@ -335,7 +328,9 @@ class ServiceTelemetry:
             "update_seconds": self._m_update_seconds.summary()["sum"],
             "p50_update_s": round(latency_percentile(update_latencies, 50.0), 6),
             "entries_invalidated": int(self._m_invalidated.value),
-            "entries_promoted": int(self._m_promoted.value),
+            # No entry outlives its epoch; perfbench/workloads.py and
+            # perfbench/layers.py still read this key.
+            "entries_promoted": 0,
             "shed": int(self._m_shed.value),
             "deadline_misses": int(self._m_deadline.value),
             "worker_occupancy": {

@@ -247,13 +247,6 @@ class TestEpochBookkeeping:
         assert (g1.epoch, g2.epoch) == (1, 2)
         assert store.head is g2
 
-    def test_touched_since_unions_deltas(self, tiny_graph):
-        store = GraphStore(tiny_graph)
-        store.apply(GraphDelta(add_edges=[(0, 4)]))
-        store.apply(GraphDelta(remove_edges=[(0, 4)]))
-        np.testing.assert_array_equal(store.touched_since(0), [0, 4])
-        np.testing.assert_array_equal(store.touched_since(2), [])
-
     def test_attribute_rows_since(self, tiny_graph):
         store = GraphStore(tiny_graph)
         store.apply(GraphDelta(add_edges=[(0, 4)]))
@@ -262,18 +255,40 @@ class TestEpochBookkeeping:
         np.testing.assert_array_equal(store.attribute_rows_since(1), [2])
         assert store.attribute_rows_since(2).size == 0
 
+    def test_attribute_rows_since_unions_deltas(self, tiny_graph):
+        store = GraphStore(tiny_graph)
+        store.apply(GraphDelta(set_attributes=([4], np.ones((1, 3)))))
+        store.apply(GraphDelta(set_attributes=([1, 4], np.ones((2, 3)))))
+        store.apply(GraphDelta(remove_edges=[(0, 1)]))
+        np.testing.assert_array_equal(store.attribute_rows_since(0), [1, 4])
+        np.testing.assert_array_equal(store.attribute_rows_since(1), [1, 4])
+        assert store.attribute_rows_since(2).size == 0
+        assert store.attribute_rows_since(3).size == 0
+
+    def test_attribute_rows_since_counts_appended_nodes(self, tiny_graph):
+        """An appended node's attribute row is new to the TNAM, so it is
+        logged with the rows a delta rewrites."""
+        store = GraphStore(tiny_graph)
+        store.apply(GraphDelta(
+            add_nodes=2,
+            add_edges=[(6, 0), (7, 6)],
+            add_attributes=np.ones((2, 3)),
+            add_communities=[0, 0],
+            set_attributes=([5], np.ones((1, 3))),
+        ))
+        np.testing.assert_array_equal(store.attribute_rows_since(0), [5, 6, 7])
+
     def test_history_eviction_returns_none(self, tiny_graph):
         store = GraphStore(tiny_graph, history=2)
         for i in range(4):
             store.apply(GraphDelta(set_attributes=([i % 6], np.ones((1, 3)))))
-        assert store.touched_since(0) is None
         assert store.attribute_rows_since(0) is None
-        assert store.touched_since(3) is not None
+        np.testing.assert_array_equal(store.attribute_rows_since(3), [3])
 
     def test_epoch_ahead_of_head_raises(self, tiny_graph):
         store = GraphStore(tiny_graph)
         with pytest.raises(ValueError, match="ahead"):
-            store.touched_since(1)
+            store.attribute_rows_since(1)
 
     def test_epoch_round_trips_through_graph_io(self, tiny_graph, tmp_path):
         from repro.graphs.io import load_graph, save_graph

@@ -163,16 +163,26 @@ class TestDriftMetrics:
         )
         assert drift == pytest.approx(changed.shape[0] / previous.shape[0])
 
+    def test_staleness_ledger_of_no_reports_is_zero(self):
+        assert staleness_ledger([]) == {
+            "entries_invalidated": 0,
+            "stale_free_hits": 0,
+        }
+        # The first report precedes any update: its hits are not counted.
+        assert staleness_ledger([{"cache_hits": 9}]) == {
+            "entries_invalidated": 0,
+            "stale_free_hits": 0,
+        }
+
     def test_staleness_ledger_aggregates(self):
         reports = [
-            {"cache_promotions": 2, "cache_invalidations": 6, "cache_hits": 4},
-            {"cache_promotions": 1, "cache_invalidations": 1, "cache_hits": 3},
+            {"cache_invalidations": 6, "cache_hits": 4},
+            {"cache_invalidations": 1, "cache_hits": 3},
         ]
-        ledger = staleness_ledger(reports)
-        assert ledger["entries_promoted"] == 3
-        assert ledger["entries_invalidated"] == 7
-        assert ledger["survival_rate"] == pytest.approx(0.3)
-        assert ledger["stale_free_hits"] == 3
+        assert staleness_ledger(reports) == {
+            "entries_invalidated": 7,
+            "stale_free_hits": 3,
+        }
 
 
 class TestTimestampedReplay:

@@ -66,7 +66,7 @@ class TestResultCache:
         assert stats["capacity"] == 8
         assert {
             "size", "hits", "misses", "evictions", "hit_rate",
-            "invalidations", "promotions",
+            "invalidations",
         } <= set(stats)
 
     def test_stats_snapshot_is_consistent_under_churn(self):
@@ -111,119 +111,128 @@ class TestEpochBehavior:
         cache.put(old, np.array([1]))
         assert cache.get(new) is None  # lazy invalidation: stale never hits
 
-    def test_advance_epoch_promotes_disjoint_supports(self):
-        cache = ResultCache(capacity=8)
-        stale = query_key("m", 0, 3, "d", epoch=0)
-        safe = query_key("m", 1, 3, "d", epoch=0)
-        blind = query_key("m", 2, 3, "d", epoch=0)
-        cache.put(stale, np.array([0, 5]), support=np.array([0, 5, 6]))
-        cache.put(safe, np.array([1, 9]), support=np.array([1, 9]))
-        cache.put(blind, np.array([2]))  # no recorded support
-        promoted, invalidated = cache.advance_epoch(1, touched=np.array([5]))
-        assert (promoted, invalidated) == (1, 2)
-        np.testing.assert_array_equal(
-            cache.get(query_key("m", 1, 3, "d", epoch=1)), [1, 9]
-        )
-        assert cache.get(query_key("m", 0, 3, "d", epoch=1)) is None
-        assert cache.get(query_key("m", 2, 3, "d", epoch=1)) is None
-
-    def test_advance_epoch_matches_isin_on_sorted_supports(self):
-        """The binary-search intersection promotes exactly the entries
-        whose sorted support ``np.isin`` finds disjoint from ``touched``,
-        including empty supports, empty and unsorted touched sets, and
-        touched nodes past either end of a support."""
-        rng = np.random.default_rng(0)
-        supports = [np.empty(0, dtype=np.int64), np.array([0]), np.array([999])]
-        supports += [
-            np.sort(rng.choice(1000, size=size, replace=False))
-            for size in (1, 5, 50, 500, 990)
-        ]
-        touched_sets = [np.empty(0, dtype=np.int64), np.array([0]), np.array([999])]
-        touched_sets += [rng.choice(1000, size=size) for size in (1, 3, 30)]
-        for touched in touched_sets:
-            cache = ResultCache(capacity=len(supports))
-            for seed, support in enumerate(supports):
-                cache.put(query_key("m", seed, 3, "d"), np.array([seed]), support)
-            expected = [
-                not np.isin(support, touched).any() for support in supports
-            ]
-            promoted, invalidated = cache.advance_epoch(1, touched=touched)
-            assert (promoted, invalidated) == (
-                sum(expected), len(expected) - sum(expected)
-            )
-            for seed, kept in enumerate(expected):
-                key = query_key("m", seed, 3, "d", epoch=1)
-                assert (key in cache) == kept
-
-    @pytest.mark.parametrize(
-        "given, stored",
-        [
-            (np.int32, np.int32),
-            (np.int64, np.int64),
-            (np.int16, np.int64),
-            (np.uint8, np.int64),
-        ],
-    )
-    def test_support_dtype_and_promotion(self, given, stored):
-        """int32 supports are stored as given (the service hands int32);
-        every other dtype is widened to int64.  Promotion depends on the
-        node ids alone: a touched id past the stored dtype's range must
-        not wrap onto a support id (``2**32 + 9`` would read as 9 in any
-        narrower integer)."""
-        cache = ResultCache(capacity=8)
-        supports = {0: [0, 5, 6], 1: [1, 9], 2: [7, 100]}
-        for seed, support in supports.items():
-            cache.put(
-                query_key("m", seed, 3, "d"), np.array([seed]),
-                support=np.array(support, dtype=given),
-            )
-        assert all(entry[1].dtype == stored for entry in cache._entries.values())
-        touched = np.array([5, 100, 2**32 + 9], dtype=np.int64)
-        assert cache.advance_epoch(1, touched=touched) == (1, 2)
-        assert query_key("m", 1, 3, "d", epoch=1) in cache
-
-    def test_advance_epoch_unknown_touched_drops_everything(self):
-        cache = ResultCache(capacity=8)
-        cache.put(query_key("m", 0, 3, "d"), np.array([0]), support=np.array([0]))
-        promoted, invalidated = cache.advance_epoch(1, touched=None)
-        assert (promoted, invalidated) == (0, 1)
+    def test_advance_epoch_drops_older_epochs_keeps_current_in_lru_order(self):
+        """Every entry keyed at an older epoch is dropped and counted; the
+        entries already at the new epoch stay, in their LRU order."""
+        cache = ResultCache(capacity=4)
+        for seed in (0, 1):
+            cache.put(query_key("m", seed, 3, "d", epoch=0), np.array([seed]))
+        current = [query_key("m", seed, 3, "d", epoch=1) for seed in (2, 3)]
+        for key in current:
+            cache.put(key, np.array([key[1]]))
+        cache.get(current[0])  # seed 2 is now the most recent
+        assert cache.advance_epoch(1) == 2
+        assert list(cache._entries) == [current[1], current[0]]
+        assert cache.stats()["invalidations"] == 2
+        assert cache.advance_epoch(2) == 2
         assert len(cache) == 0
-
-    def test_advance_epoch_drops_stray_epoch_entries(self):
-        """Only entries at the expected (previous) epoch are promotable:
-        the touched set says nothing about deltas outside that window,
-        so a disjoint-support entry from an older epoch is still
-        dropped."""
-        cache = ResultCache(capacity=8)
-        stray = query_key("m", 0, 3, "d", epoch=0)
-        current = query_key("m", 1, 3, "d", epoch=2)
-        cache.put(stray, np.array([0]), support=np.array([0]))
-        cache.put(current, np.array([1]), support=np.array([1]))
-        promoted, invalidated = cache.advance_epoch(
-            3, touched=np.array([50]), expected_epoch=2
-        )
-        assert (promoted, invalidated) == (1, 1)
-        assert query_key("m", 1, 3, "d", epoch=3) in cache
-        assert query_key("m", 0, 3, "d", epoch=3) not in cache
-
-    def test_advance_epoch_empty_touched_promotes_all(self):
-        cache = ResultCache(capacity=8)
-        cache.put(query_key("m", 0, 3, "d"), np.array([0]), support=np.array([0]))
-        promoted, invalidated = cache.advance_epoch(1, touched=np.array([], dtype=np.int64))
-        assert (promoted, invalidated) == (1, 0)
+        assert cache.stats()["invalidations"] == 4
 
     def test_advance_epoch_preserves_lru_order(self):
+        """After an advance the least recently used survivor is still the
+        first one evicted once the cache fills up again."""
+        cache = ResultCache(capacity=3)
+        cache.put(query_key("m", 0, 3, "d", epoch=0), np.array([0]))
+        a = query_key("m", 1, 3, "d", epoch=1)
+        b = query_key("m", 2, 3, "d", epoch=1)
+        cache.put(a, np.array([1]))
+        cache.put(b, np.array([2]))
+        cache.get(a)  # b is now the least recently used survivor
+        assert cache.advance_epoch(1) == 1
+        cache.put(query_key("m", 3, 3, "d", epoch=1), np.array([3]))
+        cache.put(query_key("m", 4, 3, "d", epoch=1), np.array([4]))
+        assert b not in cache and a in cache
+        assert cache.evictions == 1
+
+    def test_advance_epoch_drops_stray_epoch_entries(self):
+        """Entries keyed at any epoch other than the new one go, whether
+        they are one epoch behind, several behind, or ahead of it."""
+        cache = ResultCache(capacity=8)
+        stray = {
+            query_key("m", 0, 3, "d", epoch=0): np.array([0]),
+            query_key("m", 1, 3, "d", epoch=2): np.array([1]),
+            query_key("m", 2, 3, "d", epoch=5): np.array([2]),
+        }
+        current = query_key("m", 3, 3, "d", epoch=3)
+        for key, cluster in stray.items():
+            cache.put(key, cluster)
+        cache.put(current, np.array([3]))
+        assert cache.advance_epoch(3) == len(stray)
+        assert list(cache._entries) == [current]
+        assert not any(key in cache for key in stray)
+
+    def test_advance_epoch_to_the_current_epoch_drops_nothing(self):
+        cache = ResultCache(capacity=8)
+        keys = [query_key("m", seed, 3, "d", epoch=1) for seed in range(3)]
+        for key in keys:
+            cache.put(key, np.array([key[1]]))
+        assert cache.advance_epoch(1) == 0
+        assert cache.advance_epoch(1) == 0
+        assert list(cache._entries) == keys
+        assert cache.invalidations == 0
+        assert ResultCache(capacity=2).advance_epoch(7) == 0
+
+    def test_advance_epoch_leaves_lookup_counters_alone(self):
+        """Only ``invalidations`` moves: hits, misses and evictions keep
+        counting lookups and LRU pressure, not epoch advances."""
         cache = ResultCache(capacity=2)
-        a = query_key("m", 0, 3, "d")
-        b = query_key("m", 1, 3, "d")
-        cache.put(a, np.array([0]), support=np.array([10]))
-        cache.put(b, np.array([1]), support=np.array([11]))
-        cache.get(a)  # a most recent
-        cache.advance_epoch(1, touched=np.array([99]))
-        cache.put(query_key("m", 2, 3, "d", epoch=1), np.array([2]))
-        # b was least recently used and should have been evicted
-        assert query_key("m", 1, 3, "d", epoch=1) not in cache
-        assert query_key("m", 0, 3, "d", epoch=1) in cache
+        for seed in range(3):
+            cache.put(query_key("m", seed, 3, "d"), np.array([seed]))
+        cache.get(query_key("m", 2, 3, "d"))
+        cache.get(query_key("m", 0, 3, "d"))
+        before = cache.stats()
+        assert cache.advance_epoch(1) == 2
+        after = cache.stats()
+        for name in ("hits", "misses", "evictions", "hit_rate"):
+            assert after[name] == before[name]
+        assert (after["size"], after["invalidations"]) == (0, 2)
+
+    def test_entries_hold_the_cluster_array_itself(self):
+        """An entry is the stored cluster alone: ``get`` hands back the
+        very array ``put`` returned, with nothing else kept beside it."""
+        cache = ResultCache(capacity=2)
+        key = query_key("m", 0, 3, "d")
+        stored = cache.put(key, np.array([4, 1, 7], dtype=np.int64))
+        assert cache.get(key) is stored
+        assert cache._entries[key] is stored
+        np.testing.assert_array_equal(stored, [4, 1, 7])
+
+    def test_advance_epoch_under_concurrent_puts_accounts_every_entry(self):
+        """Writers put fresh keys at whatever epoch is current while the
+        main thread advances it.  Every put entry ends up exactly once as
+        live, evicted or invalidated, and the last advance leaves only
+        entries keyed at the final epoch."""
+        import threading
+
+        cache = ResultCache(capacity=64)
+        epoch = [0]
+        per_writer, writers = 2000, 2
+
+        def write(offset):
+            for i in range(per_writer):
+                key = query_key("m", offset + i, 3, "d", epoch=epoch[0])
+                if cache.get(key) is None:
+                    cache.put(key, np.array([i]))
+
+        threads = [
+            threading.Thread(target=write, args=(w * per_writer,))
+            for w in range(writers)
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            while any(thread.is_alive() for thread in threads):
+                epoch[0] += 1
+                cache.advance_epoch(epoch[0])
+        finally:
+            for thread in threads:
+                thread.join()
+        final = epoch[0] + 1
+        cache.advance_epoch(final)
+        assert len(cache) == 0
+        stats = cache.stats()
+        assert stats["misses"] == per_writer * writers
+        assert stats["evictions"] + stats["invalidations"] == per_writer * writers
 
 
 class TestConfigDigest:

@@ -1,11 +1,11 @@
 """Tests for epoch-aware serving: live updates through ClusterService.
 
-Acceptance (c): post-update serving never returns a pre-epoch cached
-cluster whose support intersects the delta — pinned both directly
-(intersecting queries re-answered on the new snapshot match a fresh
-fit) and under an interleaved update/query thread storm where every
-returned cluster must equal the fresh-fit answer of *some* epoch that
-was live while the query was in flight.
+Post-update serving never returns a cluster cached at an earlier
+epoch — pinned both directly (queries re-answered on the new snapshot
+match a fresh fit, even when the delta could not reach them) and under
+an interleaved update/query thread storm where every returned cluster
+must equal the fresh-fit answer of *some* epoch that was live while the
+query was in flight.
 """
 
 import threading
@@ -28,9 +28,8 @@ def _fresh_answer(graph, config, seed, size):
 def two_component_graph(rng):
     """Two attribute-coherent communities joined by nothing.
 
-    Disconnected components make promotion deterministic: a delta in
-    one component provably cannot touch a diffusion seeded in the
-    other, so its cached answers must survive the epoch advance.
+    A delta in one component cannot reach a diffusion seeded in the
+    other; its cached answers are still dropped at the epoch advance.
     """
     edges = []
     for base in (0, 8):
@@ -73,51 +72,87 @@ class TestApplyUpdate:
             stats = service.stats()
             assert stats["cache"]["invalidations"] >= 1
 
-    def test_disjoint_entries_are_promoted_and_hit(self, two_component_graph):
+    def test_edge_only_delta_recomputes_the_other_component(
+        self, two_component_graph
+    ):
+        """An edge-only delta in component B drops the cached answer of a
+        seed in component A too: the repeat query counts a miss and is
+        answered bitwise equal to a fresh ``LACA.cluster`` on the new
+        snapshot."""
         config = LacaConfig(k=6)
         model = LACA(config).fit(two_component_graph)
         with ClusterService(model, cache_size=64) as service:
-            left = service.cluster(0, 4)    # component A
+            service.cluster(0, 4)           # component A
             service.cluster(8, 4)           # component B
             out = service.apply_update(GraphDelta(remove_edges=[(8, 9)]))
-            assert out["entries_promoted"] >= 1
-            hit = service.cluster(0, 4)     # A untouched: promoted entry hits
-            np.testing.assert_array_equal(hit, left)
-            stats = service.stats()
-            assert stats["cache_served"] == 1
-            # and the promoted answer is still bitwise exact
+            assert out["entries_invalidated"] == 2
+            assert len(service.cache) == 0
+            misses = service.cache.misses
+            answer = service.cluster(0, 4)
+            assert service.cache.misses == misses + 1
+            assert service.stats()["cache_served"] == 0
             np.testing.assert_array_equal(
-                hit, _fresh_answer(service.store.head, config, 0, 4)
+                answer, _fresh_answer(service.store.head, config, 0, 4)
             )
 
-    def test_attribute_delta_invalidates_every_tnam_answer(
-        self, rng, two_component_graph
-    ):
-        """A TNAM refresh moves every row of Z (the k-SVD basis and y* are
-        global), so an attribute delta promotes nothing, even an entry in
-        the other component; an edge-only delta still promotes it."""
+    def test_every_delta_invalidates_every_answer(self, rng, two_component_graph):
+        """Attribute and edge-only deltas alike drop every cached answer,
+        and the re-answered queries match a fresh fit on each head."""
         config = LacaConfig(k=6)
         model = LACA(config).fit(two_component_graph)
         seeds = [0, 3, 8]
+        row = np.abs(rng.normal(size=(1, two_component_graph.d))) + 0.05
+        deltas = [
+            GraphDelta(set_attributes=([9], row)),
+            GraphDelta(remove_edges=[(8, 9)]),
+        ]
         with ClusterService(model, cache_size=64) as service:
             for seed in seeds:
                 service.cluster(seed, 4)
-            row = np.abs(rng.normal(size=(1, two_component_graph.d))) + 0.05
+            for delta in deltas:
+                out = service.apply_update(delta)
+                assert out["entries_invalidated"] == len(seeds)
+                head = service.store.head
+                for seed in seeds:
+                    np.testing.assert_array_equal(
+                        service.cluster(seed, 4), _fresh_answer(head, config, seed, 4)
+                    )
+
+    def test_attribute_delta_invalidates_answers_without_tnam(
+        self, rng, two_component_graph
+    ):
+        """A model without a TNAM reads no attribute row, yet an attribute
+        delta still drops its cached answers: the cache keys on the epoch,
+        not on what a delta could reach."""
+        config = LacaConfig(k=6, use_snas=False)
+        model = LACA(config).fit(two_component_graph)
+        row = np.abs(rng.normal(size=(1, two_component_graph.d))) + 0.05
+        with ClusterService(model, cache_size=64) as service:
+            before = {seed: service.cluster(seed, 4) for seed in (0, 8)}
             out = service.apply_update(GraphDelta(set_attributes=([9], row)))
-            assert out["entries_promoted"] == 0
-            assert out["entries_invalidated"] == len(seeds)
+            assert out["entries_invalidated"] == len(before)
             head = service.store.head
-            for seed in seeds:
+            for seed, answer in before.items():
+                after = service.cluster(seed, 4)
+                np.testing.assert_array_equal(after, answer)
                 np.testing.assert_array_equal(
-                    service.cluster(seed, 4), _fresh_answer(head, config, seed, 4)
+                    after, _fresh_answer(head, config, seed, 4)
                 )
-            out = service.apply_update(GraphDelta(remove_edges=[(8, 9)]))
-            assert out["entries_promoted"] == 2  # seeds 0 and 3
-            head = service.store.head
-            for seed in seeds:
-                np.testing.assert_array_equal(
-                    service.cluster(seed, 4), _fresh_answer(head, config, seed, 4)
-                )
+            assert service.stats()["cache_served"] == 0
+
+    def test_answers_recached_at_the_new_epoch_hit(self, small_sbm):
+        """After an advance the first query recomputes and caches under the
+        new epoch; its repeat in the same epoch is served from cache."""
+        model = LACA(LacaConfig(k=16)).fit(small_sbm)
+        with ClusterService(model, cache_size=64) as service:
+            service.cluster(5, 12)
+            service.apply_update(GraphDelta(add_edges=[(5, 70)]))
+            first = service.cluster(5, 12)
+            assert service.stats()["cache_served"] == 0
+            again = service.cluster(5, 12)
+            assert service.stats()["cache_served"] == 1
+            np.testing.assert_array_equal(again, first)
+            assert len(service.cache) == 1
 
     def test_update_with_node_append_extends_seed_range(self, rng, small_sbm):
         config = LacaConfig(k=16)

@@ -1,16 +1,12 @@
 """Epoch-aware cache behavior under a long evolving-scenario replay.
 
-PR 5 pinned single-delta promotion/invalidation semantics; these tests
-drive the cache through a *stream* of scenario epochs and assert the
-two properties that make epoch-aware caching trustworthy at scale:
+These tests drive the cache through a *stream* of scenario epochs and
+assert the two properties that make per-epoch caching trustworthy:
 
-* every entry the cache promotes across an epoch advance still equals
-  a fresh ``LACA.cluster`` on the from-scratch snapshot at the new
-  epoch (promotion never serves a stale answer), and
-* the promoted/invalidated counters match the trace's overlap
-  structure exactly — an entry survives iff its recorded support is
-  disjoint from the delta's touched set and the delta rewrote no
-  attribute row (a TNAM refresh moves every row of Z).
+* each epoch advance invalidates exactly the entries that were live
+  before it, so no answer outlives the epoch it was computed on, and
+* every answer served after the advance equals a fresh ``LACA.cluster``
+  on the from-scratch snapshot at the new epoch.
 """
 
 import numpy as np
@@ -27,11 +23,8 @@ _SIZE = 12
 
 @pytest.fixture(scope="module")
 def scenario():
-    # Structure-dominated evolution: sparse, localized churn keeps many
-    # query supports disjoint from each delta, so promotion actually
-    # fires for a model without a TNAM.  Every epoch also re-draws some
-    # attribute rows (churn and births do), which invalidates every
-    # answer of a TNAM model.
+    # Structure-dominated evolution: sparse, localized churn, plus some
+    # attribute rows re-drawn every epoch (churn and births do).
     config = DynamicSBMConfig(
         n=420,
         n_communities=6,
@@ -58,84 +51,46 @@ def _probe_seeds(scenario, per_community=2):
 
 class TestEpochCacheUnderReplay:
     @pytest.mark.parametrize("use_snas", [True, False], ids=["tnam", "no_snas"])
-    def test_promotions_exact_and_counters_match_overlap(self, scenario, use_snas):
-        # A large epsilon keeps diffusion supports local (output volume
-        # is O(1/((1-α)ε))); with the paper-default 1e-6 every support
-        # spans the whole graph and nothing could ever be promoted.
+    def test_invalidations_match_live_entries_and_answers_exact(
+        self, scenario, use_snas
+    ):
+        # A large epsilon keeps diffusion supports local, the regime where
+        # a delta misses most queries; their answers are dropped anyway.
         config = LacaConfig(epsilon=0.05, use_snas=use_snas)
         model = LACA(config).fit(scenario.base)
         store = GraphStore(scenario.base, history=scenario.epochs + 1)
         probes = _probe_seeds(scenario)
-        promoted_total = invalidated_total = 0
 
         with ClusterService(model, store=store, cache_size=4096) as service:
+            cache = service.cache
             for record in scenario.records:
                 for seed in probes:
                     service.cluster(seed, _SIZE)
-
-                n_prev = store.head.n
-                expected_epoch = store.head.epoch
-                touched = record.delta.touched_nodes(n_prev)
-                attribute_delta = (
-                    use_snas and record.delta.attribute_rows(n_prev).size > 0
-                )
-                cache = service.cache
-                with cache._lock:
-                    entries = list(cache._entries.items())
-                expected_promoted = sum(
-                    1
-                    for key, (_, support) in entries
-                    if key[4] == expected_epoch
-                    and not attribute_delta
-                    and support is not None
-                    and (
-                        touched.size == 0
-                        or not np.isin(
-                            support, touched, assume_unique=True
-                        ).any()
-                    )
-                )
-                expected_invalidated = len(entries) - expected_promoted
+                live = len(cache)
+                invalidations = cache.invalidations
 
                 stats = service.apply_update(record.delta)
-                assert stats["entries_promoted"] == expected_promoted
-                assert stats["entries_invalidated"] == expected_invalidated
-                promoted_total += expected_promoted
-                invalidated_total += expected_invalidated
+                assert live > 0
+                assert stats["entries_invalidated"] == live
+                assert cache.invalidations - invalidations == live
+                assert len(cache) == 0
 
-                # Every surviving entry must equal a cold refit's answer
-                # on the from-scratch snapshot at the new epoch.
+                # Every answer after the advance is recomputed and equals
+                # a cold refit's on the from-scratch snapshot.
                 fresh = LACA(model.config).fit(
                     scenario.graph_at(record.epoch)
                 )
-                with cache._lock:
-                    survivors = [
-                        (key, cluster)
-                        for key, (cluster, _) in cache._entries.items()
-                    ]
-                assert len(survivors) == expected_promoted
-                for key, cluster in survivors:
-                    seed, size = key[1], key[2]
-                    np.testing.assert_array_equal(
-                        cluster, fresh.cluster(seed, size)
-                    )
-                # ... and the service serves them (hit or recompute)
-                # bitwise-identically to that refit.
+                misses = cache.misses
                 for seed in probes:
                     np.testing.assert_array_equal(
                         service.cluster(seed, _SIZE),
                         fresh.cluster(seed, _SIZE),
                     )
-
-        # Without a TNAM the replay exercises both outcomes; with one,
-        # every epoch's attribute rows leave nothing to promote.
-        assert invalidated_total > 0
-        assert (promoted_total == 0) if use_snas else (promoted_total > 0)
+                assert cache.misses - misses == len(set(probes))
 
     def test_drift_heavy_stream_invalidates_broadly(self):
-        """Attribute drift rewrites attribute rows every epoch, so no entry
-        of the TNAM model is promoted, and the counters still reconcile
-        epoch by epoch."""
+        """Attribute drift rewrites attribute rows every epoch; each
+        advance still invalidates exactly the live entries."""
         config = DynamicSBMConfig(
             n=200,
             n_communities=4,
@@ -157,5 +112,4 @@ class TestEpochCacheUnderReplay:
                 before = service.stats()["cache"]
                 live = before["size"]
                 stats = service.apply_update(record.delta)
-                assert stats["entries_promoted"] == 0
                 assert stats["entries_invalidated"] == live > 0

@@ -20,11 +20,12 @@ from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.diffusion.base import block_diffusion_pays
 from repro.graphs.datasets import load_dataset
+from repro.graphs.graph import AttributedGraph
 from repro.graphs.store import GraphDelta
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import ClusterService
 from repro.serving.cache import query_key
-from repro.serving.service import _result_support, answer_block
+from repro.serving.service import answer_block
 from repro.serving.telemetry import make_engine_metrics
 
 WORKERS = [0, 2]
@@ -42,13 +43,6 @@ def local_model():
     """arxiv analog (n=2000) at ε=1e-4: each query pushes ~0.1·n nodes and
     its scatters stay on the gather/csc kernels but for one stray full."""
     return _greedy(load_dataset("arxiv", scale=0.25), epsilon=1e-4)
-
-
-@pytest.fixture(scope="module")
-def frontier_model(local_model):
-    """The local graph at ε=1e-3: scatters never go graph-wide, so the
-    engines keep tracking their frontier (``touched`` is set)."""
-    return _greedy(local_model.graph, epsilon=1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -139,44 +133,97 @@ def test_pool_spreads_one_block_over_every_worker(regime, request):
         np.testing.assert_array_equal(answer, expected)
 
 
-def _unique_support(parts):
-    return np.unique(np.concatenate(parts))
+class _Recorder:
+    """Stands in for a histogram: keeps every observed value in order."""
+
+    def __init__(self):
+        self.values = []
+
+    def observe(self, value):
+        self.values.append(value)
 
 
-def _old_result_support(result):
-    parts = []
+def _observed_touch(model, seeds):
+    """answer_block on one workspace: each query's observed touched-node
+    count and touched volume, in seed order, plus the kernel tally."""
+    registry = MetricsRegistry("touch")
+    metrics = make_engine_metrics(registry)
+    metrics.touched_nodes, metrics.touched_volume = _Recorder(), _Recorder()
+    answer_block(
+        model, [model.make_workspace()], seeds, [2] * len(seeds), metrics
+    )
+    family = registry.get("laca_kernel_selections_total")
+    kernels = {key[0]: value for key, value in family.sample_items().items()}
+    return metrics.touched_nodes.values, metrics.touched_volume.values, kernels
+
+
+def _touch_by_hand(model, result):
+    """Size and degree sum of the union of each diffusion's ``touched``
+    set, or of its non-zero ``q``/``residual`` when it tracked none."""
+    nodes = set()
     for diffusion in (result.rwr, result.bdd):
         if diffusion.touched is not None:
-            parts.append(diffusion.touched)
+            nodes.update(diffusion.touched.tolist())
         else:
-            parts += [np.flatnonzero(diffusion.q), np.flatnonzero(diffusion.residual)]
-    return _unique_support(parts)
+            nodes.update(np.flatnonzero(diffusion.q).tolist())
+            nodes.update(np.flatnonzero(diffusion.residual).tolist())
+    ids = np.array(sorted(nodes), dtype=np.int64)
+    return ids.size, float(model.graph.degrees[ids].sum())
 
 
-class TestSupportParity:
-    """The mask unions return exactly the old ``np.unique`` set, for a
-    sequential result (with and without a workspace) and for a block
-    column's :class:`~repro.core.laca.LacaResult`."""
+class TestTouchedHistograms:
+    """``laca_touched_nodes`` / ``laca_touched_volume`` observe, per query,
+    the size and degree sum of the union of the nodes its two diffusions
+    touched, on the sequential path and for a block column alike."""
 
-    @pytest.mark.parametrize("regime", ["frontier_model", "saturated_model"])
-    def test_result_support(self, regime, request):
-        model = request.getfixturevalue(regime)
-        workspace = model.make_workspace()
-        seeds = _seeds(model, 6, seed=3)
-        batch = model.scores_batch(seeds)
-        tracked = untracked = 0
-        for b, seed in enumerate(seeds):
-            sequential = [model.scores(seed, workspace=workspace), model.scores(seed)]
-            for result in sequential:
-                for diffusion in (result.rwr, result.bdd):
-                    tracked += diffusion.touched is not None
-                    untracked += diffusion.touched is None
-            for result in (*sequential, batch.query(b)):
-                got = _result_support(result)
-                np.testing.assert_array_equal(got, _old_result_support(result))
-                assert got.dtype == np.int32
-        # Each sequential regime exercises the branch it is here for.
-        assert tracked > 0 if regime == "frontier_model" else untracked > 0
+    @pytest.mark.parametrize(
+        ("config", "seed"),
+        [
+            (LacaConfig(k=3, epsilon=0.1), 7),
+            (LacaConfig(k=3, epsilon=0.2, use_snas=False), 6),
+        ],
+        ids=["rwr_wider", "bdd_wider"],
+    )
+    def test_sequential_path(self, config, seed):
+        # Ten triangles, each with a five-node tail: every diffusion stays
+        # in its seed's component, so the engines track their touched
+        # sets, and the RWR and BDD sets differ, so the union matters.
+        edges = []
+        for base in range(0, 80, 8):
+            edges += [(base, base + 1), (base, base + 2)]
+            edges += [(base + i, base + i + 1) for i in range(1, 7)]
+        attrs = np.abs(np.random.default_rng(0).normal(size=(80, 4))) + 0.05
+        model = LACA(config).fit(AttributedGraph.from_edges(80, edges, attributes=attrs))
+        nodes, volumes, kernels = _observed_touch(model, [seed])
+        result = model.scores(seed, workspace=model.make_workspace())
+        rwr, bdd = result.rwr.touched, result.bdd.touched
+        assert rwr is not None and bdd is not None
+        assert not np.array_equal(rwr, bdd)
+        assert "full" not in kernels
+        assert (nodes, volumes) == tuple(
+            [value] for value in _touch_by_hand(model, result)
+        )
+
+    def test_block_column(self, tiny_graph):
+        # At this ε every query saturates the tiny graph, so the first seed
+        # runs sequentially and the other two as columns of one
+        # scores_batch, whose residuals reach nodes their q does not.
+        model = LACA(LacaConfig(k=3, epsilon=0.11)).fit(tiny_graph)
+        seeds = [0, 2, 4]
+        nodes, volumes, kernels = _observed_touch(model, seeds)
+        assert any(kind.startswith("block_") for kind in kernels), kernels
+        batch = model.scores_batch(seeds[1:])
+        columns = [batch.query(column) for column in range(len(seeds) - 1)]
+        for column in columns:
+            assert column.rwr.touched is None and column.bdd.touched is None
+            pushed = np.union1d(
+                np.flatnonzero(column.rwr.q), np.flatnonzero(column.bdd.q)
+            )
+            assert pushed.size < _touch_by_hand(model, column)[0]
+        results = [model.scores(seeds[0], workspace=model.make_workspace()), *columns]
+        expected = [_touch_by_hand(model, result) for result in results]
+        assert nodes == [count for count, _ in expected]
+        assert volumes == [volume for _, volume in expected]
 
 
 # -- fan-out over one thread per workspace ------------------------------
@@ -211,15 +258,15 @@ def fanout(monkeypatch, helpers):
 
 
 def _single_thread(model, seeds):
-    """answer_block on one workspace: clusters, supports, kernel tally."""
+    """answer_block on one workspace: clusters, kernel tally."""
     registry = MetricsRegistry("reference")
-    clusters, supports, _ = answer_block(
+    clusters, _ = answer_block(
         model, [model.make_workspace()], seeds, [SIZE] * len(seeds),
         make_engine_metrics(registry),
     )
     family = registry.get("laca_kernel_selections_total")
     kernels = {key[0]: value for key, value in family.sample_items().items()}
-    return clusters, supports, kernels
+    return clusters, kernels
 
 
 def _expect_helpers(helpers, workers):
@@ -231,9 +278,9 @@ def _expect_helpers(helpers, workers):
 
 
 @pytest.mark.parametrize("workers", WORKERS)
-def test_fanout_answers_and_supports_match_single_thread(local_model, workers, fanout):
+def test_fanout_answers_match_single_thread(local_model, workers, fanout):
     seeds = _seeds(local_model, BLOCK, seed=5)
-    expected, expected_supports, _ = _single_thread(local_model, seeds)
+    expected, _ = _single_thread(local_model, seeds)
     with ClusterService(
         local_model, workers=workers, max_batch=BLOCK, max_wait_s=0.5, cache_size=64
     ) as service:
@@ -246,20 +293,16 @@ def test_fanout_answers_and_supports_match_single_thread(local_model, workers, f
         }
     _expect_helpers(fanout, workers)
     workspace = local_model.make_workspace()
-    for seed, answer, cluster, support in zip(
-        seeds, answers, expected, expected_supports
-    ):
+    for seed, answer, cluster in zip(seeds, answers, expected):
         np.testing.assert_array_equal(answer, cluster)
         np.testing.assert_array_equal(answer, local_model.cluster(seed, SIZE, workspace))
-        np.testing.assert_array_equal(cached[seed][0], cluster)
-        np.testing.assert_array_equal(cached[seed][1], support)
-        assert cached[seed][1].dtype == support.dtype
+        np.testing.assert_array_equal(cached[seed], cluster)
 
 
 @pytest.mark.parametrize("workers", WORKERS)
 def test_fanout_kernel_counts_sum_to_single_thread(local_model, workers, fanout):
     seeds = _seeds(local_model, BLOCK, seed=6)
-    _, _, expected = _single_thread(local_model, seeds)
+    _, expected = _single_thread(local_model, seeds)
     _, kernels, _ = _serve_one_block(local_model, seeds, workers)
     _expect_helpers(fanout, workers)
     assert kernels == expected

@@ -479,8 +479,7 @@ class TestFailureContainment:
             assert service.epoch == 1
             later = service.submit(3, 20)
             release.set()
-            promoted, invalidated = excinfo.value.pending.result(timeout=30)
-            assert promoted >= 0 and invalidated >= 0
+            assert excinfo.value.pending.result(timeout=30) >= 0
             assert len(blocker.result(timeout=30)) == 20
             np.testing.assert_array_equal(
                 later.result(timeout=30),

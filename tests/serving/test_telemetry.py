@@ -47,6 +47,19 @@ class TestServiceTelemetry:
         )
         assert stats["p95_latency_s"] < 1.0
 
+    def test_update_counters_sum_invalidations(self):
+        telemetry = ServiceTelemetry()
+        telemetry.record_update(0.002, invalidated=5)
+        telemetry.record_update(0.004)
+        telemetry.record_update(0.006, invalidated=2)
+        stats = telemetry.snapshot()
+        assert stats["updates"] == 3
+        assert stats["entries_invalidated"] == 7
+        assert stats["entries_promoted"] == 0  # no entry outlives its epoch
+        assert stats["p50_update_s"] == round(
+            latency_percentile([0.002, 0.004, 0.006], 50.0), 6
+        )
+
     def test_cache_and_error_counters(self):
         telemetry = ServiceTelemetry()
         telemetry.record_cache_hit()
