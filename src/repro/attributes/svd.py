@@ -13,8 +13,11 @@ that side instead: ``G = XᵀX`` (``d × d``) for tall inputs, then
 ``σ = sqrt(λ)``, ``V_k`` from the top eigenvectors and ``U = X V_k / σ``.
 That costs ``O(n·d² + d³)`` and never materializes more than ``k``
 columns of ``U``, where a thin LAPACK SVD builds all ``d`` of them: at
-``n = 168k``, ``d = 128``, ``k = 32`` the TNAM build takes ~0.27 s
-instead of ~6.8 s on one BLAS thread of a 2-CPU host.  Forming ``G`` squares the
+``n = 168k``, ``d = 128``, ``k = 32`` it took the TNAM build from ~6.8 s
+to ~0.27 s on one BLAS thread of a 2-CPU host.  The cosine TNAM runs
+the same eigensolve on a Gram it sums from row blocks it keeps
+(:mod:`repro.attributes.tnam`); this branch serves the exp-cosine TNAM
+and the embedding baselines.  Forming ``G`` squares the
 condition number, so small singular values lose relative accuracy — but
 the TNAM only ever consumes ``Y = U Σ = X V_k``, an exact projection of
 ``X`` onto ``span(V_k)`` whatever the rounding in ``V_k``, so ``Y Yᵀ``
@@ -30,7 +33,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["randomized_svd", "truncated_svd"]
+__all__ = ["EXACT_THRESHOLD", "randomized_svd", "truncated_svd"]
+
+#: Largest short side ``min(n, d)`` that :func:`truncated_svd` solves exactly.
+EXACT_THRESHOLD = 400
 
 
 def _orthonormalize(matrix: np.ndarray) -> np.ndarray:
@@ -93,7 +99,7 @@ def _gram_svd(tall: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 def truncated_svd(
     matrix,
     k: int,
-    exact_threshold: int = 400,
+    exact_threshold: int = EXACT_THRESHOLD,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-``k`` SVD: exact when ``min(n, d) ≤ exact_threshold``, else randomized.

@@ -7,6 +7,14 @@ The transformed node attribute matrix ``Z ∈ R^{n×k'}`` satisfies
 orthogonal random features for the exponential cosine metric — and then
 normalizes ``z(i) = y(i) / sqrt(y(i) · y*)`` where ``y* = Σ_ℓ y(ℓ)``.
 
+For the cosine metric with ``d ≤ min(n, 400)`` features, the k-SVD is an
+eigensolve of the ``d × d`` Gram ``G = XᵀX``, and ``G`` is summed from
+fixed row blocks ``X_bᵀX_b`` that the TNAM keeps (:class:`GramBlocks`).
+Then ``V_k`` holds the top-``k`` eigenvectors, ``Y = X V_k`` and
+``y* = (Σ_ℓ x(ℓ)) V_k``.  An attribute delta recomputes only the blocks
+holding a changed row and reruns the same sum, eigensolve and
+projection, so a refresh is bitwise a fresh build (:meth:`TNAM.update_rows`).
+
 For Table XI's alternative metrics (Jaccard / Pearson), no exact
 inner-product factorization exists, so we factorize the dense kernel
 itself with a truncated eigendecomposition — an O(n²) path only intended
@@ -15,25 +23,80 @@ for the small graphs that appendix evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .orf import orf_feature_map
 from .snas import kernel_matrix
-from .svd import truncated_svd
+from .svd import EXACT_THRESHOLD, truncated_svd
 
-__all__ = ["TNAM", "build_tnam"]
+__all__ = ["GramBlocks", "TNAM", "build_tnam"]
 
 #: Guard for the normalization denominator y(i)·y*; see module docstring.
 _EPS = 1e-12
 
-#: Largest per-entry reconstruction error tolerated when projecting an
-#: updated attribute row onto the retained k-SVD basis.  Rows inside the
-#: basis span reconstruct to ~1e-15; a genuinely out-of-span row misses
-#: by O(1), so anything past this means the basis no longer explains the
-#: data and :meth:`TNAM.update_rows` falls back to a full rebuild.
-_PROJECTION_TOL = 1e-6
+#: Fewest rows in one Gram block; see :func:`_block_rows`.
+_MIN_BLOCK_ROWS = 1024
+
+
+def _block_rows(d: int, k: int) -> int:
+    """Rows per Gram block, ``B = max(1024, ⌈d²/k⌉)``.
+
+    ``n/B`` blocks of ``d²`` floats then take no more memory than the
+    ``n × k`` feature matrix ``Y``.
+    """
+    return max(_MIN_BLOCK_ROWS, -(-d * d // k))
+
+
+def _block_partials(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(X_bᵀX_b, Σ_i x_b(i))`` of one row block."""
+    return block.T @ block, block.sum(axis=0)
+
+
+@dataclass(frozen=True)
+class GramBlocks:
+    """Row-block partials of the cosine k-SVD Gram ``G = XᵀX``.
+
+    Block ``b`` covers rows ``[b·rows, (b+1)·rows)`` of ``X`` (the last
+    one may be partial) and holds ``X_bᵀX_b`` and the column sum of
+    ``X_b``.  :meth:`totals` sums them in block order, whatever path
+    produced the blocks, so equal attributes give bitwise equal totals.
+    """
+
+    rows: int
+    grams: tuple[np.ndarray, ...]
+    colsums: tuple[np.ndarray, ...]
+
+    @classmethod
+    def build(cls, attributes: np.ndarray, rows: int) -> "GramBlocks":
+        parts = [
+            _block_partials(attributes[lo : lo + rows])
+            for lo in range(0, attributes.shape[0], rows)
+        ]
+        return cls(rows, tuple(g for g, _ in parts), tuple(s for _, s in parts))
+
+    def updated(self, attributes: np.ndarray, changed: np.ndarray) -> "GramBlocks":
+        """Blocks of ``attributes`` after the rows in ``changed`` were
+        rewritten or appended; every other block keeps its arrays.
+
+        ``changed`` must include every appended row.
+        """
+        count = -(-attributes.shape[0] // self.rows)
+        grams = list(self.grams) + [None] * (count - len(self.grams))
+        colsums = list(self.colsums) + [None] * (count - len(self.colsums))
+        for b in np.unique(changed // self.rows):
+            lo = int(b) * self.rows
+            grams[b], colsums[b] = _block_partials(attributes[lo : lo + self.rows])
+        return GramBlocks(self.rows, tuple(grams), tuple(colsums))
+
+    def totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(G, Σ_ℓ x(ℓ))``: the block partials summed in block order."""
+        gram, colsum = self.grams[0].copy(), self.colsums[0].copy()
+        for g, s in zip(self.grams[1:], self.colsums[1:]):
+            gram += g
+            colsum += s
+        return gram, colsum
 
 
 @dataclass(frozen=True)
@@ -52,26 +115,24 @@ class TNAM:
         Requested rank / feature budget.
     delta:
         Sensitivity factor of the exponential cosine metric.
-    y:
-        The pre-normalization feature matrix ``Y`` (``f(vi,vj) ≈
-        y(i)·y(j)``), retained so :meth:`update_rows` can maintain the
-        factorization incrementally.  ``None`` on states that predate
-        incremental updates (they fall back to a full rebuild).
     basis:
-        The k-SVD right factor ``Vᵀ`` (``k × d``) when the cosine metric
-        went through the SVD; new/updated attribute rows are folded in
-        by projecting onto this frozen basis.  ``None`` for the
-        ``use_svd=False`` ablation (where ``Y`` *is* the attribute
-        matrix) and for metrics whose features are not maintained
-        incrementally.
+        The k-SVD right factor ``V_kᵀ`` (``k × d``) when the cosine
+        metric went through the SVD; ``None`` for the ``use_svd=False``
+        ablation, for other metrics and on reloaded models.
+    blocks:
+        The row-block Gram partials behind ``basis`` on the blocked
+        cosine path (see the module docstring), which
+        :meth:`update_rows` maintains; ``None`` elsewhere.  A cache
+        derived from the attributes: it is not persisted, and a TNAM
+        without it rebuilds it on its first attribute delta.
     """
 
     z: np.ndarray
     metric: str
     k: int
     delta: float = 1.0
-    y: np.ndarray | None = None
     basis: np.ndarray | None = None
+    blocks: GramBlocks | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -124,27 +185,19 @@ class TNAM:
     ) -> "TNAM":
         """New TNAM after the attribute rows in ``rows`` changed/appeared.
 
-        The cosine-metric factorizations are maintained incrementally:
-        the touched rows' features are recomputed (for the k-SVD path by
-        projecting onto the retained :attr:`basis`; for the
-        ``use_svd=False`` ablation the attribute rows *are* the
-        features) and Eq. (18)'s normalization is re-applied — ``O(n·k)``
-        total, never another SVD.  The resulting Gram matrix ``Z Zᵀ``
-        matches a from-scratch :func:`build_tnam` to ~1e-12 whenever the
-        touched rows lie in the basis span (always, when ``k ≥ rank(X)``);
-        rows that escape the span are detected via reconstruction error
-        and trigger a full rebuild instead, as do metrics whose feature
-        maps are not rotation-stable (``exp_cosine``'s random features,
-        the dense-kernel factorizations).  The rebuild path reuses the
-        deterministic default generator, so it is bitwise identical to
-        refitting — ``update_rows`` is *never* less accurate than a
-        refit, only cheaper when it can be.  For the cosine metric with
-        a few hundred features or fewer, that rebuild is the Gram
-        eigensolve of :func:`~repro.attributes.svd.truncated_svd`,
-        ``O(n·d² + d³)``: about 0.3 s at ``n = 168k``, ``d = 128`` on one
-        BLAS thread.  Real attribute rows usually take it — a row redrawn
-        from another node is not in a rank-``k`` span of ``d > k``
-        features.
+        The result is bitwise :func:`build_tnam` on ``attributes`` (same
+        ``k``, metric and ``delta``) on every path.  On the blocked
+        cosine path (``d ≤ min(n, 400)``) only the Gram blocks holding
+        a row of ``rows`` are recomputed, ``O(|dirty blocks|·B·d²)``; the
+        blocks are then summed in order and the ``d × d`` eigensolve and
+        the ``Y = X V_k`` projection with Eq. (18)'s normalization run
+        again, ``O(d³ + n·d·k)``: about 0.12 s at ``n = 168k``, ``d = 128``,
+        ``k = 32`` on one BLAS thread, against ~0.28 s for a fresh build.
+        Every other path is a fresh build: a TNAM without blocks (a
+        reloaded one, or one that was not on the blocked path),
+        ``exp_cosine``, the dense-kernel metrics, the randomized k-SVD
+        past 400 features and ``use_svd=False`` (an ``O(n·d)``
+        normalization).
 
         ``rows`` must cover every appended row when ``attributes`` has
         grown (the graph layer guarantees this for store deltas).
@@ -171,7 +224,9 @@ class TNAM:
                 f"({n_old}..{n_new - 1})"
             )
 
-        def rebuild() -> "TNAM":
+        # Blocks exist only on the blocked path, and n only grows, so a
+        # TNAM that has them stays on it.
+        if self.blocks is None or not use_svd:
             return build_tnam(
                 attributes,
                 k=self.k,
@@ -180,48 +235,38 @@ class TNAM:
                 rng=rng or np.random.default_rng(0),
                 use_svd=use_svd,
             )
-
-        if self.metric != "cosine" or self.y is None:
-            return rebuild()
-        if self.basis is None:
-            # use_svd=False ablation: Y is the attribute matrix itself.
-            if self.y.shape[1] != attributes.shape[1]:
-                return rebuild()  # legacy state without provenance
-            y_rows = attributes[rows]
-        else:
-            projected = attributes[rows] @ self.basis.T
-            residual = attributes[rows] - projected @ self.basis
-            if residual.size and np.abs(residual).max() > _PROJECTION_TOL:
-                return rebuild()
-            y_rows = projected
-
-        if n_new > n_old:
-            y = np.empty((n_new, self.y.shape[1]))
-            y[:n_old] = self.y
-        else:
-            y = self.y.copy()
-        y[rows] = y_rows
-        return TNAM(
-            z=_normalize_features(y),
-            metric=self.metric,
-            k=self.k,
-            delta=self.delta,
-            y=y,
-            basis=self.basis,
+        return _blocked_tnam(
+            attributes, self.k, self.delta, self.blocks.updated(attributes, rows)
         )
 
 
-def _normalize_features(y: np.ndarray) -> np.ndarray:
-    """Eq. (18): ``z(i) = y(i) / sqrt(y(i) · y*)`` with ``y* = Σ y(ℓ)``.
+def _normalize_features(y: np.ndarray, y_star: np.ndarray) -> np.ndarray:
+    """Eq. (18) in place: ``z(i) = y(i) / sqrt(y(i) · y*)``.
 
     ``y(i)·y*`` estimates ``Σ_ℓ f(vi, vℓ) > 0``; approximation error can
     push individual values to ~0 or below, so they are clamped to a tiny
     positive floor (the affected rows carry negligible SNAS mass anyway).
     """
-    y_star = y.sum(axis=0)
     denom = y @ y_star
-    denom = np.maximum(denom, _EPS)
-    return y / np.sqrt(denom)[:, None]
+    np.maximum(denom, _EPS, out=denom)
+    y /= np.sqrt(denom, out=denom)[:, None]
+    return y
+
+
+def _blocked_tnam(
+    attributes: np.ndarray, k: int, delta: float, blocks: GramBlocks
+) -> TNAM:
+    """Cosine TNAM from the Gram blocks of ``attributes``.
+
+    ``V_k`` is the top-``k`` eigenvectors of ``G``, ``Y = X V_k`` (the
+    k-SVD's ``U Σ``) and ``y* = (Σ_ℓ x(ℓ)) V_k``; ``Y`` is normalized
+    in place into ``Z``.
+    """
+    gram, colsum = blocks.totals()
+    _, eigenvectors = np.linalg.eigh(gram)
+    v = eigenvectors[:, gram.shape[0] - 1 - np.arange(k)]  # eigh sorts ascending
+    z = _normalize_features(attributes @ v, colsum @ v)
+    return TNAM(z=z, metric="cosine", k=k, delta=delta, basis=v.T, blocks=blocks)
 
 
 def build_tnam(
@@ -261,12 +306,14 @@ def build_tnam(
 
     basis = None
     if metric == "cosine":
-        if use_svd:
-            u, sigma, vt = truncated_svd(attributes, k, rng=rng)
-            y = u * sigma[None, :]
-            basis = vt
-        else:
+        if not use_svd:
             y = attributes.copy()
+        elif d <= min(n, EXACT_THRESHOLD):  # the exact d × d Gram eigensolve
+            blocks = GramBlocks.build(attributes, _block_rows(d, k))
+            return _blocked_tnam(attributes, k, delta, blocks)
+        else:
+            u, sigma, basis = truncated_svd(attributes, k, rng=rng)
+            y = u * sigma[None, :]
     elif metric == "exp_cosine":
         if use_svd:
             u, sigma, _ = truncated_svd(attributes, k, rng=rng)
@@ -279,8 +326,8 @@ def build_tnam(
     else:
         raise ValueError(f"unknown metric {metric!r}")
 
-    z = _normalize_features(y)
-    return TNAM(z=z, metric=metric, k=k, delta=delta, y=y, basis=basis)
+    z = _normalize_features(y, y.sum(axis=0))
+    return TNAM(z=z, metric=metric, k=k, delta=delta, basis=basis)
 
 
 def _factorize_kernel(

@@ -96,12 +96,14 @@ class LACA:
         Structural deltas (edge insertions/deletions) leave the TNAM
         untouched — it depends only on attributes — so a refresh after
         them is O(1): swap the graph reference.  Attribute-touching
-        deltas fold exactly the rewritten/appended rows into the TNAM
-        via :meth:`TNAM.update_rows`; only when the store's bounded
-        delta log no longer covers this model's epoch (or the touched
-        rows escape the retained factorization basis) does refresh pay
-        a full Algo 3 rebuild — and that rebuild is bitwise identical
-        to :meth:`fit` on the head snapshot.
+        deltas hand exactly the rewritten/appended rows to
+        :meth:`TNAM.update_rows`, which on the cosine k-SVD path with a
+        few hundred features or fewer recomputes only the Gram blocks
+        holding those rows and reruns the ``d × d`` eigensolve and the
+        projection; every other path, and a store whose bounded delta
+        log no longer covers this model's epoch, pays a full Algo 3
+        rebuild.  Either way the new TNAM is bitwise the one
+        :meth:`fit` builds on the head snapshot.
 
         Queries in flight on the old snapshot are unaffected: snapshots
         are immutable and the old graph object stays valid.  ``refresh``
@@ -242,21 +244,19 @@ class LACA:
         return clusters
 
     # ------------------------------------------------------------------
-    def fit_state(self, include_maintenance: bool = True) -> dict[str, np.ndarray]:
+    def fit_state(self) -> dict[str, np.ndarray]:
         """Flat array mapping capturing everything :meth:`fit` computed.
 
         The mapping is ``np.savez``-ready (plain arrays, no pickle) and
         is the persistence contract used by :mod:`repro.serving`: config
-        scalars under ``config_*`` keys, the TNAM under ``tnam_*`` keys
-        (absent when fit built none), plus provenance.  The graph itself
-        is *not* included — graphs have their own archive format in
-        :mod:`repro.graphs.io` and are typically shared by many models.
-
-        ``include_maintenance=False`` drops the TNAM maintenance arrays
-        (``tnam_y``/``tnam_basis``), which only matter to a model that
-        will keep absorbing deltas itself.  Serving-pool workers never
-        refresh — the parent refreshes and republishes — so their
-        hydration state skips those (often large) arrays entirely.
+        scalars under ``config_*`` keys, the TNAM factor ``Z`` and its
+        scalars under ``tnam_*`` keys (absent when fit built none), plus
+        provenance.  The graph itself is *not* included — graphs have
+        their own archive format in :mod:`repro.graphs.io` and are
+        typically shared by many models.  Neither are the TNAM's Gram
+        blocks: they derive from the attributes, and a reloaded model
+        rebuilds them on its first attribute delta, so its refreshes
+        stay bitwise a fresh fit.
         """
         graph = self._require_fit()
         state: dict[str, np.ndarray] = {
@@ -275,13 +275,6 @@ class LACA:
             state["tnam_metric"] = np.asarray(self.tnam.metric)
             state["tnam_k"] = np.asarray(self.tnam.k)
             state["tnam_delta"] = np.asarray(self.tnam.delta)
-            # Maintenance state: lets a reloaded model keep absorbing
-            # graph deltas incrementally instead of refitting.
-            if include_maintenance:
-                if self.tnam.y is not None:
-                    state["tnam_y"] = self.tnam.y
-                if self.tnam.basis is not None:
-                    state["tnam_basis"] = self.tnam.basis
         return state
 
     @classmethod
@@ -291,7 +284,9 @@ class LACA:
         ``state`` may be the dict itself or an open ``np.load`` archive.
         The reconstruction skips Algo 3 entirely — the stored TNAM is
         reattached as-is, so query results are bitwise identical to the
-        original model's.  ``graph`` must be the graph the state was
+        original model's.  Archives written before the Gram blocks
+        replaced them may also carry ``tnam_y``/``tnam_basis``; those
+        keys are ignored.  ``graph`` must be the graph the state was
         fitted on (checked by node count and name, the cheap invariants
         we can verify without hashing the whole adjacency).
         """
@@ -337,16 +332,6 @@ class LACA:
                 metric=str(state["tnam_metric"]),
                 k=int(state["tnam_k"]),
                 delta=float(state["tnam_delta"]),
-                y=(
-                    np.asarray(state["tnam_y"], dtype=np.float64)
-                    if "tnam_y" in state
-                    else None
-                ),
-                basis=(
-                    np.asarray(state["tnam_basis"], dtype=np.float64)
-                    if "tnam_basis" in state
-                    else None
-                ),
             )
         return model
 

@@ -247,10 +247,9 @@ def _worker_main(
 
 
 def _worker_fit_state(model: LACA) -> dict:
-    """Hydration state shipped to workers: no maintenance arrays
-    (workers never refresh) and no TNAM factor (it travels through
-    shared memory instead of the pickle)."""
-    state = model.fit_state(include_maintenance=False)
+    """Hydration state shipped to workers, without the TNAM factor (it
+    travels through shared memory instead of the pickle)."""
+    state = model.fit_state()
     state.pop("tnam_z", None)
     return state
 

@@ -1,17 +1,19 @@
 """Tests for incremental TNAM maintenance (:meth:`TNAM.update_rows`).
 
-Exactness contract: the maintained factorization's Gram matrix ``Z Zᵀ``
-(the only quantity LACA ever reads — Step 2 consumes ``z(i)·z(j)``
-inner products exclusively) matches a from-scratch :func:`build_tnam`
-on the updated attributes within 1e-10 whenever the touched rows stay in
-the retained basis span, and the fallback paths rebuild *bitwise*
-identically to a fresh build.
+Exactness contract: on every path the updated TNAM is *bitwise* a
+from-scratch :func:`build_tnam` on the updated attributes.  On the
+blocked cosine path (``d ≤ min(n, 400)``) that holds because only the
+Gram blocks holding a changed row are recomputed and the blocks are
+summed in the same order as a fresh build; every other path is a fresh
+build.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.attributes.tnam import build_tnam
+import repro.attributes.tnam as tnam_mod
+from repro.attributes.tnam import TNAM, build_tnam
 from repro.graphs import GraphDelta
 
 
@@ -38,54 +40,87 @@ def _updated(rng, attrs, rows, appended=0):
     return out
 
 
+def _assert_fresh_build(updated, attributes, **kwargs):
+    fresh = build_tnam(attributes, **kwargs)
+    np.testing.assert_array_equal(updated.z, fresh.z)
+    if fresh.basis is None:
+        assert updated.basis is None
+    else:
+        np.testing.assert_array_equal(updated.basis, fresh.basis)
+
+
 class TestCosineSvdPath:
-    def test_row_update_matches_rebuild_gram(self, rng, attrs):
-        """Acceptance (b): incremental update == rebuild within 1e-10."""
+    def test_row_update_is_bitwise_a_fresh_build(self, rng, attrs):
         tnam = build_tnam(attrs, k=32, metric="cosine")
         new_attrs = _updated(rng, attrs, [3, 50, 77])
         updated = tnam.update_rows(new_attrs, [3, 50, 77])
-        rebuilt = build_tnam(new_attrs, k=32, metric="cosine")
-        np.testing.assert_allclose(
-            updated.dense_snas(), rebuilt.dense_snas(), atol=1e-10
-        )
+        assert updated.blocks is not None
+        _assert_fresh_build(updated, new_attrs, k=32, metric="cosine")
 
-    def test_appended_rows_match_rebuild_gram(self, rng, attrs):
+    def test_appended_rows_are_bitwise_a_fresh_build(self, rng, attrs):
         new_attrs = _updated(rng, attrs, [], appended=3)
         tnam = build_tnam(attrs, k=32, metric="cosine")
         updated = tnam.update_rows(new_attrs, [120, 121, 122])
-        rebuilt = build_tnam(new_attrs, k=32, metric="cosine")
         assert updated.n == 123
-        np.testing.assert_allclose(
-            updated.dense_snas(), rebuilt.dense_snas(), atol=1e-10
-        )
+        _assert_fresh_build(updated, new_attrs, k=32, metric="cosine")
 
-    def test_no_svd_rerun_on_in_span_update(self, rng, attrs, monkeypatch):
-        """The incremental path must never pay another factorization."""
-        import repro.attributes.tnam as tnam_mod
+    def test_delta_recomputes_only_dirty_blocks(self, rng, monkeypatch):
+        """An 8-row delta on 17 blocks recomputes the Gram partials of
+        exactly the blocks holding those rows; clean blocks keep their
+        arrays."""
+        attrs = _unit_rows(rng, 16 * 1024 + 300, 24)
+        tnam = build_tnam(attrs, k=8, metric="cosine")
+        size = tnam.blocks.rows
+        assert size == 1024 and len(tnam.blocks.grams) == 17
+        # two rows share block 0, a block boundary, the last partial block
+        rows = np.array([5, 6, 1023, 1024, 4000, 9000, 16383, 16600])
+        new_attrs = _updated(rng, attrs, rows)
+        dirty = set((rows // size).tolist())
+        assert dirty == {0, 1, 3, 8, 15, 16}
 
-        tnam = build_tnam(attrs, k=32, metric="cosine")
+        computed = []
+        real = tnam_mod._block_partials
 
-        def boom(*_a, **_k):  # pragma: no cover - fails the test if hit
-            raise AssertionError("update_rows re-ran the SVD")
+        def counting(block):
+            computed.append(block.shape[0])
+            return real(block)
 
-        monkeypatch.setattr(tnam_mod, "truncated_svd", boom)
-        new_attrs = _updated(rng, attrs, [7])
-        tnam.update_rows(new_attrs, [7])
+        monkeypatch.setattr(tnam_mod, "_block_partials", counting)
+        updated = tnam.update_rows(new_attrs, rows)
+        monkeypatch.undo()
+        assert len(computed) == len(dirty)
+        assert computed[-1] == 300  # the last, partial block
+        for b in range(17):
+            kept = updated.blocks.grams[b] is tnam.blocks.grams[b]
+            kept_sum = updated.blocks.colsums[b] is tnam.blocks.colsums[b]
+            assert kept == kept_sum == (b not in dirty), b
+        _assert_fresh_build(updated, new_attrs, k=8, metric="cosine")
 
     @pytest.mark.parametrize("n", [120, 1200])
-    def test_out_of_span_row_triggers_exact_rebuild(self, rng, n):
-        """A row the truncated basis cannot express forces a rebuild,
-        and the rebuild is bitwise identical to a fresh build — also on
-        a tall matrix (n past the exact-branch threshold, d below it)."""
+    def test_out_of_span_row_is_bitwise_a_fresh_build(self, rng, n):
+        """A row the old basis cannot express moves the basis, and the
+        update still lands on a fresh build bit for bit — also with
+        more than one Gram block."""
         attrs = _unit_rows(rng, n, 24)
         tnam = build_tnam(attrs, k=8, metric="cosine")
         assert tnam.basis.shape == (8, 24)
         new_attrs = attrs.copy()
         new_attrs[5] = np.eye(24)[23]  # almost surely escapes an 8-dim span
         updated = tnam.update_rows(new_attrs, [5])
-        rebuilt = build_tnam(new_attrs, k=8, metric="cosine")
         assert not np.array_equal(updated.basis, tnam.basis)
-        np.testing.assert_array_equal(updated.z, rebuilt.z)
+        _assert_fresh_build(updated, new_attrs, k=8, metric="cosine")
+
+    def test_wide_matrix_joins_the_blocked_path_when_n_reaches_d(self, rng):
+        """With d > n the k-SVD is not the blocked Gram eigensolve; once
+        appended rows bring n to d, the update takes the path a fresh
+        build takes."""
+        attrs = _unit_rows(rng, 20, 24)
+        tnam = build_tnam(attrs, k=8, metric="cosine")
+        assert tnam.blocks is None
+        new_attrs = _updated(rng, attrs, [1], appended=4)
+        updated = tnam.update_rows(new_attrs, [1, 20, 21, 22, 23])
+        assert updated.blocks is not None
+        _assert_fresh_build(updated, new_attrs, k=8, metric="cosine")
 
     def test_laca_clusters_identical_after_update(self, rng, small_sbm):
         """Acceptance (b): LACA clusters identically on the maintained
@@ -130,15 +165,15 @@ class TestOtherPaths:
         rebuilt = build_tnam(new_attrs, k=16, metric="exp_cosine")
         np.testing.assert_array_equal(updated.z, rebuilt.z)
 
-    def test_legacy_state_without_y_rebuilds(self, rng, attrs):
-        from repro.attributes.tnam import TNAM
-
+    def test_state_without_blocks_rebuilds(self, rng, attrs):
+        """A TNAM without Gram blocks (a reloaded model's) rebuilds them
+        on its first attribute delta, bitwise a fresh build."""
         fresh = build_tnam(attrs, k=16, metric="cosine")
-        legacy = TNAM(z=fresh.z, metric="cosine", k=16)  # no y / basis
+        reloaded = TNAM(z=fresh.z, metric="cosine", k=16)
         new_attrs = _updated(rng, attrs, [0])
-        updated = legacy.update_rows(new_attrs, [0])
-        rebuilt = build_tnam(new_attrs, k=16, metric="cosine")
-        np.testing.assert_array_equal(updated.z, rebuilt.z)
+        updated = reloaded.update_rows(new_attrs, [0])
+        assert updated.blocks is not None
+        _assert_fresh_build(updated, new_attrs, k=16, metric="cosine")
 
 
 class TestUpdateViaDelta:
@@ -152,10 +187,7 @@ class TestUpdateViaDelta:
         new_attrs = _updated(rng, attrs, [8])
         delta = GraphDelta(set_attributes=([8], new_attrs[[8]]))
         updated = tnam.update(delta, new_attrs)
-        rebuilt = build_tnam(new_attrs, k=32, metric="cosine")
-        np.testing.assert_allclose(
-            updated.dense_snas(), rebuilt.dense_snas(), atol=1e-10
-        )
+        _assert_fresh_build(updated, new_attrs, k=32, metric="cosine")
 
 
 class TestValidation:
@@ -178,3 +210,44 @@ class TestValidation:
     def test_empty_rows_same_shape_is_identity(self, attrs):
         tnam = build_tnam(attrs, k=16, metric="cosine")
         assert tnam.update_rows(attrs, []) is tnam
+
+
+D, K = 6, 3
+BLOCK = tnam_mod._block_rows(D, K)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n0=st.integers(BLOCK - 3, 2 * BLOCK + 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_update_sequences_are_bitwise_fresh_builds(n0, seed, data):
+    """Random sequences of row rewrites and appends — rows on a block
+    boundary, in the last partial block, appends that fill the last
+    block or open a new one — leave ``z`` and ``basis`` bitwise equal to
+    a fresh build after every delta."""
+    rng = np.random.default_rng(seed)
+    attrs = _unit_rows(rng, n0, D)
+    tnam = build_tnam(attrs, k=K, metric="cosine")
+    assert tnam.blocks.rows == BLOCK
+    for _ in range(data.draw(st.integers(1, 4), label="deltas")):
+        n = attrs.shape[0]
+        landmarks = [r for r in (0, BLOCK - 1, BLOCK, n - 1, n // BLOCK * BLOCK) if r < n]
+        rewritten = data.draw(
+            st.lists(
+                st.one_of(st.sampled_from(landmarks), st.integers(0, n - 1)),
+                max_size=6,
+            ),
+            label="rewritten",
+        )
+        to_fill = -n % BLOCK or BLOCK
+        appended = data.draw(
+            st.sampled_from([0, 1, 5, to_fill, to_fill + 1]), label="appended"
+        )
+        if not rewritten and not appended:
+            rewritten = [n - 1]
+        attrs = _updated(rng, attrs, rewritten, appended=appended)
+        rows = list(rewritten) + list(range(n, n + appended))
+        tnam = tnam.update_rows(attrs, rows)
+        _assert_fresh_build(tnam, attrs, k=K, metric="cosine")
