@@ -4,8 +4,7 @@ Single-seed LACA queries on the Fig. 10 scalability graph (the arxiv
 analog scaled to the real ogbn-arxiv's ~169k nodes) at the default
 ε = 1e-6.  The reference side runs the retained pre-PR3 kernels
 (``repro.diffusion.reference``) through the same ``laca_scores`` code;
-the frontier side runs the shipped engines with a reusable
-:class:`DiffusionWorkspace`.  Outputs are bitwise identical (pinned in
+the frontier side runs the shipped engines.  Outputs are bitwise identical (pinned in
 ``tests/diffusion/test_frontier_parity.py``), so the ratio isolates the
 kernel rewrite itself.
 
@@ -45,19 +44,19 @@ def reference_laca_ms(graph, config, tnam, seeds, repeats=2):
         laca_mod.push_diffuse,
     )
     laca_mod.greedy_diffuse = (
-        lambda g, f, alpha, epsilon, workspace=None, f_support=None:
+        lambda g, f, alpha, epsilon, f_support=None:
         ref.reference_greedy_diffuse(g, f, alpha, epsilon)
     )
     laca_mod.nongreedy_diffuse = (
-        lambda g, f, alpha, epsilon, workspace=None, f_support=None:
+        lambda g, f, alpha, epsilon, f_support=None:
         ref.reference_nongreedy_diffuse(g, f, alpha, epsilon)
     )
     laca_mod.adaptive_diffuse = (
-        lambda g, f, alpha, sigma, epsilon, workspace=None, f_support=None:
+        lambda g, f, alpha, sigma, epsilon, f_support=None:
         ref.reference_adaptive_diffuse(g, f, alpha, sigma, epsilon)
     )
     laca_mod.push_diffuse = (
-        lambda g, f, alpha, epsilon, workspace=None, f_support=None:
+        lambda g, f, alpha, epsilon, f_support=None:
         ref.reference_push_diffuse(g, f, alpha, epsilon)
     )
     try:
@@ -78,16 +77,14 @@ def reference_laca_ms(graph, config, tnam, seeds, repeats=2):
         ) = saved
 
 
-def frontier_laca_ms(graph, config, tnam, seeds, workspace, repeats=3):
-    """ms/query through the shipped frontier engines + workspace."""
-    laca_scores(graph, seeds[0], config=config, tnam=tnam, workspace=workspace)
+def frontier_laca_ms(graph, config, tnam, seeds, repeats=3):
+    """ms/query through the shipped frontier engines."""
+    laca_scores(graph, seeds[0], config=config, tnam=tnam)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         for seed in seeds:
-            laca_scores(
-                graph, seed, config=config, tnam=tnam, workspace=workspace
-            )
+            laca_scores(graph, seed, config=config, tnam=tnam)
         best = min(best, time.perf_counter() - start)
     return best / len(seeds) * 1e3
 
@@ -120,9 +117,7 @@ def test_frontier_beats_reference_3x(setup, engine):
     graph, models, seeds = setup
     model = models[engine]
     old_ms = reference_laca_ms(graph, model.config, model.tnam, seeds)
-    new_ms = frontier_laca_ms(
-        graph, model.config, model.tnam, seeds, model.make_workspace()
-    )
+    new_ms = frontier_laca_ms(graph, model.config, model.tnam, seeds)
     speedup = old_ms / new_ms
     bar = SPEEDUP_BARS[engine]
     assert speedup >= bar, (
@@ -140,7 +135,7 @@ def test_frontier_results_match_reference_here(setup):
     new = laca_scores(graph, seed, config=model.config, tnam=model.tnam)
     saved = laca_mod.adaptive_diffuse
     laca_mod.adaptive_diffuse = (
-        lambda g, f, alpha, sigma, epsilon, workspace=None, f_support=None:
+        lambda g, f, alpha, sigma, epsilon, f_support=None:
         ref.reference_adaptive_diffuse(g, f, alpha, sigma, epsilon)
     )
     try:
@@ -149,30 +144,3 @@ def test_frontier_results_match_reference_here(setup):
         laca_mod.adaptive_diffuse = saved
     np.testing.assert_array_equal(new.scores, old.scores)
 
-
-def test_workspace_reuse_beats_fresh_allocation(setup):
-    """The workspace path must not be slower than fresh buffers.
-
-    Both sides do the same diffusion work, so their true costs are close
-    and one pass of either is within timer noise of the other.  The two
-    are timed the same way — warmed, then best of several alternating
-    passes — so that load on a shared host hits both sides alike.
-    """
-    graph, models, seeds = setup
-    model = models["adaptive"]
-    workspace = model.make_workspace()
-    config, tnam = model.config, model.tnam
-    laca_scores(graph, seeds[0], config=config, tnam=tnam)
-    with_ws = without_ws = float("inf")
-    for _ in range(5):
-        with_ws = min(
-            with_ws,
-            frontier_laca_ms(graph, config, tnam, seeds, workspace, repeats=1),
-        )
-        start = time.perf_counter()
-        for seed in seeds:
-            laca_scores(graph, seed, config=config, tnam=tnam)
-        without_ws = min(
-            without_ws, (time.perf_counter() - start) / len(seeds) * 1e3
-        )
-    assert with_ws <= without_ws * 1.10  # equal is fine; slower is a bug

@@ -172,11 +172,10 @@ def test_two_workers_beat_one_in_a_closed_loop(churn_setup):
     finally:
         for service in services.values():
             service.close()
-    workspace = model.make_workspace()
     for seed, one, two in zip(seeds, answers[1], answers[2]):
         np.testing.assert_array_equal(one, two, err_msg=f"seed {seed} diverged")
     for seed, two in zip(seeds[::8], answers[2][::8]):
-        np.testing.assert_array_equal(two, model.cluster(seed, 20, workspace))
+        np.testing.assert_array_equal(two, model.cluster(seed, 20))
     speedup = best[2] / best[1]
     assert speedup >= 1.3, (
         f"2 workers served {best[2]:.0f} q/s vs 1 worker {best[1]:.0f} q/s "

@@ -10,8 +10,8 @@ blocks) and clear the seeds/sec of the same seeds answered by sequential
 comparison measures scheduling, not memoization.
 
 A same-run ratio pins the saturated split: on the arxiv analog at scale
-1, where every query reaches all n, the default service (one workspace
-and routing thread per usable CPU) must answer a closed loop of 16
+1, where every query reaches all n, the default service (one routing
+thread per usable CPU) must answer a closed loop of 16
 outstanding queries at least 1.1× as fast as the same service held to
 one CPU, with bitwise the same answers.
 

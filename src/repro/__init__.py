@@ -40,7 +40,6 @@ from .graphs import (
 )
 from .attributes import build_tnam, snas_matrix, TNAM
 from .diffusion import (
-    DiffusionWorkspace,
     adaptive_diffuse,
     batch_adaptive_diffuse,
     batch_diffuse,
@@ -75,7 +74,6 @@ __all__ = [
     "build_tnam",
     "snas_matrix",
     "TNAM",
-    "DiffusionWorkspace",
     "adaptive_diffuse",
     "batch_adaptive_diffuse",
     "batch_diffuse",

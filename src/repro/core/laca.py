@@ -19,7 +19,6 @@ from ..diffusion.base import DiffusionResult
 from ..diffusion.batch import BatchDiffusionResult, batch_diffuse
 from ..diffusion.frontier import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from ..diffusion.push import push_diffuse
-from ..diffusion.workspace import DiffusionWorkspace
 from ..graphs.graph import AttributedGraph
 from .blas import single_blas_thread
 from .config import LacaConfig
@@ -75,20 +74,17 @@ def _diffuse(
     f: np.ndarray,
     config: LacaConfig,
     epsilon: float,
-    workspace: DiffusionWorkspace | None = None,
-    f_support: np.ndarray | None = None,
+    f_support: np.ndarray,
 ) -> DiffusionResult:
-    shared = {"workspace": workspace, "f_support": f_support}
+    shared = {"alpha": config.alpha, "epsilon": epsilon, "f_support": f_support}
     if config.diffusion == "adaptive":
-        return adaptive_diffuse(
-            graph, f, alpha=config.alpha, sigma=config.sigma, epsilon=epsilon, **shared
-        )
+        return adaptive_diffuse(graph, f, sigma=config.sigma, **shared)
     if config.diffusion == "greedy":
-        return greedy_diffuse(graph, f, alpha=config.alpha, epsilon=epsilon, **shared)
+        return greedy_diffuse(graph, f, **shared)
     if config.diffusion == "nongreedy":
-        return nongreedy_diffuse(graph, f, alpha=config.alpha, epsilon=epsilon, **shared)
+        return nongreedy_diffuse(graph, f, **shared)
     if config.diffusion == "push":
-        return push_diffuse(graph, f, alpha=config.alpha, epsilon=epsilon, **shared)
+        return push_diffuse(graph, f, **shared)
     raise ValueError(f"unknown diffusion engine {config.diffusion!r}")
 
 
@@ -126,7 +122,6 @@ def laca_scores(
     seed: int,
     config: LacaConfig | None = None,
     tnam: TNAM | None = None,
-    workspace: DiffusionWorkspace | None = None,
 ) -> LacaResult:
     """Run Algo 4 and return the approximate BDD vector ρ′.
 
@@ -135,12 +130,6 @@ def laca_scores(
     ``use_snas=False`` ablation (and non-attributed graphs) replace the
     SNAS by the identity, for which Eq. (9) collapses to
     ``φ_i = π′_i · d(vi)`` and no TNAM is needed.
-
-    With a :class:`~repro.diffusion.DiffusionWorkspace` the whole query
-    runs on preallocated buffers — a steady-state query in the local
-    regime performs zero length-``n`` allocations — and the returned
-    arrays are views valid only until the workspace's next query.
-    Results are bitwise identical either way.
     """
     config = config or LacaConfig()
     config.validate()
@@ -157,17 +146,9 @@ def laca_scores(
 
     # Step 1: estimate the RWR vector π′ by diffusing the one-hot seed.
     seed_index = np.array([seed], dtype=np.int64)
-    if workspace is not None:
-        workspace.begin()
-        one_hot = workspace.input
-        one_hot[seed] = 1.0
-        workspace.note_input(seed_index)
-    else:
-        one_hot = np.zeros(graph.n)
-        one_hot[seed] = 1.0
-    rwr_result = _diffuse(
-        graph, one_hot, config, config.epsilon, workspace, seed_index
-    )
+    one_hot = np.zeros(graph.n)
+    one_hot[seed] = 1.0
+    rwr_result = _diffuse(graph, one_hot, config, config.epsilon, seed_index)
     pi = rwr_result.q
     if rwr_result.touched is not None:
         support = rwr_result.touched[pi[rwr_result.touched] != 0.0]
@@ -175,45 +156,26 @@ def laca_scores(
         support = np.flatnonzero(pi)
 
     # Step 2: ψ (Eq. 12) and φ′ (Eq. 13) on π′'s support.
-    if workspace is not None:
-        phi = workspace.input  # recycled in place: clear the seed staging
-        phi[seed] = 0.0
-        workspace.note_input(support)
-    else:
-        phi = np.zeros(graph.n)
+    phi = np.zeros(graph.n)
     psi, phi_mass = _snas_input(pi, support, degrees, tnam.z if use_snas else None, phi)
 
     # Step 3: diffuse φ′ with threshold ε·‖φ′‖₁ and divide by degrees.
     if phi_mass <= 0.0:
-        if workspace is not None:
-            slot = workspace.acquire()
-            empty_q, empty_r, scores = slot.q, slot.r, workspace.scores
-        else:
-            empty_q, empty_r, scores = (
-                np.zeros(graph.n), np.zeros(graph.n), np.zeros(graph.n),
-            )
         empty = DiffusionResult(
-            q=empty_q, residual=empty_r, iterations=0,
+            q=np.zeros(graph.n), residual=np.zeros(graph.n), iterations=0,
             touched=np.empty(0, dtype=np.int64),
         )
-        return LacaResult(scores=scores, seed=seed, rwr=rwr_result,
+        return LacaResult(scores=np.zeros(graph.n), seed=seed, rwr=rwr_result,
                           bdd=empty, psi=psi,
                           scores_support=np.empty(0, dtype=np.int64))
-    bdd_result = _diffuse(
-        graph, phi, config, config.epsilon * phi_mass, workspace, support
-    )
+    bdd_result = _diffuse(graph, phi, config, config.epsilon * phi_mass, support)
     bdd_q = bdd_result.q
     if bdd_result.touched is not None:
         bdd_support = bdd_result.touched[bdd_q[bdd_result.touched] != 0.0]
     else:
         bdd_support = np.flatnonzero(bdd_q)
-    if workspace is not None:
-        scores = workspace.scores
-        scores[bdd_support] = bdd_q[bdd_support] / degrees[bdd_support]
-        workspace.note_scores(bdd_support)
-    else:
-        scores = bdd_q.copy()
-        scores[bdd_support] /= degrees[bdd_support]
+    scores = bdd_q.copy()
+    scores[bdd_support] /= degrees[bdd_support]
     return LacaResult(
         scores=scores, seed=seed, rwr=rwr_result, bdd=bdd_result, psi=psi,
         scores_support=bdd_support,

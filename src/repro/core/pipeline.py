@@ -27,7 +27,6 @@ import time
 import numpy as np
 
 from ..attributes.tnam import TNAM, build_tnam
-from ..diffusion.workspace import DiffusionWorkspace
 from ..graphs.graph import AttributedGraph
 from ..graphs.store import GraphStore
 from .config import LacaConfig
@@ -144,38 +143,22 @@ class LACA:
         return self
 
     # ------------------------------------------------------------------
-    def make_workspace(self) -> DiffusionWorkspace:
-        """Preallocated per-thread scratch for the single-seed hot path.
+    def make_workspace(self) -> None:  # kept only for perfbench's raw loop
+        return None
 
-        Thread one workspace through repeated :meth:`scores` /
-        :meth:`cluster` calls and steady-state queries perform zero
-        length-``n`` allocations (results become views valid until the
-        next query on the same workspace).  One workspace per thread:
-        the serving dispatcher owns one per usable CPU and lends all but
-        the first to the helper threads of a fanned-out block.
-        """
-        return DiffusionWorkspace(self._require_fit())
-
-    def scores(self, seed: int, workspace: DiffusionWorkspace | None = None) -> LacaResult:
+    def scores(self, seed: int) -> LacaResult:
         """Online stage: approximate BDD vector ρ′ for ``seed`` (Algo 4)."""
         graph = self._require_fit()
-        return laca_scores(
-            graph, seed, config=self.config, tnam=self.tnam, workspace=workspace
-        )
+        return laca_scores(graph, seed, config=self.config, tnam=self.tnam)
 
     def score_vector(self, seed: int) -> np.ndarray:
         """Plain ρ′ array (for harness integration)."""
         return self.scores(seed).scores
 
-    def cluster(
-        self, seed: int, size: int, workspace: DiffusionWorkspace | None = None
-    ) -> np.ndarray:
-        """Predicted local cluster: top-``size`` nodes of ρ′.
-
-        The returned index array is always freshly allocated (never a
-        workspace view), so it is safe to retain or cache.
-        """
-        result = self.scores(seed, workspace=workspace)
+    def cluster(self, seed: int, size: int, workspace=None) -> np.ndarray:
+        """Predicted local cluster: top-``size`` nodes of ρ′."""
+        # ``workspace`` is accepted and ignored, kept only for perfbench's raw loop.
+        result = self.scores(seed)
         return top_k_cluster(result.scores, size, seed, support=result.scores_support)
 
     def scores_batch(self, seeds) -> LacaBatchResult:
@@ -189,9 +172,7 @@ class LACA:
         graph = self._require_fit()
         return laca_scores_batch(graph, seeds, config=self.config, tnam=self.tnam)
 
-    def cluster_block(
-        self, seeds, sizes, workspace: DiffusionWorkspace | None = None
-    ) -> list[np.ndarray]:
+    def cluster_block(self, seeds, sizes) -> list[np.ndarray]:
         """Clusters of one block of seeds, routed by the engines' kernels.
 
         Element ``b`` is the top-``sizes[b]`` cluster of ``seeds[b]``,
@@ -200,14 +181,12 @@ class LACA:
         tally shows they saturate the graph
         (:func:`~repro.diffusion.base.block_diffusion_pays`), the
         remaining seeds share one :meth:`scores_batch` block diffusion.
-        This is :func:`~repro.core.routing.route_block` on one
-        workspace, so every seed runs on the calling thread.
+        This is :func:`~repro.core.routing.route_block` on one thread, so
+        every seed runs on the calling thread.
         """
         if len(seeds) != len(sizes):
             raise ValueError(f"got {len(seeds)} seeds but {len(sizes)} cluster sizes")
-        if workspace is None:
-            workspace = self.make_workspace()
-        clusters, _ = route_block(self, [workspace], seeds, sizes, LacaResult.cluster)
+        clusters, _ = route_block(self, 1, seeds, sizes, LacaResult.cluster)
         return clusters
 
     def cluster_many(
@@ -235,11 +214,10 @@ class LACA:
             for seed in seeds
         ]
         clusters: dict[int, np.ndarray] = {}
-        workspace = self.make_workspace()
         step = batch_size or max(len(seeds), 1)
         for lo in range(0, len(seeds), step):
             chunk = seeds[lo : lo + step]
-            answers = self.cluster_block(chunk, sizes[lo : lo + step], workspace)
+            answers = self.cluster_block(chunk, sizes[lo : lo + step])
             clusters.update(zip(chunk, answers))
         return clusters
 

@@ -3,25 +3,25 @@
 :func:`route_block` is the single place that decides, seed by seed, which
 engine path answers a block.  :meth:`~repro.core.pipeline.LACA.cluster_block`
 (and so ``cluster_many``, the CLI ``--batch`` path and the evaluation
-harness) calls it with one workspace; the serving layer's
-:func:`~repro.serving.service.answer_block` calls it with one workspace
-per usable CPU.
+harness) and a pool worker call it with one thread; the serving
+dispatcher's :func:`~repro.serving.service.answer_block` calls it with
+one thread per usable CPU.
 
 The block's first seed always runs alone on the calling thread, on the
 sequential :meth:`~repro.core.pipeline.LACA.scores` path.  Its scatter
 volume decides which threads answer the rest, and the merged kernel
 tally decides what each of them claims next:
 
-- **Routing threads.**  With more than one workspace, more than one seed
-  left and a first seed whose mean scatter volume reaches
-  :data:`FANOUT_MIN_SCATTER_VOLUME`, one helper thread per further
-  workspace joins the calling thread.  numpy and scipy release the GIL
-  in their C loops, so large scatters and block diffusions overlap;
-  small ones are bound by Python overhead, so their blocks stay on the
-  calling thread.
+- **Routing threads.**  With a thread count above one, more than one
+  seed left and a first seed whose mean scatter volume reaches
+  :data:`FANOUT_MIN_SCATTER_VOLUME`, helper threads join the calling
+  thread, up to the thread count and one per seed left.  numpy and
+  scipy release the GIL in their C loops, so large scatters and block
+  diffusions overlap; small ones are bound by Python overhead, so
+  their blocks stay on the calling thread.
 - **Local claims.**  While the tally stays local, each claim takes the
-  next seed from a shared cursor and answers it sequentially on the
-  thread's own workspace.
+  next seed from a shared cursor and answers it sequentially, on fresh
+  buffers of its own.
 - **Saturated claims.**  The first claim that finds the tally saturated
   (:func:`~repro.diffusion.base.block_diffusion_pays`), with more than
   one seed left, cuts the rest into contiguous chunks, one per routing
@@ -117,12 +117,12 @@ class _Block:
         self.error: BaseException | None = None
         self.lock = threading.Lock()
 
-    def answer_next(self, workspace, local: dict):
+    def answer_next(self, local: dict):
         """Claim the next seed or chunk and answer it on this thread.
 
         While the block stays local, the next seed is answered
-        sequentially on ``workspace`` and its
-        :class:`~repro.core.laca.LacaResult` returned.  The first claim
+        sequentially and its :class:`~repro.core.laca.LacaResult`
+        returned.  The first claim
         that finds the merged tally saturated (with more than one seed
         left) cuts the rest into one chunk per routing thread; each claim
         after that takes one chunk and answers it with one
@@ -149,8 +149,7 @@ class _Block:
             else:
                 return None
         if b is not None:
-            result = self.model.scores(int(self.seeds[b]), workspace=workspace)
-            # Taken before this workspace's next query overwrites its views.
+            result = self.model.scores(int(self.seeds[b]))
             self.records[b] = self.take(result, int(self.sizes[b]))
         else:
             batch = self.model.scores_batch(self.seeds[start:stop])
@@ -168,36 +167,33 @@ class _Block:
                 self.tally[kind] = self.tally.get(kind, 0) + count
         local.clear()
 
-    def drain(self, workspace, local: dict) -> None:
+    def drain(self, local: dict) -> None:
         """Claim and answer on this thread until :meth:`answer_next` stops;
         an exception is kept for the calling thread and stops the others."""
         try:
-            while self.answer_next(workspace, local) is not None:
+            while self.answer_next(local) is not None:
                 pass
         except BaseException as exc:  # noqa: BLE001 — re-raised by route_block
             with self.lock:
                 if self.error is None:
                     self.error = exc
 
-    def help(self, workspace) -> None:
+    def help(self) -> None:
         """A helper thread's body: its own tally, then :meth:`drain`."""
         local = begin_kernel_tally()
         try:
-            self.drain(workspace, local)
+            self.drain(local)
         finally:
             end_kernel_tally()
 
 
-def route_block(model, workspaces, seeds, sizes, take):
+def route_block(model, threads, seeds, sizes, take):
     """Answer one block of seeds by the routing rule of this module.
 
-    ``workspaces`` is a non-empty sequence of
-    :class:`~repro.diffusion.DiffusionWorkspace`; the calling thread uses
-    the first, and each other one may serve one helper thread.
-    ``take(result, size)`` turns a seed's
-    :class:`~repro.core.laca.LacaResult` into the record kept for it.  A
-    sequential result is taken on the thread that answered the seed,
-    before that workspace's next query; a batched seed's result is
+    ``threads`` (at least 1) caps the routing threads, the calling
+    thread included.  ``take(result, size)`` turns a seed's
+    :class:`~repro.core.laca.LacaResult` into the record kept for it, on
+    the thread that answered the seed; a batched seed's result is
     :meth:`~repro.core.laca.LacaBatchResult.query` of its column.
 
     Returns ``(records, tally)``: ``records[b]`` answers ``seeds[b]`` and
@@ -210,20 +206,18 @@ def route_block(model, workspaces, seeds, sizes, take):
     block = _Block(model, seeds, sizes, take)
     local = begin_kernel_tally()
     try:
-        first = block.answer_next(workspaces[0], local)
-        threads = min(len(workspaces), len(seeds) - block.cursor)
+        first = block.answer_next(local)
+        threads = min(threads, len(seeds) - block.cursor)
         helpers = []
         if threads > 1 and mean_scatter_volume(first) >= FANOUT_MIN_SCATTER_VOLUME:
             block.threads = threads
             helpers = [
-                threading.Thread(
-                    target=block.help, args=(workspace,), name=f"laca-block-{i}"
-                )
-                for i, workspace in enumerate(workspaces[1:threads], start=1)
+                threading.Thread(target=block.help, name=f"laca-block-{i}")
+                for i in range(1, threads)
             ]
             for helper in helpers:
                 helper.start()
-        block.drain(workspaces[0], local)
+        block.drain(local)
         for helper in helpers:
             helper.join()
         if block.error is not None:

@@ -12,11 +12,9 @@ from .batch import (
 from .exact import exact_diffusion, exact_rwr, rwr_matrix
 from .frontier import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from .push import push_diffuse
-from .workspace import DiffusionWorkspace
 
 __all__ = [
     "DiffusionResult",
-    "DiffusionWorkspace",
     "BatchDiffusionResult",
     "validate_diffusion_inputs",
     "validate_batch_inputs",

@@ -27,7 +27,7 @@ conversion and Algo 2's ratio need.  Once the set covers a third of the
 graph, or a full mat-vec leaves it unknown, iterations run the reference
 kernels' dense C-speed scans until a volume-local scatter re-localizes
 it.  The scatter picks its kernel by volume
-(:func:`~repro.diffusion.workspace.scatter_step`) and every path
+(:func:`~repro.diffusion.scatter.scatter_step`) and every path
 accumulates in ascending-node order, so outputs, and adaptive's
 greedy/one-shot *schedule* (which consumes ``vol(r)`` float sums), are
 bitwise identical to :mod:`repro.diffusion.reference` (pinned by
@@ -45,13 +45,7 @@ from .base import (
     note_kernel,
     selective_scatter_is_cheaper,
 )
-from .workspace import (
-    DiffusionWorkspace,
-    collect_touched,
-    engine_setup,
-    scatter_step,
-    sorted_union,
-)
+from .scatter import collect_touched, engine_setup, scatter_step, sorted_union
 
 __all__ = ["greedy_diffuse", "nongreedy_diffuse", "adaptive_diffuse"]
 
@@ -72,7 +66,6 @@ def _frontier_diffuse(
     sigma: float = 0.1,
     max_iterations: int = 1_000_000,
     track_history: bool = False,
-    workspace: DiffusionWorkspace | None = None,
     f_support: np.ndarray | None = None,
 ) -> DiffusionResult:
     """Shared loop: each iteration converts the batch γ or every residual.
@@ -84,9 +77,7 @@ def _frontier_diffuse(
     """
     if mode == "adaptive" and sigma < 0.0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
-    f, slot, tracked, staging = engine_setup(
-        graph, f, alpha, epsilon, workspace, f_support
-    )
+    f, slot, tracked = engine_setup(graph, f, alpha, epsilon, f_support)
     q, r = slot.q, slot.r
     degrees = graph.degrees
     n = graph.n
@@ -184,12 +175,9 @@ def _frontier_diffuse(
             ):
                 # r is dense here: one dense divide beats staging gathers.
                 note_kernel("full")
-                scratch = None if workspace is None else workspace.scratch
-                dense = graph.adjacency.dot(np.divide(r, degrees, out=scratch))
+                dense = graph.apply_transition(r)
             else:
-                touched, sums, dense = scatter_step(
-                    graph, nonzero, r[nonzero], volume, staging
-                )
+                touched, sums, dense = scatter_step(graph, nonzero, r[nonzero], volume)
             if dense is None:
                 r[nonzero] = 0.0
                 r[touched] = alpha * sums
@@ -205,7 +193,7 @@ def _frontier_diffuse(
             work += volume
             r[batch] = 0.0
             q[batch] += (1.0 - alpha) * values
-            touched, sums, dense = scatter_step(graph, batch, values, volume, staging)
+            touched, sums, dense = scatter_step(graph, batch, values, volume)
             if dense is None:
                 r[touched] += alpha * sums
                 if mode == "greedy":
@@ -246,7 +234,6 @@ def greedy_diffuse(
     epsilon: float = 1e-6,
     max_iterations: int = 1_000_000,
     track_history: bool = False,
-    workspace: DiffusionWorkspace | None = None,
     f_support: np.ndarray | None = None,
 ) -> DiffusionResult:
     """Run GreedyDiffuse (Algo 1) on input vector ``f``.
@@ -267,10 +254,6 @@ def greedy_diffuse(
     track_history:
         Record ``‖r‖₁`` after every iteration (used by Fig. 5).  This is
         the one diagnostic that costs Θ(n) per iteration.
-    workspace:
-        Optional :class:`DiffusionWorkspace` whose preallocated buffers
-        back ``q``/``r`` — the returned arrays are then views valid until
-        the workspace's next ``begin()``.
     f_support:
         Optional sorted index array covering ``supp(f)``; the caller
         vouches ``f`` is non-negative and zero elsewhere, which lets the
@@ -279,7 +262,7 @@ def greedy_diffuse(
     return _frontier_diffuse(
         graph, f, alpha, epsilon, "greedy",
         max_iterations=max_iterations, track_history=track_history,
-        workspace=workspace, f_support=f_support,
+        f_support=f_support,
     )
 
 
@@ -290,7 +273,6 @@ def nongreedy_diffuse(
     epsilon: float = 1e-6,
     max_iterations: int = 100_000,
     track_history: bool = False,
-    workspace: DiffusionWorkspace | None = None,
     f_support: np.ndarray | None = None,
 ) -> DiffusionResult:
     """Run the non-greedy power-iteration diffusion (Eq. 17) on ``f``.
@@ -300,7 +282,7 @@ def nongreedy_diffuse(
     return _frontier_diffuse(
         graph, f, alpha, epsilon, "nongreedy",
         max_iterations=max_iterations, track_history=track_history,
-        workspace=workspace, f_support=f_support,
+        f_support=f_support,
     )
 
 
@@ -312,7 +294,6 @@ def adaptive_diffuse(
     epsilon: float = 1e-6,
     max_iterations: int = 1_000_000,
     track_history: bool = False,
-    workspace: DiffusionWorkspace | None = None,
     f_support: np.ndarray | None = None,
 ) -> DiffusionResult:
     """Run AdaptiveDiffuse (Algo 2) on input vector ``f``.
@@ -325,5 +306,5 @@ def adaptive_diffuse(
     return _frontier_diffuse(
         graph, f, alpha, epsilon, "adaptive", sigma=sigma,
         max_iterations=max_iterations, track_history=track_history,
-        workspace=workspace, f_support=f_support,
+        f_support=f_support,
     )

@@ -15,9 +15,9 @@ by one vectorized update per push (bulk residual add, bulk threshold
 check, bulk queue admission).  Neighbor lists hold distinct nodes, so
 the bulk update performs exactly the element-wise operations of the old
 loop, in the same order — outputs are bitwise identical to
-:func:`repro.diffusion.reference.reference_push_diffuse`.  With a
-:class:`~repro.diffusion.workspace.DiffusionWorkspace` the run reuses
-preallocated ``q``/``r``/queue-flag buffers (recycled in O(touched)).
+:func:`repro.diffusion.reference.reference_push_diffuse`.  The run shares
+its prologue and touched-set tracking with the frontier engines
+(:mod:`repro.diffusion.scatter`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..graphs.graph import AttributedGraph
 from .base import DiffusionResult, note_kernel
-from .workspace import DiffusionWorkspace, collect_touched, engine_setup
+from .scatter import collect_touched, engine_setup
 
 __all__ = ["push_diffuse"]
 
@@ -39,17 +39,14 @@ def push_diffuse(
     alpha: float = 0.8,
     epsilon: float = 1e-6,
     max_pushes: int = 50_000_000,
-    workspace: DiffusionWorkspace | None = None,
     f_support: np.ndarray | None = None,
 ) -> DiffusionResult:
     """Queue-based push diffusion of ``f`` with threshold ``ε``.
 
-    ``workspace`` / ``f_support`` follow the same contract as
+    ``f_support`` follows the same contract as
     :func:`~repro.diffusion.frontier.greedy_diffuse`.
     """
-    f, slot, candidates, _staging = engine_setup(
-        graph, f, alpha, epsilon, workspace, f_support
-    )
+    f, slot, candidates = engine_setup(graph, f, alpha, epsilon, f_support)
     q, r = slot.q, slot.r
     degrees = graph.degrees
     adjacency = graph.adjacency
@@ -57,10 +54,7 @@ def push_diffuse(
 
     initial = candidates[r[candidates] >= epsilon * degrees[candidates]]
     queue = deque(int(i) for i in initial)
-    if workspace is None:
-        in_queue = np.zeros(graph.n, dtype=bool)
-    else:
-        in_queue = workspace.in_queue  # all-False between runs (self-cleaning)
+    in_queue = np.zeros(graph.n, dtype=bool)
     in_queue[initial] = True
 
     # One tally mark per run (not per push): the queue loop *is* the
@@ -72,9 +66,6 @@ def push_diffuse(
     frontier_peak = len(queue)
     while queue:
         if pushes >= max_pushes:
-            # Leave the workspace flags clean before surfacing the error.
-            if workspace is not None:
-                in_queue[np.fromiter(queue, dtype=np.int64)] = False
             raise RuntimeError(f"push diffusion exceeded {max_pushes} pushes")
         node = queue.popleft()
         in_queue[node] = False

@@ -194,22 +194,17 @@ class AttributedGraph:
     # ------------------------------------------------------------------
     # Diffusion operators
     # ------------------------------------------------------------------
-    def apply_transition(
-        self, row_vector: np.ndarray, scratch: np.ndarray | None = None
-    ) -> np.ndarray:
+    def apply_transition(self, row_vector: np.ndarray) -> np.ndarray:
         """Compute ``x P`` for a row vector ``x`` where ``P = D^{-1} A``.
 
         ``(x P)_j = Σ_i x_i / d(vi) · A_ij``; because ``A`` is symmetric this
         equals ``A (x / d)`` which is a single sparse mat-vec.
 
-        ``scratch`` is an optional preallocated length-``n`` buffer for the
-        degree-normalized copy, so steady-state callers (the serving
-        workspace) stop allocating one per mat-vec.  The division itself is
-        kept (rather than multiplying by :attr:`inv_degrees`) so outputs
-        stay bitwise identical to the reference kernels.
+        The division is kept (rather than multiplying by
+        :attr:`inv_degrees`) so outputs stay bitwise identical to the
+        reference kernels.
         """
-        scaled = np.divide(row_vector, self._degrees, out=scratch)
-        return self.adjacency.dot(scaled)
+        return self.adjacency.dot(row_vector / self._degrees)
 
     def transition_gather(
         self, row_values: np.ndarray, support: np.ndarray
@@ -244,27 +239,6 @@ class AttributedGraph:
         if not self._binary_adjacency:
             contrib = contrib * adj.data[pos]
         return cols, contrib
-
-    def apply_transition_selective(
-        self, values: np.ndarray, support: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``x P`` when ``x`` is non-zero only on ``support`` (sorted).
-
-        Touches only the adjacency rows of ``support`` so the work is
-        proportional to ``vol(support)`` (plus the dense output vector).
-        The scatter is a vectorized CSR gather (`np.repeat` over ``indptr``
-        spans) accumulated with ``np.bincount`` / ``np.add.at``, both of
-        which add contributions in input order — bitwise identical to the
-        per-row loop it replaced (pinned by the regression tests).
-
-        With ``out`` (a preallocated zeroed buffer) the accumulation is
-        in-place via ``np.add.at``; the caller owns re-zeroing it.
-        """
-        cols, contrib = self.transition_gather(values[support], support)
-        if out is None:
-            return np.bincount(cols, weights=contrib, minlength=self.n)
-        np.add.at(out, cols, contrib)
-        return out
 
     # ------------------------------------------------------------------
     # Ground truth helpers

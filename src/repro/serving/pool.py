@@ -12,9 +12,8 @@ processes instead:
   (:func:`~repro.graphs.shm.publish_snapshot`); each worker attaches a
   zero-copy :class:`~repro.graphs.graph.AttributedGraph` view, hydrates
   a :class:`~repro.core.pipeline.LACA` from the parent's fit state
-  (:meth:`LACA.from_fit_state` — no refitting), and owns a private
-  :class:`~repro.diffusion.workspace.DiffusionWorkspace`, so it answers
-  each block on one thread (the worker processes already fill the CPUs);
+  (:meth:`LACA.from_fit_state` — no refitting), and answers each block
+  on one thread (the worker processes already fill the CPUs);
 - the dispatcher thread gathers blocks exactly as with ``workers=0``,
   splits each into contiguous shards, at most one per live worker, and
   *assigns* each shard to one of the least-loaded live workers, then
@@ -197,7 +196,6 @@ def _worker_main(
     """
     attached = attach_snapshot(manifest)
     model = _hydrate(fit_state, attached)
-    workspace = model.make_workspace()
     registry = MetricsRegistry("laca")
     engine_metrics = make_engine_metrics(registry)
     blocks_seen = 0
@@ -217,7 +215,6 @@ def _worker_main(
                     )
                 fresh = attach_snapshot(new_manifest)
                 model = _hydrate(new_state, fresh)
-                workspace = model.make_workspace()
                 attached.close()
                 attached = fresh
                 results.put(("reload-ack", worker_id, generation, None))
@@ -235,7 +232,7 @@ def _worker_main(
                     "worker.block",
                     worker_id=worker_id, spawn=spawn, block_index=blocks_seen,
                 )
-            answer = answer_block(model, [workspace], seeds, sizes, engine_metrics)
+            answer = answer_block(model, 1, seeds, sizes, engine_metrics)
             payload = (*answer, registry.drain())
             results.put(("result", worker_id, block_id, payload, None))
         except BaseException as exc:  # noqa: BLE001 — must always answer

@@ -6,7 +6,7 @@ dispatcher drains the queue into blocks of up to ``max_batch`` requests
 with :func:`answer_block`.  That function routes the block by the scatter
 kernels the engines themselves pick: while the queries stay local
 (Theorem IV.1: cost tied to the touched volume, not to ``n``) every seed
-is answered on the sequential workspace path; once the block's queries
+is answered on the sequential path; once the block's queries
 saturate the graph (most scatters go graph-wide), the remaining seeds
 go to :meth:`LACA.scores_batch` block diffusions, one contiguous chunk
 per routing thread.  Either way each answer is bitwise
@@ -14,7 +14,7 @@ per routing thread.  Either way each answer is bitwise
 in an LRU result cache consulted before enqueueing.
 
 With ``workers=0`` (the default) the dispatcher answers every block
-itself and starts no process.  It holds one workspace per usable CPU: a
+itself and starts no process.  It may use every usable CPU: a
 block of large queries, local or saturated, runs on that many threads
 for the duration of the block (see :func:`answer_block`), and every
 other block runs on the dispatcher thread alone.  ``workers >= 1`` adds
@@ -168,8 +168,8 @@ class _Update:
 def _touched_mask(result) -> np.ndarray:
     """Boolean mask of every node the two diffusions of one query touched.
 
-    A diffusion that tracked no frontier (``touched is None``: a
-    graph-wide workspace slot, or a block column) contributes its final
+    A diffusion that tracked no frontier (``touched is None``: a run
+    that went graph-wide, or a block column) contributes its final
     ``q``/``residual`` non-zeros, which cover every node it touched: mass
     is non-negative, so nothing cancels to exactly 0.0, and any processed
     residual deposits ``α·r > 0`` into ``q``.
@@ -184,21 +184,21 @@ def _touched_mask(result) -> np.ndarray:
     return mask
 
 
-def answer_block(model: LACA, workspaces, seeds, sizes, metrics):
+def answer_block(model: LACA, threads, seeds, sizes, metrics):
     """Answer one block of queries: the one engine call of every back-end.
 
     The block is routed by :func:`~repro.core.routing.route_block`, the
     rule :meth:`LACA.cluster_block` applies too: the first seed runs
-    alone on the sequential workspace path (:meth:`LACA.scores`).  When
-    its scatters are large, the rest fans out over one thread per
-    workspace; a saturating remainder is cut into one contiguous chunk
+    alone on the sequential path (:meth:`LACA.scores`).  When its
+    scatters are large, the rest fans out over up to ``threads``
+    threads; a saturating remainder is cut into one contiguous chunk
     per routing thread, each answered by one :meth:`LACA.scores_batch`
     block diffusion; anything else stays on the calling thread.
-    The dispatcher passes one workspace per usable CPU, a pool worker its
-    single one.  Kernel selections and each query's iterations, frontier
-    peak (untracked by the block engine), touched nodes and touched
-    volume (size and degree sum of :func:`_touched_mask`) are observed
-    into ``metrics``, a :func:`~repro.serving.telemetry.make_engine_metrics`
+    The dispatcher passes its usable CPU count, a pool worker ``1``.
+    Kernel selections and each query's iterations, frontier peak
+    (untracked by the block engine), touched nodes and touched volume
+    (size and degree sum of :func:`_touched_mask`) are observed into
+    ``metrics``, a :func:`~repro.serving.telemetry.make_engine_metrics`
     namespace, on the calling thread; nothing is observed when an engine
     raises on any thread.  Returns ``(clusters, engine_seconds)``.
 
@@ -222,7 +222,7 @@ def answer_block(model: LACA, workspaces, seeds, sizes, metrics):
         )
 
     start = time.perf_counter()
-    records, tally = route_block(model, workspaces, seeds, sizes, record)
+    records, tally = route_block(model, threads, seeds, sizes, record)
     engine_seconds = time.perf_counter() - start
     for kind, count in tally.items():
         metrics.kernel_selections.labels(kind).inc(count)
@@ -384,11 +384,8 @@ class ClusterService:
         # The admission ledger: admitted requests not yet resolved.
         self._pending = 0
         self._pending_lock = threading.Lock()
-        # Owned by the dispatcher thread only: preallocated diffusion
-        # buffers, one per usable CPU, so steady-state queries allocate
-        # nothing of length n and a fanned-out block gives each of its
-        # threads its own (see answer_block).
-        self._workspaces = [model.make_workspace() for _ in range(usable_cpus())]
+        # Routing threads of an in-process block (see answer_block).
+        self._threads = usable_cpus()
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = False
         self._close_lock = threading.Lock()
@@ -816,9 +813,6 @@ class ClusterService:
             self.model.refresh(self._store)
             update.refresh_s = self.model.refresh_seconds
             head = self.model._require_fit()
-            self._workspaces = [
-                self.model.make_workspace() for _ in self._workspaces
-            ]
             if self._pool is not None:
                 # The epoch barrier: every worker reloads before the
                 # serving epoch advances.
@@ -953,7 +947,7 @@ class ClusterService:
         sizes = [request.size for request in block]
         try:
             answer = answer_block(
-                self.model, self._workspaces, seeds, sizes, self.telemetry.engine_metrics
+                self.model, self._threads, seeds, sizes, self.telemetry.engine_metrics
             )
         except Exception as exc:  # surface engine failures per-request
             self._resolve(block, None, exc)

@@ -38,17 +38,16 @@ def test_more_threads_than_cores_lose_no_update(model, monkeypatch):
     seeds = [int(s) for s in rng.choice(model.graph.n, size=48, replace=False)]
     sizes = [SIZE] * len(seeds)
 
-    def route(workspaces):
-        return routing.route_block(model, workspaces, seeds, sizes, LacaResult.cluster)
+    def route(threads):
+        return routing.route_block(model, threads, seeds, sizes, LacaResult.cluster)
 
-    expected, expected_tally = route([model.make_workspace()])
+    expected, expected_tally = route(1)
     assert "full" not in expected_tally, expected_tally
-    workspaces = [model.make_workspace() for _ in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            records, tally = route(workspaces)
+            records, tally = route(6)
             assert tally == expected_tally
             for record, cluster in zip(records, expected, strict=True):
                 np.testing.assert_array_equal(record, cluster)
@@ -73,7 +72,7 @@ def _tally(call):
     return result, tally
 
 
-def test_saturating_block_splits_over_every_workspace(saturated_model, monkeypatch):
+def test_saturating_block_splits_over_every_thread(saturated_model, monkeypatch):
     """A block that flips after its first seed cuts its rest into one
     contiguous chunk per routing thread (sizes 5 and 4); each chunk is one
     ``scores_batch`` on its own thread, every record is bitwise
@@ -83,8 +82,7 @@ def test_saturating_block_splits_over_every_workspace(saturated_model, monkeypat
     rng = np.random.default_rng(2)
     seeds = [int(s) for s in rng.choice(model.graph.n, size=10, replace=False)]
     sizes = [SIZE] * len(seeds)
-    workspace = model.make_workspace()
-    _, first = _tally(lambda: model.scores(seeds[0], workspace=workspace))
+    _, first = _tally(lambda: model.scores(seeds[0]))
     assert block_diffusion_pays(first), first
     expected_tally = dict(first)
     for chunk in (seeds[1:6], seeds[6:10]):
@@ -99,10 +97,7 @@ def test_saturating_block_splits_over_every_workspace(saturated_model, monkeypat
         return scores_batch(self, chunk)
 
     monkeypatch.setattr(LACA, "scores_batch", recording_scores_batch)
-    workspaces = [model.make_workspace() for _ in range(2)]
-    records, tally = routing.route_block(
-        model, workspaces, seeds, sizes, LacaResult.cluster
-    )
+    records, tally = routing.route_block(model, 2, seeds, sizes, LacaResult.cluster)
 
     assert sorted(chunk for _, chunk in calls) == sorted([seeds[1:6], seeds[6:10]])
     assert len({name for name, _ in calls}) == 2, calls
@@ -121,10 +116,9 @@ def test_block_that_saturates_part_way_splits_its_rest(model, monkeypatch):
     rng = np.random.default_rng(4)
     seeds = [int(s) for s in rng.choice(model.graph.n, size=20, replace=False)]
     sizes = [SIZE] * len(seeds)
-    workspace = model.make_workspace()
     flip_at = 0  # kernels of the first four seeds: the rest flips after them
     for seed in seeds[:4]:
-        _, tally = _tally(lambda: model.scores(seed, workspace=workspace))
+        _, tally = _tally(lambda: model.scores(seed))
         flip_at += sum(tally.values())
     monkeypatch.setattr(routing, "FANOUT_MIN_SCATTER_VOLUME", 0)
     monkeypatch.setattr(
@@ -138,10 +132,7 @@ def test_block_that_saturates_part_way_splits_its_rest(model, monkeypatch):
         return scores_batch(self, chunk)
 
     monkeypatch.setattr(LACA, "scores_batch", recording_scores_batch)
-    workspaces = [model.make_workspace() for _ in range(2)]
-    records, _ = routing.route_block(
-        model, workspaces, seeds, sizes, LacaResult.cluster
-    )
+    records, _ = routing.route_block(model, 2, seeds, sizes, LacaResult.cluster)
 
     chunks = sorted((seeds.index(chunk[0]), chunk) for _, chunk in calls)
     start = chunks[0][0]
@@ -169,9 +160,7 @@ def test_saturated_chunks_are_claimed_once_under_contention(
     rng = np.random.default_rng(3)
     seeds = [int(s) for s in rng.choice(model.graph.n, size=48, replace=False)]
     sizes = [SIZE] * len(seeds)
-    expected, _ = routing.route_block(
-        model, [model.make_workspace()], seeds, sizes, LacaResult.cluster
-    )
+    expected, _ = routing.route_block(model, 1, seeds, sizes, LacaResult.cluster)
     calls = []
     scores_batch = LACA.scores_batch
 
@@ -180,14 +169,13 @@ def test_saturated_chunks_are_claimed_once_under_contention(
         return scores_batch(self, chunk)
 
     monkeypatch.setattr(LACA, "scores_batch", recording_scores_batch)
-    workspaces = [model.make_workspace() for _ in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             calls.clear()
             records, _ = routing.route_block(
-                model, workspaces, seeds, sizes, LacaResult.cluster
+                model, 6, seeds, sizes, LacaResult.cluster
             )
             assert sorted(calls) == sorted(
                 seeds[lo:hi] for lo, hi in zip(CUTS_47_BY_6, CUTS_47_BY_6[1:])

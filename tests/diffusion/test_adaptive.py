@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.diffusion import DiffusionWorkspace, adaptive_diffuse, greedy_diffuse
+from repro.diffusion import adaptive_diffuse, greedy_diffuse
 from repro.graphs.generators import SBMConfig, attributed_sbm
 
 
@@ -23,10 +23,7 @@ class TestStrategyMix:
     @pytest.mark.parametrize("avg_degree", [4.0, 28.0])
     @pytest.mark.parametrize("epsilon", [1e-3, 1e-5])
     @pytest.mark.parametrize("sigma", [1.0, np.inf])
-    @pytest.mark.parametrize("use_workspace", [False, True])
-    def test_sigma_one_plus_is_pure_greedy(
-        self, avg_degree, epsilon, sigma, use_workspace
-    ):
+    def test_sigma_one_plus_is_pure_greedy(self, avg_degree, epsilon, sigma):
         """σ ≥ 1 is GreedyDiffuse bit for bit (Lemma IV.3's β = 1 case),
         over the frontier-parity grid of densities, thresholds and inputs."""
         graph = attributed_sbm(
@@ -40,14 +37,9 @@ class TestStrategyMix:
             "sparse": rng.random(graph.n) * (rng.random(graph.n) < 0.3),
             "dense": rng.random(graph.n),
         }
-        ws = DiffusionWorkspace(graph) if use_workspace else None
         for name, f in inputs.items():
-            if ws is not None:
-                ws.begin()
-            adaptive = adaptive_diffuse(
-                graph, f, alpha=0.8, sigma=sigma, epsilon=epsilon, workspace=ws
-            )
-            greedy = greedy_diffuse(graph, f, alpha=0.8, epsilon=epsilon, workspace=ws)
+            adaptive = adaptive_diffuse(graph, f, alpha=0.8, sigma=sigma, epsilon=epsilon)
+            greedy = greedy_diffuse(graph, f, alpha=0.8, epsilon=epsilon)
             assert adaptive.nongreedy_steps == 0, name
             assert np.array_equal(adaptive.q, greedy.q), name
             assert np.array_equal(adaptive.residual, greedy.residual), name

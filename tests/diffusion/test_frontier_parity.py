@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 import repro.diffusion.base as diffusion_base
-import repro.diffusion.workspace as workspace_mod
+import repro.diffusion.scatter as scatter_mod
 from repro.diffusion import reference as ref
 from repro.diffusion import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from repro.diffusion.push import push_diffuse
-from repro.diffusion.workspace import DiffusionWorkspace
 from repro.graphs.generators import SBMConfig, attributed_sbm
 
 ALPHA = 0.8
@@ -83,20 +82,6 @@ class TestBitwiseParity:
             old = ref.reference_adaptive_diffuse(graph, f, ALPHA, sigma, epsilon)
             _assert_bitwise(new, old, f"adaptive/σ={sigma}/{name}")
 
-    def test_workspace_mode_matches_reference(self, avg_degree, epsilon):
-        graph = _graph(avg_degree)
-        ws = DiffusionWorkspace(graph)
-        for name, f in _inputs(graph).items():
-            for new_fn, old_fn in PAIRS.values():
-                ws.begin()
-                new = new_fn(graph, f, ALPHA, epsilon, workspace=ws)
-                old = old_fn(graph, f, ALPHA, epsilon)
-                _assert_bitwise(new, old, f"ws/{name}")
-            ws.begin()
-            new = adaptive_diffuse(graph, f, ALPHA, 0.1, epsilon, workspace=ws)
-            old = ref.reference_adaptive_diffuse(graph, f, ALPHA, 0.1, epsilon)
-            _assert_bitwise(new, old, f"ws/adaptive/{name}")
-
 
 class TestScatterRegimes:
     """Force each scatter kernel in turn; all must match the oracle."""
@@ -115,7 +100,7 @@ class TestScatterRegimes:
         monkeypatch.setattr(
             diffusion_base, "SELECTIVE_VOLUME_FRACTION", fraction
         )
-        monkeypatch.setattr(workspace_mod, "_UNIQUE_FRACTION", unique_fraction)
+        monkeypatch.setattr(scatter_mod, "_UNIQUE_FRACTION", unique_fraction)
         graph = _graph(10.0)
         f = _inputs(graph)["sparse"]
         if engine == "adaptive":
@@ -161,10 +146,3 @@ class TestErrorBehaviour:
             greedy_diffuse(medium_sbm, f, alpha=0.9, epsilon=1e-8, max_iterations=2)
         with pytest.raises(RuntimeError, match="did not terminate"):
             adaptive_diffuse(medium_sbm, f, alpha=0.9, epsilon=1e-8, max_iterations=2)
-
-    def test_workspace_graph_mismatch_rejected(self, small_sbm, medium_sbm):
-        ws = DiffusionWorkspace(small_sbm)
-        f = np.zeros(medium_sbm.n)
-        f[0] = 1.0
-        with pytest.raises(ValueError, match="workspace was built for"):
-            greedy_diffuse(medium_sbm, f, workspace=ws)

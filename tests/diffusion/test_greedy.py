@@ -118,10 +118,9 @@ def test_work_per_query_is_bounded_and_flat_in_n():
             alpha=alpha, epsilon=epsilon, metric="cosine", diffusion="greedy"
         )
         model = LACA(config).fit(graph)
-        workspace = model.make_workspace()
         works = []
         for seed in np.random.default_rng(0).choice(n, size=20, replace=False):
-            result = model.scores(int(seed), workspace=workspace)
+            result = model.scores(int(seed))
             assert result.rwr.work <= bound, (n, int(seed), result.rwr.work)
             assert result.bdd.work <= bound, (n, int(seed), result.bdd.work)
             works.append(result.rwr.work + result.bdd.work)

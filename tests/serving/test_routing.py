@@ -1,10 +1,10 @@
 """Tests for answer_block's routing: frontier loop while queries stay local,
-block mat-mat only once they saturate, and one thread per workspace for a
+block mat-mat only once they saturate, and one thread per usable CPU for a
 block of large local queries.
 
 Every service test runs the in-thread service (``workers=0``) and a live
 2-worker pool (``workers=2``), because the pool workers call the same
-``answer_block`` as the dispatcher (on their single workspace).
+``answer_block`` as the dispatcher (on one thread).
 """
 
 import os
@@ -92,9 +92,8 @@ def test_local_block_stays_sequential_and_bitwise(local_model, workers):
     # Stray full scatters were tallied, yet no seed left the sequential path.
     assert 0 < kernels.get("full", 0) < kernels.get("gather", 0), kernels
     assert not [kind for kind in kernels if kind.startswith("block_")], kernels
-    workspace = local_model.make_workspace()
     for seed, answer in zip(seeds, answers):
-        expected = local_model.cluster(seed, SIZE, workspace)
+        expected = local_model.cluster(seed, SIZE)
         assert answer.dtype == expected.dtype
         np.testing.assert_array_equal(answer, expected)
 
@@ -126,9 +125,8 @@ def test_pool_spreads_one_block_over_every_worker(regime, request):
     assert sum(entry["seeds"] for entry in occupancy.values()) == BLOCK
     assert stats["batches"] == 1, stats
     assert stats["max_batch_occupancy"] == BLOCK, stats
-    workspace = model.make_workspace()
     for seed, answer in zip(seeds, answers):
-        expected = model.cluster(seed, SIZE, workspace)
+        expected = model.cluster(seed, SIZE)
         assert answer.dtype == expected.dtype
         np.testing.assert_array_equal(answer, expected)
 
@@ -144,14 +142,12 @@ class _Recorder:
 
 
 def _observed_touch(model, seeds):
-    """answer_block on one workspace: each query's observed touched-node
+    """answer_block on one thread: each query's observed touched-node
     count and touched volume, in seed order, plus the kernel tally."""
     registry = MetricsRegistry("touch")
     metrics = make_engine_metrics(registry)
     metrics.touched_nodes, metrics.touched_volume = _Recorder(), _Recorder()
-    answer_block(
-        model, [model.make_workspace()], seeds, [2] * len(seeds), metrics
-    )
+    answer_block(model, 1, seeds, [2] * len(seeds), metrics)
     family = registry.get("laca_kernel_selections_total")
     kernels = {key[0]: value for key, value in family.sample_items().items()}
     return metrics.touched_nodes.values, metrics.touched_volume.values, kernels
@@ -195,7 +191,7 @@ class TestTouchedHistograms:
         attrs = np.abs(np.random.default_rng(0).normal(size=(80, 4))) + 0.05
         model = LACA(config).fit(AttributedGraph.from_edges(80, edges, attributes=attrs))
         nodes, volumes, kernels = _observed_touch(model, [seed])
-        result = model.scores(seed, workspace=model.make_workspace())
+        result = model.scores(seed)
         rwr, bdd = result.rwr.touched, result.bdd.touched
         assert rwr is not None and bdd is not None
         assert not np.array_equal(rwr, bdd)
@@ -220,13 +216,13 @@ class TestTouchedHistograms:
                 np.flatnonzero(column.rwr.q), np.flatnonzero(column.bdd.q)
             )
             assert pushed.size < _touch_by_hand(model, column)[0]
-        results = [model.scores(seeds[0], workspace=model.make_workspace()), *columns]
+        results = [model.scores(seeds[0]), *columns]
         expected = [_touch_by_hand(model, result) for result in results]
         assert nodes == [count for count, _ in expected]
         assert volumes == [volume for _, volume in expected]
 
 
-# -- fan-out over one thread per workspace ------------------------------
+# -- fan-out over one thread per usable CPU -----------------------------
 
 FANOUT_CPUS = 3
 
@@ -250,7 +246,7 @@ def helpers(monkeypatch):
 
 @pytest.fixture
 def fanout(monkeypatch, helpers):
-    """Three workspaces and no volume guard, so every local block of the
+    """Three usable CPUs and no volume guard, so every local block of the
     in-thread service fans out; returns the started helper names."""
     monkeypatch.setattr(service_module, "usable_cpus", lambda: FANOUT_CPUS)
     monkeypatch.setattr(routing, "FANOUT_MIN_SCATTER_VOLUME", 0)
@@ -258,11 +254,10 @@ def fanout(monkeypatch, helpers):
 
 
 def _single_thread(model, seeds):
-    """answer_block on one workspace: clusters, kernel tally."""
+    """answer_block on one thread: clusters, kernel tally."""
     registry = MetricsRegistry("reference")
     clusters, _ = answer_block(
-        model, [model.make_workspace()], seeds, [SIZE] * len(seeds),
-        make_engine_metrics(registry),
+        model, 1, seeds, [SIZE] * len(seeds), make_engine_metrics(registry)
     )
     family = registry.get("laca_kernel_selections_total")
     kernels = {key[0]: value for key, value in family.sample_items().items()}
@@ -292,10 +287,9 @@ def test_fanout_answers_match_single_thread(local_model, workers, fanout):
             for seed in seeds
         }
     _expect_helpers(fanout, workers)
-    workspace = local_model.make_workspace()
     for seed, answer, cluster in zip(seeds, answers, expected):
         np.testing.assert_array_equal(answer, cluster)
-        np.testing.assert_array_equal(answer, local_model.cluster(seed, SIZE, workspace))
+        np.testing.assert_array_equal(answer, local_model.cluster(seed, SIZE))
         np.testing.assert_array_equal(cached[seed], cluster)
 
 
@@ -388,7 +382,7 @@ def test_no_thread_outlives_its_block(regime, workers, fanout, request):
 
 
 @pytest.mark.parametrize("workers", WORKERS)
-def test_update_rebuilds_every_workspace(local_model, workers, fanout):
+def test_update_answers_on_the_new_head(local_model, workers, fanout):
     model = LACA(local_model.config).fit(local_model.graph)
     graph = model.graph
     n = graph.n
@@ -406,12 +400,11 @@ def test_update_rebuilds_every_workspace(local_model, workers, fanout):
         service.cluster(0, SIZE)
         service.apply_update(delta)
         head = service.store.head
-        assert len(service._workspaces) == FANOUT_CPUS
-        assert all(ws.graph is head for ws in service._workspaces)
+        assert service._threads == FANOUT_CPUS
+        assert service.model.graph is head
         seeds = [n, *_seeds(model, BLOCK - 1, seed=10)]
         answers = [f.result(timeout=60) for f in service.submit_many(seeds, SIZE)]
     fresh = LACA(local_model.config).fit(head)
-    workspace = fresh.make_workspace()
     for seed, answer in zip(seeds, answers):
-        np.testing.assert_array_equal(answer, fresh.cluster(seed, SIZE, workspace))
+        np.testing.assert_array_equal(answer, fresh.cluster(seed, SIZE))
     _expect_helpers(fanout, workers)

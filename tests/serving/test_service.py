@@ -278,10 +278,10 @@ def _stall_single_queries(service, started, release):
     """
     original = service.model.scores
 
-    def slow_scores(seed, workspace=None):
+    def slow_scores(seed):
         started.set()
         release.wait(30)
-        return original(seed, workspace=workspace)
+        return original(seed)
 
     service.model.scores = slow_scores
 
