@@ -14,6 +14,10 @@ Then ``V_k`` holds the top-``k`` eigenvectors, ``Y = X V_k`` and
 ``y* = (Σ_ℓ x(ℓ)) V_k``.  An attribute delta recomputes only the blocks
 holding a changed row and reruns the same sum, eigensolve and
 projection, so a refresh is bitwise a fresh build (:meth:`TNAM.update_rows`).
+This path reads ``X`` as the graph's attribute row blocks
+(:attr:`~repro.graphs.graph.AttributedGraph.attribute_blocks`) in place,
+a Gram block being a whole number of them, and never forms the
+contiguous ``n × d`` matrix; a plain matrix is cut into the same blocks.
 
 For Table XI's alternative metrics (Jaccard / Pearson), no exact
 inner-product factorization exists, so we factorize the dense kernel
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..graphs.graph import ATTRIBUTE_BLOCK_ROWS, row_blocks
 from .orf import orf_feature_map
 from .snas import kernel_matrix
 from .svd import EXACT_THRESHOLD, truncated_svd
@@ -36,22 +41,53 @@ __all__ = ["GramBlocks", "TNAM", "build_tnam"]
 #: Guard for the normalization denominator y(i)·y*; see module docstring.
 _EPS = 1e-12
 
-#: Fewest rows in one Gram block; see :func:`_block_rows`.
-_MIN_BLOCK_ROWS = 1024
+#: An attribute matrix: one ``n × d`` array, or its row blocks as
+#: :func:`~repro.graphs.graph.row_blocks` cuts them (a tuple).
+Attributes = np.ndarray | tuple[np.ndarray, ...]
 
 
 def _block_rows(d: int, k: int) -> int:
-    """Rows per Gram block, ``B = max(1024, ⌈d²/k⌉)``.
+    """Rows per Gram block, ``B = max(1024, ⌈d²/k⌉)`` rounded up to a
+    whole number of attribute row blocks.
 
     ``n/B`` blocks of ``d²`` floats then take no more memory than the
     ``n × k`` feature matrix ``Y``.
     """
-    return max(_MIN_BLOCK_ROWS, -(-d * d // k))
+    rows = max(ATTRIBUTE_BLOCK_ROWS, -(-d * d // k))
+    return -(-rows // ATTRIBUTE_BLOCK_ROWS) * ATTRIBUTE_BLOCK_ROWS
+
+
+def _as_blocks(attributes: Attributes) -> tuple[np.ndarray, ...]:
+    if isinstance(attributes, tuple):
+        return attributes
+    return row_blocks(np.asarray(attributes, dtype=np.float64))
+
+
+def _as_matrix(attributes: Attributes) -> np.ndarray:
+    if isinstance(attributes, tuple):
+        return np.concatenate(attributes)
+    return np.asarray(attributes, dtype=np.float64)
 
 
 def _block_partials(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(X_bᵀX_b, Σ_i x_b(i))`` of one row block."""
+    """``(X_bᵀX_b, Σ_i x_b(i))`` of one attribute row block."""
     return block.T @ block, block.sum(axis=0)
+
+
+def _groups(blocks: tuple[np.ndarray, ...], rows: int) -> list:
+    """The attribute row blocks of each ``rows``-row Gram block."""
+    per = rows // ATTRIBUTE_BLOCK_ROWS
+    return [blocks[lo : lo + per] for lo in range(0, len(blocks), per)]
+
+
+def _group_partials(group) -> tuple[np.ndarray, np.ndarray]:
+    """One Gram block's partials: its row blocks' partials summed in order."""
+    gram, colsum = _block_partials(group[0])
+    for block in group[1:]:
+        g, s = _block_partials(block)
+        gram += g
+        colsum += s
+    return gram, colsum
 
 
 @dataclass(frozen=True)
@@ -59,9 +95,12 @@ class GramBlocks:
     """Row-block partials of the cosine k-SVD Gram ``G = XᵀX``.
 
     Block ``b`` covers rows ``[b·rows, (b+1)·rows)`` of ``X`` (the last
-    one may be partial) and holds ``X_bᵀX_b`` and the column sum of
-    ``X_b``.  :meth:`totals` sums them in block order, whatever path
-    produced the blocks, so equal attributes give bitwise equal totals.
+    one may be partial), a whole number of attribute row blocks, and
+    holds ``X_bᵀX_b`` and the column sum of ``X_b``, each summed over its
+    row blocks in order.  :meth:`totals` sums them in block order,
+    whatever path produced the blocks, so equal attributes give bitwise
+    equal totals.  ``build`` and ``updated`` take ``X`` as its attribute
+    row blocks.
     """
 
     rows: int
@@ -69,25 +108,23 @@ class GramBlocks:
     colsums: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, attributes: np.ndarray, rows: int) -> "GramBlocks":
-        parts = [
-            _block_partials(attributes[lo : lo + rows])
-            for lo in range(0, attributes.shape[0], rows)
-        ]
+    def build(cls, blocks: tuple[np.ndarray, ...], rows: int) -> "GramBlocks":
+        parts = [_group_partials(group) for group in _groups(blocks, rows)]
         return cls(rows, tuple(g for g, _ in parts), tuple(s for _, s in parts))
 
-    def updated(self, attributes: np.ndarray, changed: np.ndarray) -> "GramBlocks":
-        """Blocks of ``attributes`` after the rows in ``changed`` were
+    def updated(
+        self, blocks: tuple[np.ndarray, ...], changed: np.ndarray
+    ) -> "GramBlocks":
+        """Gram blocks of ``X`` after the rows in ``changed`` were
         rewritten or appended; every other block keeps its arrays.
 
         ``changed`` must include every appended row.
         """
-        count = -(-attributes.shape[0] // self.rows)
-        grams = list(self.grams) + [None] * (count - len(self.grams))
-        colsums = list(self.colsums) + [None] * (count - len(self.colsums))
+        groups = _groups(blocks, self.rows)
+        grams = list(self.grams) + [None] * (len(groups) - len(self.grams))
+        colsums = list(self.colsums) + [None] * (len(groups) - len(self.colsums))
         for b in np.unique(changed // self.rows):
-            lo = int(b) * self.rows
-            grams[b], colsums[b] = _block_partials(attributes[lo : lo + self.rows])
+            grams[b], colsums[b] = _group_partials(groups[b])
         return GramBlocks(self.rows, tuple(grams), tuple(colsums))
 
     def totals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +193,7 @@ class TNAM:
     def update(
         self,
         delta,
-        attributes: np.ndarray,
+        attributes: Attributes,
         *,
         use_svd: bool = True,
         rng: np.random.Generator | None = None,
@@ -164,11 +201,11 @@ class TNAM:
         """Maintain the TNAM across a :class:`~repro.graphs.store.GraphDelta`.
 
         ``attributes`` is the *post-delta* attribute matrix (the new
-        snapshot's, already row-normalized).  Structural-only deltas —
-        edge insertions/deletions — return ``self`` unchanged: the TNAM
-        depends on attributes alone, so no work is owed.  Deltas that
-        rewrite or append attribute rows delegate to
-        :meth:`update_rows`.
+        snapshot's, already row-normalized), or its row blocks.
+        Structural-only deltas — edge insertions/deletions — return
+        ``self`` unchanged: the TNAM depends on attributes alone, so no
+        work is owed.  Deltas that rewrite or append attribute rows
+        delegate to :meth:`update_rows`.
         """
         rows = delta.attribute_rows(self.n)
         if rows.size == 0:
@@ -177,7 +214,7 @@ class TNAM:
 
     def update_rows(
         self,
-        attributes: np.ndarray,
+        attributes: Attributes,
         rows: np.ndarray,
         *,
         use_svd: bool = True,
@@ -191,20 +228,24 @@ class TNAM:
         a row of ``rows`` are recomputed, ``O(|dirty blocks|·B·d²)``; the
         blocks are then summed in order and the ``d × d`` eigensolve and
         the ``Y = X V_k`` projection with Eq. (18)'s normalization run
-        again, ``O(d³ + n·d·k)``: about 0.12 s at ``n = 168k``, ``d = 128``,
-        ``k = 32`` on one BLAS thread, against ~0.28 s for a fresh build.
+        again, ``O(d³ + n·d·k)``: 0.09–0.13 s at ``n = 168k``, ``d = 128``,
+        ``k = 32`` for 8 rewritten rows on one BLAS thread of a 2-CPU
+        host, against 0.21–0.30 s for a fresh build.
         Every other path is a fresh build: a TNAM without blocks (a
         reloaded one, or one that was not on the blocked path),
         ``exp_cosine``, the dense-kernel metrics, the randomized k-SVD
         past 400 features and ``use_svd=False`` (an ``O(n·d)``
         normalization).
 
+        ``attributes`` is the new matrix or its row blocks (a tuple, as
+        :attr:`~repro.graphs.graph.AttributedGraph.attribute_blocks`
+        holds them); the blocked path reads the blocks in place.
         ``rows`` must cover every appended row when ``attributes`` has
         grown (the graph layer guarantees this for store deltas).
         """
-        attributes = np.asarray(attributes, dtype=np.float64)
+        blocks = _as_blocks(attributes)
         rows = np.unique(np.asarray(rows, dtype=np.int64))
-        n_old, n_new = self.n, attributes.shape[0]
+        n_old, n_new = self.n, sum(block.shape[0] for block in blocks)
         if n_new < n_old:
             raise ValueError(
                 f"attribute matrix shrank from {n_old} to {n_new} rows; "
@@ -236,7 +277,7 @@ class TNAM:
                 use_svd=use_svd,
             )
         return _blocked_tnam(
-            attributes, self.k, self.delta, self.blocks.updated(attributes, rows)
+            blocks, self.k, self.delta, self.blocks.updated(blocks, rows)
         )
 
 
@@ -254,23 +295,29 @@ def _normalize_features(y: np.ndarray, y_star: np.ndarray) -> np.ndarray:
 
 
 def _blocked_tnam(
-    attributes: np.ndarray, k: int, delta: float, blocks: GramBlocks
+    x_blocks: tuple[np.ndarray, ...], k: int, delta: float, blocks: GramBlocks
 ) -> TNAM:
-    """Cosine TNAM from the Gram blocks of ``attributes``.
+    """Cosine TNAM from the attribute row blocks and their Gram blocks.
 
     ``V_k`` is the top-``k`` eigenvectors of ``G``, ``Y = X V_k`` (the
-    k-SVD's ``U Σ``) and ``y* = (Σ_ℓ x(ℓ)) V_k``; ``Y`` is normalized
-    in place into ``Z``.
+    k-SVD's ``U Σ``, projected row block by row block into one ``n × k``
+    array) and ``y* = (Σ_ℓ x(ℓ)) V_k``; ``Y`` is normalized in place
+    into ``Z``.
     """
     gram, colsum = blocks.totals()
     _, eigenvectors = np.linalg.eigh(gram)
     v = eigenvectors[:, gram.shape[0] - 1 - np.arange(k)]  # eigh sorts ascending
-    z = _normalize_features(attributes @ v, colsum @ v)
+    y = np.empty((sum(block.shape[0] for block in x_blocks), k))
+    lo = 0
+    for block in x_blocks:
+        np.matmul(block, v, out=y[lo : lo + block.shape[0]])
+        lo += block.shape[0]
+    z = _normalize_features(y, colsum @ v)
     return TNAM(z=z, metric="cosine", k=k, delta=delta, basis=v.T, blocks=blocks)
 
 
 def build_tnam(
-    attributes: np.ndarray,
+    attributes: Attributes,
     k: int = 32,
     metric: str = "cosine",
     delta: float = 1.0,
@@ -282,7 +329,9 @@ def build_tnam(
     Parameters
     ----------
     attributes:
-        ``n × d`` L2-normalized attribute matrix.
+        ``n × d`` L2-normalized attribute matrix, or its row blocks (a
+        tuple, as :attr:`~repro.graphs.graph.AttributedGraph.attribute_blocks`
+        holds them), which the blocked cosine path reads in place.
     k:
         Target dimension of the TNAM vectors (paper default 32).
     metric:
@@ -298,19 +347,21 @@ def build_tnam(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    attributes = np.asarray(attributes, dtype=np.float64)
-    n, d = attributes.shape
+    x_blocks = _as_blocks(attributes)
+    n, d = sum(block.shape[0] for block in x_blocks), x_blocks[0].shape[1]
     k = int(min(k, max(n, 1), max(d, 1))) if use_svd else k
     if k <= 0:
         raise ValueError("k must be positive")
 
     basis = None
+    if metric == "cosine" and use_svd and d <= min(n, EXACT_THRESHOLD):
+        # The exact d × d Gram eigensolve, on the row blocks in place.
+        blocks = GramBlocks.build(x_blocks, _block_rows(d, k))
+        return _blocked_tnam(x_blocks, k, delta, blocks)
+    attributes = _as_matrix(attributes)
     if metric == "cosine":
         if not use_svd:
             y = attributes.copy()
-        elif d <= min(n, EXACT_THRESHOLD):  # the exact d × d Gram eigensolve
-            blocks = GramBlocks.build(attributes, _block_rows(d, k))
-            return _blocked_tnam(attributes, k, delta, blocks)
         else:
             u, sigma, basis = truncated_svd(attributes, k, rng=rng)
             y = u * sigma[None, :]

@@ -135,7 +135,7 @@ def laca_scores(
     config.validate()
     if not 0 <= seed < graph.n:
         raise IndexError(f"seed {seed} out of range for n={graph.n}")
-    use_snas = config.use_snas and graph.attributes is not None
+    use_snas = config.use_snas and graph.is_attributed
     if use_snas and tnam is None:
         raise ValueError(
             "laca_scores needs the TNAM from build_tnam() when use_snas=True; "
@@ -269,7 +269,7 @@ def laca_scores_batch(
     if seeds.size and not (0 <= seeds.min() and seeds.max() < graph.n):
         bad = seeds[(seeds < 0) | (seeds >= graph.n)][0]
         raise IndexError(f"seed {bad} out of range for n={graph.n}")
-    use_snas = config.use_snas and graph.attributes is not None
+    use_snas = config.use_snas and graph.is_attributed
     if use_snas and tnam is None:
         raise ValueError(
             "laca_scores_batch needs the TNAM from build_tnam() when "

@@ -72,9 +72,9 @@ class LACA:
         self.graph = graph
         self.tnam = None
         start = time.perf_counter()
-        if self.config.use_snas and graph.attributes is not None:
+        if self.config.use_snas and graph.is_attributed:
             self.tnam = build_tnam(
-                graph.attributes,
+                graph.attribute_blocks,
                 k=self.config.k,
                 metric=self.config.metric,
                 delta=self.config.delta,
@@ -102,7 +102,9 @@ class LACA:
         projection; every other path, and a store whose bounded delta
         log no longer covers this model's epoch, pays a full Algo 3
         rebuild.  Either way the new TNAM is bitwise the one
-        :meth:`fit` builds on the head snapshot.
+        :meth:`fit` builds on the head snapshot.  Both read the
+        snapshot's attribute row blocks, so neither forms its ``n × d``
+        matrix on the cosine k-SVD path.
 
         Queries in flight on the old snapshot are unaffected: snapshots
         are immutable and the old graph object stays valid.  ``refresh``
@@ -119,7 +121,7 @@ class LACA:
         start = time.perf_counter()
         if (
             self.config.use_snas
-            and head.attributes is not None
+            and head.is_attributed
             and head.epoch > graph.epoch
         ):
             rows = store.attribute_rows_since(graph.epoch)
@@ -127,7 +129,7 @@ class LACA:
                 # No maintained state, or the delta log has forgotten
                 # this model's epoch: rebuild from the head attributes.
                 self.tnam = build_tnam(
-                    head.attributes,
+                    head.attribute_blocks,
                     k=self.config.k,
                     metric=self.config.metric,
                     delta=self.config.delta,
@@ -136,7 +138,7 @@ class LACA:
                 )
             elif rows.size:
                 self.tnam = self.tnam.update_rows(
-                    head.attributes, rows, use_svd=self.config.use_svd
+                    head.attribute_blocks, rows, use_svd=self.config.use_svd
                 )
         self.graph = head
         self.refresh_seconds = time.perf_counter() - start

@@ -6,6 +6,11 @@ module provides :class:`AttributedGraph`, a CSR-backed container exposing the
 quantities the algorithms need: degrees, volumes, the transition operator
 ``P = D^{-1} A`` applied to row vectors, neighbor access, and ground-truth
 community bookkeeping used for evaluation.
+
+The attribute matrix is also held as a tuple of fixed
+``ATTRIBUTE_BLOCK_ROWS``-row blocks (:attr:`AttributedGraph.attribute_blocks`),
+so the incremental store (:mod:`repro.graphs.store`) can build the next
+snapshot by copying only the blocks a delta rewrites and sharing the rest.
 """
 
 from __future__ import annotations
@@ -15,7 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["AttributedGraph", "normalize_rows"]
+__all__ = ["ATTRIBUTE_BLOCK_ROWS", "AttributedGraph", "normalize_rows", "row_blocks"]
+
+#: Rows per attribute block; the last block of a graph may be partial.
+ATTRIBUTE_BLOCK_ROWS = 1024
 
 
 def _raise_isolated(degrees: np.ndarray) -> None:
@@ -49,6 +57,16 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe[:, None]
 
 
+def row_blocks(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Zero-copy views of ``matrix``'s consecutive ``ATTRIBUTE_BLOCK_ROWS``-row
+    blocks; the last may be partial, and an empty matrix gives one empty
+    block."""
+    size = ATTRIBUTE_BLOCK_ROWS
+    return tuple(
+        matrix[lo : lo + size] for lo in range(0, max(matrix.shape[0], 1), size)
+    )
+
+
 @dataclass
 class AttributedGraph:
     """Undirected attributed graph backed by a CSR adjacency matrix.
@@ -60,6 +78,10 @@ class AttributedGraph:
     attributes:
         Optional ``n × d`` dense attribute matrix.  Rows are L2-normalized
         on construction, matching the paper's assumption ``‖x(i)‖₂ = 1``.
+        The rows are also exposed as :attr:`attribute_blocks`.  A snapshot
+        made by :class:`~repro.graphs.store.GraphStore` holds only the
+        blocks, several of them shared with the snapshot before it, and
+        forms this contiguous matrix on its first read (then keeps it).
     communities:
         Optional length-``n`` integer array of ground-truth (primary)
         community ids.  The ground-truth local cluster ``Ys`` of a seed is
@@ -81,7 +103,9 @@ class AttributedGraph:
     """
 
     adjacency: sp.csr_matrix
-    attributes: np.ndarray | None = None
+    # No class-level default: a store-made snapshot leaves ``attributes``
+    # unset until its first read, which ``__getattr__`` answers.
+    attributes: np.ndarray | None = field(default_factory=lambda: None)
     communities: np.ndarray | None = None
     secondary_communities: np.ndarray | None = None
     name: str = "graph"
@@ -89,6 +113,9 @@ class AttributedGraph:
     _degrees: np.ndarray = field(init=False, repr=False)
     _inv_degrees: np.ndarray = field(init=False, repr=False)
     _binary_adjacency: bool = field(init=False, repr=False)
+    _attribute_blocks: tuple[np.ndarray, ...] | None = field(
+        init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         adj = sp.csr_matrix(self.adjacency, dtype=np.float64)
@@ -105,6 +132,7 @@ class AttributedGraph:
             _raise_isolated(self._degrees)
         self._inv_degrees = 1.0 / self._degrees
         self._binary_adjacency = bool(np.all(adj.data == 1.0))
+        self._attribute_blocks = None
         if self.attributes is not None:
             attrs = normalize_rows(self.attributes)
             if attrs.shape[0] != adj.shape[0]:
@@ -113,6 +141,7 @@ class AttributedGraph:
                     f"{adj.shape[0]} nodes"
                 )
             self.attributes = attrs
+            self._attribute_blocks = row_blocks(attrs)
         if self.communities is not None:
             communities = np.asarray(self.communities, dtype=np.int64)
             if communities.shape != (adj.shape[0],):
@@ -131,6 +160,15 @@ class AttributedGraph:
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: ``attributes`` of a
+        # store-made snapshot that nobody has read yet.  Threads racing
+        # here form equal matrices, and either one may be kept.
+        if name != "attributes" or "_attribute_blocks" not in self.__dict__:
+            raise AttributeError(name)
+        self.attributes = np.concatenate(self._attribute_blocks)
+        return self.attributes
+
     @property
     def n(self) -> int:
         """Number of nodes."""
@@ -144,7 +182,8 @@ class AttributedGraph:
     @property
     def d(self) -> int:
         """Number of distinct attributes (0 when non-attributed)."""
-        return 0 if self.attributes is None else self.attributes.shape[1]
+        blocks = self._attribute_blocks
+        return 0 if blocks is None else blocks[0].shape[1]
 
     @property
     def degrees(self) -> np.ndarray:
@@ -166,7 +205,17 @@ class AttributedGraph:
 
     @property
     def is_attributed(self) -> bool:
-        return self.attributes is not None
+        return self._attribute_blocks is not None
+
+    @property
+    def attribute_blocks(self) -> tuple[np.ndarray, ...] | None:
+        """The attribute rows as consecutive ``ATTRIBUTE_BLOCK_ROWS``-row
+        blocks (None when non-attributed).
+
+        Reading them never forms the contiguous :attr:`attributes`
+        matrix; the query, refresh and publish paths read only these.
+        """
+        return self._attribute_blocks
 
     def degree(self, node: int) -> float:
         return float(self._degrees[node])
@@ -345,6 +394,7 @@ class AttributedGraph:
         secondary_communities: np.ndarray | None,
         name: str,
         epoch: int,
+        attribute_blocks: tuple[np.ndarray, ...] | None = None,
     ) -> "AttributedGraph":
         """Assemble a snapshot from already-validated parts.
 
@@ -358,10 +408,19 @@ class AttributedGraph:
         break the bitwise parity the store guarantees against a
         from-scratch build).  Every invariant ``__post_init__`` enforces
         must hold for the supplied parts.
+
+        Given ``attribute_blocks`` (row blocks as :func:`row_blocks`
+        cuts them) without ``attributes``, the contiguous matrix is
+        formed on first read; given ``attributes`` alone, the blocks
+        are views of it.
         """
         graph = object.__new__(cls)
         graph.adjacency = adjacency
-        graph.attributes = attributes
+        if attribute_blocks is None and attributes is not None:
+            attribute_blocks = row_blocks(attributes)
+        graph._attribute_blocks = attribute_blocks
+        if attributes is not None or attribute_blocks is None:
+            graph.attributes = attributes
         graph.communities = communities
         graph.secondary_communities = secondary_communities
         graph.name = name

@@ -6,7 +6,8 @@ every process.  Copying it per worker would multiply memory by the pool
 size and add seconds of startup per epoch advance; this module instead
 places the head snapshot's backing arrays — ``indptr``, ``indices``, the
 all-ones ``data``, ``degrees``, ``inv_degrees``, the normalized attribute
-matrix, and the TNAM factor ``z`` — into
+matrix (written from the snapshot's row blocks), and the TNAM factor
+``z`` — into
 :mod:`multiprocessing.shared_memory` segments, published through a small
 picklable *manifest* (plain dict: segment names, shapes, dtypes, and the
 snapshot's identity scalars).
@@ -45,17 +46,29 @@ __all__ = ["SharedSnapshot", "AttachedSnapshot", "publish_snapshot", "attach_sna
 MANIFEST_VERSION = 1
 
 
-def _export_array(array: np.ndarray) -> tuple[shared_memory.SharedMemory, dict]:
-    """Copy ``array`` into a fresh named segment; returns (segment, spec)."""
-    array = np.ascontiguousarray(array)
-    segment = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
+def _export_array(
+    array: np.ndarray | tuple[np.ndarray, ...],
+) -> tuple[shared_memory.SharedMemory, dict]:
+    """Copy ``array`` into a fresh named segment; returns (segment, spec).
+
+    A tuple of row blocks is exported as their row-wise concatenation,
+    written block by block.
+    """
+    pieces = array if isinstance(array, tuple) else (np.ascontiguousarray(array),)
+    shape = (sum(piece.shape[0] for piece in pieces), *pieces[0].shape[1:])
+    dtype = pieces[0].dtype
+    nbytes = sum(piece.nbytes for piece in pieces)
+    segment = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
     try:
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-        view[...] = array
+        view = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
+        lo = 0
+        for piece in pieces:
+            view[lo : lo + piece.shape[0]] = piece
+            lo += piece.shape[0]
         spec = {
             "segment": segment.name,
-            "shape": list(array.shape),
-            "dtype": array.dtype.str,
+            "shape": list(shape),
+            "dtype": dtype.str,
         }
     except BaseException:
         # The segment exists under a published name the caller never
@@ -158,15 +171,16 @@ def publish_snapshot(
     answer ``(seed, size)`` queries and never consult ground truth.
     """
     adjacency = graph.adjacency
-    arrays: dict[str, np.ndarray] = {
+    arrays: dict[str, np.ndarray | tuple[np.ndarray, ...]] = {
         "indptr": adjacency.indptr,
         "indices": adjacency.indices,
         "data": adjacency.data,
         "degrees": graph.degrees,
         "inv_degrees": graph.inv_degrees,
     }
-    if graph.attributes is not None:
-        arrays["attributes"] = graph.attributes
+    if graph.is_attributed:
+        # Written block by block: the snapshot need not form its matrix.
+        arrays["attributes"] = graph.attribute_blocks
     if tnam_z is not None:
         arrays["tnam_z"] = np.asarray(tnam_z, dtype=np.float64)
 

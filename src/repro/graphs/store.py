@@ -19,8 +19,13 @@ The merge is incremental: small deltas splice the touched rows into the
 existing CSR index array (``O(nnz)`` memcpy, no sort, no re-validation),
 while deltas past :attr:`GraphStore.patch_limit` directed entries are
 compacted through a fresh coordinate build.  Degrees and
-``inv_degrees`` are maintained by adjusting only the touched entries,
-and untouched attribute rows are carried over verbatim — the store
+``inv_degrees`` are maintained by adjusting only the touched entries.
+Attribute rows live in fixed row blocks
+(:attr:`~repro.graphs.graph.AttributedGraph.attribute_blocks`): a delta
+copies only the blocks holding a rewritten row (and a partial last
+block it appends to), and the new snapshot shares every other block
+with the old one by identity, so an attribute delta costs time and
+memory tied to the rows it touches, not ``O(n·d)``.  The store
 guarantees every snapshot is **bitwise identical** (adjacency, degrees,
 attributes) to ``AttributedGraph.from_edges`` called on the final edge
 set, which the parity suite pins.
@@ -42,7 +47,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import AttributedGraph, _raise_isolated, normalize_rows
+from .graph import (
+    ATTRIBUTE_BLOCK_ROWS,
+    AttributedGraph,
+    _raise_isolated,
+    normalize_rows,
+    row_blocks,
+)
 from .wal import GraphWAL, WalCorruption, read_wal_records
 
 __all__ = ["GraphDelta", "GraphStore"]
@@ -65,6 +76,18 @@ def _canonical_pairs(edges, what: str) -> np.ndarray:
         raise ValueError("remove_edges contains a self-loop; loops never exist")
     pairs = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
     return pairs if pairs.size else _EMPTY_EDGES
+
+
+def _rows_of(rows, count: int) -> np.ndarray:
+    """``rows`` as a float ``(count, d)`` matrix.
+
+    An empty input keeps its trailing axis as ``d``: numpy cannot infer
+    it through ``reshape(count, -1)`` when there are no rows.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.size == 0:
+        return rows.reshape(count, rows.shape[-1] if rows.ndim > 1 else 0)
+    return rows.reshape(count, -1)
 
 
 def _directed(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +156,9 @@ class GraphDelta:
             raise ValueError(f"add_nodes must be >= 0, got {add_nodes}")
         object.__setattr__(self, "add_nodes", add_nodes)
         if self.add_attributes is not None:
-            attrs = np.asarray(self.add_attributes, dtype=np.float64)
-            attrs = attrs.reshape(add_nodes, -1)
-            object.__setattr__(self, "add_attributes", attrs)
+            object.__setattr__(
+                self, "add_attributes", _rows_of(self.add_attributes, add_nodes)
+            )
         if self.add_communities is not None:
             comms = np.asarray(self.add_communities, dtype=np.int64).ravel()
             if comms.shape[0] != add_nodes:
@@ -147,7 +170,7 @@ class GraphDelta:
         if self.set_attributes is not None:
             nodes, rows = self.set_attributes
             nodes = np.asarray(nodes, dtype=np.int64).ravel()
-            rows = np.asarray(rows, dtype=np.float64).reshape(nodes.shape[0], -1)
+            rows = _rows_of(rows, nodes.shape[0])
             if np.unique(nodes).shape[0] != nodes.shape[0]:
                 raise ValueError("set_attributes updates the same node twice")
             object.__setattr__(self, "set_attributes", (nodes, rows))
@@ -259,14 +282,14 @@ class GraphDelta:
                 f"remove_edges references node {int(self.remove_edges.max())} "
                 f"but the graph has only {n} node(s)"
             )
-        if graph.attributes is None:
+        if not graph.is_attributed:
             if self.add_attributes is not None or self.set_attributes is not None:
                 raise ValueError(
                     f"graph {graph.name!r} carries no attributes; the delta "
                     "cannot add or set attribute rows"
                 )
         else:
-            d = graph.attributes.shape[1]
+            d = graph.d
             if self.add_nodes:
                 if self.add_attributes is None:
                     raise ValueError(
@@ -491,18 +514,13 @@ class GraphStore:
             degrees = graph.degrees
             inv_degrees = graph.inv_degrees
 
-        attributes = graph.attributes
-        if attributes is not None and (
+        # An already formed matrix is shared only while no row changed.
+        attributes = graph.__dict__.get("attributes")
+        blocks = graph.attribute_blocks
+        if blocks is not None and (
             delta.add_nodes or delta.set_attributes is not None
         ):
-            new_attrs = np.empty((n_new, attributes.shape[1]))
-            new_attrs[:n_old] = attributes
-            if delta.add_nodes:
-                new_attrs[n_old:] = normalize_rows(delta.add_attributes)
-            if delta.set_attributes is not None:
-                nodes, rows = delta.set_attributes
-                new_attrs[nodes] = normalize_rows(rows)
-            attributes = new_attrs
+            attributes, blocks = None, _rewrite_blocks(blocks, delta)
 
         communities = graph.communities
         if communities is not None and delta.add_nodes:
@@ -523,6 +541,7 @@ class GraphStore:
             secondary_communities=secondary,
             name=graph.name,
             epoch=graph.epoch + 1,
+            attribute_blocks=blocks,
         )
         if self._fault_plan is not None:
             self._fault_plan.check("store.commit", epoch=head.epoch)
@@ -531,7 +550,7 @@ class GraphStore:
                 epoch=head.epoch,
                 attribute_rows=(
                     delta.attribute_rows(n_old)
-                    if graph.attributes is not None
+                    if graph.is_attributed
                     else _EMPTY_NODES
                 ),
             )
@@ -571,6 +590,32 @@ class GraphStore:
             f"GraphStore(name={head.name!r}, n={head.n}, m={head.m}, "
             f"epoch={head.epoch})"
         )
+
+
+def _rewrite_blocks(
+    blocks: tuple[np.ndarray, ...], delta: GraphDelta
+) -> tuple[np.ndarray, ...]:
+    """Attribute row blocks after ``delta``: a copy of every block holding
+    a rewritten row, a copy of a partial last block extended by the
+    appended rows, and new blocks after it; every other block is shared
+    by identity."""
+    size = ATTRIBUTE_BLOCK_ROWS
+    blocks = list(blocks)
+    if delta.set_attributes is not None:
+        nodes, rows = delta.set_attributes
+        rows = normalize_rows(rows)
+        owner = nodes // size
+        for b in np.unique(owner):
+            mine = owner == b
+            block = blocks[b].copy()
+            block[nodes[mine] - b * size] = rows[mine]
+            blocks[b] = block
+    if delta.add_nodes:
+        tail = normalize_rows(delta.add_attributes)
+        if blocks[-1].shape[0] < size:
+            tail = np.concatenate([blocks.pop(), tail])
+        blocks.extend(row_blocks(tail))
+    return tuple(blocks)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import repro.attributes.tnam as tnam_mod
 from repro.attributes.tnam import TNAM, build_tnam
 from repro.graphs import GraphDelta
+from repro.graphs.graph import row_blocks
 
 
 def _unit_rows(rng, n, d):
@@ -145,6 +146,43 @@ class TestCosineSvdPath:
             a = laca_scores(graph, seed, config=config, tnam=updated)
             b = laca_scores(graph, seed, config=config, tnam=rebuilt)
             np.testing.assert_array_equal(a.cluster(25), b.cluster(25))
+
+
+class TestRowBlockInput:
+    """The TNAM reads a graph's attribute row blocks in place; a Gram
+    block is a whole number of them."""
+
+    def test_gram_block_is_a_whole_number_of_row_blocks(self):
+        assert tnam_mod._block_rows(128, 32) == 1024
+        assert tnam_mod._block_rows(64, 2) == 2048
+        assert tnam_mod._block_rows(100, 3) == 4096  # ⌈10000/3⌉ = 3334
+
+    def test_row_blocks_build_bitwise_like_the_matrix(self, rng):
+        attrs = _unit_rows(rng, 2 * 2048 + 700, 64)  # Gram blocks of 2, 2, 1
+        from_matrix = build_tnam(attrs, k=2)
+        assert from_matrix.blocks.rows == 2048
+        assert len(from_matrix.blocks.grams) == 3
+        copies = tuple(block.copy() for block in row_blocks(attrs))
+        from_blocks = build_tnam(copies, k=2)
+        np.testing.assert_array_equal(from_blocks.z, from_matrix.z)
+        np.testing.assert_array_equal(from_blocks.basis, from_matrix.basis)
+
+    def test_update_of_multi_row_block_gram_blocks(self, rng):
+        attrs = _unit_rows(rng, 2 * 2048 + 700, 64)
+        tnam = build_tnam(attrs, k=2)
+        rows = [5, 2047, 2048, 4800]
+        new_attrs = _updated(rng, attrs, rows, appended=400)
+        blocks = row_blocks(new_attrs)
+        updated = tnam.update_rows(blocks, rows + list(range(4796, 5196)))
+        # Gram block 0 (rows 0-2047) and 1 are dirty, 2 (4096-) grew
+        assert updated.blocks.grams[0] is not tnam.blocks.grams[0]
+        assert len(updated.blocks.grams) == 3
+        _assert_fresh_build(updated, new_attrs, k=2, metric="cosine")
+        untouched = _updated(rng, new_attrs, [4500])
+        again = updated.update_rows(row_blocks(untouched), [4500])
+        assert again.blocks.grams[0] is updated.blocks.grams[0]
+        assert again.blocks.grams[1] is updated.blocks.grams[1]
+        _assert_fresh_build(again, untouched, k=2, metric="cosine")
 
 
 class TestOtherPaths:

@@ -1,11 +1,13 @@
 """Tests for :meth:`LACA.refresh`: tracking a store without refitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
-from repro.graphs import GraphDelta, GraphStore
+from repro.graphs import AttributedGraph, GraphDelta, GraphStore
 
 
 def _unit_rows(rng, n, d):
@@ -127,6 +129,39 @@ class TestRefresh:
         model.refresh(store)
         fresh = LACA(config).fit(store.head)
         np.testing.assert_array_equal(model.tnam.z, fresh.tnam.z)
+
+
+class TestAttributeDeltaAllocation:
+    def test_row_delta_never_forms_the_attribute_matrix(self, rng):
+        """An 8-row delta at n = 40k, d = 128: ``store.apply`` plus
+        ``refresh`` allocate less than half of one ``n × d`` matrix at
+        their peak, and neither they nor a query form the head's
+        contiguous matrix."""
+        n, d = 40_000, 128
+        ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+        chords = rng.integers(0, n, (2 * n, 2))
+        graph = AttributedGraph.from_edges(
+            n, np.concatenate([ring, chords]), attributes=_unit_rows(rng, n, d)
+        )
+        config = LacaConfig(k=32)
+        model = LACA(config).fit(graph)
+        store = GraphStore(graph)
+        # two rows share block 0, a block boundary, the last partial block
+        rows = np.array([5, 6, 1023, 1024, 9000, 20000, 30000, n - 1])
+        delta = GraphDelta(set_attributes=(rows, _unit_rows(rng, 8, d)))
+        tracemalloc.start()
+        try:
+            head = store.apply(delta)
+            model.refresh(store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 2, f"peak {peak / 2**20:.1f} MiB"
+        model.cluster(7, 20)
+        assert "attributes" not in vars(head)  # the lazy matrix is unformed
+        fresh = LACA(config).fit(head)
+        np.testing.assert_array_equal(model.tnam.z, fresh.tnam.z)
+        assert "attributes" not in vars(head)
 
 
 class TestFitStateEpoch:

@@ -67,6 +67,34 @@ class TestRoundTrip:
         finally:
             attached.close()
 
+    def test_store_snapshot_publishes_its_blocks_unformed(self, rng):
+        """A store-made snapshot's attribute blocks go straight into the
+        segment: publishing does not form its matrix, and the attached
+        matrix is the snapshot's rows bit for bit."""
+        from repro.graphs import AttributedGraph, GraphDelta, GraphStore
+
+        n, d = 2 * 1024 + 50, 4
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        graph = AttributedGraph.from_edges(
+            n, ring, attributes=np.abs(rng.normal(size=(n, d))) + 0.05
+        )
+        head = GraphStore(graph).apply(GraphDelta(
+            set_attributes=([3, 2049], np.ones((2, d)))
+        ))
+        snapshot = publish_snapshot(head)
+        try:
+            assert "attributes" not in vars(head)
+            attached = attach_snapshot(snapshot.manifest)
+            try:
+                np.testing.assert_array_equal(
+                    attached.graph.attributes,
+                    np.concatenate(head.attribute_blocks),
+                )
+            finally:
+                attached.close()
+        finally:
+            snapshot.close()
+
     def test_non_attributed_graph_round_trips(self, plain_graph):
         snapshot = publish_snapshot(plain_graph)
         try:

@@ -10,8 +10,10 @@ store perturbs would surface as a serving regression.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs import AttributedGraph, GraphDelta, GraphStore
+from repro.graphs.graph import ATTRIBUTE_BLOCK_ROWS
 
 
 def _random_base(rng, n=60, d=6, attributed=True):
@@ -190,6 +192,30 @@ class TestDeltaSemantics:
         with pytest.raises(ValueError, match="unknown delta field"):
             GraphDelta.from_mapping({"add_edgez": [[0, 1]]})
 
+    def test_empty_set_attributes_is_a_validated_noop(self, tiny_graph):
+        delta = GraphDelta(set_attributes=([], np.empty((0, tiny_graph.d))))
+        assert delta.set_attributes[1].shape == (0, tiny_graph.d)
+        store = GraphStore(tiny_graph)
+        head = store.apply(delta)
+        assert head.epoch == 1
+        assert all(
+            new is old
+            for new, old in zip(head.attribute_blocks, tiny_graph.attribute_blocks)
+        )
+        np.testing.assert_array_equal(head.attributes, tiny_graph.attributes)
+        assert store.attribute_rows_since(0).size == 0
+        with pytest.raises(ValueError, match="columns"):
+            store.apply(GraphDelta(set_attributes=([], np.empty((0, 5)))))
+
+    def test_empty_add_attributes_is_a_validated_noop(self, tiny_graph):
+        delta = GraphDelta(add_nodes=0, add_attributes=np.empty((0, tiny_graph.d)))
+        assert delta.add_attributes.shape == (0, tiny_graph.d)
+        store = GraphStore(tiny_graph)
+        head = store.apply(delta)
+        assert head.n == tiny_graph.n and head.epoch == 1
+        np.testing.assert_array_equal(head.attributes, tiny_graph.attributes)
+        assert store.attribute_rows_since(0).size == 0
+
     def test_from_mapping_round_trip(self):
         delta = GraphDelta.from_mapping({
             "add_edges": [[0, 2]],
@@ -297,3 +323,153 @@ class TestEpochBookkeeping:
         head = store.apply(GraphDelta(add_edges=[(0, 4)]))
         path = save_graph(head, tmp_path / "g")
         assert load_graph(path).epoch == 1
+
+
+class TestAttributeBlockSharing:
+    """Snapshots hold their attribute rows in fixed row blocks; a delta
+    copies only the blocks it rewrites and shares the rest by identity."""
+
+    def test_row_delta_copies_exactly_the_dirty_blocks(self, rng):
+        size = ATTRIBUTE_BLOCK_ROWS
+        n = 16 * size + 300  # 17 blocks, the last one partial
+        graph, _, _, _ = _random_base(rng, n=n, d=4)
+        parent = graph.attribute_blocks
+        assert len(parent) == 17 and parent[-1].shape[0] == 300
+        # two rows share block 0, a block boundary, the last partial block
+        rows = np.array([5, 6, 1023, 1024, 4000, 9000, 16383, 16600])
+        store = GraphStore(graph)
+        head = store.apply(GraphDelta(set_attributes=(rows, _unit(rng, 8, 4))))
+        dirty = set((rows // size).tolist())
+        assert dirty == {0, 1, 3, 8, 15, 16}
+        assert len(head.attribute_blocks) == 17
+        for b, (new, old) in enumerate(zip(head.attribute_blocks, parent)):
+            assert (new is not old) == (b in dirty), b
+        assert "attributes" not in vars(head)  # the matrix is not formed
+
+    def test_append_copies_only_a_partial_last_block(self, rng):
+        size = ATTRIBUTE_BLOCK_ROWS
+        graph, _, _, communities = _random_base(rng, n=2 * size, d=4)
+        store = GraphStore(graph)
+        n = graph.n
+        head = store.apply(GraphDelta(
+            add_nodes=3, add_edges=[(n, 0), (n + 1, 1), (n + 2, 2)],
+            add_attributes=_unit(rng, 3, 4), add_communities=[0, 1, 2],
+        ))
+        assert head.attribute_blocks[:2] == graph.attribute_blocks
+        assert all(
+            new is old
+            for new, old in zip(head.attribute_blocks, graph.attribute_blocks)
+        )
+        assert [b.shape[0] for b in head.attribute_blocks] == [size, size, 3]
+        tail = head.attribute_blocks[2]
+        head2 = store.apply(GraphDelta(
+            add_nodes=1, add_edges=[(n + 3, 0)],
+            add_attributes=_unit(rng, 1, 4), add_communities=[3],
+        ))
+        assert head2.attribute_blocks[:2] == head.attribute_blocks[:2]
+        assert head2.attribute_blocks[2] is not tail
+        assert tail.shape[0] == 3  # the parent's partial block is untouched
+
+    def test_edge_delta_shares_blocks_and_formed_matrix(self, rng):
+        graph, _, _, _ = _random_base(rng, n=60)
+        store = GraphStore(graph)
+        head = store.apply(GraphDelta(add_edges=[(0, 30)]))
+        assert head.attribute_blocks is graph.attribute_blocks
+        assert head.attributes is graph.attributes
+
+
+def _unit(rng, n, d):
+    return np.abs(rng.normal(size=(n, d))) + 0.05
+
+
+def _ring_graph(rng, n, d):
+    edges = {(i, (i + 1) % n) if i < n - 1 else (0, n - 1) for i in range(n)}
+    for u, v in rng.integers(0, n, (n // 4, 2)):
+        if u != v:
+            edges.add((int(min(u, v)), int(max(u, v))))
+    raw = _unit(rng, n, d)
+    graph = AttributedGraph.from_edges(
+        n, sorted(edges), attributes=raw.copy(), name="blocks"
+    )
+    return graph, edges, raw
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n0=st.integers(ATTRIBUTE_BLOCK_ROWS - 3, 2 * ATTRIBUTE_BLOCK_ROWS + 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_block_sharing_keeps_every_snapshot_bitwise(n0, seed, data):
+    """Random sequences of row rewrites (on block boundaries, in the last
+    partial block), appends that fill the last block or open a new one,
+    and edge edits: after each delta the head's attributes are bitwise
+    ``from_edges`` on the same final state, every earlier snapshot's
+    blocks still hold its rows bit for bit, and ``LACA.refresh`` is
+    bitwise a fresh fit."""
+    from repro.core.config import LacaConfig
+    from repro.core.pipeline import LACA
+
+    size, d = ATTRIBUTE_BLOCK_ROWS, 6
+    rng = np.random.default_rng(seed)
+    graph, edges, raw = _ring_graph(rng, n0, d)
+    store = GraphStore(graph)
+    config = LacaConfig(k=3)
+    model = LACA(config).fit(graph)
+    history = [(graph, graph.attributes.copy())]
+    for _ in range(data.draw(st.integers(1, 4), label="deltas")):
+        n = raw.shape[0]
+        landmarks = [r for r in (0, size - 1, size, n - 1, n // size * size) if r < n]
+        rewritten = sorted(set(data.draw(
+            st.lists(
+                st.one_of(st.sampled_from(landmarks), st.integers(0, n - 1)),
+                max_size=6,
+            ),
+            label="rewritten",
+        )))
+        to_fill = -n % size or size
+        appended = data.draw(
+            st.sampled_from([0, 1, 5, to_fill, to_fill + 1]), label="appended"
+        )
+        adds = [
+            (int(u), int(v)) for u, v in rng.integers(0, n, (data.draw(
+                st.integers(0, 4), label="added edges"), 2))
+            if u != v and (min(u, v), max(u, v)) not in edges
+        ]
+        adds += [(n + i, int(rng.integers(0, n))) for i in range(appended)]
+        removes = []
+        if data.draw(st.booleans(), label="remove an edge"):
+            degree = np.zeros(n, dtype=int)
+            for u, v in edges:
+                degree[u] += 1
+                degree[v] += 1
+            for u, v in sorted(edges):
+                if degree[u] > 1 and degree[v] > 1:
+                    removes.append((u, v))
+                    break
+        new_rows = _unit(rng, len(rewritten), d)
+        added_rows = _unit(rng, appended, d)
+        head = store.apply(GraphDelta(
+            add_edges=np.asarray(adds, dtype=np.int64).reshape(-1, 2),
+            remove_edges=np.asarray(removes, dtype=np.int64).reshape(-1, 2),
+            add_nodes=appended,
+            add_attributes=added_rows if appended else None,
+            set_attributes=(rewritten, new_rows) if rewritten else None,
+        ))
+        raw = np.vstack([raw, added_rows])
+        raw[rewritten] = new_rows
+        edges |= {(min(u, v), max(u, v)) for u, v in adds}
+        edges -= set(removes)
+        reference = AttributedGraph.from_edges(
+            raw.shape[0], sorted(edges), attributes=raw.copy(), name="blocks"
+        )
+        for snapshot, matrix in history:
+            np.testing.assert_array_equal(
+                np.concatenate(snapshot.attribute_blocks), matrix
+            )
+        np.testing.assert_array_equal(head.attributes, reference.attributes)
+        history.append((head, reference.attributes))
+        model.refresh(store)
+        fresh = LACA(config).fit(head)
+        np.testing.assert_array_equal(model.tnam.z, fresh.tnam.z)
+        np.testing.assert_array_equal(model.tnam.basis, fresh.tnam.basis)
