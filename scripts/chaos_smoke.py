@@ -11,7 +11,10 @@ perfectly:
   same query stream (the pool's governing contract, upheld through the
   kill via idempotent block retry);
 * ``/stats`` records the supervision actually happening
-  (``worker_restarts`` >= 1).
+  (``worker_restarts`` >= 1);
+* SIGTERM to serve leaves no new ``psm_*`` shared-memory segment in
+  ``/dev/shm`` (the process group is SIGKILLed only if serve has not
+  exited 10 s later).
 
 Exits non-zero with a reason on any violation.  Used by CI; also handy
 manually::
@@ -51,6 +54,22 @@ def kill_tree(proc: subprocess.Popen) -> None:
         proc.communicate(timeout=10)
     except subprocess.TimeoutExpired:
         pass
+
+
+def stop(proc: subprocess.Popen) -> None:
+    """End a passing run with SIGTERM, which makes serve close its pool
+    and unlink its shared memory; kill the whole process group only if
+    serve has not exited within 10 s."""
+    proc.send_signal(signal.SIGTERM)
+    try:
+        proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        kill_tree(proc)
+
+
+def shm_segments() -> int:
+    """Shared-memory segments in ``/dev/shm`` (0 where it is absent)."""
+    return len(list(Path("/dev/shm").glob("psm_*")))
 
 
 def fail(reason: str, proc: subprocess.Popen | None = None) -> "NoReturn":
@@ -104,6 +123,7 @@ def expected_answers(queries: Path) -> list[dict]:
 
 
 def main() -> int:
+    segments_before = shm_segments()
     tmp = Path(tempfile.mkdtemp(prefix="chaos-smoke-"))
     queries = tmp / "queries.txt"
     queries.write_text("".join(f"{seed} 15\n" for seed in range(N_QUERIES)))
@@ -177,7 +197,12 @@ def main() -> int:
     ):
         time.sleep(0.2)
         stats = json.loads(scrape(port, "/stats"))
-    kill_tree(proc)
+    stop(proc)
+    if shm_segments() > segments_before:
+        fail(
+            f"serve left {shm_segments() - segments_before} shared-memory "
+            "segment(s) in /dev/shm"
+        )
 
     # Bitwise identity with the clean oracle, kill or no kill.
     for got, want in zip(responses, oracle):

@@ -14,7 +14,10 @@ non-empty:
 * per-stage latency histograms and the touched-volume histogram carry
   one sample per request;
 * every JSON response line carries a trace id, and the trace log holds
-  one span per request.
+  one span per request;
+* SIGTERM to serve leaves no new ``psm_*`` shared-memory segment in
+  ``/dev/shm`` (the process group is SIGKILLed only if serve has not
+  exited 10 s later).
 
 Exits non-zero with a reason on any missing signal.  Used by CI; also
 handy manually::
@@ -51,6 +54,22 @@ def kill_tree(proc: subprocess.Popen) -> None:
         pass
 
 
+def stop(proc: subprocess.Popen) -> None:
+    """End a passing run with SIGTERM, which makes serve close its pool
+    and unlink its shared memory; kill the whole process group only if
+    serve has not exited within 10 s."""
+    proc.send_signal(signal.SIGTERM)
+    try:
+        proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        kill_tree(proc)
+
+
+def shm_segments() -> int:
+    """Shared-memory segments in ``/dev/shm`` (0 where it is absent)."""
+    return len(list(Path("/dev/shm").glob("psm_*")))
+
+
 def fail(reason: str, proc: subprocess.Popen | None = None) -> "NoReturn":
     print(f"SMOKE FAIL: {reason}", file=sys.stderr)
     if proc is not None:
@@ -66,6 +85,7 @@ def scrape(port: int, path: str) -> str:
 
 
 def main() -> int:
+    segments_before = shm_segments()
     tmp = Path(tempfile.mkdtemp(prefix="obs-smoke-"))
     queries = tmp / "queries.txt"
     queries.write_text("".join(f"{seed} 15\n" for seed in range(N_QUERIES)))
@@ -119,7 +139,12 @@ def main() -> int:
     metrics = scrape(port, "/metrics")
     stats = json.loads(scrape(port, "/stats"))
     health = scrape(port, "/healthz")
-    kill_tree(proc)
+    stop(proc)
+    if shm_segments() > segments_before:
+        fail(
+            f"serve left {shm_segments() - segments_before} shared-memory "
+            "segment(s) in /dev/shm"
+        )
 
     if health.strip() != "ok":
         fail(f"unexpected /healthz body: {health!r}")

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 
@@ -335,6 +336,9 @@ def _cmd_serve(args) -> int:
         store=store,
     )
     metrics_server = None
+    # SIGTERM unwinds the main thread as SystemExit, so the ``with``
+    # below closes the pool and unlinks its shared-memory segments.
+    previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         with service_ctx as service:
             if args.metrics_port is not None:
@@ -374,11 +378,19 @@ def _cmd_serve(args) -> int:
                 # an external scraper can collect final counters.
                 time.sleep(args.linger_s)
     finally:
+        signal.signal(signal.SIGTERM, previous_sigterm)
         if metrics_server is not None:
             metrics_server.close()
         if trace_log is not None:
             trace_log.close()
     return 0
+
+
+def _exit_on_signal(signum, _frame) -> None:
+    # A close that cannot finish (a wedged pool) must not make serve
+    # unkillable: a second SIGTERM takes the default action.
+    signal.signal(signum, signal.SIG_DFL)
+    raise SystemExit(128 + signum)
 
 
 def _cmd_update(args) -> int:

@@ -1,11 +1,10 @@
 """Versioned graph store: immutable snapshots + incremental deltas.
 
 Everything in the pipeline consumes an :class:`~repro.graphs.graph
-.AttributedGraph`, which PRs 0-3 treated as frozen at fit time: one
-inserted edge meant rebuilding the CSR from the full edge list,
-re-normalizing every attribute row, and refitting the model.  This
-module makes the graph *evolvable* without giving up the immutability
-the serving layer depends on:
+.AttributedGraph`.  Rebuilding one from the full edge list for every
+inserted edge re-sorts the CSR, re-normalizes every attribute row and
+forces a refit.  This module makes the graph *evolvable* without giving
+up the immutability the serving layer depends on:
 
 - :class:`GraphDelta` batches one update: edge insertions/deletions,
   appended nodes (with their attribute rows / community labels), and
@@ -15,11 +14,12 @@ the serving layer depends on:
   snapshot.  Old snapshots stay valid — queries in flight keep the graph
   they started on.
 
-The merge is incremental: small deltas splice the touched rows into the
-existing CSR index array (``O(nnz)`` memcpy, no sort, no re-validation),
-while deltas past :attr:`GraphStore.patch_limit` directed entries are
-compacted through a fresh coordinate build.  Degrees and
-``inv_degrees`` are maintained by adjusting only the touched entries.
+The merge is incremental, and every delta takes the same path: one
+``np.searchsorted`` over the keys of just the touched rows locates each
+directed entry, then one ``np.delete`` and one ``np.insert`` splice the
+removals and additions into the existing CSR index array
+(``O(vol(touched rows) + delta · log)`` search plus ``O(nnz)``
+copying; no sort, no re-validation).  Degrees are the new row lengths.
 Attribute rows live in fixed row blocks
 (:attr:`~repro.graphs.graph.AttributedGraph.attribute_blocks`): a delta
 copies only the blocks holding a rewritten row (and a partial last
@@ -340,11 +340,6 @@ class GraphStore:
         The initial head snapshot (any epoch; freshly built graphs are
         epoch 0).  Must have a binary adjacency — the incremental merge
         maintains unweighted edges only, like ``from_edges``.
-    patch_limit:
-        Largest number of *directed* delta entries merged via the CSR
-        splice path; bigger deltas are compacted through a fresh
-        coordinate build (cheaper than many large splices).  Both paths
-        produce identical snapshots.
     history:
         How many applied deltas of attribute-row bookkeeping to retain
         for :meth:`attribute_rows_since`; callers further behind than
@@ -364,7 +359,6 @@ class GraphStore:
         self,
         graph: AttributedGraph,
         *,
-        patch_limit: int = 4096,
         history: int = 64,
         wal: GraphWAL | None = None,
         fault_plan=None,
@@ -373,8 +367,6 @@ class GraphStore:
             raise ValueError(
                 "GraphStore requires a binary (unweighted) adjacency"
             )
-        self.patch_limit = int(patch_limit)
-        self.compactions = 0
         self._head = graph
         self._log: deque[_LogEntry] = deque(maxlen=max(int(history), 1))
         self._lock = threading.RLock()
@@ -390,7 +382,6 @@ class GraphStore:
         *,
         fsync: str = "always",
         fault_plan=None,
-        patch_limit: int = 4096,
         history: int = 64,
     ) -> "GraphStore":
         """Rebuild a store from a base snapshot plus its write-ahead log.
@@ -405,10 +396,7 @@ class GraphStore:
         has a live WAL attached at ``path``, so subsequent applies keep
         appending where the log left off.
         """
-        store = cls(
-            graph, patch_limit=patch_limit, history=history,
-            fault_plan=fault_plan,
-        )
+        store = cls(graph, history=history, fault_plan=fault_plan)
         if os.path.exists(path):
             records, good_bytes, torn = read_wal_records(path)
             if torn:
@@ -486,27 +474,15 @@ class GraphStore:
         n_old, n_new = graph.n, graph.n + delta.add_nodes
 
         if delta.touches_structure:
-            directed_entries = 2 * (
-                delta.add_edges.shape[0] + delta.remove_edges.shape[0]
+            adjacency = _splice(
+                graph.adjacency, n_new, delta.add_edges, delta.remove_edges
             )
-            if directed_entries > self.patch_limit:
-                adjacency, delta_deg = _compact_merge(
-                    graph.adjacency, n_new, delta.add_edges, delta.remove_edges
-                )
-                self.compactions += 1
-            else:
-                adjacency, delta_deg = _patch_merge(
-                    graph.adjacency, n_new, delta.add_edges, delta.remove_edges
-                )
-            degrees = np.zeros(n_new)
-            degrees[:n_old] = graph.degrees
-            degrees += delta_deg
+            # Row lengths of a binary CSR are its degrees, the same
+            # exact floats ``from_edges`` sums.
+            degrees = np.diff(adjacency.indptr).astype(np.float64)
             if np.any(degrees == 0.0):
                 _raise_isolated(degrees)
-            inv_degrees = np.zeros(n_new)
-            inv_degrees[:n_old] = graph.inv_degrees
-            changed = np.flatnonzero(delta_deg != 0)
-            inv_degrees[changed] = 1.0 / degrees[changed]
+            inv_degrees = 1.0 / degrees
         else:
             # Attribute-only delta: structure (and its derived
             # arrays) are shared with the previous snapshot.
@@ -619,117 +595,75 @@ def _rewrite_blocks(
 
 
 # ----------------------------------------------------------------------
-# CSR merge kernels
+# CSR splice
 # ----------------------------------------------------------------------
-def _patch_merge(
+def _splice(
     adj: sp.csr_matrix,
     n_new: int,
     add_pairs: np.ndarray,
     remove_pairs: np.ndarray,
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Splice a small delta into an existing CSR.
+) -> sp.csr_matrix:
+    """Splice a delta of any size into an existing CSR.
 
-    Removals mark their positions dead via per-row binary search;
-    additions are spliced into the kept index array with one
-    ``np.insert``.  Cost is ``O(nnz)`` memcpy plus ``O(delta · log
-    max_degree)`` searches — no global sort, no symmetry re-check.
-    Returns the merged matrix and the per-node signed degree change.
+    Every directed entry is located with one ``np.searchsorted`` over
+    sorted ``row * n_new + col`` keys of just the touched old rows, then
+    one ``np.delete`` drops the removals and one ``np.insert`` places
+    the additions.  Cost is ``O(vol(touched rows) + delta · log)`` for
+    the search plus ``O(nnz)`` copying — no global sort, no symmetry
+    re-check.
     """
     indptr, indices = adj.indptr, adj.indices
     n_old = adj.shape[0]
-    delta_deg = np.zeros(n_new, dtype=np.int64)
+    rem_rows, rem_cols = _directed(remove_pairs)
+    add_rows, add_cols = _directed(add_pairs)
 
-    keep = np.ones(indices.shape[0], dtype=bool)
-    if remove_pairs.size:
-        rem_rows, rem_cols = _directed(remove_pairs)
-        for r, c in zip(rem_rows, rem_cols):
-            lo, hi = indptr[r], indptr[r + 1]
-            pos = lo + np.searchsorted(indices[lo:hi], c)
-            if pos >= hi or indices[pos] != c:
-                raise ValueError(
-                    f"cannot remove edge ({int(r)}, {int(c)}): "
-                    "not present in the graph"
-                )
-            keep[pos] = False
-        delta_deg -= np.bincount(rem_rows, minlength=n_new)
-        kept = indices[keep]
-    else:
-        kept = indices.copy()
+    # Sorted keys over the CSR spans of the touched old rows.
+    touched = np.unique(np.concatenate([rem_rows, add_rows[add_rows < n_old]]))
+    starts = indptr[touched].astype(np.int64)
+    lens = indptr[touched + 1] - starts
+    offsets = np.cumsum(lens) - lens
+    pos = np.arange(int(lens.sum())) - np.repeat(offsets - starts, lens)
+    keys = np.repeat(touched, lens) * n_new + indices[pos]
 
+    padded = np.append(keys, -1)  # a search past the last key hits -1
+    rem_keys = rem_rows * n_new + rem_cols
+    at = np.searchsorted(keys, rem_keys)
+    found = padded[at] == rem_keys
+    if not found.all():
+        missing = int(np.flatnonzero(~found)[0])
+        raise ValueError(
+            f"cannot remove edge ({int(rem_rows[missing])}, "
+            f"{int(rem_cols[missing])}): not present in the graph"
+        )
+    rem_pos = pos[at]
+
+    # An addition already present is a no-op.
+    add_keys = add_rows * n_new + add_cols
+    at = np.searchsorted(keys, add_keys)
+    fresh = padded[at] != add_keys
+    add_rows, add_cols, at = add_rows[fresh], add_cols[fresh], at[fresh]
+    # Before the first larger column in the row, or at the row's end;
+    # rows of appended nodes all start past the old entries.
+    ins_pos = np.full(add_rows.shape[0], indices.shape[0], dtype=np.int64)
+    old = add_rows < n_old
+    row = np.searchsorted(touched, add_rows[old])
+    ins_pos[old] = starts[row] + at[old] - offsets[row]
+    # ``np.insert`` runs on the array ``np.delete`` returns: shift each
+    # position down by the removals before it.
+    ins_pos -= np.searchsorted(rem_pos, ins_pos)
+
+    # Each call pays an O(nnz) pass even when it has nothing to do.  A
+    # delta that changes no entry shares the parent's (never written)
+    # index array, as an attribute-only delta shares the whole CSR.
+    merged_indices = indices
+    if rem_pos.size:
+        merged_indices = np.delete(merged_indices, rem_pos)
+    if add_cols.size:
+        merged_indices = np.insert(merged_indices, ins_pos, add_cols)
     row_len = np.zeros(n_new, dtype=np.int64)
     row_len[:n_old] = np.diff(indptr)
-    row_len += delta_deg  # removals so far
-    kept_starts = np.concatenate([[0], np.cumsum(row_len)])
-
-    if add_pairs.size:
-        add_rows, add_cols = _directed(add_pairs)
-        ins_pos: list[int] = []
-        ins_cols: list[int] = []
-        ins_rows: list[int] = []
-        for r, c in zip(add_rows, add_cols):
-            lo, hi = kept_starts[r], kept_starts[r + 1]
-            pos = lo + np.searchsorted(kept[lo:hi], c)
-            if pos < hi and kept[pos] == c:
-                continue  # already present: adding is a no-op
-            ins_pos.append(int(pos))
-            ins_cols.append(int(c))
-            ins_rows.append(int(r))
-        if ins_pos:
-            kept = np.insert(kept, ins_pos, ins_cols)
-            inserted = np.bincount(
-                np.asarray(ins_rows, dtype=np.int64), minlength=n_new
-            )
-            row_len += inserted
-            delta_deg += inserted
-
+    row_len += np.bincount(add_rows, minlength=n_new)
+    row_len -= np.bincount(rem_rows, minlength=n_new)
     new_indptr = np.concatenate([[0], np.cumsum(row_len)])
-    data = np.ones(kept.shape[0])
-    merged = sp.csr_matrix((data, kept, new_indptr), shape=(n_new, n_new))
-    return merged, delta_deg
-
-
-def _compact_merge(
-    adj: sp.csr_matrix,
-    n_new: int,
-    add_pairs: np.ndarray,
-    remove_pairs: np.ndarray,
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Rebuild the CSR from merged coordinates (the large-delta path)."""
-    coo = adj.tocoo()
-    rows_old = coo.row.astype(np.int64)
-    cols_old = coo.col.astype(np.int64)
-    codes_old = rows_old * n_new + cols_old
-    delta_deg = np.zeros(n_new, dtype=np.int64)
-
-    keep = np.ones(codes_old.shape[0], dtype=bool)
-    if remove_pairs.size:
-        rem_rows, rem_cols = _directed(remove_pairs)
-        rem_codes = rem_rows * n_new + rem_cols
-        present = np.isin(rem_codes, codes_old)
-        if not present.all():
-            missing = int(np.flatnonzero(~present)[0])
-            raise ValueError(
-                f"cannot remove edge ({int(rem_rows[missing])}, "
-                f"{int(rem_cols[missing])}): not present in the graph"
-            )
-        keep = ~np.isin(codes_old, rem_codes)
-        delta_deg -= np.bincount(rem_rows, minlength=n_new)
-
-    parts_rows = [rows_old[keep]]
-    parts_cols = [cols_old[keep]]
-    if add_pairs.size:
-        add_rows, add_cols = _directed(add_pairs)
-        fresh = ~np.isin(add_rows * n_new + add_cols, codes_old)
-        add_rows, add_cols = add_rows[fresh], add_cols[fresh]
-        if add_rows.size:
-            parts_rows.append(add_rows)
-            parts_cols.append(add_cols)
-            delta_deg += np.bincount(add_rows, minlength=n_new)
-
-    rows = np.concatenate(parts_rows)
-    cols = np.concatenate(parts_cols)
-    merged = sp.csr_matrix(
-        (np.ones(rows.shape[0]), (rows, cols)), shape=(n_new, n_new)
-    )
-    merged.sort_indices()
-    return merged, delta_deg
+    data = np.ones(merged_indices.shape[0])
+    return sp.csr_matrix((data, merged_indices, new_indptr), shape=(n_new, n_new))

@@ -75,6 +75,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import queue
+import signal
 import threading
 import time
 import traceback
@@ -194,6 +195,9 @@ def _worker_main(
     queue home and merge into the head registry — no extra IPC
     channel, no shared locks.
     """
+    # A forked worker inherits the serving CLI's SIGTERM handler; a
+    # worker keeps the default action and dies on SIGTERM.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     attached = attach_snapshot(manifest)
     model = _hydrate(fit_state, attached)
     registry = MetricsRegistry("laca")

@@ -35,6 +35,18 @@ def _random_base(rng, n=60, d=6, attributed=True):
     return graph, set(edges), raw, communities
 
 
+def _assert_structure_parity(snapshot, reference):
+    """CSR arrays (dtypes included), degrees and ``inv_degrees`` equal
+    bit for bit."""
+    for name in ("indptr", "indices", "data"):
+        got = getattr(snapshot.adjacency, name)
+        want = getattr(reference.adjacency, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(snapshot.degrees, reference.degrees)
+    np.testing.assert_array_equal(snapshot.inv_degrees, reference.inv_degrees)
+
+
 def _assert_snapshot_parity(snapshot, n, edge_set, raw_attrs, communities):
     """Head snapshot == from_edges(final state), bit for bit."""
     reference = AttributedGraph.from_edges(
@@ -43,17 +55,7 @@ def _assert_snapshot_parity(snapshot, n, edge_set, raw_attrs, communities):
         communities=communities,
         name=snapshot.name,
     )
-    np.testing.assert_array_equal(
-        snapshot.adjacency.indptr, reference.adjacency.indptr
-    )
-    np.testing.assert_array_equal(
-        snapshot.adjacency.indices, reference.adjacency.indices
-    )
-    np.testing.assert_array_equal(
-        snapshot.adjacency.data, reference.adjacency.data
-    )
-    np.testing.assert_array_equal(snapshot.degrees, reference.degrees)
-    np.testing.assert_array_equal(snapshot.inv_degrees, reference.inv_degrees)
+    _assert_structure_parity(snapshot, reference)
     if raw_attrs is None:
         assert snapshot.attributes is None
     else:
@@ -65,12 +67,11 @@ def _assert_snapshot_parity(snapshot, n, edge_set, raw_attrs, communities):
 
 
 class TestDeltaSequenceParity:
-    @pytest.mark.parametrize("patch_limit", [4096, 0])
-    def test_random_delta_sequences_match_from_edges(self, rng, patch_limit):
+    def test_random_delta_sequences_match_from_edges(self, rng):
         """Acceptance (a): any delta sequence == from_edges on the final
-        edge set, through both the splice and compaction merge paths."""
+        edge set."""
         graph, edge_set, raw, communities = _random_base(rng)
-        store = GraphStore(graph, patch_limit=patch_limit)
+        store = GraphStore(graph)
         n = graph.n
         for step in range(8):
             # additions: fresh random pairs
@@ -120,22 +121,17 @@ class TestDeltaSequenceParity:
             assert head.epoch == step + 1
             _assert_snapshot_parity(head, n, edge_set, raw, communities)
 
-    def test_patch_and_compaction_paths_identical(self, rng):
-        graph, edge_set, raw, _ = _random_base(rng, attributed=False)
-        delta = GraphDelta(
-            add_edges=[(0, 30), (5, 45)], remove_edges=[sorted(edge_set)[10]]
+    def test_appended_nodes_wired_only_to_each_other(self, plain_graph):
+        """No old row is touched: both new rows land past the old entries."""
+        store = GraphStore(plain_graph)
+        n = plain_graph.n
+        head = store.apply(GraphDelta(
+            add_nodes=2, add_edges=[(n + 1, n)], add_communities=[0, 1]
+        ))
+        reference = AttributedGraph.from_edges(
+            n + 2, np.vstack([plain_graph.edge_list(), [[n, n + 1]]])
         )
-        patched = GraphStore(graph, patch_limit=4096).apply(delta)
-        compact_store = GraphStore(graph, patch_limit=0)
-        compacted = compact_store.apply(delta)
-        assert compact_store.compactions == 1
-        np.testing.assert_array_equal(
-            patched.adjacency.indptr, compacted.adjacency.indptr
-        )
-        np.testing.assert_array_equal(
-            patched.adjacency.indices, compacted.adjacency.indices
-        )
-        np.testing.assert_array_equal(patched.degrees, compacted.degrees)
+        _assert_structure_parity(head, reference)
 
     def test_non_attributed_graph(self, plain_graph):
         store = GraphStore(plain_graph)
@@ -155,6 +151,14 @@ class TestDeltaSemantics:
         store = GraphStore(tiny_graph)
         with pytest.raises(ValueError, match="not present"):
             store.apply(GraphDelta(remove_edges=[(0, 5)]))
+
+    def test_first_absent_entry_in_directed_order_is_named(self, tiny_graph):
+        store = GraphStore(tiny_graph)
+        with pytest.raises(
+            ValueError, match=r"cannot remove edge \(1, 4\): not present"
+        ):
+            store.apply(GraphDelta(remove_edges=[(4, 1), (5, 4), (0, 1)]))
+        assert store.epoch == tiny_graph.epoch
 
     def test_add_and_remove_same_edge_rejected(self):
         with pytest.raises(ValueError, match="adds and removes"):
@@ -473,3 +477,111 @@ def test_block_sharing_keeps_every_snapshot_bitwise(n0, seed, data):
         fresh = LACA(config).fit(head)
         np.testing.assert_array_equal(model.tnam.z, fresh.tnam.z)
         np.testing.assert_array_equal(model.tnam.basis, fresh.tnam.basis)
+
+
+def _removable(edges, degree, candidates, limit):
+    """Up to ``limit`` of ``candidates`` whose removal isolates no node
+    (``degree`` is updated in place)."""
+    chosen = []
+    for u, v in candidates:
+        if len(chosen) == limit:
+            break
+        if (u, v) in edges and degree[u] > 1 and degree[v] > 1:
+            chosen.append((u, v))
+            degree[u] -= 1
+            degree[v] -= 1
+    return chosen
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_splice_matches_from_edges_on_any_delta(seed, data):
+    """Random sequences of 1-4 deltas, each of 0 to a few thousand
+    directed entries (on both sides of 4096), mixing removals of a row's
+    first and last entries, several additions into one row, additions
+    already present, appended nodes wired to old and to each other, and
+    one row whose every entry is removed and refilled in each delta that
+    rewires it: after each delta the head's CSR arrays (dtypes
+    included), degrees and ``inv_degrees`` are bitwise ``from_edges``
+    on the same edge set."""
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(300, 600), label="nodes")
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    for u, v in rng.integers(0, n, (3 * n, 2)):
+        if u != v:
+            edges.add((int(min(u, v)), int(max(u, v))))
+    store = GraphStore(AttributedGraph.from_edges(n, sorted(edges)))
+    rewired = int(rng.integers(0, n))
+    for _ in range(data.draw(st.integers(1, 4), label="deltas")):
+        size = data.draw(
+            st.sampled_from(["empty", "small", "medium", "large"]), label="size"
+        )
+        n_adds, n_removes = {
+            "empty": (0, 0),
+            "small": (int(rng.integers(0, 12)), int(rng.integers(0, 12))),
+            "medium": (int(rng.integers(100, 300)), int(rng.integers(50, 150))),
+            "large": (int(rng.integers(1500, 1700)), int(rng.integers(600, 700))),
+        }[size]
+        degree = np.zeros(n, dtype=np.int64)
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        adjacency = store.head.adjacency
+
+        def neighbors(node):
+            return adjacency.indices[
+                adjacency.indptr[node] : adjacency.indptr[node + 1]
+            ].tolist()
+
+        order = sorted(edges)
+        picked = rng.permutation(len(order))[:n_removes]
+        removes = _removable(edges, degree, [order[i] for i in picked], n_removes)
+        adds = set()
+        if size != "empty" and data.draw(st.booleans(), label="row ends"):
+            row = int(rng.integers(0, n))
+            ends = [neighbors(row)[0], neighbors(row)[-1]]
+            pairs = [(min(row, c), max(row, c)) for c in ends]
+            removes += _removable(
+                edges, degree, [p for p in pairs if p not in removes], 2
+            )
+        if size != "empty" and data.draw(st.booleans(), label="rewire a row"):
+            # Every entry of the row goes; fresh ones refill it.
+            pairs = [(min(rewired, c), max(rewired, c)) for c in neighbors(rewired)]
+            degree[rewired] += len(pairs)  # the refill keeps it connected
+            removes += _removable(
+                edges, degree, [p for p in pairs if p not in removes], len(pairs)
+            )
+            while len(adds) < 3:
+                c = int(rng.integers(0, n))
+                if c != rewired and (min(rewired, c), max(rewired, c)) not in edges:
+                    adds.add((min(rewired, c), max(rewired, c)))
+        if size != "empty" and data.draw(st.booleans(), label="one row"):
+            row = int(rng.integers(0, n))
+            for c in rng.choice(n, 8, replace=False):
+                if c != row and (min(row, c), max(row, c)) not in edges:
+                    adds.add((min(row, int(c)), max(row, int(c))))
+        while len(adds) < n_adds:
+            u, v = (int(x) for x in rng.integers(0, n, 2))
+            if u != v and (min(u, v), max(u, v)) not in edges:
+                adds.add((min(u, v), max(u, v)))
+        removed = set(removes)
+        present = []
+        if size != "empty" and data.draw(st.booleans(), label="present"):
+            present = [order[i] for i in rng.integers(0, len(order), 5)]
+            present = [p for p in present if p not in removed]
+        appended = 0
+        if size != "empty" and data.draw(st.booleans(), label="append"):
+            appended = int(rng.integers(1, 4))
+            for i in range(appended):
+                adds.add((int(rng.integers(0, n)), n + i))
+            if appended > 1:
+                adds.add((n, n + appended - 1))
+        head = store.apply(GraphDelta(
+            add_edges=np.asarray(sorted(adds) + present, dtype=np.int64).reshape(-1, 2),
+            remove_edges=np.asarray(removes, dtype=np.int64).reshape(-1, 2),
+            add_nodes=appended,
+        ))
+        n += appended
+        edges = (edges - removed) | adds
+        reference = AttributedGraph.from_edges(n, sorted(edges))
+        _assert_structure_parity(head, reference)

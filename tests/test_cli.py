@@ -2,8 +2,15 @@
 
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cli import build_parser, main as cli_main
 from repro.experiments.__main__ import main as experiments_main
@@ -420,6 +427,59 @@ class TestServeCLI:
         assert "laca_touched_volume_count 2" in metrics
         assert scraped["stats"]["requests"] == 2
         assert "p50_queue_wait_s" in scraped["stats"]
+
+
+@pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
+def test_serve_sigterm_closes_pool_and_unlinks_shared_memory(tmp_path):
+    """SIGTERM to a lingering ``serve --workers 2`` exits promptly through
+    the service's close, which unlinks every shared-memory segment it
+    published."""
+    def segments():
+        return {p.name for p in Path("/dev/shm").glob("psm_*")}
+
+    queries = tmp_path / "queries.txt"
+    queries.write_text("".join(f"{seed} 15\n" for seed in range(8)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    before = segments()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--dataset", "cora",
+         "--scale", "0.2", "--workers", "2", "--linger-s", "30",
+         "--queries", str(queries)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=env, start_new_session=True,
+    )
+    try:
+        answers = [json.loads(proc.stdout.readline()) for _ in range(8)]
+        assert [answer["seed"] for answer in answers] == list(range(8))
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=10)
+    finally:
+        try:  # no orphaned pool worker outlives a failed run
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        proc.stdout.close()
+    assert code == 128 + signal.SIGTERM
+    assert segments() - before == set()
+
+
+def test_second_sigterm_takes_the_default_action():
+    """The first SIGTERM unwinds serve through ``close()``; if that close
+    wedges, a second one must still kill the process."""
+    from repro.cli import _exit_on_signal
+
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            _exit_on_signal(signal.SIGTERM, None)
+        assert exit_info.value.code == 128 + signal.SIGTERM
+        assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 class TestExperimentsCLI:
