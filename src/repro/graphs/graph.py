@@ -67,6 +67,27 @@ def row_blocks(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
+class _UnpublishedRows:
+    """The ``attribute_blocks`` of an attributed graph that holds no rows.
+
+    A pool worker's snapshot, attached from shared memory
+    (:mod:`repro.graphs.shm`), answers from the TNAM factor and is never
+    given the attribute rows.  It still reports ``is_attributed`` so
+    queries take the SNAS path, and any read of the rows (the blocks,
+    ``attributes``, ``d``) raises instead of passing for a
+    non-attributed graph.
+    """
+
+    def _raise(self, *_args):
+        raise RuntimeError(
+            "the attribute rows of this snapshot were not published to "
+            "shared memory (pool workers answer from the TNAM factor); "
+            "read them from the publishing process's graph"
+        )
+
+    __getitem__ = __iter__ = _raise
+
+
 @dataclass
 class AttributedGraph:
     """Undirected attributed graph backed by a CSR adjacency matrix.
@@ -395,6 +416,7 @@ class AttributedGraph:
         name: str,
         epoch: int,
         attribute_blocks: tuple[np.ndarray, ...] | None = None,
+        attributed: bool = False,
     ) -> "AttributedGraph":
         """Assemble a snapshot from already-validated parts.
 
@@ -412,12 +434,16 @@ class AttributedGraph:
         Given ``attribute_blocks`` (row blocks as :func:`row_blocks`
         cuts them) without ``attributes``, the contiguous matrix is
         formed on first read; given ``attributes`` alone, the blocks
-        are views of it.
+        are views of it.  ``attributed=True`` with neither makes an
+        attributed graph without rows (a shared-memory attach): it
+        reports ``is_attributed``, and reading its rows raises.
         """
         graph = object.__new__(cls)
         graph.adjacency = adjacency
         if attribute_blocks is None and attributes is not None:
             attribute_blocks = row_blocks(attributes)
+        if attribute_blocks is None and attributed:
+            attribute_blocks = _UnpublishedRows()
         graph._attribute_blocks = attribute_blocks
         if attributes is not None or attribute_blocks is None:
             graph.attributes = attributes

@@ -4,13 +4,14 @@ A local clustering query touches a size-independent sliver of the graph
 (Theorem IV.1), but a *worker pool* still needs the whole CSR resident in
 every process.  Copying it per worker would multiply memory by the pool
 size and add seconds of startup per epoch advance; this module instead
-places the head snapshot's backing arrays — ``indptr``, ``indices``, the
-all-ones ``data``, ``degrees``, ``inv_degrees``, the normalized attribute
-matrix (written from the snapshot's row blocks), and the TNAM factor
-``z`` — into
+places the arrays a worker reads — ``indptr``, ``indices``, the all-ones
+``data``, ``degrees``, ``inv_degrees`` and the TNAM factor ``z`` — into
 :mod:`multiprocessing.shared_memory` segments, published through a small
 picklable *manifest* (plain dict: segment names, shapes, dtypes, and the
-snapshot's identity scalars).
+snapshot's identity scalars).  The n×d attribute rows are not published:
+workers answer from ``z``, and the TNAM refresh runs in the publisher.
+The manifest's ``attributed`` flag keeps the attached graph on the SNAS
+path, and reading its rows raises rather than reporting none.
 
 Workers :func:`attach_snapshot` the manifest and get a **zero-copy**
 :class:`~repro.graphs.graph.AttributedGraph` view: every array is backed
@@ -25,9 +26,15 @@ arithmetic on the same bits as in the parent.
 Lifecycle: the publishing process owns the segments and must keep its
 :class:`SharedSnapshot` alive while any worker uses them, then call
 :meth:`SharedSnapshot.close` (which unlinks).  Attachers close their
-:class:`AttachedSnapshot` when done (never unlinking).  Epoch advances
-publish a *new* set of segments and retire the old one only after every
-worker has re-attached — the pool's barrier protocol.
+:class:`AttachedSnapshot` when done (never unlinking).
+
+Recycling: fresh shared pages cost a page fault and a zero-fill each,
+rewriting pages the publisher already maps does not, so
+:func:`publish_snapshot` can write into a retired snapshot's segments
+(``spare=``), growing a segment only when its array outgrew it (new
+segments leave :data:`SEGMENT_HEADROOM`).  The caller must guarantee no
+process still reads the spare: the pool passes the set two epochs old,
+which every worker left when it acked the previous epoch barrier.
 """
 
 from __future__ import annotations
@@ -42,42 +49,61 @@ from .graph import AttributedGraph
 
 __all__ = ["SharedSnapshot", "AttachedSnapshot", "publish_snapshot", "attach_snapshot"]
 
-#: Manifest schema version, bumped on incompatible layout changes.
-MANIFEST_VERSION = 1
+#: Manifest schema version, bumped on incompatible layout changes
+#: (2: no ``attributes`` array, an ``attributed`` flag instead).
+MANIFEST_VERSION = 2
+
+#: Room a newly created segment leaves past the array it holds, as a
+#: fraction of the array's bytes.  A recycled publish rewrites a segment
+#: only while the array still fits, and node births grow every array
+#: each epoch; without the room, a growing graph would recreate every
+#: segment on every publish.  Tail pages nothing writes are never
+#: allocated, so the room costs address space, not memory.
+SEGMENT_HEADROOM = 1 / 8
 
 
 def _export_array(
-    array: np.ndarray | tuple[np.ndarray, ...],
+    array: np.ndarray, reuse: shared_memory.SharedMemory | None = None
 ) -> tuple[shared_memory.SharedMemory, dict]:
-    """Copy ``array`` into a fresh named segment; returns (segment, spec).
+    """Copy ``array`` into ``reuse`` when it is large enough, else into a
+    fresh segment with :data:`SEGMENT_HEADROOM`; returns (segment, spec).
 
-    A tuple of row blocks is exported as their row-wise concatenation,
-    written block by block.
+    ``reuse`` stays the caller's either way, also when the copy fails.
     """
-    pieces = array if isinstance(array, tuple) else (np.ascontiguousarray(array),)
-    shape = (sum(piece.shape[0] for piece in pieces), *pieces[0].shape[1:])
-    dtype = pieces[0].dtype
-    nbytes = sum(piece.nbytes for piece in pieces)
-    segment = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
+    array = np.ascontiguousarray(array)
+    if reuse is not None and reuse.size >= array.nbytes:
+        segment = reuse
+    else:
+        size = int(array.nbytes * (1 + SEGMENT_HEADROOM))
+        segment = shared_memory.SharedMemory(create=True, size=max(size, 1))
     try:
-        view = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-        lo = 0
-        for piece in pieces:
-            view[lo : lo + piece.shape[0]] = piece
-            lo += piece.shape[0]
+        view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
+        view[...] = array
         spec = {
             "segment": segment.name,
-            "shape": list(shape),
-            "dtype": dtype.str,
+            "shape": list(array.shape),
+            "dtype": array.dtype.str,
         }
     except BaseException:
-        # The segment exists under a published name the caller never
-        # learns; without the unlink it outlives the process in /dev/shm.
         view = None  # a live buffer view would block close()
-        segment.close()
-        segment.unlink()
+        if segment is not reuse:
+            # The segment exists under a published name the caller never
+            # learns; without the unlink it outlives the process in /dev/shm.
+            _discard(segment)
         raise
     return segment, spec
+
+
+def _discard(segment: shared_memory.SharedMemory) -> None:
+    """Close and unlink a segment this process owns (idempotent)."""
+    try:
+        segment.close()
+    except BufferError:
+        pass  # a view escaped; the mapping dies with the process
+    try:
+        segment.unlink()
+    except FileNotFoundError:
+        pass  # already unlinked
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -111,26 +137,22 @@ def _attach_array(spec: dict, segment: shared_memory.SharedMemory) -> np.ndarray
 
 @dataclass
 class SharedSnapshot:
-    """Publisher-side handle: the manifest plus ownership of the segments."""
+    """Publisher-side handle: the manifest plus ownership of the segments,
+    one per array key."""
 
     manifest: dict
-    _segments: list[shared_memory.SharedMemory] = field(default_factory=list)
+    _segments: dict[str, shared_memory.SharedMemory] = field(default_factory=dict)
 
-    def close(self, unlink: bool = True) -> None:
-        """Release the segments (idempotent); ``unlink`` destroys them.
+    def close(self) -> None:
+        """Close and unlink the segments (idempotent).
 
         Call only after every attacher is done — a worker still mapping
         an unlinked segment keeps its pages alive (POSIX semantics), but
         no new attach can succeed.
         """
-        for segment in self._segments:
-            try:
-                segment.close()
-                if unlink:
-                    segment.unlink()
-            except FileNotFoundError:
-                pass  # already unlinked (double close)
-        self._segments = []
+        for segment in self._segments.values():
+            _discard(segment)
+        self._segments = {}
 
 
 @dataclass
@@ -160,51 +182,64 @@ class AttachedSnapshot:
 
 
 def publish_snapshot(
-    graph: AttributedGraph, *, tnam_z: np.ndarray | None = None
+    graph: AttributedGraph,
+    *,
+    tnam_z: np.ndarray | None = None,
+    spare: SharedSnapshot | None = None,
 ) -> SharedSnapshot:
-    """Export ``graph`` (and optionally a TNAM factor) to shared memory.
+    """Export what a worker reads of ``graph`` (and optionally a TNAM
+    factor) to shared memory.
 
     Returns a :class:`SharedSnapshot` whose ``manifest`` is a plain,
     picklable dict — send it over a pipe/queue and
-    :func:`attach_snapshot` in any process on this machine.  Ground-truth
-    community labels are deliberately not exported: serving workers
-    answer ``(seed, size)`` queries and never consult ground truth.
+    :func:`attach_snapshot` in any process on this machine.  Neither the
+    attribute rows nor the ground-truth community labels are exported:
+    workers answer ``(seed, size)`` queries from the TNAM factor, and the
+    manifest's ``attributed`` flag tells them to take the SNAS path.
+
+    ``spare`` is a retired snapshot no process reads any more; the
+    publish consumes it.  Each array is written into the spare's segment
+    of the same key when it fits, else into a new segment (the one that
+    is too small is unlinked), and spare segments of keys this snapshot
+    lacks are unlinked.  On failure every segment written, created or
+    recycled is unlinked, the spare's included.
     """
     adjacency = graph.adjacency
-    arrays: dict[str, np.ndarray | tuple[np.ndarray, ...]] = {
+    arrays = {
         "indptr": adjacency.indptr,
         "indices": adjacency.indices,
         "data": adjacency.data,
         "degrees": graph.degrees,
         "inv_degrees": graph.inv_degrees,
     }
-    if graph.is_attributed:
-        # Written block by block: the snapshot need not form its matrix.
-        arrays["attributes"] = graph.attribute_blocks
     if tnam_z is not None:
         arrays["tnam_z"] = np.asarray(tnam_z, dtype=np.float64)
 
-    segments: list[shared_memory.SharedMemory] = []
+    recycled: dict[str, shared_memory.SharedMemory] = {}
+    if spare is not None:
+        recycled, spare._segments = spare._segments, {}
+    segments: dict[str, shared_memory.SharedMemory] = {}
     specs: dict[str, dict] = {}
     try:
         for key, array in arrays.items():
-            segment, spec = _export_array(array)
-            segments.append(segment)
-            specs[key] = spec
-    except Exception:
-        for segment in segments:  # don't leak /dev/shm on a partial export
-            try:
-                segment.close()
-                segment.unlink()
-            except (BufferError, FileNotFoundError):
-                pass  # keep unlinking the rest regardless
+            segment, specs[key] = _export_array(array, recycled.get(key))
+            segments[key] = segment
+            if segment is recycled.get(key):
+                del recycled[key]
+    except BaseException:
+        # Don't leak /dev/shm on a partial export.
+        for segment in (*segments.values(), *recycled.values()):
+            _discard(segment)
         raise
+    for segment in recycled.values():  # outgrown, or a key now absent
+        _discard(segment)
     manifest = {
         "version": MANIFEST_VERSION,
         "name": graph.name,
         "n": int(graph.n),
         "epoch": int(graph.epoch),
         "binary_adjacency": bool(graph._binary_adjacency),
+        "attributed": bool(graph.is_attributed),
         "arrays": specs,
     }
     return SharedSnapshot(manifest=manifest, _segments=segments)
@@ -248,11 +283,12 @@ def attach_snapshot(manifest: dict) -> AttachedSnapshot:
         degrees=views["degrees"],
         inv_degrees=views["inv_degrees"],
         binary_adjacency=bool(manifest["binary_adjacency"]),
-        attributes=views.get("attributes"),
+        attributes=None,
         communities=None,
         secondary_communities=None,
         name=str(manifest["name"]),
         epoch=int(manifest["epoch"]),
+        attributed=bool(manifest["attributed"]),
     )
     return AttachedSnapshot(
         graph=graph, tnam_z=views.get("tnam_z"), _segments=segments

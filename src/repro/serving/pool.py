@@ -7,8 +7,9 @@ blocks one after another.  With ``workers >= 1`` the service owns a
 :class:`WorkerPool` that spreads each gathered block over worker
 processes instead:
 
-- the head snapshot's CSR arrays and TNAM factor are published **once**
-  into :mod:`multiprocessing.shared_memory` segments
+- the head snapshot's CSR arrays and TNAM factor — what a worker reads,
+  not the attribute rows — are published **once** per epoch into
+  :mod:`multiprocessing.shared_memory` segments
   (:func:`~repro.graphs.shm.publish_snapshot`); each worker attaches a
   zero-copy :class:`~repro.graphs.graph.AttributedGraph` view, hydrates
   a :class:`~repro.core.pipeline.LACA` from the parent's fit state
@@ -57,12 +58,21 @@ Epoch advances reuse the dispatch-queue marker and add a barrier:
 ``reload`` message on every worker's task queue — FIFO order *is* the
 barrier: the reload rides behind every shard of every block gathered
 before the marker, so no worker ever answers a post-marker request on a
-pre-marker snapshot — and waits for all acks before unlinking the old
-segments.
+pre-marker snapshot — and waits for all acks.  The set it replaced is
+then kept as the *spare*, and the next reload writes its snapshot into
+the spare's segments instead of fresh ones (rewriting mapped pages is
+about 10× cheaper than faulting in new ones; a segment its array
+outgrew is replaced).  That is safe because when epoch e+1 is
+published into epoch e−1's set, every live worker has acked epoch e,
+so it has answered every block it held before that ack and dropped its
+e−1 mappings; respawns attach only the current manifest, under the pool
+lock.  At most two sets exist; ``close()`` unlinks both, and a failed
+reload unlinks the set it wrote and drops the spare.
 A worker that dies mid-barrier no longer hangs it: the supervisor
 removes it from the pending-ack set.  A worker that fails to reload
 fails the service closed (it could otherwise silently serve stale
-answers).
+answers).  A worker whose parent dies without ``close()`` exits by
+itself (it watches the parent's sentinel).
 
 The pool adds the fault-tolerance counters (``worker_restarts``,
 ``block_retries``) and its own figures (``workers_alive``,
@@ -73,6 +83,8 @@ The pool adds the fault-tolerance counters (``worker_restarts``,
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
+import os
 import pickle
 import queue
 import signal
@@ -172,6 +184,25 @@ def _hydrate(fit_state: dict, attached) -> LACA:
     return LACA.from_fit_state(state, attached.graph)
 
 
+def _exit_with_parent() -> None:
+    """End this worker process as soon as its parent process is gone.
+
+    A parent killed without ``close()`` never sends ``("stop",)``, and a
+    worker blocked in ``tasks.get()`` would outlive it forever.  A daemon
+    thread waits on the parent's sentinel, which becomes ready when the
+    parent exits.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="cluster-pool-parent-watch", daemon=True).start()
+
+
 def _worker_main(
     worker_id, spawn, manifest, fit_state, tasks, results, fault_plan=None
 ) -> None:
@@ -198,6 +229,7 @@ def _worker_main(
     # A forked worker inherits the serving CLI's SIGTERM handler; a
     # worker keeps the default action and dies on SIGTERM.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _exit_with_parent()
     attached = attach_snapshot(manifest)
     model = _hydrate(fit_state, attached)
     registry = MetricsRegistry("laca")
@@ -255,9 +287,9 @@ def _worker_fit_state(model: LACA) -> dict:
     return state
 
 
-def _publish(model: LACA, graph):
+def _publish(model: LACA, graph, spare=None):
     return publish_snapshot(
-        graph, tnam_z=model.tnam.z if model.tnam is not None else None
+        graph, tnam_z=model.tnam.z if model.tnam is not None else None, spare=spare
     )
 
 
@@ -304,6 +336,9 @@ class WorkerPool:
         # hydrates from; the epoch barrier updates it under the pool
         # lock, so respawns always join at the serving generation.
         self._shared = _publish(service.model, graph)
+        # The segment set the epoch barrier retired last: no worker reads
+        # it, so the next reload writes its snapshot there (see reload()).
+        self._spare = None
         self._current_manifest = self._shared.manifest
         self._current_state = _worker_fit_state(service.model)
         self._procs: list = []
@@ -724,14 +759,18 @@ class WorkerPool:
             self.service._fail_requests(requests, error, "worker")
 
     # ------------------------------------------------------------------
-    # Epoch barrier: republish, reload every worker, then retire the old
-    # segments.  Runs on the dispatcher thread from the service's
-    # _refresh(), after the parent model refreshed but before the
-    # serving epoch advances.
+    # Epoch barrier: republish into the spare set, reload every worker,
+    # then keep the old set as the next spare.  Runs on the dispatcher
+    # thread from the service's _refresh(), after the parent model
+    # refreshed but before the serving epoch advances.
     def reload(self, head) -> None:
         model = self.service.model
         state = _worker_fit_state(model)
-        shared = _publish(model, head)
+        # The spare is the set the previous barrier retired: every live
+        # worker acked leaving it, and respawns attach only the current
+        # manifest, so no process reads it.  Never the live self._shared.
+        spare, self._spare = self._spare, None
+        shared = _publish(model, head, spare)
         previous = None
         try:
             with self._lock:
@@ -781,12 +820,10 @@ class WorkerPool:
                     self._current_manifest, self._current_state = previous
             shared.close()  # don't leak segments for a failed reload
             raise
-        old = self._shared
-        self._shared = shared
-        # Every live worker acked (and respawns attach the new
-        # manifest): old mappings are closed, and unlinked segments
-        # stay valid for any mapping that still exists anyway.
-        old.close()
+        # Every live worker acked (and respawns attach the new manifest):
+        # the old set is unread from here on, and the next reload
+        # rewrites it.
+        self._spare, self._shared = self._shared, shared
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -858,4 +895,6 @@ class WorkerPool:
         for requests in leftovers + parked:
             service._fail_requests(requests, error, "closed")
         self._shared.close()
+        if self._spare is not None:
+            self._spare.close()
         return clean

@@ -7,8 +7,13 @@ The governing contract is the same as with ``workers=0``: answers are
 bitwise identical to ``LACA.cluster``, and no future ever hangs.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +23,45 @@ from repro.core.pipeline import LACA
 from repro.graphs import GraphDelta, GraphStore
 from repro.serving import ClusterService, DeadlineExceeded, PoolSaturated
 from repro.serving.pool import _worker_fit_state
+from repro.testing import FaultPlan, FaultRule
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _model(graph, **overrides):
     overrides.setdefault("k", 8)
     return LACA(LacaConfig(**overrides)).fit(graph)
+
+
+def _psm_segments() -> set[str]:
+    return {path.name for path in Path("/dev/shm").glob("psm_*")}
+
+
+def _segment_names(shared) -> set[str]:
+    if shared is None:
+        return set()
+    return {spec["segment"] for spec in shared.manifest["arrays"].values()}
+
+
+def _births(graph, count: int, rng) -> GraphDelta:
+    """Append ``count`` attributed nodes, each tied to two old nodes."""
+    n = graph.n
+    return GraphDelta(
+        add_nodes=count,
+        add_edges=[(n + i, (7 * i) % n) for i in range(count)]
+        + [(n + i, (7 * i + 3) % n) for i in range(count)],
+        add_attributes=np.abs(rng.normal(size=(count, graph.d))) + 0.05,
+        add_communities=np.arange(count) % 3,
+    )
+
+
+def _epoch_deltas(graph, rng) -> list[GraphDelta]:
+    """An edge delta, an attribute delta and a node append, in order."""
+    return [
+        GraphDelta(add_edges=[(0, 70), (7, 81)]),
+        GraphDelta(set_attributes=([0, 7, 33], np.abs(rng.normal(size=(3, graph.d))))),
+        _births(graph, 4, rng),
+    ]
 
 
 class TestCrossProcessParity:
@@ -89,19 +128,22 @@ class TestEpochBarrier:
             assert not np.array_equal(before, after) or True  # may coincide
 
     def test_no_post_marker_request_on_pre_marker_snapshot(self, small_sbm):
-        """Requests racing an update must each match the fresh-fit
-        answer of an epoch that was live while they were in flight —
-        never a mixture, never a stale post-marker answer."""
+        """Requests racing updates must each match the fresh-fit answer
+        of an epoch that was live while they were in flight — never a
+        mixture, never a stale post-marker answer.  Three back-to-back
+        deltas (edges, attribute rows, a node append) make the later
+        publishes rewrite recycled segments while readers race them."""
         config = LacaConfig(k=16)
         model = LACA(config).fit(small_sbm)
         seeds = [0, 7, 33]
         size = 20
-        delta = GraphDelta(add_edges=[(0, 70), (7, 81)])
         probe = GraphStore(small_sbm)
         valid = {0: {s: model.cluster(s, size) for s in seeds}}
-        head = probe.apply(delta)
-        fresh = LACA(config).fit(head)
-        valid[1] = {s: fresh.cluster(s, size) for s in seeds}
+        deltas = _epoch_deltas(small_sbm, np.random.default_rng(5))
+        for epoch, delta in enumerate(deltas, start=1):
+            fresh = LACA(config).fit(probe.apply(delta))
+            valid[epoch] = {s: fresh.cluster(s, size) for s in seeds}
+        last = len(deltas)
 
         mismatches = []
         stop = threading.Event()
@@ -127,10 +169,11 @@ class TestEpochBarrier:
                 thread.start()
             try:
                 time.sleep(0.05)
-                service.apply_update(delta, timeout=60)
+                for delta in deltas:
+                    service.apply_update(delta, timeout=60)
                 for seed in seeds:
                     np.testing.assert_array_equal(
-                        service.cluster(seed, size), valid[1][seed]
+                        service.cluster(seed, size), valid[last][seed]
                     )
             finally:
                 stop.set()
@@ -151,6 +194,150 @@ class TestEpochBarrier:
             np.testing.assert_array_equal(
                 service.cluster(1, 15), fresh.cluster(1, 15)
             )
+
+
+class TestSegmentRecycling:
+    def test_inflight_block_never_reads_recycled_pages(self, small_sbm):
+        """A block held in a worker across an epoch advance is answered
+        on its own epoch's pages: the publish of epoch 2 rewrites the
+        epoch-0 set, never the epoch-1 set that block reads."""
+        config = LacaConfig(k=16)
+        model = LACA(config).fit(small_sbm)
+        seed, size = 0, 20
+        rng = np.random.default_rng(3)
+        first = GraphDelta(add_edges=[(0, 70)])
+        second = GraphDelta(
+            add_edges=[(0, 90), (0, 100)],
+            set_attributes=([0, 1, 2], np.abs(rng.normal(size=(3, small_sbm.d)))),
+        )
+        probe = GraphStore(small_sbm)
+        valid = {}
+        for epoch, delta in enumerate((first, second), start=1):
+            fresh = LACA(config).fit(probe.apply(delta))
+            valid[epoch] = {s: fresh.cluster(s, size) for s in (seed, 5, 33)}
+        # The test can tell the two epochs apart only if they differ.
+        assert not np.array_equal(valid[1][seed], valid[2][seed])
+
+        # The worker's first block (the held one) sleeps before computing.
+        plan = FaultPlan([
+            FaultRule(site="worker.block", match={"block_index": 0},
+                      action="delay", delay_s=1.0)
+        ])
+        with ClusterService(
+            model, workers=1, cache_size=0, max_wait_s=0.0, fault_plan=plan
+        ) as service:
+            service.apply_update(first, timeout=60)
+            assert service._pool._spare is not None  # epoch 0's set
+            held = service.submit(seed, size)
+            # Publishes epoch 2 while the epoch-1 block is held; the
+            # barrier then waits behind that block.
+            service.apply_update(second, timeout=60)
+            np.testing.assert_array_equal(held.result(timeout=60), valid[1][seed])
+            for s in (seed, 5, 33):
+                np.testing.assert_array_equal(service.cluster(s, size), valid[2][s])
+
+    def test_at_most_two_segment_sets_and_none_outlives_close(self, small_sbm):
+        """Over epochs whose births outgrow the segment headroom, the
+        service's live segments are exactly its current and spare sets
+        after every update, answers stay bitwise a fresh fit, and no
+        segment of the service survives close()."""
+        config = LacaConfig(k=8)
+        model = LACA(config).fit(small_sbm)
+        rng = np.random.default_rng(11)
+        before = _psm_segments()
+        seen: set[str] = set()
+        service = ClusterService(model, workers=2, cache_size=0, max_wait_s=0.0)
+        try:
+            pool = service._pool
+            head = small_sbm
+            for _ in range(7):  # 120 -> 162 nodes, +35%: past the 1/8 headroom
+                service.apply_update(_births(head, 6, rng), timeout=60)
+                head = service.store.head
+                live = _psm_segments() - before
+                current, spare = _segment_names(pool._shared), _segment_names(pool._spare)
+                assert not current & spare
+                assert live == current | spare
+                assert len(live) <= 2 * 6  # two sets of six arrays at most
+                seen |= live
+                fresh = LACA(config).fit(head)
+                for seed in (0, 50, head.n - 1):
+                    np.testing.assert_array_equal(
+                        service.cluster(seed, 15), fresh.cluster(seed, 15)
+                    )
+            # The births really outgrew some segments (they were re-created).
+            assert len(seen) > 2 * 6
+        finally:
+            service.close(timeout=30)
+        assert not _psm_segments() - before
+
+
+_ORPHAN_SCRIPT = """
+import sys, time
+sys.path.insert(0, {src!r})
+from repro.core.config import LacaConfig
+from repro.core.pipeline import LACA
+from repro.graphs.generators import plain_sbm
+from repro.serving import ClusterService
+
+graph = plain_sbm(n=120, n_communities=3, avg_degree=6.0, mixing=0.1, seed=1)
+service = ClusterService(LACA(LacaConfig(k=8)).fit(graph), workers=2)
+service.cluster(0, 10)
+names = [spec["segment"] for spec in service._pool._shared.manifest["arrays"].values()]
+print(" ".join(str(proc.pid) for proc in service._procs), flush=True)
+print(" ".join(names), flush=True)
+time.sleep(600)
+"""
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # The state follows the parenthesized command name.
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="reads process states from /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_their_parent_is_killed(self):
+        """A parent SIGKILLed without close() takes its workers with it:
+        each watches the parent's sentinel instead of blocking forever
+        on its task queue."""
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT.format(src=str(SRC))],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        pids: list[int] = []
+        names: list[str] = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            names = parent.stdout.readline().split()
+            assert len(pids) == 2
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(10)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and not all(
+                _gone_or_zombie(pid) for pid in pids
+            ):
+                time.sleep(0.05)
+            assert all(_gone_or_zombie(pid) for pid in pids)
+        finally:
+            parent.kill()
+            parent.wait(10)
+            parent.stdout.close()
+            for pid in pids:  # don't leak workers when the assertion fails
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            # The dead parent never unlinked its snapshot.
+            for name in names:
+                try:
+                    os.unlink(f"/dev/shm/{name}")
+                except FileNotFoundError:
+                    pass
 
 
 class TestAdmissionControl:
