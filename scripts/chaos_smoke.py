@@ -14,7 +14,10 @@ perfectly:
   (``worker_restarts`` >= 1);
 * SIGTERM to serve leaves no new ``psm_*`` shared-memory segment in
   ``/dev/shm`` (the process group is SIGKILLed only if serve has not
-  exited 10 s later).
+  exited 10 s later);
+* it never hangs: the first answer must arrive within 120 s of the
+  metrics port announcement and every later one within 60 s of the
+  kill, or the run fails with the number of answers it reached.
 
 Exits non-zero with a reason on any violation.  Used by CI; also handy
 manually::
@@ -26,17 +29,21 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import re
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.request
 from pathlib import Path
 
 N_QUERIES = 240
 LINGER_S = 15.0
+#: Every answer must arrive within this many seconds of the kill.
+ANSWER_DEADLINE_S = 60.0
 
 SERVE_ARGS = [
     "--dataset", "cora", "--scale", "0.2",
@@ -75,8 +82,34 @@ def shm_segments() -> int:
 def fail(reason: str, proc: subprocess.Popen | None = None) -> "NoReturn":
     print(f"CHAOS SMOKE FAIL: {reason}", file=sys.stderr)
     if proc is not None:
-        kill_tree(proc)
+        stop(proc)
     sys.exit(1)
+
+
+def line_queue(stream) -> queue.Queue:
+    """The lines of ``stream`` as a daemon thread reads them (``None``
+    at EOF), so the caller can stop waiting at a deadline instead of
+    blocking in ``readline()`` on a server that wedged."""
+    lines: queue.Queue = queue.Queue()
+
+    def pump() -> None:
+        try:
+            for line in stream:
+                lines.put(line)
+        except (OSError, ValueError):
+            pass  # the stream was closed under the reader
+        lines.put(None)
+
+    threading.Thread(target=pump, daemon=True).start()
+    return lines
+
+
+def next_line(lines: queue.Queue, deadline: float) -> str | None:
+    """The next line, or ``None`` at EOF or once ``deadline`` passed."""
+    try:
+        return lines.get(timeout=max(0.0, deadline - time.monotonic()))
+    except queue.Empty:
+        return None
 
 
 def scrape(port: int, path: str) -> str:
@@ -165,9 +198,10 @@ def main() -> int:
     if port is None:
         fail(f"metrics port never announced; stderr: {''.join(stderr_seen)}", proc)
 
-    first = proc.stdout.readline()
+    answers = line_queue(proc.stdout)
+    first = next_line(answers, time.monotonic() + 120.0)
     if not first:
-        fail("serve exited before the first answer", proc)
+        fail("serve answered nothing within 120 s of announcing its port", proc)
     responses = [json.loads(first)]
 
     # Chaos: SIGKILL one pool worker while ~30 blocks are still queued.
@@ -177,13 +211,16 @@ def main() -> int:
     os.kill(victims[0], signal.SIGKILL)
     killed_at = len(responses)
 
-    # Zero lost futures: every remaining line must still arrive.
+    # Zero lost futures: every remaining line must still arrive, and in
+    # time (a wedged pool would otherwise hang this script forever).
+    deadline = time.monotonic() + ANSWER_DEADLINE_S
     for _ in range(N_QUERIES - 1):
-        line = proc.stdout.readline()
+        line = next_line(answers, deadline)
         if not line:
             fail(
-                f"serve stopped after {len(responses)}/{N_QUERIES} answers "
-                "(lost futures)", proc,
+                f"serve stopped or stalled after {len(responses)}/{N_QUERIES} "
+                f"answers, {ANSWER_DEADLINE_S:.0f} s after the kill "
+                "(lost futures or a wedged pool)", proc,
             )
         responses.append(json.loads(line))
 

@@ -317,7 +317,7 @@ def _cmd_serve(args) -> int:
         store = GraphStore(model._require_fit(), wal=GraphWAL(args.wal))
 
     # Deterministic chaos testing: REPRO_FAULTS carries a JSON fault
-    # plan (see repro.testing.faults) into the workers and collector.
+    # plan (see repro.testing.faults) into the workers and pool thread.
     fault_plan = FaultPlan.from_env()
 
     service_ctx = ClusterService(
@@ -676,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--restart-budget", type=int, default=3, metavar="N",
         help="for --workers: respawns each worker slot gets per sliding "
-        "window before staying dead (default: 3; 0 disables supervision)",
+        "window before staying dead (default: 3; 0 disables respawns)",
     )
     serve.add_argument(
         "--fallback-inprocess", action="store_true",

@@ -10,8 +10,8 @@ Design constraints, in order:
 2. **Mergeable across processes.**  Two histograms with identical bounds
    merge by adding bucket counts; counters merge by adding values.
    :meth:`MetricsRegistry.drain` snapshots-and-resets a registry into a
-   plain picklable structure that rides an existing IPC channel (the
-   pool's result queue) and lands in the head registry via
+   plain picklable structure that rides an existing IPC channel (a
+   pool worker's result message) and lands in the head registry via
    :meth:`MetricsRegistry.merge` — merging is associative and
    commutative, so it does not matter how worker deltas interleave.
 3. **Cheap on the hot path.**  One small lock acquire per operation;

@@ -43,7 +43,7 @@ class Span:
     Marks are ``perf_counter`` values; ``engine_s`` is a duration
     (engine time is measured where the engine runs — possibly another
     process — and attributed back).  A span is touched by several
-    threads (submitter, dispatcher, collector) but each mark has exactly
+    threads (submitter, dispatcher, pool thread) but each mark has exactly
     one writer, so plain attribute stores are safe.
     """
 
@@ -97,9 +97,9 @@ class Span:
         """Post-dispatch overhead that is *not* engine time.
 
         For the in-process service this is result assembly + cache
-        insertion; for the pool it additionally covers worker-queue wait
+        insertion; for the pool it additionally covers worker-pipe wait
         and IPC, which is exactly the number an operator needs when
-        deciding whether the collector or the engines are the bottleneck.
+        deciding whether the pool thread or the engines are the bottleneck.
         """
         if self.dispatched is None or self.resolved is None:
             return None

@@ -14,7 +14,7 @@ package turns the two into a long-lived service:
 - :mod:`~repro.serving.pool` — the process back-end of
   ``ClusterService(model, workers=N)``: blocks fan out to worker
   *processes* over a shared-memory graph (:mod:`repro.graphs.shm`),
-  with fault tolerance (worker supervision/respawn, idempotent block
+  with fault tolerance (worker death detection/respawn, idempotent block
   retry, optional in-process fallback);
 - :mod:`~repro.serving.cache` — the epoch-aware LRU
   :class:`ResultCache` and the :func:`config_digest` that keys it;

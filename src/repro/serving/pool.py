@@ -18,7 +18,7 @@ processes instead:
 - the dispatcher thread gathers blocks exactly as with ``workers=0``,
   splits each into contiguous shards, at most one per live worker, and
   *assigns* each shard to one of the least-loaded live workers, then
-  moves on — a collector thread resolves futures as shards stream back,
+  moves on — the pool thread resolves futures as shards stream back,
   so all workers compute concurrently, even on one gathered block;
 - workers answer each shard with the same
   :func:`~repro.serving.service.answer_block` the dispatcher
@@ -31,14 +31,23 @@ Every shard is an ordinary in-flight block with its own id: retry,
 respawn, close() and the epoch barrier below never see the gathered
 block it came from.
 
+Each worker slot owns one pipe: the parent writes ``block``, ``reload``
+and ``stop`` messages into it, the worker writes ``result`` and
+``reload-ack`` messages back, so a worker killed mid-write tears only
+its own pipe.  One pool thread waits on every live worker's pipe and
+sentinel (:func:`multiprocessing.connection.wait`), resolving results
+and acks as they arrive and handling a death when a sentinel fires.
+
 Fault tolerance (PR 8) rests on that: a cluster query is a pure
 function of ``(snapshot, seed, size)`` and the block's engine path, so
 recomputing a lost block *is* the answer, not an approximation of it.
 Three mechanisms:
 
-- **Supervision & respawn** — a supervisor thread detects dead workers,
-  fails nothing, and respawns them with capped exponential backoff
-  under a restart budget per sliding window.  Respawned workers
+- **Death & respawn** — on a worker's death (its sentinel fired, or its
+  pipe broke or carried an unreadable message, and then it is killed)
+  the pool thread first resolves what the worker already sent, then
+  respawns it with capped exponential backoff under a restart budget
+  per sliding window.  Respawned workers
   re-hydrate from the shared-memory manifest *at the current
   generation* (the respawn path and the epoch barrier read/write the
   manifest under one lock), so they rejoin correctly even mid-update.
@@ -54,8 +63,8 @@ Three mechanisms:
   failing it; the pool re-engages automatically once a respawn lands.
 
 Epoch advances reuse the dispatch-queue marker and add a barrier:
-:meth:`WorkerPool.reload` publishes the refreshed snapshot, enqueues a
-``reload`` message on every worker's task queue — FIFO order *is* the
+:meth:`WorkerPool.reload` publishes the refreshed snapshot, writes a
+``reload`` message into every live worker's pipe — FIFO order *is* the
 barrier: the reload rides behind every shard of every block gathered
 before the marker, so no worker ever answers a post-marker request on a
 pre-marker snapshot — and waits for all acks.  The set it replaced is
@@ -68,8 +77,8 @@ so it has answered every block it held before that ack and dropped its
 e−1 mappings; respawns attach only the current manifest, under the pool
 lock.  At most two sets exist; ``close()`` unlinks both, and a failed
 reload unlinks the set it wrote and drops the spare.
-A worker that dies mid-barrier no longer hangs it: the supervisor
-removes it from the pending-ack set.  A worker that fails to reload
+A worker that dies mid-barrier no longer hangs it: its death removes it
+from the pending-ack set.  A worker that fails to reload
 fails the service closed (it could otherwise silently serve stale
 answers).  A worker whose parent dies without ``close()`` exits by
 itself (it watches the parent's sentinel).
@@ -82,11 +91,11 @@ The pool adds the fault-tolerance counters (``worker_restarts``,
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
-import queue
 import signal
 import threading
 import time
@@ -108,7 +117,7 @@ __all__ = ["WorkerError", "WorkerPool"]
 #: instant start), else ``spawn``.  Workers fork before the service
 #: starts its dispatcher thread; respawns fork from a threaded parent,
 #: which is safe for these workers because they touch only their own
-#: state, the shared segments, and their queues.
+#: state, the shared segments, and their pipes.
 START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 #: Sliding window over which one worker slot's respawns count against
 #: ``restart_budget``.
@@ -118,8 +127,6 @@ BACKOFF_MAX_S = 5.0
 #: How long an epoch advance waits for every worker to ack its reload
 #: before failing the service closed.
 RELOAD_TIMEOUT_S = 60.0
-#: How often the supervisor sweeps for dead workers and due respawns.
-SUPERVISE_INTERVAL_S = 0.05
 
 #: The multi-process front-end's former name, kept for existing callers.
 PoolClusterService = ClusterService
@@ -128,7 +135,7 @@ PoolClusterService = ClusterService
 class WorkerError(RuntimeError):
     """Portable stand-in for a worker exception that cannot pickle.
 
-    Queues pickle everything they carry; an exception class holding a
+    Pipes pickle everything they carry; an exception class holding a
     lock, a socket, or a custom ``__init__`` the parent cannot call
     would otherwise surface as an opaque transport error.  This wrapper
     preserves what the future holder actually needs — the original type
@@ -152,7 +159,7 @@ class WorkerError(RuntimeError):
 
 
 def _portable_error(exc: BaseException) -> BaseException:
-    """A picklable stand-in for ``exc`` (result queues pickle).
+    """A picklable stand-in for ``exc`` (result messages pickle).
 
     The original instance is kept only when a pickle round-trip
     faithfully reproduces it (same type, same message) — merely *not
@@ -187,8 +194,10 @@ def _hydrate(fit_state: dict, attached) -> LACA:
 def _exit_with_parent() -> None:
     """End this worker process as soon as its parent process is gone.
 
-    A parent killed without ``close()`` never sends ``("stop",)``, and a
-    worker blocked in ``tasks.get()`` would outlive it forever.  A daemon
+    A parent killed without ``close()`` never sends ``("stop",)``, and
+    its end of the worker's pipe never reports EOF while a sibling
+    worker (forked later, so holding a copy of that end) lives: a worker
+    blocked in ``conn.recv()`` would outlive it forever.  A daemon
     thread waits on the parent's sentinel, which becomes ready when the
     parent exits.
     """
@@ -203,18 +212,18 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, name="cluster-pool-parent-watch", daemon=True).start()
 
 
-def _worker_main(
-    worker_id, spawn, manifest, fit_state, tasks, results, fault_plan=None
-) -> None:
+def _worker_main(worker_id, spawn, manifest, fit_state, conn, fault_plan=None) -> None:
     """Pool worker process: attach, hydrate, answer blocks until told to stop.
 
-    Messages in (FIFO — ordering is the epoch barrier):
+    ``conn`` is this worker's end of its own pipe.  Messages in (FIFO —
+    ordering is the epoch barrier):
       ``("block", block_id, seeds, sizes)`` — answer one gathered block;
       ``("reload", generation, manifest, fit_state)`` — re-attach the new
       snapshot, then ack;
-      ``("stop",)`` — exit after the queue drained to here.
-    Messages out: ``("result", worker_id, block_id, payload, error)`` and
-    ``("reload-ack", worker_id, generation, error)``.
+      ``("stop",)`` — exit after the pipe drained to here.
+    Messages out: ``("result", block_id, payload, error)`` and
+    ``("reload-ack", generation, error)``; an answer sent before the
+    worker dies is in the pipe, so it still reaches the parent.
 
     ``spawn`` counts incarnations of this worker slot (0 for the
     original, +1 per respawn) — fault-plan rules match on it to target
@@ -222,9 +231,9 @@ def _worker_main(
 
     Result payloads are ``(clusters, engine_seconds, metrics_delta)``:
     the worker observes engine introspection into a private registry
-    and drains it per block, so its counters ride the existing result
-    queue home and merge into the head registry — no extra IPC
-    channel, no shared locks.
+    and drains it per block, so its counters ride home with the result
+    and merge into the head registry — no extra IPC channel, no shared
+    locks.
     """
     # A forked worker inherits the serving CLI's SIGTERM handler; a
     # worker keeps the default action and dies on SIGTERM.
@@ -236,7 +245,7 @@ def _worker_main(
     engine_metrics = make_engine_metrics(registry)
     blocks_seen = 0
     while True:
-        message = tasks.get()
+        message = conn.recv()
         kind = message[0]
         if kind == "stop":
             break
@@ -253,11 +262,9 @@ def _worker_main(
                 model = _hydrate(new_state, fresh)
                 attached.close()
                 attached = fresh
-                results.put(("reload-ack", worker_id, generation, None))
+                conn.send(("reload-ack", generation, None))
             except BaseException as exc:  # noqa: BLE001 — must always ack
-                results.put(
-                    ("reload-ack", worker_id, generation, _portable_error(exc))
-                )
+                conn.send(("reload-ack", generation, _portable_error(exc)))
             continue
         _, block_id, seeds, sizes = message
         try:
@@ -269,12 +276,9 @@ def _worker_main(
                     worker_id=worker_id, spawn=spawn, block_index=blocks_seen,
                 )
             answer = answer_block(model, 1, seeds, sizes, engine_metrics)
-            payload = (*answer, registry.drain())
-            results.put(("result", worker_id, block_id, payload, None))
+            conn.send(("result", block_id, (*answer, registry.drain()), None))
         except BaseException as exc:  # noqa: BLE001 — must always answer
-            results.put(
-                ("result", worker_id, block_id, None, _portable_error(exc))
-            )
+            conn.send(("result", block_id, None, _portable_error(exc)))
         blocks_seen += 1
     attached.close()
 
@@ -297,24 +301,23 @@ class WorkerPool:
     """The process back-end of a :class:`ClusterService` with ``workers >= 1``.
 
     Construction publishes the served snapshot and forks
-    ``service.workers`` processes — the service builds its pool before
-    it starts the dispatcher thread — then starts the collector and the
-    supervisor threads.  The dispatcher drives the pool through
+    ``service.workers`` processes, each with its own pipe — the service
+    builds its pool before it starts the dispatcher thread — then starts
+    the one pool thread.  The dispatcher drives the pool through
     :meth:`dispatch`, :meth:`park_or_fail`, :meth:`set_fallback` and
-    :meth:`reload`; the collector hands each result to
+    :meth:`reload`; the pool thread hands each result to
     ``service._resolve_block``, which takes the block back with
-    :meth:`take`.  The pool reads the service's retry, restart and
-    fallback options and reports through its telemetry and trace log.
+    :meth:`take`, and handles worker deaths and respawns.  The pool
+    reads the service's retry, restart and fallback options and reports
+    through its telemetry and trace log.
     """
 
     def __init__(self, service: ClusterService, graph, fault_plan=None) -> None:
         self.service = service
         self.size = size = service.workers
         self._fault_plan = fault_plan
-        self._ctx = ctx = multiprocessing.get_context(START_METHOD)
-        self._tasks = [ctx.SimpleQueue() for _ in range(size)]
-        self._results = ctx.Queue()
-        # Pool state shared between dispatcher, collector, and supervisor.
+        self._ctx = multiprocessing.get_context(START_METHOD)
+        # Pool state shared between the dispatcher and the pool thread.
         self._lock = threading.Lock()
         self._next_block = 0
         self._inflight: dict[int, tuple[int, list[_Request]]] = {}
@@ -330,8 +333,11 @@ class WorkerPool:
         self._respawn_at: list[float | None] = [None] * size
         self._parked: list[list[_Request]] = []
         self._fallback_active = False
-        self._collector_stop = threading.Event()
-        self._supervisor_stop = threading.Event()
+        # One writer at a time per worker pipe: the dispatcher's blocks
+        # and reloads and close()'s stop never interleave their bytes.
+        self._send_locks = [threading.Lock() for _ in range(size)]
+        # close() writes one message here to end the pool thread's wait.
+        self._wakeup, self._wake = self._ctx.Pipe(duplex=False)
         # The *current* manifest/fit-state pair is what a respawn
         # hydrates from; the epoch barrier updates it under the pool
         # lock, so respawns always join at the serving generation.
@@ -342,26 +348,21 @@ class WorkerPool:
         self._current_manifest = self._shared.manifest
         self._current_state = _worker_fit_state(service.model)
         self._procs: list = []
+        self._conns: list = []
         try:
             for worker_id in range(size):
-                self._procs.append(self._spawn(worker_id, 0))
+                proc, conn = self._spawn(worker_id, 0)
+                self._procs.append(proc)
+                self._conns.append(conn)
         except BaseException:
             for proc in self._procs:
                 proc.terminate()
             self._shared.close()
             raise
-        self._collector = threading.Thread(
-            target=self._collect_loop,
-            name=f"cluster-pool-collector-{service.name}",
-            daemon=True,
+        self._thread = threading.Thread(
+            target=self._run, name=f"cluster-pool-{service.name}", daemon=True
         )
-        self._collector.start()
-        self._supervisor = threading.Thread(
-            target=self._supervise_loop,
-            name=f"cluster-pool-supervisor-{service.name}",
-            daemon=True,
-        )
-        self._supervisor.start()
+        self._thread.start()
 
         registry = service.telemetry.registry
         alive_gauge = registry.gauge(
@@ -386,24 +387,36 @@ class WorkerPool:
 
     def _spawn(self, worker_id: int, spawn: int):
         """Start incarnation ``spawn`` of worker slot ``worker_id`` on the
-        current manifest."""
+        current manifest; returns its process and the parent's end of
+        its new pipe."""
         suffix = f"-r{spawn}" if spawn else ""
+        conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(
-                worker_id,
-                spawn,
-                self._current_manifest,
-                self._current_state,
-                self._tasks[worker_id],
-                self._results,
-                self._fault_plan,
-            ),
+            args=(worker_id, spawn, self._current_manifest, self._current_state,
+                  child_conn, self._fault_plan),
             name=f"cluster-pool-worker-{worker_id}{suffix}",
             daemon=True,
         )
-        proc.start()
-        return proc
+        try:
+            proc.start()
+        finally:
+            # The worker holds the only other copy of its end, so the
+            # parent's end reports EOF once the worker is gone.
+            child_conn.close()
+        return proc, conn
+
+    def _send(self, worker_id: int, message) -> None:
+        """Write ``message`` into a worker's pipe.  A write that fails
+        kills the worker: the pool thread then handles its death like
+        any other and retries every block it owed."""
+        with self._lock:
+            proc, conn = self._procs[worker_id], self._conns[worker_id]
+        try:
+            with self._send_locks[worker_id]:
+                conn.send(message)
+        except OSError:  # a broken or closed pipe
+            proc.kill()  # a no-op once the process is gone
 
     # ------------------------------------------------------------------
     # Dispatch: split the gathered block over the workers and move on.
@@ -413,11 +426,7 @@ class WorkerPool:
         False when no worker is alive.  The gathered block is recorded
         once, as one coalesced block of ``len(live)`` requests."""
         with self._lock:
-            alive = [
-                i
-                for i in range(self.size)
-                if not self._worker_dead[i] and self._procs[i].is_alive()
-            ]
+            alive = [i for i in range(self.size) if not self._worker_dead[i]]
             if not alive:
                 return False
             alive.sort(key=lambda i: self._outstanding[i])
@@ -434,25 +443,9 @@ class WorkerPool:
                 shards.append((worker_id, block_id, shard))
         self.set_fallback(False)
         for worker_id, block_id, shard in shards:
-            try:
-                self._tasks[worker_id].put(
-                    (
-                        "block",
-                        block_id,
-                        [int(request.seed) for request in shard],
-                        [int(request.size) for request in shard],
-                    )
-                )
-            except BaseException as exc:  # worker pipe broke mid-dispatch
-                # The worker is dying (or dead); run the death bookkeeping
-                # now rather than waiting for the supervisor's next sweep,
-                # and retry every block it still owed, this shard included
-                # (none if the supervisor already took them back).
-                error = RuntimeError(f"dispatch to pool worker {worker_id} failed")
-                error.__cause__ = exc
-                for requests in self._mark_worker_dead(worker_id):
-                    self._retry_or_fail(requests, error, worker_id)
-                self._check_terminal()
+            seeds = [int(request.seed) for request in shard]
+            sizes = [int(request.size) for request in shard]
+            self._send(worker_id, ("block", block_id, seeds, sizes))
         self.service.telemetry.record_coalesced(len(live))
         return True
 
@@ -490,43 +483,67 @@ class WorkerPool:
         return entry[1]
 
     # ------------------------------------------------------------------
-    # Collector: resolve futures as workers stream results back.
-    def _collect_loop(self) -> None:
-        telemetry = self.service.telemetry
+    # The pool thread: results, acks, deaths and respawns, in one wait.
+    def _run(self) -> None:
+        """Wait on every live worker's pipe and sentinel and on close()'s
+        wakeup, timed out at the next due respawn; return once the pool
+        is closed and every worker is gone.  A worker's pipe is read
+        before its sentinel is handled, so every answer it sent resolves
+        instead of being retried."""
         while True:
-            try:
-                message = self._results.get(timeout=0.25)
-            except queue.Empty:
-                if self._collector_stop.is_set():
+            with self._lock:
+                live = {
+                    i: (self._conns[i], self._procs[i].sentinel)
+                    for i in range(self.size)
+                    if not self._worker_dead[i]
+                }
+                if self._closed and not live:
                     return
-                continue
-            except (OSError, EOFError):
-                return  # queue torn down under us during interpreter exit
-            except Exception:  # noqa: BLE001 — unpicklable payload
-                # The message is consumed and unattributable; its block
-                # resolves through the death/retry machinery instead of
-                # taking the collector thread down with it.
-                telemetry.record_error("collector")
-                continue
-            kind = message[0]
-            if kind == "collector-stop":
-                return
-            if self._fault_plan is not None and self._fault_plan.check(
-                "pool.result", kind=kind, worker_id=message[1]
-            ):
-                continue  # injected message loss (a torn result pipe)
+                due = [at for at in self._respawn_at if at is not None]
+            timeout = max(0.0, min(due) - time.monotonic()) if due else None
+            handles = [handle for pair in live.values() for handle in pair]
+            ready = multiprocessing.connection.wait([*handles, self._wakeup], timeout)
+            if self._wakeup in ready:
+                self._wakeup.recv_bytes()  # close() began; see the top
             try:
-                if kind == "reload-ack":
-                    self._note_reload_ack(message)
-                elif kind == "result":
-                    _, worker_id, block_id, payload, error = message
-                    self.service._resolve_block(worker_id, block_id, payload, error)
-            except BaseException:  # noqa: BLE001 — keep collecting
-                # _resolve already failed the block's futures.
-                telemetry.record_error("collector")
+                for worker_id, (conn, sentinel) in live.items():
+                    if sentinel in ready:
+                        while conn.poll() and self._receive(worker_id):
+                            pass
+                        self._worker_lost(worker_id)
+                    elif conn in ready and not self._receive(worker_id):
+                        self._worker_lost(worker_id)
+                self._respawn_due()
+            except Exception:  # noqa: BLE001 — the pool thread must survive
+                self.service.telemetry.record_error("collector")
 
-    def _note_reload_ack(self, message) -> None:
-        _, worker_id, generation, error = message
+    def _receive(self, worker_id: int) -> bool:
+        """Read and handle one message from ``worker_id``'s pipe; False
+        when the pipe broke (EOF, a torn frame, or an unreadable
+        message), which counts as that worker's death."""
+        try:
+            message = self._conns[worker_id].recv()
+        except (EOFError, OSError):
+            return False
+        except Exception:  # noqa: BLE001 — a message that cannot unpickle
+            self.service.telemetry.record_error("collector")
+            return False
+        kind = message[0]
+        if self._fault_plan is not None and self._fault_plan.check(
+            "pool.result", kind=kind, worker_id=worker_id
+        ):
+            return True  # injected message loss
+        try:
+            if kind == "reload-ack":
+                self._note_reload_ack(worker_id, *message[1:])
+            elif kind == "result":
+                self.service._resolve_block(worker_id, *message[1:])
+        except Exception:  # noqa: BLE001 — keep receiving
+            # _resolve already failed the block's futures.
+            self.service.telemetry.record_error("collector")
+        return True
+
+    def _note_reload_ack(self, worker_id: int, generation: int, error) -> None:
         with self._lock:
             if generation != self._reload_generation:
                 return  # stale ack from an abandoned reload
@@ -536,28 +553,30 @@ class WorkerPool:
             if not self._reload_pending:
                 self._reload_event.set()
 
-    # ------------------------------------------------------------------
-    # Supervisor: detect deaths, retry lost blocks, respawn workers.
-    def _supervise_loop(self) -> None:
-        while not self._supervisor_stop.wait(SUPERVISE_INTERVAL_S):
-            try:
-                self._reap_dead_workers()
-                self._respawn_due()
-            except Exception:  # noqa: BLE001 — supervision must survive
-                self.service.telemetry.record_error("supervisor")
+    def _worker_lost(self, worker_id: int) -> None:
+        """One worker's death, seen on its sentinel or its broken pipe.
 
-    def _mark_worker_dead(self, worker_id: int) -> list[list[_Request]]:
-        """Bookkeeping for one observed death (idempotent).
-
-        Flags the slot dead, collects its in-flight request lists (the
-        caller retries them), zeroes its load, unblocks a reload
-        barrier waiting on its ack, and schedules a respawn if the
-        restart budget allows.  Returns the lost request lists.
+        Ends the process if it still runs and closes its pipe; flags the
+        slot dead, unblocks a reload barrier waiting on its ack, retries
+        every block it still owed, and schedules a respawn if the restart
+        budget allows.  A worker that exits after ``close()`` stopped it
+        is no death: close() fails what it still owed.
         """
+        proc = self._procs[worker_id]
+        proc.kill()  # a no-op once the process is gone
+        proc.join(5.0)
+        with self._send_locks[worker_id]:
+            self._conns[worker_id].close()
         with self._lock:
-            if self._worker_dead[worker_id]:
-                return []
             self._worker_dead[worker_id] = True
+            if worker_id in self._reload_pending:
+                # A dead worker can never ack; holding the barrier on
+                # it would hang every epoch advance behind a crash.
+                self._reload_pending.discard(worker_id)
+                if not self._reload_pending:
+                    self._reload_event.set()
+            if self._closed:
+                return
             lost_ids = [
                 block_id
                 for block_id, entry in self._inflight.items()
@@ -565,12 +584,6 @@ class WorkerPool:
             ]
             lost = [self._inflight.pop(block_id)[1] for block_id in lost_ids]
             self._outstanding[worker_id] = 0
-            if worker_id in self._reload_pending:
-                # A dead worker can never ack; holding the barrier on
-                # it would hang every epoch advance behind a crash.
-                self._reload_pending.discard(worker_id)
-                if not self._reload_pending:
-                    self._reload_event.set()
             now = time.monotonic()
             window = [
                 at
@@ -578,7 +591,7 @@ class WorkerPool:
                 if now - at < RESTART_WINDOW_S
             ]
             self._restart_times[worker_id] = window
-            if len(window) < self.service.restart_budget and not self._closed:
+            if len(window) < self.service.restart_budget:
                 respawn_in = min(
                     self.service.backoff_base_s * (2 ** len(window)), BACKOFF_MAX_S
                 )
@@ -590,30 +603,14 @@ class WorkerPool:
             self.service.trace_log.record_event(
                 "worker_death",
                 worker_id=worker_id,
-                exit_code=self._procs[worker_id].exitcode,
+                exit_code=proc.exitcode,
                 lost_blocks=len(lost),
                 respawn_in_s=respawn_in,
             )
-        return lost
-
-    def _reap_dead_workers(self) -> None:
-        """Sweep for dead workers; retry their blocks, schedule respawns."""
-        for worker_id in range(self.size):
-            with self._lock:
-                undetected = (
-                    not self._worker_dead[worker_id]
-                    and not self._procs[worker_id].is_alive()
-                )
-            if not undetected:
-                continue
-            lost = self._mark_worker_dead(worker_id)
-            error = RuntimeError(
-                f"pool worker {worker_id} died "
-                f"(exit code {self._procs[worker_id].exitcode})"
-            )
-            for requests in lost:
-                self._retry_or_fail(requests, error, worker_id)
-            self._check_terminal()
+        error = RuntimeError(f"pool worker {worker_id} died (exit code {proc.exitcode})")
+        for requests in lost:
+            self._retry_or_fail(requests, error, worker_id)
+        self._check_terminal()
 
     def _retry_or_fail(
         self, requests: list[_Request], cause: BaseException, worker_id: int
@@ -705,11 +702,12 @@ class WorkerPool:
                 self._respawn_at[worker_id] = None
                 spawn = self._spawn_counts[worker_id] + 1
                 try:
-                    proc = self._spawn(worker_id, spawn)
+                    proc, conn = self._spawn(worker_id, spawn)
                 except Exception:  # noqa: BLE001 — fork pressure; back off
                     self._respawn_at[worker_id] = now + BACKOFF_MAX_S
                     continue
                 self._procs[worker_id] = proc
+                self._conns[worker_id] = conn
                 self._worker_dead[worker_id] = False
                 self._spawn_counts[worker_id] = spawn
                 self._restart_times[worker_id].append(time.monotonic())
@@ -788,10 +786,8 @@ class WorkerPool:
             if live:
                 for worker_id in live:
                     # FIFO: this rides behind every pre-marker block
-                    # already on the worker's queue — the epoch barrier.
-                    self._tasks[worker_id].put(
-                        ("reload", generation, shared.manifest, state)
-                    )
+                    # already in the worker's pipe — the epoch barrier.
+                    self._send(worker_id, ("reload", generation, shared.manifest, state))
                 if not self._reload_event.wait(RELOAD_TIMEOUT_S):
                     raise RuntimeError(
                         f"epoch {head.epoch} reload: not every worker acked "
@@ -836,48 +832,31 @@ class WorkerPool:
             }
 
     def close(self, timeout: float | None) -> bool:
-        """Stop the workers and pool threads after the dispatcher exited;
-        fail whatever is still in flight.  Returns whether every process
-        and thread exited within ``timeout``."""
-        clean = True
+        """Stop the workers and the pool thread after the dispatcher
+        exited; fail whatever is still in flight.  Returns whether every
+        process and the thread exited within ``timeout``."""
+        if self._wake.closed:
+            return True  # an earlier close() was clean and released all
         with self._lock:
             first_close = not self._closed
             self._closed = True
             self._respawn_at = [None] * self.size
-        self._supervisor_stop.set()
+            live = [i for i in range(self.size) if not self._worker_dead[i]]
         if first_close:
-            for tasks in self._tasks:
-                try:
-                    tasks.put(("stop",))
-                except Exception:
-                    pass  # already-broken pipe of a dead worker
-        budget = 30.0 if timeout is None else timeout
-        deadline = time.monotonic() + budget
-        for proc in self._procs:
-            proc.join(max(0.0, deadline - time.monotonic()))
-        for proc in self._procs:
-            if proc.is_alive():
-                clean = False
-                proc.terminate()
-                proc.join(5.0)
-        # Workers exited (or were killed) — anything they flushed is in
-        # the result queue ahead of this stop marker, so the collector
-        # resolves every last future before exiting.
-        self._collector_stop.set()
-        try:
-            self._results.put(("collector-stop",))
-        except Exception:
-            pass
-        for thread in (self._collector, self._supervisor):
-            thread.join(max(1.0, deadline - time.monotonic()))
-            if thread.is_alive():
-                clean = False
-        if not self._collector.is_alive():
-            # The stop marker started the result queue's feeder thread,
-            # which would otherwise live on until the queue is collected.
-            self._results.close()
-            self._results.join_thread()
-        # The supervisor may have re-enqueued retries after the
+            for worker_id in live:
+                self._send(worker_id, ("stop",))
+            self._wake.send_bytes(b"")
+        # The pool thread reads what each worker sent, reaps it when its
+        # sentinel fires, and returns once every worker is gone.
+        self._thread.join(30.0 if timeout is None else timeout)
+        clean = not self._thread.is_alive()
+        if not clean:
+            with self._lock:
+                live = [i for i in range(self.size) if not self._worker_dead[i]]
+            for worker_id in live:
+                self._procs[worker_id].terminate()
+            self._thread.join(5.0)
+        # The pool thread may have re-enqueued retries after the
         # dispatcher consumed the shutdown sentinel; nothing will ever
         # gather them, so fail them now.
         service = self.service
@@ -897,4 +876,11 @@ class WorkerPool:
         self._shared.close()
         if self._spare is not None:
             self._spare.close()
+        if not self._thread.is_alive():
+            # Nothing reads the pipes or the process handles any more.
+            for conn in (*self._conns, self._wakeup, self._wake):
+                conn.close()
+            for proc in self._procs:
+                with contextlib.suppress(ValueError):  # a straggler still runs
+                    proc.close()
         return clean

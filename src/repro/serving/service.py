@@ -291,7 +291,7 @@ class ClusterService:
     restart_budget:
         How many respawns one worker slot gets per
         :data:`~repro.serving.pool.RESTART_WINDOW_S`.  ``0`` disables
-        supervision entirely (dead workers stay dead).
+        respawns (dead workers stay dead).
     backoff_base_s:
         Respawn pacing: the k-th respawn within a window waits
         ``min(backoff_base_s * 2**k, BACKOFF_MAX_S)``.
@@ -302,7 +302,7 @@ class ClusterService:
     fault_plan:
         Optional :class:`~repro.testing.faults.FaultPlan` threaded into
         every worker (``worker.block`` / ``worker.reload`` sites) and
-        the collector (``pool.result``) for deterministic chaos tests.
+        the pool thread (``pool.result``) for deterministic chaos tests.
 
     Use as a context manager, or call :meth:`close` when done.
     """
@@ -955,7 +955,7 @@ class ClusterService:
             self._resolve(block, (*answer, None))
 
     def _resolve_block(self, worker_id, block_id, payload, error) -> None:
-        """Resolve one block a pool worker answered (collector thread)."""
+        """Resolve one block a pool worker answered (pool thread)."""
         block = self._pool.take(worker_id, block_id)
         if block is not None:  # else already failed by close() or retried
             self._resolve(block, payload, error, worker_id)

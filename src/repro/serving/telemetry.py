@@ -172,7 +172,7 @@ class ServiceTelemetry:
         )
         self._m_worker_restarts = reg.counter(
             "laca_worker_restarts_total",
-            "Crashed pool workers respawned by the supervisor",
+            "Dead pool workers respawned by the pool thread",
         )
         self._m_block_retries = reg.counter(
             "laca_block_retries_total",
@@ -260,7 +260,7 @@ class ServiceTelemetry:
         self._m_deadline.inc()
 
     def record_worker_restart(self) -> None:
-        """One crashed pool worker respawned by the supervisor."""
+        """One dead pool worker respawned by the pool thread."""
         self._m_worker_restarts.inc()
 
     def record_block_retry(self) -> None:

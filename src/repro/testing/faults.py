@@ -28,9 +28,9 @@ Sites currently wired through the stack (``match`` fields in parens):
 - ``worker.reload`` — a pool worker handling an epoch-reload marker
   (``worker_id``, ``spawn``, ``generation``).  ``delay`` holds the ack
   back; ``raise`` fails the reload.
-- ``pool.result`` — the collector about to process a result-queue
-  message (``kind``, ``worker_id``).  ``drop`` loses the message, as a
-  torn pipe would.
+- ``pool.result`` — the pool thread about to handle a message it read
+  from a worker's pipe (``kind``, ``worker_id``).  ``drop`` loses the
+  message; ``delay`` holds the pool thread back.
 - ``wal.fsync`` — the WAL about to fsync an appended record (``path``).
   ``raise`` emulates a full/failing disk (record written, durability
   not guaranteed).

@@ -8,8 +8,14 @@ identical to ``LACA.cluster`` and no future ever hangs — now upheld
 *through* worker deaths rather than only in their absence.
 """
 
+import multiprocessing
+import multiprocessing.connection
+import os
+import pickle
+import struct
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs import GraphDelta, GraphStore
 from repro.serving import ClusterService, DeadlineExceeded, WorkerError
+from repro.serving.pool import START_METHOD
 from repro.testing import FaultError, FaultPlan, FaultRule
 
 
@@ -272,6 +279,64 @@ class TestRetryAndRespawn:
         finally:
             service.close(timeout=60)
 
+    def test_sent_answer_is_never_retried(self, small_sbm, tmp_path):
+        """Answers a worker sent before it died resolve from that worker;
+        only the block it died on is retried.  The parent holds its first
+        answer for 0.5 s while the worker answers two more blocks and
+        exits at the start of its fourth, so two answers still wait in
+        the worker's pipe when its sentinel fires."""
+        import json
+
+        from repro.obs import TraceLog
+
+        model = _model(small_sbm)
+        plan = FaultPlan(
+            [
+                FaultRule(
+                    site="worker.block",
+                    match={"spawn": 0, "block_index": 3},
+                    action="exit",
+                ),
+                FaultRule(
+                    site="pool.result", match={"kind": "result"},
+                    action="delay", delay_s=0.5,
+                ),
+            ]
+        )
+        path = tmp_path / "trace.jsonl"
+        trace = TraceLog(path)
+        service = ClusterService(
+            _model(small_sbm),
+            workers=1,
+            fault_plan=plan,
+            backoff_base_s=0.05,
+            max_batch=1,
+            max_wait_s=0.0,
+            cache_size=0,
+            trace_log=trace,
+        )
+        seeds = [0, 1, 2, 3]
+        try:
+            futures = [service.submit(seed, 12) for seed in seeds]
+            for seed, future in zip(seeds, futures):
+                np.testing.assert_array_equal(
+                    future.result(timeout=60), model.cluster(seed, 12)
+                )
+            assert service.stats()["block_retries"] == 1
+        finally:
+            assert service.close(timeout=60) is True
+            trace.close()
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        requests = {
+            event["seed"]: event for event in events if event["event"] == "request"
+        }
+        for seed in seeds[:3]:
+            assert requests[seed]["worker_id"] == 0
+            assert not requests[seed].get("retries")
+        assert requests[3]["retries"] == 1
+        (retry,) = [event for event in events if event["event"] == "block_retry"]
+        assert retry["requests"] == 1
+
     def test_retries_exhausted_fails_with_cause(self, small_sbm):
         """max_retries=0 pins the legacy contract: a lost block fails
         its futures immediately, chained to the worker-death cause."""
@@ -404,6 +469,124 @@ class TestRetryAndRespawn:
             service.close(timeout=60)
 
 
+def _unpickle_fails():
+    raise RuntimeError("injected: this message cannot unpickle")
+
+
+class _Unreadable:
+    """Pickles fine in the worker; loading it raises in the parent."""
+
+    def __reduce__(self):
+        return (_unpickle_fails, ())
+
+
+class TestWorkerPipes:
+    @pytest.mark.skipif(
+        START_METHOD != "fork", reason="patches the worker's send through fork"
+    )
+    @pytest.mark.parametrize("fault", ["torn", "unreadable"])
+    def test_broken_message_is_one_workers_death(self, small_sbm, monkeypatch, fault):
+        """Worker 0 writes half a result frame and dies ("torn"), or
+        sends a result the parent cannot unpickle ("unreadable").  Only
+        its own pipe is affected: the parent counts it as worker 0's
+        death (the unreadable message also as a collector error),
+        retries its shard, the other worker's shards keep resolving
+        bitwise, and close() returns in time."""
+        model = _model(small_sbm)
+        seeds = list(range(16))
+        oracle = {seed: model.cluster(seed, 12) for seed in seeds}
+        send = multiprocessing.connection.Connection.send
+
+        def faulty_send(conn, message):
+            if (
+                multiprocessing.current_process().name == "cluster-pool-worker-0"
+                and message[0] == "result"
+            ):
+                if fault == "torn":
+                    frame = pickle.dumps(message)
+                    conn._send(struct.pack("!i", len(frame)) + frame[: len(frame) // 2])
+                    os._exit(17)
+                message = ("result", message[1], _Unreadable(), None)
+            send(conn, message)
+
+        # Forked workers inherit the patched class; the parent's own
+        # sends, and a respawned worker ("-r1"), take the real path.
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send", faulty_send)
+        service = ClusterService(
+            _model(small_sbm),
+            workers=2,
+            backoff_base_s=0.05,
+            max_batch=8,
+            max_wait_s=0.5,
+            cache_size=0,
+        )
+        try:
+            for block in (seeds[:8], seeds[8:]):
+                futures = [service.submit(seed, 12) for seed in block]
+                for seed, future in zip(block, futures):
+                    np.testing.assert_array_equal(
+                        future.result(timeout=60), oracle[seed]
+                    )
+            stats = service.stats()
+            assert stats["block_retries"] == 1
+            assert stats["errors_by_kind"] == (
+                {} if fault == "torn" else {"collector": 1}
+            )
+        finally:
+            started = time.monotonic()
+            assert service.close(timeout=30) is True
+            assert time.monotonic() - started < 30
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/fd").is_dir(), reason="counts descriptors in /proc"
+    )
+    def test_respawns_leak_no_descriptor(self, small_sbm):
+        """Three kills, three respawns and close() leave the parent with
+        exactly the descriptors it had before the service: each respawn
+        gets a fresh pipe, and the dead worker's pipe and process handle
+        are closed."""
+        from multiprocessing import resource_tracker
+
+        model = _model(small_sbm)
+        oracle = {seed: model.cluster(seed, 10) for seed in range(40)}
+        plan = FaultPlan(
+            [
+                FaultRule(site="worker.block", match=match, action="exit")
+                for match in (
+                    {"worker_id": 0, "spawn": 0},
+                    {"worker_id": 1, "spawn": 0},
+                    {"worker_id": 0, "spawn": 1},
+                )
+            ]
+        )
+        # The tracker's pipe lives as long as this process; start it
+        # before counting rather than inside the service.
+        resource_tracker.ensure_running()
+        before = len(os.listdir("/proc/self/fd"))
+        service = ClusterService(
+            model,
+            workers=2,
+            fault_plan=plan,
+            max_retries=5,
+            backoff_base_s=0.05,
+            max_wait_s=0.0,
+            cache_size=0,
+        )
+        try:
+            for seed in range(40):
+                np.testing.assert_array_equal(
+                    service.cluster(seed, 10), oracle[seed]
+                )
+                stats = service.stats()
+                if stats["worker_restarts"] == 3 and stats["workers_alive"] == 2:
+                    break
+            assert _wait(lambda: service.stats()["workers_alive"] == 2)
+            assert service.stats()["worker_restarts"] == 3
+        finally:
+            assert service.close(timeout=60) is True
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 class TestFallback:
     def test_fallback_serves_bitwise_when_pool_is_gone(self, small_sbm):
         """With fallback_inprocess=True and no respawn budget, losing
@@ -444,10 +627,10 @@ class TestFallback:
     def test_broken_task_pipe_retries_every_block_the_worker_owed(
         self, small_sbm
     ):
-        """A task-queue put that fails in ``dispatch`` marks its worker
-        dead; every block that worker still owed must be retried with
-        the new one, not only the block being sent (the earlier one's
-        future used to hang, even past close())."""
+        """A pipe write that fails in ``dispatch`` ends its worker; every
+        block that worker still owed must be retried with the new one,
+        not only the block being sent (the earlier one's future used to
+        hang, even past close())."""
         model = _model(small_sbm)
         plan = FaultPlan(
             # Holds block A in flight on the worker while B is sent.
@@ -464,16 +647,14 @@ class TestFallback:
             cache_size=0,
         )
 
-        class BrokenPipe:
-            def put(self, _message):
-                raise BrokenPipeError("injected: task pipe broke")
+        def broken_send(_message):
+            raise BrokenPipeError("injected: task pipe broke")
 
-        pool = service._pool
-        tasks = pool._tasks[0]
+        conn = service._pool._conns[0]
         try:
             first = service.submit(0, 10)
             assert _wait(lambda: service.stats()["inflight_blocks"] == 1)
-            pool._tasks[0] = BrokenPipe()
+            conn.send = broken_send
             second = service.submit(1, 10)
             for seed, future in ((0, first), (1, second)):
                 np.testing.assert_array_equal(
@@ -483,7 +664,7 @@ class TestFallback:
             assert stats["block_retries"] == 2
             assert stats["fallback_active"] is True
         finally:
-            pool._tasks[0] = tasks  # so close() can stop the worker
+            del conn.send
             assert service.close(timeout=60) is True
 
     def test_fallback_survives_epoch_advance(self, small_sbm):

@@ -444,6 +444,22 @@ class TestPoolLifecycle:
         for future in futures:
             assert len(future.result(timeout=1)) == 15
 
+    def test_starts_one_pool_thread(self, small_sbm):
+        """Results, acks, deaths and respawns share one pool thread next
+        to the dispatcher, and close() ends both."""
+        threads = set(threading.enumerate())
+        service = ClusterService(_model(small_sbm), workers=2, name="pooled")
+        try:
+            assert len(service.cluster(0, 10)) == 10
+            started = set(threading.enumerate()) - threads
+            assert sorted(thread.name for thread in started) == [
+                "cluster-pool-pooled",
+                "cluster-service-pooled",
+            ]
+        finally:
+            assert service.close(timeout=60) is True
+        assert set(threading.enumerate()) - threads == set()
+
     def test_close_is_idempotent(self, small_sbm):
         service = ClusterService(_model(small_sbm), workers=1)
         assert service.close(timeout=60) is True
@@ -476,7 +492,8 @@ class TestPoolLifecycle:
             while (
                 not service._pool._worker_dead[0] and time.perf_counter() < deadline
             ):
-                time.sleep(0.05)  # collector reaps on its poll interval
+                time.sleep(0.01)  # the pool thread wakes on the sentinel
+            assert service._pool._worker_dead[0]
             # the pool still serves on the surviving worker
             assert len(service.cluster(5, 10)) == 10
             assert service.stats()["workers_alive"] == 1

@@ -299,8 +299,7 @@ class TestInThreadService:
             started = set(threading.enumerate()) - threads
             assert [thread.name for thread in started] == ["cluster-service-light"]
             assert not any(
-                thread.name.startswith(("cluster-pool-collector", "cluster-pool-supervisor"))
-                for thread in threading.enumerate()
+                thread.name.startswith("cluster-pool") for thread in threading.enumerate()
             )
 
     def test_max_pending_sheds_while_first_is_pending(self, small_sbm):
