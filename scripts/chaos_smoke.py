@@ -1,23 +1,37 @@
 #!/usr/bin/env python
-"""Chaos smoke: SIGKILL a pool worker mid-stream, demand a perfect run.
+"""Chaos smoke: SIGKILL pool workers mid-stream, demand a perfect run.
 
 Launches ``python -m repro serve --workers 2`` as a subprocess (the
 exact deployment shape), waits for the first response, then SIGKILLs
-one pool worker process out from under it.  The run must still end
+one pool worker process out from under it.  Once that worker is back
+(``workers_alive == 2``), it SIGKILLs every live worker at once, while
+answers are still streaming: the lost blocks are then answered by
+serve's dispatcher in-process until the respawns land.  A
+``worker.block`` delay rule (``REPRO_FAULTS``) paces the workers so
+the stream outlasts both kills.  serve runs with ``--max-retries 3``:
+a request can be lost three times, on the first victim and then on
+each of the two workers killed at once, because the pool handles their
+deaths one at a time and may re-dispatch a lost block to the second
+worker before it has seen that one die.  The run must still end
 perfectly:
 
 * every query is answered — zero lost futures, zero error records;
 * every answer is bitwise identical to a clean in-process run of the
   same query stream (the pool's governing contract, upheld through the
-  kill via idempotent block retry);
-* ``/stats`` records the supervision actually happening
-  (``worker_restarts`` >= 1);
+  kills via idempotent block retry and in-process answering);
+* ``/stats`` records the supervision actually happening: three
+  respawns (``worker_restarts`` >= 3), both workers alive at the end,
+  a lost block retried after each kill (``block_retries`` >= 2), and
+  some queries answered in-process (``engine_served`` exceeds the
+  workers' ``worker_occupancy`` seeds);
 * SIGTERM to serve leaves no new ``psm_*`` shared-memory segment in
   ``/dev/shm`` (the process group is SIGKILLed only if serve has not
   exited 10 s later);
 * it never hangs: the first answer must arrive within 120 s of the
   metrics port announcement and every later one within 60 s of the
-  kill, or the run fails with the number of answers it reached.
+  first kill, or the run fails with the number of answers it reached;
+* it leaves nothing behind: its query file's temporary directory is
+  removed on every exit.
 
 Exits non-zero with a reason on any violation.  Used by CI; also handy
 manually::
@@ -42,8 +56,16 @@ from pathlib import Path
 
 N_QUERIES = 240
 LINGER_S = 15.0
-#: Every answer must arrive within this many seconds of the kill.
+#: Every answer must arrive within this many seconds of the first kill.
 ANSWER_DEADLINE_S = 60.0
+#: How often /stats is read while waiting for the first kill's respawn.
+POLL_S = 0.05
+#: Each pool worker sleeps this long before each block it answers, so
+#: the stream is still running when the respawn lands (~0.25 s after
+#: the first kill): the 240 queries are ~60 worker blocks.
+PACING = {"rules": [
+    {"site": "worker.block", "action": "delay", "delay_s": 0.05, "times": 0},
+]}
 
 SERVE_ARGS = [
     "--dataset", "cora", "--scale", "0.2",
@@ -122,11 +144,18 @@ def scrape(port: int, path: str) -> str:
 def pool_worker_pids(serve_pid: int) -> list[int]:
     """The forked pool workers: children of serve whose cmdline is the
     serve cmdline (multiprocessing's resource tracker re-execs with its
-    own cmdline, so this filter never selects it)."""
-    children_path = Path(f"/proc/{serve_pid}/task/{serve_pid}/children")
+    own cmdline, so this filter never selects it).  Each thread of serve
+    lists the children it forked: the main thread the first workers,
+    the pool thread the respawns."""
     serve_cmdline = Path(f"/proc/{serve_pid}/cmdline").read_bytes()
+    children = []
+    for task in Path(f"/proc/{serve_pid}/task").iterdir():
+        try:
+            children += (task / "children").read_text().split()
+        except OSError:
+            continue  # the thread exited
     workers = []
-    for pid in children_path.read_text().split():
+    for pid in children:
         try:
             cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
         except OSError:
@@ -155,10 +184,22 @@ def expected_answers(queries: Path) -> list[dict]:
     return [json.loads(line) for line in result.stdout.splitlines()]
 
 
+def two_pool_workers(proc: subprocess.Popen) -> list[int]:
+    """serve's pool worker pids; fails the run unless there are two."""
+    workers = pool_worker_pids(proc.pid)
+    if len(workers) != 2:
+        fail(f"expected 2 pool workers, found {workers}", proc)
+    return workers
+
+
 def main() -> int:
+    # Removed on every exit, fail()'s sys.exit included.
+    with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as tmp:
+        return run(Path(tmp) / "queries.txt")
+
+
+def run(queries: Path) -> int:
     segments_before = shm_segments()
-    tmp = Path(tempfile.mkdtemp(prefix="chaos-smoke-"))
-    queries = tmp / "queries.txt"
     queries.write_text("".join(f"{seed} 15\n" for seed in range(N_QUERIES)))
 
     oracle = expected_answers(queries)
@@ -171,6 +212,7 @@ def main() -> int:
             *SERVE_ARGS,
             "--queries", str(queries),
             "--workers", "2",
+            "--max-retries", "3",
             "--metrics-port", "0",
             "--linger-s", str(LINGER_S),
         ],
@@ -178,6 +220,7 @@ def main() -> int:
         stderr=subprocess.PIPE,
         text=True,
         start_new_session=True,
+        env={**os.environ, "REPRO_FAULTS": json.dumps(PACING)},
     )
 
     # The port announcement races the fit; poll stderr line-by-line.
@@ -204,32 +247,50 @@ def main() -> int:
         fail("serve answered nothing within 120 s of announcing its port", proc)
     responses = [json.loads(first)]
 
-    # Chaos: SIGKILL one pool worker while ~30 blocks are still queued.
-    victims = pool_worker_pids(proc.pid)
-    if len(victims) != 2:
-        fail(f"expected 2 pool workers, found {victims}", proc)
+    # Chaos, first kill: SIGKILL one pool worker while ~30 of its
+    # blocks are still in flight.
+    victims = two_pool_workers(proc)
     os.kill(victims[0], signal.SIGKILL)
     killed_at = len(responses)
 
     # Zero lost futures: every remaining line must still arrive, and in
     # time (a wedged pool would otherwise hang this script forever).
+    # Second kill: once the first victim is back, every live worker at
+    # once, before the stream ends.
     deadline = time.monotonic() + ANSWER_DEADLINE_S
-    for _ in range(N_QUERIES - 1):
-        line = next_line(answers, deadline)
+    all_killed_at = None
+    while len(responses) < N_QUERIES:
+        wait_until = deadline
+        if all_killed_at is None:
+            stats = json.loads(scrape(port, "/stats"))
+            if stats.get("worker_restarts", 0) >= 1 and stats.get("workers_alive") == 2:
+                for pid in two_pool_workers(proc):
+                    os.kill(pid, signal.SIGKILL)
+                all_killed_at = len(responses)
+            else:
+                wait_until = min(deadline, time.monotonic() + POLL_S)
+        line = next_line(answers, wait_until)
+        if line is None and wait_until < deadline and proc.poll() is None:
+            continue  # no answer within POLL_S: read /stats again
         if not line:
             fail(
                 f"serve stopped or stalled after {len(responses)}/{N_QUERIES} "
-                f"answers, {ANSWER_DEADLINE_S:.0f} s after the kill "
+                f"answers, {ANSWER_DEADLINE_S:.0f} s after the first kill "
                 "(lost futures or a wedged pool)", proc,
             )
         responses.append(json.loads(line))
+    if all_killed_at is None:
+        fail(
+            "the stream ended before the first killed worker was respawned, "
+            "so no kill of every worker landed mid-stream", proc,
+        )
 
-    # The respawn trails the drain by the backoff delay; poll /stats
+    # The respawns trail the drain by the backoff delay; poll /stats
     # during the linger window until supervision has visibly completed.
     stats = json.loads(scrape(port, "/stats"))
     poll_deadline = time.time() + LINGER_S - 2.0
     while time.time() < poll_deadline and (
-        stats.get("worker_restarts", 0) < 1
+        stats.get("worker_restarts", 0) < 3
         or stats.get("workers_alive") != 2
     ):
         time.sleep(0.2)
@@ -241,26 +302,38 @@ def main() -> int:
             "segment(s) in /dev/shm"
         )
 
-    # Bitwise identity with the clean oracle, kill or no kill.
+    # Bitwise identity with the clean oracle, kills or no kills.
     for got, want in zip(responses, oracle):
         if got["seed"] != want["seed"] or got["members"] != want["members"]:
             fail(
-                f"answer diverged after the kill: seed {got['seed']} "
+                f"answer diverged after the kills: seed {got['seed']} "
                 f"got {got['members'][:8]}... want {want['members'][:8]}..."
             )
 
-    if stats.get("worker_restarts", 0) < 1:
-        fail(f"no recorded worker restart: {json.dumps(stats)[:300]}")
+    if stats.get("worker_restarts", 0) < 3:
+        fail(f"fewer than 3 recorded worker restarts: {json.dumps(stats)[:300]}")
+    if stats.get("block_retries", 0) < 2:
+        fail(f"a kill lost no in-flight block: {json.dumps(stats)[:300]}")
+    in_process = stats.get("engine_served", 0) - sum(
+        entry["seeds"] for entry in stats.get("worker_occupancy", {}).values()
+    )
+    if in_process <= 0:
+        fail(
+            "serve answered nothing in-process while every worker was dead: "
+            f"{json.dumps(stats)[:300]}"
+        )
     if stats.get("errors", 0) != 0:
         fail(f"errors recorded during chaos run: {stats['errors_by_kind']}")
     if stats.get("workers_alive") != 2:
-        fail(f"killed worker was not respawned: {stats.get('workers_alive')}")
+        fail(f"killed workers were not respawned: {stats.get('workers_alive')}")
 
     print(
         f"chaos smoke OK: worker {victims[0]} SIGKILLed after answer "
-        f"{killed_at}, {N_QUERIES}/{N_QUERIES} answers bitwise-equal to "
-        f"the in-process oracle, {stats['worker_restarts']} restart(s), "
-        f"{stats['block_retries']} block retr(ies)"
+        f"{killed_at}, every worker after answer {all_killed_at}, "
+        f"{N_QUERIES}/{N_QUERIES} answers bitwise-equal to the in-process "
+        f"oracle, {stats['worker_restarts']} restart(s), "
+        f"{stats['block_retries']} block retr(ies), {in_process} answered "
+        "in-process"
     )
     return 0
 

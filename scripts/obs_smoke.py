@@ -85,8 +85,13 @@ def scrape(port: int, path: str) -> str:
 
 
 def main() -> int:
+    # Removed on every exit, fail()'s sys.exit included.
+    with tempfile.TemporaryDirectory(prefix="obs-smoke-") as tmp:
+        return run(Path(tmp))
+
+
+def run(tmp: Path) -> int:
     segments_before = shm_segments()
-    tmp = Path(tempfile.mkdtemp(prefix="obs-smoke-"))
     queries = tmp / "queries.txt"
     queries.write_text("".join(f"{seed} 15\n" for seed in range(N_QUERIES)))
     trace_path = tmp / "trace.jsonl"

@@ -327,7 +327,6 @@ def _cmd_serve(args) -> int:
         deadline_s=args.deadline_ms / 1000.0 if args.deadline_ms else None,
         max_retries=args.max_retries,
         restart_budget=args.restart_budget,
-        fallback_inprocess=args.fallback_inprocess,
         fault_plan=fault_plan,
         max_batch=args.max_batch,
         max_wait_s=args.max_wait_ms / 1000.0,
@@ -676,12 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--restart-budget", type=int, default=3, metavar="N",
         help="for --workers: respawns each worker slot gets per sliding "
-        "window before staying dead (default: 3; 0 disables respawns)",
-    )
-    serve.add_argument(
-        "--fallback-inprocess", action="store_true",
-        help="for --workers: degrade to in-process answering instead of "
-        "failing when every worker is dead",
+        "window before staying dead (default: 3; 0 disables respawns); "
+        "while no worker is alive, serve answers in this process",
     )
     serve.add_argument(
         "--wal", default=None, metavar="PATH",

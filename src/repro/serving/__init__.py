@@ -15,7 +15,7 @@ package turns the two into a long-lived service:
   ``ClusterService(model, workers=N)``: blocks fan out to worker
   *processes* over a shared-memory graph (:mod:`repro.graphs.shm`),
   with fault tolerance (worker death detection/respawn, idempotent block
-  retry, optional in-process fallback);
+  retry, in-process answering while no worker is alive);
 - :mod:`~repro.serving.cache` — the epoch-aware LRU
   :class:`ResultCache` and the :func:`config_digest` that keys it;
 - :mod:`~repro.serving.telemetry` — per-service latency/occupancy/

@@ -57,10 +57,13 @@ Three mechanisms:
   surviving or respawned worker.  A retry that crossed an epoch
   advance is failed instead of recomputed — its cache key names the
   old snapshot.
-- **In-process fallback** — with ``fallback_inprocess=True``, losing
-  *every* worker degrades the service to answering blocks in its own
-  process (the ``workers=0`` path, same answers) instead of
-  failing it; the pool re-engages automatically once a respawn lands.
+- **In-process answering** — a block that finds no live worker is
+  answered by the dispatcher itself (the ``workers=0`` path, same
+  answers; ``fallback_active`` is set) until a respawn lands.  The
+  parent's model is refreshed before every epoch barrier, so it can
+  always answer; a worker dies only from outside (an engine error comes
+  back as a per-request error), and the restart budget stops crash
+  loops.
 
 Epoch advances reuse the dispatch-queue marker and add a barrier:
 :meth:`WorkerPool.reload` publishes the refreshed snapshot, writes a
@@ -85,7 +88,7 @@ itself (it watches the parent's sentinel).
 
 The pool adds the fault-tolerance counters (``worker_restarts``,
 ``block_retries``) and its own figures (``workers_alive``,
-``inflight_blocks``, ``parked_blocks``, ``fallback_active``) to
+``inflight_blocks``, ``fallback_active``) to
 :meth:`ClusterService.stats`.
 """
 
@@ -304,11 +307,11 @@ class WorkerPool:
     ``service.workers`` processes, each with its own pipe — the service
     builds its pool before it starts the dispatcher thread — then starts
     the one pool thread.  The dispatcher drives the pool through
-    :meth:`dispatch`, :meth:`park_or_fail`, :meth:`set_fallback` and
-    :meth:`reload`; the pool thread hands each result to
-    ``service._resolve_block``, which takes the block back with
-    :meth:`take`, and handles worker deaths and respawns.  The pool
-    reads the service's retry, restart and fallback options and reports
+    :meth:`dispatch` (False when no worker is alive: the dispatcher then
+    answers the block itself) and :meth:`reload`; the pool thread hands
+    each result to ``service._resolve_block``, which takes the block
+    back with :meth:`take`, and handles worker deaths and respawns.  The
+    pool reads the service's retry and restart options and reports
     through its telemetry and trace log.
     """
 
@@ -331,7 +334,6 @@ class WorkerPool:
         self._spawn_counts = [0] * size
         self._restart_times: list[list[float]] = [[] for _ in range(size)]
         self._respawn_at: list[float | None] = [None] * size
-        self._parked: list[list[_Request]] = []
         self._fallback_active = False
         # One writer at a time per worker pipe: the dispatcher's blocks
         # and reloads and close()'s stop never interleave their bytes.
@@ -422,55 +424,38 @@ class WorkerPool:
     # Dispatch: split the gathered block over the workers and move on.
     def dispatch(self, live: list[_Request]) -> bool:
         """Split ``live`` into contiguous shards, at most one per live
-        worker, and hand each to one of the least-loaded live workers;
-        False when no worker is alive.  The gathered block is recorded
-        once, as one coalesced block of ``len(live)`` requests."""
+        worker, and hand each to one of the least-loaded live workers.
+        False when no worker is alive: ``fallback_active`` is then set
+        until a later dispatch finds a respawned worker.  The gathered
+        block is recorded once, as one coalesced block of ``len(live)``
+        requests."""
         with self._lock:
             alive = [i for i in range(self.size) if not self._worker_dead[i]]
-            if not alive:
-                return False
             alive.sort(key=lambda i: self._outstanding[i])
-            # Contiguous shards whose sizes differ by at most one; the
-            # larger ones go to the less-loaded workers.
-            cuts = contiguous_cuts(0, len(live), min(len(alive), len(live)))
+            fallback_flips = self._fallback_active == bool(alive)
+            self._fallback_active = not alive
             shards = []
-            for worker_id, start, stop in zip(alive, cuts, cuts[1:]):
-                shard = live[start:stop]
-                block_id = self._next_block
-                self._next_block += 1
-                self._inflight[block_id] = (worker_id, shard)
-                self._outstanding[worker_id] += 1
-                shards.append((worker_id, block_id, shard))
-        self.set_fallback(False)
+            if alive:
+                # Contiguous shards whose sizes differ by at most one;
+                # the larger ones go to the less-loaded workers.
+                cuts = contiguous_cuts(0, len(live), min(len(alive), len(live)))
+                for worker_id, start, stop in zip(alive, cuts, cuts[1:]):
+                    shard = live[start:stop]
+                    block_id = self._next_block
+                    self._next_block += 1
+                    self._inflight[block_id] = (worker_id, shard)
+                    self._outstanding[worker_id] += 1
+                    shards.append((worker_id, block_id, shard))
+        if fallback_flips and self.service.trace_log is not None:
+            self.service.trace_log.record_event("fallback_inprocess", active=not alive)
+        if not alive:
+            return False
         for worker_id, block_id, shard in shards:
             seeds = [int(request.seed) for request in shard]
             sizes = [int(request.size) for request in shard]
             self._send(worker_id, ("block", block_id, seeds, sizes))
         self.service.telemetry.record_coalesced(len(live))
         return True
-
-    def park_or_fail(self, live: list[_Request]) -> None:
-        """No live worker took ``live`` and there is no fallback: hold it
-        for a scheduled respawn, or fail the service when none is."""
-        with self._lock:
-            park = not self._closed and any(
-                at is not None for at in self._respawn_at
-            )
-            if park:
-                self._parked.append(live)
-        if park:
-            return
-        error = RuntimeError("every pool worker is dead; the service is failed")
-        self.service._fail_closed(error)
-        self.service._fail_requests(live, error, "worker")
-
-    def set_fallback(self, active: bool) -> None:
-        with self._lock:
-            if self._fallback_active == active:
-                return
-            self._fallback_active = active
-        if self.service.trace_log is not None:
-            self.service.trace_log.record_event("fallback_inprocess", active=active)
 
     def take(self, worker_id: int, block_id: int) -> list[_Request] | None:
         """Remove an answered block from the in-flight table; None when
@@ -610,7 +595,6 @@ class WorkerPool:
         error = RuntimeError(f"pool worker {worker_id} died (exit code {proc.exitcode})")
         for requests in lost:
             self._retry_or_fail(requests, error, worker_id)
-        self._check_terminal()
 
     def _retry_or_fail(
         self, requests: list[_Request], cause: BaseException, worker_id: int
@@ -711,7 +695,6 @@ class WorkerPool:
                 self._worker_dead[worker_id] = False
                 self._spawn_counts[worker_id] = spawn
                 self._restart_times[worker_id].append(time.monotonic())
-                parked, self._parked = self._parked, []
             service.telemetry.record_worker_restart()
             if service.trace_log is not None:
                 service.trace_log.record_event(
@@ -721,40 +704,6 @@ class WorkerPool:
                     epoch=service._epoch,
                     generation=self._reload_generation,
                 )
-            for requests in parked:
-                # Parked blocks flow back through _answer: deadline and
-                # epoch checks re-run there before dispatch.
-                self._requeue(
-                    requests,
-                    RuntimeError("no live pool worker when first dispatched"),
-                )
-
-    def _check_terminal(self) -> None:
-        """Fail the service once recovery is impossible.
-
-        Every worker dead, no respawn scheduled (budget exhausted), and
-        no in-process fallback: nothing can ever answer again, so fail
-        closed now — including any parked blocks — instead of letting
-        futures hang until close().
-        """
-        if self.service.fallback_inprocess:
-            return
-        with self._lock:
-            recoverable = (
-                not all(self._worker_dead)
-                or any(at is not None for at in self._respawn_at)
-                or self._closed
-            )
-            if recoverable:
-                return
-            parked, self._parked = self._parked, []
-        error = RuntimeError(
-            "every pool worker is dead and the restart budget is "
-            "exhausted; the service is failed"
-        )
-        self.service._fail_closed(error)
-        for requests in parked:
-            self.service._fail_requests(requests, error, "worker")
 
     # ------------------------------------------------------------------
     # Epoch barrier: republish into the spare set, reload every worker,
@@ -783,33 +732,25 @@ class WorkerPool:
                 previous = (self._current_manifest, self._current_state)
                 self._current_manifest = shared.manifest
                 self._current_state = state
-            if live:
-                for worker_id in live:
-                    # FIFO: this rides behind every pre-marker block
-                    # already in the worker's pipe — the epoch barrier.
-                    self._send(worker_id, ("reload", generation, shared.manifest, state))
-                if not self._reload_event.wait(RELOAD_TIMEOUT_S):
-                    raise RuntimeError(
-                        f"epoch {head.epoch} reload: not every worker acked "
-                        f"within {RELOAD_TIMEOUT_S}s"
-                    )
-                with self._lock:
-                    errors = list(self._reload_errors)
-                if errors:
-                    raise RuntimeError(
-                        f"epoch {head.epoch} reload failed in "
-                        f"{len(errors)} worker(s)"
-                    ) from errors[0]
-            else:
-                with self._lock:
-                    recoverable = self.service.fallback_inprocess or any(
-                        at is not None for at in self._respawn_at
-                    )
-                if not recoverable:
-                    raise RuntimeError("no live pool workers to reload")
-                # No barrier needed: respawns attach the new manifest
-                # (swapped above), and fallback serves from the parent
-                # model, which is already refreshed.
+            # With no live worker there is no barrier: respawns attach the
+            # new manifest (swapped above), and the dispatcher answers
+            # from the parent model, which is already refreshed.
+            for worker_id in live:
+                # FIFO: this rides behind every pre-marker block already
+                # in the worker's pipe — the epoch barrier.
+                self._send(worker_id, ("reload", generation, shared.manifest, state))
+            if live and not self._reload_event.wait(RELOAD_TIMEOUT_S):
+                raise RuntimeError(
+                    f"epoch {head.epoch} reload: not every worker acked "
+                    f"within {RELOAD_TIMEOUT_S}s"
+                )
+            with self._lock:
+                errors = list(self._reload_errors)
+            if errors:
+                raise RuntimeError(
+                    f"epoch {head.epoch} reload failed in "
+                    f"{len(errors)} worker(s)"
+                ) from errors[0]
         except BaseException:
             with self._lock:
                 if previous is not None:
@@ -827,7 +768,6 @@ class WorkerPool:
             return {
                 "workers_alive": self._worker_dead.count(False),
                 "inflight_blocks": len(self._inflight),
-                "parked_blocks": len(self._parked),
                 "fallback_active": self._fallback_active,
             }
 
@@ -866,12 +806,11 @@ class WorkerPool:
         with self._lock:
             leftovers = [requests for _, requests in self._inflight.values()]
             self._inflight.clear()
-            parked, self._parked = self._parked, []
         error = RuntimeError(
             "service closed before this request was answered "
             "(its pool worker was terminated)"
         )
-        for requests in leftovers + parked:
+        for requests in leftovers:
             service._fail_requests(requests, error, "closed")
         self._shared.close()
         if self._spare is not None:

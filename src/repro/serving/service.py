@@ -42,6 +42,7 @@ import numpy as np
 from ..core.laca import top_k_cluster
 from ..core.pipeline import LACA
 from ..core.routing import route_block, usable_cpus
+from ..diffusion.scatter import sorted_union
 from ..graphs.store import GraphDelta, GraphStore
 from ..obs.tracing import Span, TraceLog
 from .cache import ResultCache, config_digest, query_key
@@ -62,7 +63,6 @@ _SHUTDOWN = object()
 _NO_POOL_STATS = {
     "workers_alive": 0,
     "inflight_blocks": 0,
-    "parked_blocks": 0,
     "fallback_active": False,
 }
 
@@ -144,7 +144,7 @@ class _Request:
     #: worker (the pool's idempotent-retry path).
     retries: int = 0
     #: True once the request went back through the dispatcher queue
-    #: (retry or parked-block flush).  Only requeued requests get the
+    #: (a retry after its worker died).  Only requeued requests get the
     #: strict epoch check — a fresh submission is positioned correctly
     #: relative to update markers by construction.
     requeued: bool = False
@@ -165,23 +165,31 @@ class _Update:
     refresh_s: float = 0.0
 
 
-def _touched_mask(result) -> np.ndarray:
-    """Boolean mask of every node the two diffusions of one query touched.
+def _touched(result, degrees: np.ndarray) -> tuple[int, float]:
+    """Size and degree sum of every node the two diffusions of one query
+    touched.
 
-    A diffusion that tracked no frontier (``touched is None``: a run
-    that went graph-wide, or a block column) contributes its final
+    When both tracked their frontier, that is the union of their sorted
+    ``touched`` sets, in O(touched).  Otherwise a length-``n`` mask is
+    built: a diffusion that tracked no frontier (``touched is None``: a
+    run that went graph-wide, or a block column) contributes its final
     ``q``/``residual`` non-zeros, which cover every node it touched: mass
     is non-negative, so nothing cancels to exactly 0.0, and any processed
-    residual deposits ``α·r > 0`` into ``q``.
+    residual deposits ``α·r > 0`` into ``q``.  Both ways sum the same
+    degrees in the same (ascending node) order.
     """
+    rwr, bdd = result.rwr, result.bdd
+    if rwr.touched is not None and bdd.touched is not None:
+        nodes = sorted_union(rwr.touched, bdd.touched)
+        return int(nodes.size), float(degrees[nodes].sum())
     mask = np.zeros(result.scores.shape[0], dtype=bool)
-    for diffusion in (result.rwr, result.bdd):
+    for diffusion in (rwr, bdd):
         if diffusion.touched is not None:
             mask[diffusion.touched] = True
         else:
             mask |= diffusion.q != 0.0
             mask |= diffusion.residual != 0.0
-    return mask
+    return int(mask.sum()), float(degrees[mask].sum())
 
 
 def answer_block(model: LACA, threads, seeds, sizes, metrics):
@@ -197,7 +205,7 @@ def answer_block(model: LACA, threads, seeds, sizes, metrics):
     The dispatcher passes its usable CPU count, a pool worker ``1``.
     Kernel selections and each query's iterations, frontier peak
     (untracked by the block engine), touched nodes and touched volume
-    (size and degree sum of :func:`_touched_mask`) are observed into
+    (see :func:`_touched`) are observed into
     ``metrics``, a :func:`~repro.serving.telemetry.make_engine_metrics`
     namespace, on the calling thread; nothing is observed when an engine
     raises on any thread.  Returns ``(clusters, engine_seconds)``.
@@ -209,16 +217,13 @@ def answer_block(model: LACA, threads, seeds, sizes, metrics):
     """
 
     def record(result, size: int) -> tuple:
-        mask = _touched_mask(result)
-        degrees = model._require_fit().degrees
         return (
             top_k_cluster(
                 result.scores, size, result.seed, support=result.scores_support
             ),
             result.rwr.iterations + result.bdd.iterations,
             max(result.rwr.frontier_peak, result.bdd.frontier_peak),
-            int(mask.sum()),
-            float(degrees[mask].sum()),
+            *_touched(result, model._require_fit().degrees),
         )
 
     start = time.perf_counter()
@@ -291,14 +296,13 @@ class ClusterService:
     restart_budget:
         How many respawns one worker slot gets per
         :data:`~repro.serving.pool.RESTART_WINDOW_S`.  ``0`` disables
-        respawns (dead workers stay dead).
+        respawns: dead workers stay dead, and once every worker is gone
+        the dispatcher answers every block itself (the ``workers=0``
+        path, same answers).  It does so too while every worker waits
+        out its respawn backoff.
     backoff_base_s:
         Respawn pacing: the k-th respawn within a window waits
         ``min(backoff_base_s * 2**k, BACKOFF_MAX_S)``.
-    fallback_inprocess:
-        When True, losing every worker degrades to answering in the
-        service's own process (the ``workers=0`` path) instead of failing
-        the service; workers re-engage once a respawn lands.
     fault_plan:
         Optional :class:`~repro.testing.faults.FaultPlan` threaded into
         every worker (``worker.block`` / ``worker.reload`` sites) and
@@ -323,7 +327,6 @@ class ClusterService:
         max_retries: int = 2,
         restart_budget: int = 3,
         backoff_base_s: float = 0.25,
-        fallback_inprocess: bool = False,
         fault_plan=None,
     ) -> None:
         graph = model._require_fit()
@@ -354,7 +357,6 @@ class ClusterService:
         self.max_retries = int(max_retries)
         self.restart_budget = int(restart_budget)
         self.backoff_base_s = float(backoff_base_s)
-        self.fallback_inprocess = bool(fallback_inprocess)
         self.digest = config_digest(model.config)
         self.cache: ResultCache | None = (
             ResultCache(cache_size) if cache_size else None
@@ -910,7 +912,7 @@ class ClusterService:
                     now,
                 )
             elif request.requeued and request.epoch != self._epoch:
-                # A retried (or parked) request that crossed an epoch
+                # A retried request that crossed an epoch
                 # advance: its cache key names the snapshot it was
                 # submitted against, and recomputing it on the new one
                 # would poison the cache with a cross-epoch answer.
@@ -931,15 +933,8 @@ class ClusterService:
                 live.append(request)
         if not live:
             return
-        pool = self._pool
-        if pool is not None:
-            if pool.dispatch(live):
-                return
-            if not self.fallback_inprocess:
-                pool.park_or_fail(live)
-                return
-            pool.set_fallback(True)
-        self._answer_block(live)
+        if self._pool is None or not self._pool.dispatch(live):
+            self._answer_block(live)
 
     def _answer_block(self, block: list[_Request]) -> None:
         """Answer ``block`` on this thread (see :func:`answer_block`)."""

@@ -1,7 +1,7 @@
 """Fault-tolerance tests: supervision, respawn, idempotent retry,
-in-process fallback, and close idempotency — all under the seeded
-fault-injection harness (repro.testing.faults), so every "crash" here
-is a deterministic regression test, not a flaky race.
+in-process answering while no worker is alive, and close idempotency —
+all under the seeded fault-injection harness (repro.testing.faults), so
+every "crash" here is a deterministic regression test, not a flaky race.
 
 The governing contract stays the pool's original one: answers bitwise
 identical to ``LACA.cluster`` and no future ever hangs — now upheld
@@ -12,6 +12,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import signal
 import struct
 import threading
 import time
@@ -31,6 +32,10 @@ from repro.testing import FaultError, FaultPlan, FaultRule
 def _model(graph, **overrides):
     overrides.setdefault("k", 8)
     return LACA(LacaConfig(**overrides)).fit(graph)
+
+
+def _psm_segments() -> set[str]:
+    return {path.name for path in Path("/dev/shm").glob("psm_*")}
 
 
 def _wait(predicate, timeout=15.0, interval=0.02):
@@ -203,10 +208,17 @@ class TestRetryAndRespawn:
         finally:
             service.close(timeout=60)
 
-    def test_all_workers_dead_parks_blocks_until_respawn(self, small_sbm):
-        """Losing *every* worker while a respawn is scheduled must park
-        the blocks and answer them after the respawn — not fail the
-        service."""
+    def test_all_workers_dead_answers_in_process_until_respawn(
+        self, small_sbm, tmp_path
+    ):
+        """Losing *every* worker while a respawn is scheduled: the
+        dispatcher answers the lost blocks itself, bitwise, instead of
+        holding them for the respawn or failing the service; once the
+        respawns land, blocks go back to the workers."""
+        import json
+
+        from repro.obs import TraceLog
+
         model = _model(small_sbm)
         oracle = {seed: model.cluster(seed, 12) for seed in range(20)}
         plan = FaultPlan(
@@ -214,13 +226,16 @@ class TestRetryAndRespawn:
             [FaultRule(site="worker.block", match={"spawn": 0},
                        action="exit", times=2)]
         )
+        path = tmp_path / "trace.jsonl"
+        trace = TraceLog(path)
         service = ClusterService(
             _model(small_sbm),
             workers=2,
             fault_plan=plan,
-            backoff_base_s=0.05,
+            backoff_base_s=1.0,  # lost blocks are answered before a respawn
             max_wait_s=0.0,
             cache_size=0,
+            trace_log=trace,
         )
         try:
             futures = {seed: service.submit(seed, 12) for seed in range(20)}
@@ -228,9 +243,33 @@ class TestRetryAndRespawn:
                 np.testing.assert_array_equal(
                     future.result(timeout=60), oracle[seed]
                 )
-            assert service.stats()["worker_restarts"] >= 1
+            assert _wait(lambda: service.stats()["workers_alive"] == 2)
+            before = service.stats()
+            for seed in range(4):
+                np.testing.assert_array_equal(
+                    service.cluster(seed, 12), oracle[seed]
+                )
+            after = service.stats()
         finally:
-            service.close(timeout=60)
+            assert service.close(timeout=60) is True
+            trace.close()
+        assert after["worker_restarts"] == 2
+        assert after["fallback_active"] is False
+
+        def pool_seeds(stats):
+            return sum(entry["seeds"] for entry in stats["worker_occupancy"].values())
+
+        # Some lost requests were answered in-process (engine_served
+        # counts them, no worker's occupancy does) ...
+        assert before["engine_served"] == 20 > pool_seeds(before)
+        # ... and the respawned workers answered the last four.
+        assert pool_seeds(after) == pool_seeds(before) + 4
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        flips = [
+            event["active"] for event in events
+            if event["event"] == "fallback_inprocess"
+        ]
+        assert flips == [True, False]
 
     def test_dropped_result_is_recovered_by_retry(self, small_sbm):
         """A result message lost in transit (collector-side drop): the
@@ -361,13 +400,17 @@ class TestRetryAndRespawn:
         finally:
             service.close(timeout=60)
 
-    def test_restart_budget_exhaustion_fails_service(self, small_sbm):
+    def test_restart_budget_exhaustion_answers_in_process(self, small_sbm):
         """When every incarnation dies and the budget runs out, the
-        service fails closed: every outstanding future resolves with an
-        error (none hang) and new submissions are rejected."""
+        dispatcher answers every block itself: bitwise answers, the
+        service stays up, and an update still lands with no live worker
+        to reload."""
+        model = _model(small_sbm)
+        oracle = {seed: model.cluster(seed, 10) for seed in range(12)}
         plan = FaultPlan(
             [FaultRule(site="worker.block", action="exit", times=0)]
         )
+        segments = _psm_segments()
         service = ClusterService(
             _model(small_sbm),
             workers=1,
@@ -379,16 +422,39 @@ class TestRetryAndRespawn:
             cache_size=0,
         )
         try:
-            futures = [service.submit(seed, 10) for seed in range(6)]
-            for future in futures:
-                with pytest.raises(RuntimeError):
-                    future.result(timeout=60)
-            assert _wait(lambda: service._failed is not None)
-            with pytest.raises(RuntimeError, match="failed"):
-                service.submit(99, 10)
-            assert service.stats()["worker_restarts"] == 1
+            futures = {seed: service.submit(seed, 10) for seed in range(6)}
+            for seed, future in futures.items():
+                np.testing.assert_array_equal(
+                    future.result(timeout=60), oracle[seed]
+                )
+            # The one respawn dies on the first block it takes.
+            assert _wait(lambda: service.stats()["worker_restarts"] == 1)
+            for seed in range(6, 12):
+                np.testing.assert_array_equal(
+                    service.cluster(seed, 10), oracle[seed]
+                )
+            stats = service.stats()
+            assert service._failed is None
+            assert stats["workers_alive"] == 0
+            assert stats["fallback_active"] is True
+            assert stats["worker_restarts"] == 1
+            families = {
+                family["name"]: family
+                for family in service.telemetry.registry.collect()
+            }
+            assert families["laca_fallback_active"]["samples"] == [[[], 1.0]]
+            service.apply_update(
+                GraphDelta(add_edges=np.array([[0, 70]])), timeout=60
+            )
+            fresh = _model(service.store.head)
+            for seed in range(4):
+                np.testing.assert_array_equal(
+                    service.cluster(seed, 10), fresh.cluster(seed, 10)
+                )
+            assert service.stats()["epoch"] == service.store.head.epoch
         finally:
-            service.close(timeout=60)
+            assert service.close(timeout=60) is True
+        assert not _psm_segments() - segments
 
     def test_engine_crash_fails_block_but_worker_survives(self, small_sbm):
         """action='raise' emulates an engine bug: the block fails with
@@ -443,30 +509,34 @@ class TestRetryAndRespawn:
         finally:
             service.close(timeout=60)
 
-    def test_deadline_still_honored_across_respawn_wait(self, small_sbm):
-        """A request that loses its worker and waits out a respawn past
-        its deadline must fail with DeadlineExceeded, never compute
-        late."""
+    def test_deadline_still_honored_across_worker_death(self, small_sbm):
+        """A request whose worker holds it past its deadline and then
+        dies must fail with DeadlineExceeded when it is retried, never
+        compute late (not even in-process)."""
         plan = FaultPlan(
             [FaultRule(site="worker.block", match={"spawn": 0},
-                       action="exit")]
+                       action="delay", delay_s=30.0)]
         )
         service = ClusterService(
             _model(small_sbm),
             workers=1,
             fault_plan=plan,
             deadline_s=0.1,
-            backoff_base_s=0.6,  # respawn lands after the deadline
             max_wait_s=0.0,
             cache_size=0,
         )
         try:
             future = service.submit(0, 10)
+            assert _wait(lambda: service.stats()["inflight_blocks"] == 1)
+            time.sleep(0.2)  # the worker holds the block past the deadline
+            os.kill(service._procs[0].pid, signal.SIGKILL)
             with pytest.raises(DeadlineExceeded):
                 future.result(timeout=60)
-            assert service.stats()["deadline_misses"] >= 1
+            stats = service.stats()
+            assert stats["deadline_misses"] == 1
+            assert stats["engine_served"] == 0
         finally:
-            service.close(timeout=60)
+            assert service.close(timeout=60) is True
 
 
 def _unpickle_fails():
@@ -589,9 +659,9 @@ class TestWorkerPipes:
 
 class TestFallback:
     def test_fallback_serves_bitwise_when_pool_is_gone(self, small_sbm):
-        """With fallback_inprocess=True and no respawn budget, losing
-        every worker degrades to dispatcher-thread answering — same
-        bitwise answers, laca_fallback_active flips to 1."""
+        """With no respawn budget, losing every worker degrades to
+        dispatcher-thread answering — same bitwise answers,
+        laca_fallback_active flips to 1."""
         model = _model(small_sbm)
         oracle = {seed: model.cluster(seed, 12) for seed in range(16)}
         plan = FaultPlan(
@@ -603,7 +673,6 @@ class TestFallback:
             fault_plan=plan,
             restart_budget=0,
             max_retries=4,
-            fallback_inprocess=True,
             max_wait_s=0.0,
             cache_size=0,
         )
@@ -641,7 +710,6 @@ class TestFallback:
             workers=1,
             fault_plan=plan,
             restart_budget=0,
-            fallback_inprocess=True,
             max_batch=1,
             max_wait_s=0.0,
             cache_size=0,
@@ -681,7 +749,6 @@ class TestFallback:
             fault_plan=plan,
             restart_budget=0,
             max_retries=2,
-            fallback_inprocess=True,
             max_wait_s=0.0,
             cache_size=0,
         )

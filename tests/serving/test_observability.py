@@ -159,8 +159,7 @@ class TestInProcessServiceObservability:
             "model", "config_digest", "max_batch", "max_wait_s", "epoch",
             "cache", "cache_hit_rate", "workers", "max_pending",
             "deadline_s", "max_retries", "restart_budget", "pending",
-            "workers_alive", "inflight_blocks", "parked_blocks",
-            "fallback_active",
+            "workers_alive", "inflight_blocks", "fallback_active",
         }
         assert set(stats) == EXPECTED_STATS_KEYS | service_keys
 

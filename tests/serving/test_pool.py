@@ -365,9 +365,9 @@ class TestAdmissionControl:
             service.close(timeout=30)
 
     def test_saturation_bound_is_tight(self, small_sbm):
-        """With the dispatcher unable to drain (deadline far away but a
-        wedged single worker), at most max_pending requests are ever
-        admitted."""
+        """With nothing able to drain (the only worker dead for good and
+        the dispatcher's in-process engine held), exactly max_pending
+        requests are admitted and the rest are shed."""
         model = _model(small_sbm)
         service = ClusterService(
             model,
@@ -375,26 +375,43 @@ class TestAdmissionControl:
             max_pending=3,
             max_wait_s=0.0,
             cache_size=0,
-            # Pin pre-supervision behavior: the dead worker must stay
-            # dead so nothing ever drains the admission ledger.
+            # The dead worker must stay dead, so every block goes to
+            # the held in-process engine.
             restart_budget=0,
             max_retries=0,
         )
+        started, release = threading.Event(), threading.Event()
+        scores = model.scores
+
+        def held_scores(seed):
+            started.set()
+            release.wait(30)
+            return scores(seed)
+
         try:
-            # kill the worker so nothing drains, then hammer submit
             service._procs[0].terminate()
             service._procs[0].join(10)
+            deadline = time.monotonic() + 15
+            while service.stats()["workers_alive"] and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert service.stats()["workers_alive"] == 0
+            model.scores = held_scores
             results = []
             for seed in range(10):
                 try:
                     results.append(service.submit(seed, 10))
                 except PoolSaturated:
                     results.append(None)
-                except RuntimeError:
-                    results.append(None)  # failed-service rejection
+                if seed == 0:
+                    assert started.wait(10)  # the dispatcher holds seed 0
             live = [future for future in results if future is not None]
-            assert len(live) <= 3
+            assert len(live) == 3
+            assert service.stats()["shed"] == 7
+            release.set()
+            for future in live:
+                assert len(future.result(timeout=60)) == 10
         finally:
+            release.set()
             service.close(timeout=30)
 
     def test_deadline_miss_is_typed_and_counted(self, small_sbm):

@@ -200,6 +200,29 @@ class TestTouchedHistograms:
             [value] for value in _touch_by_hand(model, result)
         )
 
+    @pytest.mark.parametrize(
+        ("seed", "graph_wide"), [(7, "rwr"), (14, "bdd")], ids=["rwr", "bdd"]
+    )
+    def test_one_diffusion_graph_wide(self, seed, graph_wide):
+        # A ring of 80 with chords: at this ε one of the two diffusions
+        # reaches half the graph and stops tracking its frontier while
+        # the other still tracks it, so the count falls back to a mask.
+        edges = [(i, (i + 1) % 80) for i in range(80)]
+        edges += [(i, (i + 2) % 80) for i in range(0, 80, 3)]
+        attrs = np.abs(np.random.default_rng(1).normal(size=(80, 4))) + 0.05
+        graph = AttributedGraph.from_edges(80, edges, attributes=attrs)
+        model = LACA(LacaConfig(k=3, epsilon=0.1)).fit(graph)
+        nodes, volumes, _ = _observed_touch(model, [seed])
+        result = model.scores(seed)
+        untracked = {
+            name for name in ("rwr", "bdd")
+            if getattr(result, name).touched is None
+        }
+        assert untracked == {graph_wide}
+        assert (nodes, volumes) == tuple(
+            [value] for value in _touch_by_hand(model, result)
+        )
+
     def test_block_column(self, tiny_graph):
         # At this ε every query saturates the tiny graph, so the first seed
         # runs sequentially and the other two as columns of one

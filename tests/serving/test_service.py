@@ -358,7 +358,6 @@ class TestInThreadService:
         assert stats["pending"] == 0
         assert stats["workers_alive"] == 0
         assert stats["inflight_blocks"] == 0
-        assert stats["parked_blocks"] == 0
         assert stats["fallback_active"] is False
         assert stats["engine_served"] == 1
 
