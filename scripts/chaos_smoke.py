@@ -8,12 +8,10 @@ one pool worker process out from under it.  Once that worker is back
 answers are still streaming: the lost blocks are then answered by
 serve's dispatcher in-process until the respawns land.  A
 ``worker.block`` delay rule (``REPRO_FAULTS``) paces the workers so
-the stream outlasts both kills.  serve runs with ``--max-retries 3``:
-a request can be lost three times, on the first victim and then on
-each of the two workers killed at once, because the pool handles their
-deaths one at a time and may re-dispatch a lost block to the second
-worker before it has seen that one die.  The run must still end
-perfectly:
+the stream outlasts both kills.  serve runs at its default retry
+budget: the pool marks both killed workers dead before it retries any
+of their blocks, so each kill costs a lost request one retry.  The run
+must still end perfectly:
 
 * every query is answered — zero lost futures, zero error records;
 * every answer is bitwise identical to a clean in-process run of the
@@ -212,7 +210,6 @@ def run(queries: Path) -> int:
             *SERVE_ARGS,
             "--queries", str(queries),
             "--workers", "2",
-            "--max-retries", "3",
             "--metrics-port", "0",
             "--linger-s", str(LINGER_S),
         ],

@@ -11,9 +11,10 @@ package turns the two into a long-lived service:
   ``submit`` calls into block diffusions, applies live graph deltas
   (``apply_update``) without dropping traffic, and bounds what it
   buffers (``max_pending`` load-shedding, per-request deadlines);
-- :mod:`~repro.serving.pool` — the process back-end of
-  ``ClusterService(model, workers=N)``: blocks fan out to worker
-  *processes* over a shared-memory graph (:mod:`repro.graphs.shm`),
+- :mod:`~repro.serving.pool` — the worker pool every
+  ``ClusterService(model, workers=N)`` owns (``N=0``: a pool with no
+  workers): blocks fan out to worker *processes* over a shared-memory
+  graph (:mod:`repro.graphs.shm`),
   with fault tolerance (worker death detection/respawn, idempotent block
   retry, in-process answering while no worker is alive);
 - :mod:`~repro.serving.cache` — the epoch-aware LRU

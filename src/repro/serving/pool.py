@@ -1,95 +1,68 @@
-"""Multi-process serving: the worker-pool back-end of ``ClusterService``.
+"""Multi-process serving: the worker pool every ``ClusterService`` owns.
 
-With ``workers=0``, :class:`~repro.serving.service.ClusterService`
-parallelizes only *within* a block (one sparse mat-mat for a saturated
-remainder, or one thread per CPU for large local queries) and answers
-blocks one after another.  With ``workers >= 1`` the service owns a
-:class:`WorkerPool` that spreads each gathered block over worker
-processes instead:
+The pool has ``workers`` processes.  While none is alive (always in a
+pool of size 0, which starts no process and no pool thread and
+publishes nothing) :class:`~repro.serving.service.ClusterService`
+answers each block on its dispatcher thread.  Live workers spread each
+gathered block over processes instead:
 
-- the head snapshot's CSR arrays and TNAM factor — what a worker reads,
-  not the attribute rows — are published **once** per epoch into
+- the head snapshot's CSR arrays and TNAM factor (what a worker reads,
+  not the attribute rows) are published **once** per epoch into
   :mod:`multiprocessing.shared_memory` segments
   (:func:`~repro.graphs.shm.publish_snapshot`); each worker attaches a
-  zero-copy :class:`~repro.graphs.graph.AttributedGraph` view, hydrates
-  a :class:`~repro.core.pipeline.LACA` from the parent's fit state
-  (:meth:`LACA.from_fit_state` — no refitting), and answers each block
-  on one thread (the worker processes already fill the CPUs);
-- the dispatcher thread gathers blocks exactly as with ``workers=0``,
-  splits each into contiguous shards, at most one per live worker, and
-  *assigns* each shard to one of the least-loaded live workers, then
-  moves on — the pool thread resolves futures as shards stream back,
-  so all workers compute concurrently, even on one gathered block;
-- workers answer each shard with the same
-  :func:`~repro.serving.service.answer_block` the dispatcher
-  runs with ``workers=0``, over the same arrays (shared pages).  A
-  sequential seed's answer depends only on that seed and a block column
-  is bitwise the sequential answer, so a query gets the same answer
-  whichever shard, worker or path computed it.
+  zero-copy :class:`~repro.graphs.graph.AttributedGraph` view and
+  hydrates a :class:`~repro.core.pipeline.LACA` from the parent's fit
+  state (:meth:`LACA.from_fit_state`, no refitting);
+- the dispatcher splits each block into contiguous shards, at most one
+  per live worker, assigns each to one of the least-loaded workers and
+  moves on; the pool thread resolves futures as shards stream back;
+- a worker answers its shard on one thread with the same
+  :func:`~repro.serving.service.answer_block` the dispatcher runs, over
+  the same arrays, so a query gets the same answer bitwise whichever
+  shard, worker or path computed it.
 
-Every shard is an ordinary in-flight block with its own id: retry,
-respawn, close() and the epoch barrier below never see the gathered
-block it came from.
+Every shard is an ordinary in-flight block with its own id.  Each worker
+owns one pipe (``block``, ``reload`` and ``stop`` in; ``result`` and
+``reload-ack`` out), so a worker killed mid-write tears only its own.
+One pool thread waits on every live worker's pipe and sentinel.
 
-Each worker slot owns one pipe: the parent writes ``block``, ``reload``
-and ``stop`` messages into it, the worker writes ``result`` and
-``reload-ack`` messages back, so a worker killed mid-write tears only
-its own pipe.  One pool thread waits on every live worker's pipe and
-sentinel (:func:`multiprocessing.connection.wait`), resolving results
-and acks as they arrive and handling a death when a sentinel fires.
-
-Fault tolerance (PR 8) rests on that: a cluster query is a pure
-function of ``(snapshot, seed, size)`` and the block's engine path, so
-recomputing a lost block *is* the answer, not an approximation of it.
-Three mechanisms:
+A cluster query is a pure function of ``(snapshot, seed, size)``, so
+recomputing a lost block *is* the answer:
 
 - **Death & respawn** — on a worker's death (its sentinel fired, or its
   pipe broke or carried an unreadable message, and then it is killed)
-  the pool thread first resolves what the worker already sent, then
-  respawns it with capped exponential backoff under a restart budget
-  per sliding window.  Respawned workers
-  re-hydrate from the shared-memory manifest *at the current
-  generation* (the respawn path and the epoch barrier read/write the
-  manifest under one lock), so they rejoin correctly even mid-update.
-- **Idempotent block retry** — blocks in flight on a dead worker are
-  re-enqueued onto the dispatcher queue (up to ``max_retries`` per
-  request, per-request deadlines still honored) and re-dispatched to a
-  surviving or respawned worker.  A retry that crossed an epoch
-  advance is failed instead of recomputed — its cache key names the
-  old snapshot.
+  the pool thread resolves what the worker already sent, then respawns
+  it with capped exponential backoff under a restart budget per sliding
+  window, on the manifest *at the current generation* (read under the
+  lock the epoch barrier swaps it under).
+- **Idempotent block retry** — blocks in flight on a dead worker go back
+  on the dispatcher queue (up to ``max_retries`` per request, deadlines
+  still honored).  Workers killed together are all marked dead before
+  any of their blocks is retried, so a lost request costs one retry.  A
+  retry that crossed an epoch advance fails instead: its cache key names
+  the old snapshot.
 - **In-process answering** — a block that finds no live worker is
-  answered by the dispatcher itself (the ``workers=0`` path, same
-  answers; ``fallback_active`` is set) until a respawn lands.  The
-  parent's model is refreshed before every epoch barrier, so it can
-  always answer; a worker dies only from outside (an engine error comes
-  back as a per-request error), and the restart budget stops crash
-  loops.
+  answered by the dispatcher itself (``fallback_active`` is set) until
+  a respawn lands.  The parent's model is refreshed before every epoch
+  barrier, so it can always answer.
 
-Epoch advances reuse the dispatch-queue marker and add a barrier:
-:meth:`WorkerPool.reload` publishes the refreshed snapshot, writes a
-``reload`` message into every live worker's pipe — FIFO order *is* the
-barrier: the reload rides behind every shard of every block gathered
-before the marker, so no worker ever answers a post-marker request on a
-pre-marker snapshot — and waits for all acks.  The set it replaced is
-then kept as the *spare*, and the next reload writes its snapshot into
-the spare's segments instead of fresh ones (rewriting mapped pages is
-about 10× cheaper than faulting in new ones; a segment its array
-outgrew is replaced).  That is safe because when epoch e+1 is
-published into epoch e−1's set, every live worker has acked epoch e,
-so it has answered every block it held before that ack and dropped its
-e−1 mappings; respawns attach only the current manifest, under the pool
-lock.  At most two sets exist; ``close()`` unlinks both, and a failed
-reload unlinks the set it wrote and drops the spare.
-A worker that dies mid-barrier no longer hangs it: its death removes it
-from the pending-ack set.  A worker that fails to reload
-fails the service closed (it could otherwise silently serve stale
-answers).  A worker whose parent dies without ``close()`` exits by
-itself (it watches the parent's sentinel).
-
-The pool adds the fault-tolerance counters (``worker_restarts``,
-``block_retries``) and its own figures (``workers_alive``,
-``inflight_blocks``, ``fallback_active``) to
-:meth:`ClusterService.stats`.
+Epoch advances add a barrier to the dispatch-queue marker:
+:meth:`WorkerPool.reload` publishes the refreshed snapshot and writes a
+``reload`` message into every live worker's pipe behind every shard
+gathered before the marker (FIFO order *is* the barrier), then waits for
+all acks.  The set it replaced becomes the *spare*, which the next
+reload rewrites in place (about 10× cheaper than faulting in fresh
+pages; a segment its array outgrew is replaced).  That is safe: when
+epoch e+1 is published into epoch e−1's set, every live worker has
+acked epoch e and dropped its e−1 mappings, and respawns attach only the
+current set.  So at most two sets exist; ``close()`` unlinks both, and a
+failed reload unlinks the set it wrote.  A pool publishes only while a
+worker is alive or due to respawn: a reload that finds neither (a pool
+of size 0, or dead workers with the restart budget spent, which only a
+live worker's death could change) unlinks both sets instead.  A worker
+that dies mid-barrier leaves the pending-ack set; one that fails to
+reload fails the service closed.  A worker whose parent dies without
+``close()`` exits by itself (it watches the parent's sentinel).
 """
 
 from __future__ import annotations
@@ -130,6 +103,12 @@ BACKOFF_MAX_S = 5.0
 #: How long an epoch advance waits for every worker to ack its reload
 #: before failing the service closed.
 RELOAD_TIMEOUT_S = 60.0
+#: How long the pool thread, once it sees a worker die, waits for the
+#: other live workers' sentinels before it retries any lost block (their
+#: results wait meanwhile).  A SIGKILLed process is seen dead only once
+#: the kernel has torn it down, so workers killed together are seen dead
+#: milliseconds apart.
+DEATH_GRACE_S = 0.05
 
 #: The multi-process front-end's former name, kept for existing callers.
 PoolClusterService = ClusterService
@@ -301,14 +280,16 @@ def _publish(model: LACA, graph, spare=None):
 
 
 class WorkerPool:
-    """The process back-end of a :class:`ClusterService` with ``workers >= 1``.
+    """The process back-end of every :class:`ClusterService`:
+    ``service.workers`` worker processes, possibly none.
 
     Construction publishes the served snapshot and forks
     ``service.workers`` processes, each with its own pipe — the service
     builds its pool before it starts the dispatcher thread — then starts
-    the one pool thread.  The dispatcher drives the pool through
-    :meth:`dispatch` (False when no worker is alive: the dispatcher then
-    answers the block itself) and :meth:`reload`; the pool thread hands
+    the one pool thread; a pool of size 0 does none of this.  The
+    dispatcher drives the pool through :meth:`dispatch` (False when no
+    worker is alive: the dispatcher then answers the block itself) and
+    :meth:`reload`; the pool thread hands
     each result to ``service._resolve_block``, which takes the block
     back with :meth:`take`, and handles worker deaths and respawns.  The
     pool reads the service's retry and restart options and reports
@@ -340,31 +321,30 @@ class WorkerPool:
         self._send_locks = [threading.Lock() for _ in range(size)]
         # close() writes one message here to end the pool thread's wait.
         self._wakeup, self._wake = self._ctx.Pipe(duplex=False)
-        # The *current* manifest/fit-state pair is what a respawn
-        # hydrates from; the epoch barrier updates it under the pool
-        # lock, so respawns always join at the serving generation.
-        self._shared = _publish(service.model, graph)
-        # The segment set the epoch barrier retired last: no worker reads
-        # it, so the next reload writes its snapshot there (see reload()).
-        self._spare = None
-        self._current_manifest = self._shared.manifest
-        self._current_state = _worker_fit_state(service.model)
+        # The *current* segment set and fit state are what a respawn
+        # hydrates from; the epoch barrier swaps them under the pool
+        # lock, so respawns always join at the serving generation.  The
+        # spare is the set the barrier retired last (see reload()).
+        self._shared = self._spare = self._current_state = None
         self._procs: list = []
         self._conns: list = []
-        try:
-            for worker_id in range(size):
-                proc, conn = self._spawn(worker_id, 0)
-                self._procs.append(proc)
-                self._conns.append(conn)
-        except BaseException:
-            for proc in self._procs:
-                proc.terminate()
-            self._shared.close()
-            raise
         self._thread = threading.Thread(
             target=self._run, name=f"cluster-pool-{service.name}", daemon=True
         )
-        self._thread.start()
+        if size:
+            self._shared = _publish(service.model, graph)
+            self._current_state = _worker_fit_state(service.model)
+            try:
+                for worker_id in range(size):
+                    proc, conn = self._spawn(worker_id, 0)
+                    self._procs.append(proc)
+                    self._conns.append(conn)
+            except BaseException:
+                for proc in self._procs:
+                    proc.terminate()
+                self._shared.close()
+                raise
+            self._thread.start()
 
         registry = service.telemetry.registry
         alive_gauge = registry.gauge(
@@ -395,7 +375,7 @@ class WorkerPool:
         conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, spawn, self._current_manifest, self._current_state,
+            args=(worker_id, spawn, self._shared.manifest, self._current_state,
                   child_conn, self._fault_plan),
             name=f"cluster-pool-worker-{worker_id}{suffix}",
             daemon=True,
@@ -426,14 +406,15 @@ class WorkerPool:
         """Split ``live`` into contiguous shards, at most one per live
         worker, and hand each to one of the least-loaded live workers.
         False when no worker is alive: ``fallback_active`` is then set
-        until a later dispatch finds a respawned worker.  The gathered
-        block is recorded once, as one coalesced block of ``len(live)``
-        requests."""
+        (never in a pool of size 0, which lost no worker) until a later
+        dispatch finds a respawned worker.  The gathered block is
+        recorded once, as one coalesced block of ``len(live)`` requests."""
         with self._lock:
             alive = [i for i in range(self.size) if not self._worker_dead[i]]
             alive.sort(key=lambda i: self._outstanding[i])
-            fallback_flips = self._fallback_active == bool(alive)
-            self._fallback_active = not alive
+            fallback = self.size > 0 and not alive
+            fallback_flips = self._fallback_active != fallback
+            self._fallback_active = fallback
             shards = []
             if alive:
                 # Contiguous shards whose sizes differ by at most one;
@@ -447,7 +428,7 @@ class WorkerPool:
                     self._outstanding[worker_id] += 1
                     shards.append((worker_id, block_id, shard))
         if fallback_flips and self.service.trace_log is not None:
-            self.service.trace_log.record_event("fallback_inprocess", active=not alive)
+            self.service.trace_log.record_event("fallback_inprocess", active=fallback)
         if not alive:
             return False
         for worker_id, block_id, shard in shards:
@@ -471,10 +452,11 @@ class WorkerPool:
     # The pool thread: results, acks, deaths and respawns, in one wait.
     def _run(self) -> None:
         """Wait on every live worker's pipe and sentinel and on close()'s
-        wakeup, timed out at the next due respawn; return once the pool
-        is closed and every worker is gone.  A worker's pipe is read
-        before its sentinel is handled, so every answer it sent resolves
-        instead of being retried."""
+        wakeup, timed out at the next due respawn; return once no worker
+        is alive and none is due to respawn (after close(), or once
+        every worker died with its restart budget spent).  A worker's
+        pipe is read before its death is handled, so every answer it
+        sent resolves instead of being retried."""
         while True:
             with self._lock:
                 live = {
@@ -482,22 +464,26 @@ class WorkerPool:
                     for i in range(self.size)
                     if not self._worker_dead[i]
                 }
-                if self._closed and not live:
-                    return
                 due = [at for at in self._respawn_at if at is not None]
+                if not live and not due:
+                    return
             timeout = max(0.0, min(due) - time.monotonic()) if due else None
             handles = [handle for pair in live.values() for handle in pair]
             ready = multiprocessing.connection.wait([*handles, self._wakeup], timeout)
             if self._wakeup in ready:
                 self._wakeup.recv_bytes()  # close() began; see the top
             try:
+                died = False
                 for worker_id, (conn, sentinel) in live.items():
                     if sentinel in ready:
-                        while conn.poll() and self._receive(worker_id):
-                            pass
-                        self._worker_lost(worker_id)
+                        died = True
                     elif conn in ready and not self._receive(worker_id):
-                        self._worker_lost(worker_id)
+                        # A broken pipe is its worker's death.
+                        self._procs[worker_id].kill()
+                        self._procs[worker_id].join(5.0)
+                        died = True
+                if died:
+                    self._workers_lost(live)
                 self._respawn_due()
             except Exception:  # noqa: BLE001 — the pool thread must survive
                 self.service.telemetry.record_error("collector")
@@ -538,63 +524,77 @@ class WorkerPool:
             if not self._reload_pending:
                 self._reload_event.set()
 
-    def _worker_lost(self, worker_id: int) -> None:
-        """One worker's death, seen on its sentinel or its broken pipe.
+    def _workers_lost(self, live: dict) -> None:
+        """Handle the deaths among ``live``: every worker whose sentinel
+        has fired by the time the pool lock is held, checked with a
+        zero-timeout wait after up to :data:`DEATH_GRACE_S` for the rest.
 
-        Ends the process if it still runs and closes its pipe; flags the
-        slot dead, unblocks a reload barrier waiting on its ack, retries
-        every block it still owed, and schedules a respawn if the restart
-        budget allows.  A worker that exits after ``close()`` stopped it
-        is no death: close() fails what it still owed.
+        One hold of the pool lock flags them all dead, unblocks a reload
+        barrier waiting on their acks and schedules their respawns, so no
+        block lost on workers killed together is retried on one of them.
+        Then each one's pipe is read to its end (every answer it sent
+        resolves instead of being retried) and closed, and every block it
+        still owed retried, unless close() stopped it: close() fails what
+        it owed.
         """
-        proc = self._procs[worker_id]
-        proc.kill()  # a no-op once the process is gone
-        proc.join(5.0)
-        with self._send_locks[worker_id]:
-            self._conns[worker_id].close()
+        sentinels = {sentinel: worker_id for worker_id, (_, sentinel) in live.items()}
+        unfired, deadline = list(sentinels), time.monotonic() + DEATH_GRACE_S
+        while unfired and (left := deadline - time.monotonic()) > 0:
+            fired = multiprocessing.connection.wait(unfired, left)
+            unfired = [sentinel for sentinel in unfired if sentinel not in fired]
         with self._lock:
-            self._worker_dead[worker_id] = True
-            if worker_id in self._reload_pending:
+            fired = multiprocessing.connection.wait(list(sentinels), 0)
+            dead = sorted(sentinels[sentinel] for sentinel in fired)
+            respawn_in = dict.fromkeys(dead)
+            now = time.monotonic()
+            for worker_id in dead:
+                self._worker_dead[worker_id] = True
+                window = [
+                    at
+                    for at in self._restart_times[worker_id]
+                    if now - at < RESTART_WINDOW_S
+                ]
+                self._restart_times[worker_id] = window
+                if not self._closed and len(window) < self.service.restart_budget:
+                    respawn_in[worker_id] = min(
+                        self.service.backoff_base_s * (2 ** len(window)), BACKOFF_MAX_S
+                    )
+                    self._respawn_at[worker_id] = now + respawn_in[worker_id]
+            if self._reload_pending.intersection(dead):
                 # A dead worker can never ack; holding the barrier on
                 # it would hang every epoch advance behind a crash.
-                self._reload_pending.discard(worker_id)
+                self._reload_pending.difference_update(dead)
                 if not self._reload_pending:
                     self._reload_event.set()
+        for worker_id in dead:
+            self._procs[worker_id].join(5.0)
+            conn = self._conns[worker_id]
+            while conn.poll() and self._receive(worker_id):
+                pass
+            with self._send_locks[worker_id]:
+                conn.close()
+        with self._lock:
             if self._closed:
                 return
-            lost_ids = [
-                block_id
-                for block_id, entry in self._inflight.items()
-                if entry[0] == worker_id
-            ]
-            lost = [self._inflight.pop(block_id)[1] for block_id in lost_ids]
-            self._outstanding[worker_id] = 0
-            now = time.monotonic()
-            window = [
-                at
-                for at in self._restart_times[worker_id]
-                if now - at < RESTART_WINDOW_S
-            ]
-            self._restart_times[worker_id] = window
-            if len(window) < self.service.restart_budget:
-                respawn_in = min(
-                    self.service.backoff_base_s * (2 ** len(window)), BACKOFF_MAX_S
+            lost: dict[int, list] = {worker_id: [] for worker_id in dead}
+            for block_id in [b for b, (w, _) in self._inflight.items() if w in lost]:
+                worker_id, requests = self._inflight.pop(block_id)
+                lost[worker_id].append(requests)
+            for worker_id in dead:
+                self._outstanding[worker_id] = 0
+        for worker_id, blocks in lost.items():
+            exit_code = self._procs[worker_id].exitcode
+            if self.service.trace_log is not None:
+                self.service.trace_log.record_event(
+                    "worker_death",
+                    worker_id=worker_id,
+                    exit_code=exit_code,
+                    lost_blocks=len(blocks),
+                    respawn_in_s=respawn_in[worker_id],
                 )
-                self._respawn_at[worker_id] = now + respawn_in
-            else:
-                self._respawn_at[worker_id] = None
-                respawn_in = None
-        if self.service.trace_log is not None:
-            self.service.trace_log.record_event(
-                "worker_death",
-                worker_id=worker_id,
-                exit_code=proc.exitcode,
-                lost_blocks=len(lost),
-                respawn_in_s=respawn_in,
-            )
-        error = RuntimeError(f"pool worker {worker_id} died (exit code {proc.exitcode})")
-        for requests in lost:
-            self._retry_or_fail(requests, error, worker_id)
+            error = RuntimeError(f"pool worker {worker_id} died (exit code {exit_code})")
+            for requests in blocks:
+                self._retry_or_fail(requests, error, worker_id)
 
     def _retry_or_fail(
         self, requests: list[_Request], cause: BaseException, worker_id: int
@@ -670,20 +670,19 @@ class WorkerPool:
         manifest swap: a respawn sees either the old generation (and
         then receives the reload like any live worker would have,
         queued FIFO behind nothing) or the new one (already current).
+        A closed or failed service drops a due respawn instead (the pool
+        thread's wait would otherwise spin on it).
         """
         service = self.service
         now = time.monotonic()
         for worker_id in range(self.size):
             with self._lock:
                 at = self._respawn_at[worker_id]
-                if (
-                    at is None
-                    or now < at
-                    or self._closed
-                    or service._failed is not None
-                ):
+                if at is None or now < at:
                     continue
                 self._respawn_at[worker_id] = None
+                if self._closed or service._failed is not None:
+                    continue
                 spawn = self._spawn_counts[worker_id] + 1
                 try:
                     proc, conn = self._spawn(worker_id, spawn)
@@ -711,30 +710,34 @@ class WorkerPool:
     # thread from the service's _refresh(), after the parent model
     # refreshed but before the serving epoch advances.
     def reload(self, head) -> None:
+        with self._lock:
+            # No worker alive or due to respawn: only a live worker's death
+            # schedules one, so no process reads a snapshot ever again.
+            if all(self._worker_dead) and self._respawn_at.count(None) == self.size:
+                self._drop_snapshots()
+                return
         model = self.service.model
         state = _worker_fit_state(model)
         # The spare is the set the previous barrier retired: every live
         # worker acked leaving it, and respawns attach only the current
-        # manifest, so no process reads it.  Never the live self._shared.
+        # set, so no process reads it.  Never the live self._shared.
         spare, self._spare = self._spare, None
         shared = _publish(model, head, spare)
-        previous = None
+        with self._lock:
+            live = [i for i in range(self.size) if not self._worker_dead[i]]
+            self._reload_generation += 1
+            generation = self._reload_generation
+            self._reload_pending = set(live)
+            self._reload_errors = []
+            self._reload_event.clear()
+            # Respawns from here on hydrate the *new* snapshot (the
+            # respawn path reads these under this same lock).
+            previous = (self._shared, self._current_state)
+            self._shared, self._current_state = shared, state
         try:
-            with self._lock:
-                live = [i for i in range(self.size) if not self._worker_dead[i]]
-                self._reload_generation += 1
-                generation = self._reload_generation
-                self._reload_pending = set(live)
-                self._reload_errors = []
-                self._reload_event.clear()
-                # Respawns from here on hydrate the *new* snapshot (the
-                # respawn path reads these under this same lock).
-                previous = (self._current_manifest, self._current_state)
-                self._current_manifest = shared.manifest
-                self._current_state = state
             # With no live worker there is no barrier: respawns attach the
-            # new manifest (swapped above), and the dispatcher answers
-            # from the parent model, which is already refreshed.
+            # new set (swapped above), and the dispatcher answers from the
+            # parent model, which is already refreshed.
             for worker_id in live:
                 # FIFO: this rides behind every pre-marker block already
                 # in the worker's pipe — the epoch barrier.
@@ -753,14 +756,19 @@ class WorkerPool:
                 ) from errors[0]
         except BaseException:
             with self._lock:
-                if previous is not None:
-                    self._current_manifest, self._current_state = previous
+                self._shared, self._current_state = previous
             shared.close()  # don't leak segments for a failed reload
             raise
-        # Every live worker acked (and respawns attach the new manifest):
-        # the old set is unread from here on, and the next reload
-        # rewrites it.
-        self._spare, self._shared = self._shared, shared
+        # Every live worker acked (and respawns attach the new set): the
+        # old set is unread from here on, and the next reload rewrites it.
+        self._spare = previous[0]
+
+    def _drop_snapshots(self) -> None:
+        """Unlink the current and the spare segment set (idempotent)."""
+        for shared in (self._shared, self._spare):
+            if shared is not None:
+                shared.close()
+        self._shared = self._spare = self._current_state = None
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -788,7 +796,8 @@ class WorkerPool:
             self._wake.send_bytes(b"")
         # The pool thread reads what each worker sent, reaps it when its
         # sentinel fires, and returns once every worker is gone.
-        self._thread.join(30.0 if timeout is None else timeout)
+        if self._thread.is_alive():  # a pool of size 0 never started it
+            self._thread.join(30.0 if timeout is None else timeout)
         clean = not self._thread.is_alive()
         if not clean:
             with self._lock:
@@ -796,13 +805,6 @@ class WorkerPool:
             for worker_id in live:
                 self._procs[worker_id].terminate()
             self._thread.join(5.0)
-        # The pool thread may have re-enqueued retries after the
-        # dispatcher consumed the shutdown sentinel; nothing will ever
-        # gather them, so fail them now.
-        service = self.service
-        service._drain_queue(
-            RuntimeError("service closed before this request was answered")
-        )
         with self._lock:
             leftovers = [requests for _, requests in self._inflight.values()]
             self._inflight.clear()
@@ -811,10 +813,8 @@ class WorkerPool:
             "(its pool worker was terminated)"
         )
         for requests in leftovers:
-            service._fail_requests(requests, error, "closed")
-        self._shared.close()
-        if self._spare is not None:
-            self._spare.close()
+            self.service._fail_requests(requests, error, "closed")
+        self._drop_snapshots()
         if not self._thread.is_alive():
             # Nothing reads the pipes or the process handles any more.
             for conn in (*self._conns, self._wakeup, self._wake):

@@ -13,15 +13,15 @@ per routing thread.  Either way each answer is bitwise
 :meth:`LACA.cluster` (see :func:`answer_block`).  Answers are remembered
 in an LRU result cache consulted before enqueueing.
 
-With ``workers=0`` (the default) the dispatcher answers every block
-itself and starts no process.  It may use every usable CPU: a
-block of large queries, local or saturated, runs on that many threads
-for the duration of the block (see :func:`answer_block`), and every
-other block runs on the dispatcher thread alone.  ``workers >= 1`` adds
-the process back-end of :mod:`~repro.serving.pool`: the dispatcher
-splits each block into shards, at most one per live worker process,
-each worker answers its shard on one thread, and the dispatcher answers
-the block in-process only when no worker is alive.
+Every service owns a :class:`~repro.serving.pool.WorkerPool` of
+``workers`` processes.  The dispatcher splits each block into shards,
+at most one per live worker, and each worker answers its shard on one
+thread.  When no worker is alive — always with ``workers=0`` (the
+default), a pool of size 0 that starts no process — the dispatcher
+answers the block itself.  It may then use every usable CPU: a block of
+large queries, local or saturated, runs on that many threads for the
+duration of the block (see :func:`answer_block`), and every other block
+runs on the dispatcher thread alone.
 Admission control (``max_pending`` load-shedding with
 :class:`PoolSaturated`, per-request ``deadline_s`` with
 :class:`DeadlineExceeded`) runs in :meth:`ClusterService.submit` and
@@ -58,13 +58,6 @@ __all__ = [
 
 #: Queue sentinel that tells the dispatcher to exit after the current block.
 _SHUTDOWN = object()
-
-#: The pool figures of :meth:`ClusterService.stats` when ``workers=0``.
-_NO_POOL_STATS = {
-    "workers_alive": 0,
-    "inflight_blocks": 0,
-    "fallback_active": False,
-}
 
 
 class PoolSaturated(RuntimeError):
@@ -251,11 +244,13 @@ class ClusterService:
         A fitted LACA instance (fresh :meth:`~LACA.fit` or
         :func:`~repro.serving.persistence.load_model`).
     workers:
-        Number of worker processes answering over one shared-memory
-        snapshot (see :mod:`~repro.serving.pool`).  Each gathered block
-        is split into contiguous shards, at most one per live worker,
-        and each shard goes to one of the least-loaded workers.  ``0``
-        answers every block in-process and starts no process or queue;
+        Size of the service's worker pool: the number of worker
+        processes answering over one shared-memory snapshot (see
+        :mod:`~repro.serving.pool`).  Each gathered block is split into
+        contiguous shards, at most one per live worker, and each shard
+        goes to one of the least-loaded workers.  ``0`` is a pool with no
+        workers: it starts no process and no pool thread and publishes
+        no snapshot, so the dispatcher answers every block in-process;
         besides the dispatcher, only a fanned-out block's helper threads
         run, and none outlives its block.
     name:
@@ -297,9 +292,10 @@ class ClusterService:
         How many respawns one worker slot gets per
         :data:`~repro.serving.pool.RESTART_WINDOW_S`.  ``0`` disables
         respawns: dead workers stay dead, and once every worker is gone
-        the dispatcher answers every block itself (the ``workers=0``
-        path, same answers).  It does so too while every worker waits
-        out its respawn backoff.
+        the dispatcher answers every block itself (as with
+        ``workers=0``, same answers) and the pool drops its shared-memory
+        snapshot at the next update.  The dispatcher answers in-process
+        too while every worker waits out its respawn backoff.
     backoff_base_s:
         Respawn pacing: the k-th respawn within a window waits
         ``min(backoff_base_s * 2**k, BACKOFF_MAX_S)``.
@@ -395,13 +391,11 @@ class ClusterService:
         # memoized and later calls return it without re-joining threads.
         self._closer_lock = threading.Lock()
         self._close_result: bool | None = None
-        self._pool = None
-        if self.workers:
-            from .pool import WorkerPool  # the pool module imports this one
+        from .pool import WorkerPool  # the pool module imports this one
 
-            # Forks the workers before the dispatcher thread exists
-            # (forking after threads exist is the classic deadlock).
-            self._pool = WorkerPool(self, graph, fault_plan)
+        # Forks the workers before the dispatcher thread exists (forking
+        # after threads exist is the classic deadlock).
+        self._pool = WorkerPool(self, graph, fault_plan)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
             name=f"cluster-service-{self.name}",
@@ -603,9 +597,9 @@ class ClusterService:
 
     @property
     def _procs(self) -> list:
-        """The live worker processes' handles (none with ``workers=0``);
-        peak-RSS measurement reads their pids."""
-        return self._pool._procs if self._pool is not None else []
+        """The pool's worker process handles, one per worker slot (none
+        in a pool of size 0); peak-RSS measurement reads their pids."""
+        return self._pool._procs
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -628,9 +622,7 @@ class ClusterService:
         snapshot["restart_budget"] = self.restart_budget
         with self._pending_lock:
             snapshot["pending"] = self._pending
-        snapshot.update(
-            self._pool.stats() if self._pool is not None else _NO_POOL_STATS
-        )
+        snapshot.update(self._pool.stats())
         with self._close_lock:
             snapshot["epoch"] = self._epoch
             snapshot["cache"] = (
@@ -645,8 +637,8 @@ class ClusterService:
     def close(self, timeout: float | None = None) -> bool:
         """Stop accepting queries, answer what is queued, join the threads.
 
-        Returns ``True`` when the dispatcher (and, with workers, every
-        worker process and pool thread) exited within ``timeout``.  When
+        Returns ``True`` when the dispatcher and the pool's worker
+        processes and pool thread (if any) exited within ``timeout``.  When
         it did not (a slow block, or a wedged worker), every future
         still queued or in flight is failed with a ``RuntimeError``
         instead of being left to hang forever, and ``False`` is
@@ -668,15 +660,12 @@ class ClusterService:
                 return self._close_result
             self._dispatcher.join(timeout)
             clean = not self._dispatcher.is_alive()
-            if not clean:
-                self._drain_queue(
-                    RuntimeError(
-                        "service closed before this request was answered "
-                        "(dispatcher did not finish within the close timeout)"
-                    )
-                )
-            if self._pool is not None:
-                clean = self._pool.close(timeout) and clean
+            clean = self._pool.close(timeout) and clean
+            # Whatever is still queued (behind a dispatcher that did not
+            # finish in time) is never gathered: fail it.
+            self._drain_queue(
+                RuntimeError("service closed before this request was answered")
+            )
             if clean:
                 self._close_result = True
             return clean
@@ -815,10 +804,9 @@ class ClusterService:
             self.model.refresh(self._store)
             update.refresh_s = self.model.refresh_seconds
             head = self.model._require_fit()
-            if self._pool is not None:
-                # The epoch barrier: every worker reloads before the
-                # serving epoch advances.
-                self._pool.reload(head)
+            # The epoch barrier: every worker reloads before the serving
+            # epoch advances.
+            self._pool.reload(head)
             invalidated = 0
             # Epoch bump and cache sweep land under one hold of the close
             # lock so stats() never observes the new epoch paired with
@@ -933,7 +921,7 @@ class ClusterService:
                 live.append(request)
         if not live:
             return
-        if self._pool is None or not self._pool.dispatch(live):
+        if not self._pool.dispatch(live):
             self._answer_block(live)
 
     def _answer_block(self, block: list[_Request]) -> None:

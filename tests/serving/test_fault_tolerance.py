@@ -271,6 +271,66 @@ class TestRetryAndRespawn:
         ]
         assert flips == [True, False]
 
+    def test_workers_killed_together_cost_one_retry(self, small_sbm, tmp_path):
+        """Both workers die while the test holds the pool lock, the
+        second after the pool thread has seen the first die: both are
+        marked dead before any of their blocks is retried, so no retry
+        is dispatched to the other dead worker.  With ``max_retries=1``
+        every lost request retries exactly once, and every answer is
+        bitwise ``LACA.cluster``."""
+        import json
+
+        from repro.obs import TraceLog
+
+        model = _model(small_sbm)
+        seeds = [0, 1, 2, 3]
+        oracle = {seed: model.cluster(seed, 12) for seed in seeds}
+        # Each first incarnation holds its first block until it is killed.
+        plan = FaultPlan(
+            [FaultRule(site="worker.block", match={"spawn": 0}, action="delay", delay_s=60.0)]
+        )
+        path = tmp_path / "trace.jsonl"
+        trace = TraceLog(path)
+        service = ClusterService(
+            _model(small_sbm),
+            workers=2,
+            fault_plan=plan,
+            max_retries=1,
+            backoff_base_s=0.05,
+            max_batch=1,
+            max_wait_s=0.0,
+            cache_size=0,
+            trace_log=trace,
+        )
+        pool = service._pool
+        try:
+            futures = [service.submit(seed, 12) for seed in seeds]
+            # One block per request, alternating over the two workers.
+            assert _wait(lambda: service.stats()["inflight_blocks"] == len(seeds))
+            with pool._lock:
+                for proc in service._procs:
+                    os.kill(proc.pid, signal.SIGKILL)
+                    assert multiprocessing.connection.wait([proc.sentinel], 30)
+                    # The pool thread wakes on this death and then waits
+                    # for the lock this test holds.
+                    time.sleep(0.2)
+            for seed, future in zip(seeds, futures):
+                np.testing.assert_array_equal(future.result(timeout=60), oracle[seed])
+            stats = service.stats()
+        finally:
+            clean = service.close(timeout=60)
+            trace.close()
+        assert clean is True
+        assert stats["block_retries"] == len(seeds)
+        assert stats["errors"] == 0
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        deaths = [event for event in events if event["event"] == "worker_death"]
+        assert sorted(event["worker_id"] for event in deaths) == [0, 1]
+        assert sum(event["lost_blocks"] for event in deaths) == len(seeds)
+        requests = [event for event in events if event["event"] == "request"]
+        assert sorted(event["seed"] for event in requests) == seeds
+        assert [event.get("retries") for event in requests] == [1] * len(seeds)
+
     def test_dropped_result_is_recovered_by_retry(self, small_sbm):
         """A result message lost in transit (collector-side drop): the
         orphaned block is recovered when its worker later dies and the
@@ -692,6 +752,41 @@ class TestFallback:
             assert families["laca_fallback_active"]["samples"] == [[[], 1.0]]
         finally:
             service.close(timeout=60)
+
+    def test_pool_that_can_never_respawn_drops_its_segments(
+        self, small_sbm, created_segments
+    ):
+        """A ``workers=1``, ``restart_budget=0`` pool whose worker was
+        SIGKILLed can never have a reader again: its next update unlinks
+        every segment it published, later updates publish nothing, and
+        every answer stays bitwise a fresh fit of its epoch."""
+        config = LacaConfig(k=8)
+        service = ClusterService(
+            LACA(config).fit(small_sbm),
+            workers=1,
+            restart_budget=0,
+            max_wait_s=0.0,
+            cache_size=0,
+        )
+        try:
+            published = list(created_segments.names)
+            assert published and created_segments.present() == set(published)
+            os.kill(service._procs[0].pid, signal.SIGKILL)
+            assert _wait(lambda: service.stats()["workers_alive"] == 0)
+            for target in (70, 90, 101):
+                service.apply_update(GraphDelta(add_edges=[(0, target)]), timeout=60)
+                assert not created_segments.present()
+                assert created_segments.names == published
+                fresh = LACA(config).fit(service.store.head)
+                for seed in (0, 5, 33):
+                    np.testing.assert_array_equal(
+                        service.cluster(seed, 12), fresh.cluster(seed, 12)
+                    )
+            stats = service.stats()
+            assert stats["fallback_active"] is True
+            assert stats["worker_restarts"] == 0
+        finally:
+            assert service.close(timeout=60) is True
 
     def test_broken_task_pipe_retries_every_block_the_worker_owed(
         self, small_sbm

@@ -33,10 +33,6 @@ def _model(graph, **overrides):
     return LACA(LacaConfig(**overrides)).fit(graph)
 
 
-def _psm_segments() -> set[str]:
-    return {path.name for path in Path("/dev/shm").glob("psm_*")}
-
-
 def _segment_names(shared) -> set[str]:
     if shared is None:
         return set()
@@ -236,16 +232,18 @@ class TestSegmentRecycling:
             for s in (seed, 5, 33):
                 np.testing.assert_array_equal(service.cluster(s, size), valid[2][s])
 
-    def test_at_most_two_segment_sets_and_none_outlives_close(self, small_sbm):
+    def test_at_most_two_segment_sets_and_none_outlives_close(
+        self, small_sbm, created_segments
+    ):
         """Over epochs whose births outgrow the segment headroom, the
-        service's live segments are exactly its current and spare sets
-        after every update, answers stay bitwise a fresh fit, and no
-        segment of the service survives close()."""
+        segments this process created that still exist are exactly the
+        service's current and spare sets after every update, answers
+        stay bitwise a fresh fit, and none of them survives close().
+        Only this process's segments count, so another process
+        publishing alongside cannot fail the check."""
         config = LacaConfig(k=8)
         model = LACA(config).fit(small_sbm)
         rng = np.random.default_rng(11)
-        before = _psm_segments()
-        seen: set[str] = set()
         service = ClusterService(model, workers=2, cache_size=0, max_wait_s=0.0)
         try:
             pool = service._pool
@@ -253,22 +251,21 @@ class TestSegmentRecycling:
             for _ in range(7):  # 120 -> 162 nodes, +35%: past the 1/8 headroom
                 service.apply_update(_births(head, 6, rng), timeout=60)
                 head = service.store.head
-                live = _psm_segments() - before
+                live = created_segments.present()
                 current, spare = _segment_names(pool._shared), _segment_names(pool._spare)
                 assert not current & spare
                 assert live == current | spare
                 assert len(live) <= 2 * 6  # two sets of six arrays at most
-                seen |= live
                 fresh = LACA(config).fit(head)
                 for seed in (0, 50, head.n - 1):
                     np.testing.assert_array_equal(
                         service.cluster(seed, 15), fresh.cluster(seed, 15)
                     )
             # The births really outgrew some segments (they were re-created).
-            assert len(seen) > 2 * 6
+            assert len(set(created_segments.names)) > 2 * 6
         finally:
             service.close(timeout=30)
-        assert not _psm_segments() - before
+        assert not created_segments.present()
 
 
 _ORPHAN_SCRIPT = """

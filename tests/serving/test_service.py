@@ -361,6 +361,53 @@ class TestInThreadService:
         assert stats["fallback_active"] is False
         assert stats["engine_served"] == 1
 
+    def test_publishes_no_segment_across_updates(self, small_sbm, created_segments):
+        """``workers=0`` is a pool of size 0: it creates no shared-memory
+        segment, at construction or at any update, and answers bitwise a
+        fresh fit of each epoch."""
+        config = LacaConfig(k=8)
+        deltas = [
+            GraphDelta(add_edges=[(0, 70)]),
+            GraphDelta(add_edges=[(5, 90), (33, 101)]),
+            GraphDelta(remove_edges=[(0, 70)]),
+        ]
+        with ClusterService(LACA(config).fit(small_sbm), cache_size=0) as service:
+            for delta in deltas:
+                service.apply_update(delta, timeout=60)
+                fresh = LACA(config).fit(service.store.head)
+                for seed in (0, 5, 33, 119):
+                    np.testing.assert_array_equal(
+                        service.cluster(seed, 15), fresh.cluster(seed, 15)
+                    )
+            assert service._pool._shared is None
+        assert created_segments.names == []
+
+    def test_no_fallback_without_workers_to_lose(self, small_sbm, tmp_path):
+        """``fallback_active`` means the pool lost its workers.  A pool
+        of size 0 answers in-process from the start, so the flag and its
+        gauge stay 0 and no ``fallback_inprocess`` event is traced."""
+        import json
+
+        from repro.obs import TraceLog
+
+        path = tmp_path / "trace.jsonl"
+        trace = TraceLog(path)
+        try:
+            with ClusterService(_model(small_sbm), trace_log=trace) as service:
+                for seed in range(4):
+                    assert len(service.cluster(seed, 10)) == 10
+                assert service.stats()["fallback_active"] is False
+                families = {
+                    family["name"]: family
+                    for family in service.telemetry.registry.collect()
+                }
+                assert families["laca_fallback_active"]["samples"] == [[[], 0.0]]
+        finally:
+            trace.close()
+        events = [json.loads(line)["event"] for line in path.read_text().splitlines()]
+        assert "request" in events
+        assert "fallback_inprocess" not in events
+
     def test_pool_cluster_service_is_an_alias(self, small_sbm):
         """Both old import paths name the one class, so a caller that
         still builds ``PoolClusterService(model, workers=N)`` gets it."""
