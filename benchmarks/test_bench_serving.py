@@ -31,7 +31,7 @@ from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs.datasets import load_dataset
 import repro.serving.service as service_module
-from repro.core.routing import usable_cpus
+from repro.parallel import usable_cpus
 from repro.obs import TraceLog
 from repro.serving import ClusterService
 

@@ -1,4 +1,5 @@
-"""One BLAS thread for LACA's Step 2 products and block diffusions.
+"""One BLAS thread for LACA's Step 2 products, block diffusions and TNAM
+row blocks.
 
 Step 2 of :func:`~repro.core.laca.laca_scores` and
 :func:`~repro.core.laca.laca_scores_batch` is a pair of skinny dense
@@ -11,9 +12,11 @@ the next call.  On a 2-CPU host a helper that lands on the diffusion's
 CPU can slow every later block of the process: with two busy background
 processes, the best B=64 block of the arxiv analog at scale 0.12 took
 50–99 ms uncapped against 34–43 ms capped.  :func:`single_blas_thread`
-caps OpenBLAS at one thread for Step 2 and the block diffusions and puts
-the previous count back afterwards, so the rest of the program (the
-k-SVD's Gram product, for one) keeps its threads.
+caps OpenBLAS at one thread for Step 2 and the block diffusions, and for
+the blocked TNAM build (:mod:`repro.attributes.tnam`), which spreads its
+row-block products over the CPUs on threads of its own.  It puts the
+previous count back afterwards, so the rest of the program (the
+randomized k-SVD past 400 features, for one) keeps its threads.
 
 The libraries are found through ``/proc/self/maps``: OpenBLAS as bundled
 by the numpy/scipy wheels (``scipy_openblas``, 32- or 64-bit ints) or as

@@ -43,7 +43,6 @@ exception on any thread fails the whole call.
 
 from __future__ import annotations
 
-import os
 import threading
 
 from ..diffusion.base import (
@@ -51,13 +50,9 @@ from ..diffusion.base import (
     block_diffusion_pays,
     end_kernel_tally,
 )
+from ..parallel import contiguous_cuts
 
-__all__ = [
-    "FANOUT_MIN_SCATTER_VOLUME",
-    "contiguous_cuts",
-    "route_block",
-    "usable_cpus",
-]
+__all__ = ["FANOUT_MIN_SCATTER_VOLUME", "route_block"]
 
 #: Smallest mean scatter volume (edges per diffusion iteration) of a
 #: block's first seed at which the rest of the block, local or
@@ -72,29 +67,12 @@ __all__ = [
 FANOUT_MIN_SCATTER_VOLUME = 2**14
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def mean_scatter_volume(result) -> float:
     """Edges one diffusion iteration of ``result`` scattered, on average."""
     iterations = result.rwr.iterations + result.bdd.iterations
     if not iterations:
         return 0.0
     return (result.rwr.work + result.bdd.work) / iterations
-
-
-def contiguous_cuts(start: int, stop: int, count: int) -> list[int]:
-    """Bounds of ``count`` contiguous chunks of ``range(start, stop)``
-    whose sizes differ by at most one, larger chunks first: chunk ``k``
-    is ``[cuts[k], cuts[k + 1])``.  ``count`` must be in
-    ``1..stop - start``."""
-    size, extra = divmod(stop - start, count)
-    return [start + k * size + min(k, extra) for k in range(count + 1)]
 
 
 class _Block:

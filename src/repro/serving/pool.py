@@ -81,9 +81,9 @@ import traceback
 # module's name because perfbench/layers.py wraps it at this name.
 from ..core.laca import top_k_cluster  # noqa: F401
 from ..core.pipeline import LACA
-from ..core.routing import contiguous_cuts
 from ..graphs.shm import attach_snapshot, publish_snapshot
 from ..obs.metrics import MetricsRegistry
+from ..parallel import contiguous_cuts
 from .service import ClusterService, DeadlineExceeded, _Request, answer_block
 from .telemetry import make_engine_metrics
 

@@ -41,10 +41,11 @@ import numpy as np
 
 from ..core.laca import top_k_cluster
 from ..core.pipeline import LACA
-from ..core.routing import route_block, usable_cpus
+from ..core.routing import route_block
 from ..diffusion.scatter import sorted_union
 from ..graphs.store import GraphDelta, GraphStore
 from ..obs.tracing import Span, TraceLog
+from ..parallel import usable_cpus
 from .cache import ResultCache, config_digest, query_key
 from .telemetry import ServiceTelemetry
 

@@ -8,14 +8,17 @@ summed in the same order as a fresh build; every other path is a fresh
 build.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.attributes.tnam as tnam_mod
+from repro import parallel
 from repro.attributes.tnam import TNAM, build_tnam
 from repro.graphs import GraphDelta
-from repro.graphs.graph import row_blocks
+from repro.graphs.graph import ATTRIBUTE_BLOCK_ROWS, row_blocks
 
 
 def _unit_rows(rng, n, d):
@@ -183,6 +186,116 @@ class TestRowBlockInput:
         assert again.blocks.grams[0] is updated.blocks.grams[0]
         assert again.blocks.grams[1] is updated.blocks.grams[1]
         _assert_fresh_build(again, untouched, k=2, metric="cosine")
+
+
+def _serial_reference(attrs, k):
+    """The one-thread blocked build, kept as the bitwise reference: each
+    Gram block's row-block partials summed in order, the Gram blocks
+    summed in order, one eigensolve, ``Y = X V_k`` row block by row
+    block, then Eq. (18)'s normalization over the whole of ``Y``.
+    Returns ``(z, basis, grams, colsums)``."""
+    blocks = row_blocks(attrs)
+    per = tnam_mod._block_rows(attrs.shape[1], k) // ATTRIBUTE_BLOCK_ROWS
+    grams, colsums = [], []
+    for lo in range(0, len(blocks), per):
+        group = blocks[lo : lo + per]
+        gram, colsum = group[0].T @ group[0], group[0].sum(axis=0)
+        for block in group[1:]:
+            gram += block.T @ block
+            colsum += block.sum(axis=0)
+        grams.append(gram)
+        colsums.append(colsum)
+    gram, colsum = grams[0].copy(), colsums[0].copy()
+    for g, c in zip(grams[1:], colsums[1:]):
+        gram += g
+        colsum += c
+    _, eigenvectors = np.linalg.eigh(gram)
+    v = eigenvectors[:, gram.shape[0] - 1 - np.arange(k)]
+    y = np.empty((attrs.shape[0], k))
+    lo = 0
+    for block in blocks:
+        np.matmul(block, v, out=y[lo : lo + block.shape[0]])
+        lo += block.shape[0]
+    denom = y @ (colsum @ v)
+    np.maximum(denom, 1e-12, out=denom)
+    y /= np.sqrt(denom, out=denom)[:, None]
+    return y, v.T, grams, colsums
+
+
+def _parts(tnam):
+    return tnam.z, tnam.basis, list(tnam.blocks.grams), list(tnam.blocks.colsums)
+
+
+def _assert_bitwise(got, want):
+    z, basis, grams, colsums = got
+    np.testing.assert_array_equal(z, want[0])
+    np.testing.assert_array_equal(basis, want[1])
+    assert len(grams) == len(want[2]) and len(colsums) == len(want[3])
+    for g, c, g_want, c_want in zip(grams, colsums, want[2], want[3]):
+        np.testing.assert_array_equal(g, g_want)
+        np.testing.assert_array_equal(c, c_want)
+
+
+class TestThreadedBlocks:
+    """Fit and refresh spread the Gram partials and the projection over
+    the CPUs; the TNAM must not depend on how many."""
+
+    @pytest.mark.parametrize(
+        ("n", "d", "k", "gram_blocks"),
+        [
+            (3 * 1024 + 300, 16, 4, 4),  # a partial last block
+            (2 * 1024 + 10, 16, 4, 3),  # more CPUs (4) than blocks
+            (700, 16, 4, 1),  # a single block
+            (2 * 2048 + 700, 64, 2, 3),  # Gram blocks of 2, 2, 1 row blocks
+        ],
+        ids=[
+            "partial-last-block",
+            "more-cpus-than-blocks",
+            "single-block",
+            "multi-row-gram-blocks",
+        ],
+    )
+    def test_cpu_count_leaves_tnam_bitwise(self, rng, monkeypatch, n, d, k, gram_blocks):
+        attrs = _unit_rows(rng, n, d)
+        rows = [0, n // 2, n - 1]
+        new_attrs = _updated(rng, attrs, rows, appended=5)
+        rows += list(range(n, n + 5))
+        want_fit = _serial_reference(attrs, k)
+        want_update = _serial_reference(new_attrs, k)
+        # Every chunk, however small, pays for a thread here.
+        monkeypatch.setattr(parallel, "MIN_HELPER_WORK", 1)
+        real = tnam_mod._block_partials
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
+            threads = set()
+
+            def recording(block):
+                threads.add(threading.current_thread())
+                return real(block)
+
+            monkeypatch.setattr(tnam_mod, "_block_partials", recording)
+            fitted = build_tnam(attrs, k=k)
+            assert len(fitted.blocks.grams) == gram_blocks
+            assert len(threads) == min(cpus, gram_blocks), cpus
+            _assert_bitwise(_parts(fitted), want_fit)
+            _assert_bitwise(_parts(fitted.update_rows(new_attrs, rows)), want_update)
+
+    def test_small_work_stays_on_the_calling_thread(self, rng, monkeypatch):
+        """Under :data:`~repro.parallel.MIN_HELPER_WORK` per thread, a
+        many-block build starts no helper thread."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+        attrs = _unit_rows(rng, 4 * 1024, 16)
+        assert 4 * 1024 * 16 * 16 < parallel.MIN_HELPER_WORK
+        threads = set()
+        real = tnam_mod._block_partials
+
+        def recording(block):
+            threads.add(threading.current_thread())
+            return real(block)
+
+        monkeypatch.setattr(tnam_mod, "_block_partials", recording)
+        build_tnam(attrs, k=4)
+        assert threads == {threading.current_thread()}
 
 
 class TestOtherPaths:

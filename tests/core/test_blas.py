@@ -4,13 +4,17 @@ block diffusions."""
 import multiprocessing
 import threading
 
+import numpy as np
 import pytest
 
+import repro.attributes.tnam as tnam_module
 import repro.core.laca as laca_module
+from repro import parallel
 from repro.core import blas
 from repro.core.blas import _openblas_thread_controls, single_blas_thread
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
+from repro.graphs import GraphDelta, GraphStore
 from repro.graphs.datasets import load_dataset
 
 
@@ -56,6 +60,43 @@ def test_block_diffusions_run_capped(two_threads, monkeypatch):
     monkeypatch.setattr(laca_module, "batch_diffuse", recording_batch_diffuse)
     model.scores_batch([0, 1, 2])
     assert seen == [[1] * len(two_threads)] * 2
+    assert [get() for get, _ in two_threads] == [2] * len(two_threads)
+
+
+def test_threaded_tnam_runs_capped(two_threads, monkeypatch):
+    """The TNAM's row-block work on every thread — the Gram partials of a
+    fit and of a refresh, the projection and its normalization — and its
+    eigensolve on the calling thread run with the cap set, and the cap
+    is lifted afterwards."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "MIN_HELPER_WORK", 1)
+    seen = {}
+    for owner, name in (
+        (tnam_module, "_block_partials"),
+        (tnam_module, "_normalize_features"),
+        (np.linalg, "eigh"),
+    ):
+        real = getattr(owner, name)
+
+        def recording(*args, real=real, name=name):
+            counts = tuple(get() for get, _ in two_threads)
+            seen.setdefault(name, []).append((threading.current_thread(), counts))
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, recording)
+    graph = load_dataset("arxiv", scale=0.5)  # four row blocks
+    model = LACA(LacaConfig(metric="cosine", k=8)).fit(graph)
+    store = GraphStore(graph)
+    store.apply(GraphDelta(set_attributes=([5, 3900], graph.attributes[[6, 3901]])))
+    model.refresh(store)
+    assert sorted(seen) == ["_block_partials", "_normalize_features", "eigh"]
+    for name, calls in seen.items():
+        assert {counts for _, counts in calls} == {(1,) * len(two_threads)}, name
+        threads = [thread for thread, _ in calls]
+        if name == "eigh":  # once per fit or refresh, on the calling thread
+            assert threads == [threading.current_thread()] * 2
+        else:
+            assert threading.current_thread() in threads and len(set(threads)) > 1
     assert [get() for get, _ in two_threads] == [2] * len(two_threads)
 
 

@@ -1,10 +1,13 @@
 """Tests for :meth:`LACA.refresh`: tracking a store without refitting."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.attributes.tnam as tnam_module
+from repro import parallel
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs import AttributedGraph, GraphDelta, GraphStore
@@ -162,6 +165,46 @@ class TestAttributeDeltaAllocation:
         fresh = LACA(config).fit(head)
         np.testing.assert_array_equal(model.tnam.z, fresh.tnam.z)
         assert "attributes" not in vars(head)
+
+
+class TestThreadedRefresh:
+    @pytest.mark.parametrize("stage", ["_block_partials", "_normalize_features"])
+    def test_a_failing_helper_fails_the_refresh_and_keeps_the_model(
+        self, rng, monkeypatch, stage
+    ):
+        """An error in a helper thread's chunk — of the Gram partials or
+        of the projection — comes out of ``refresh``, which then leaves
+        the model on its old TNAM and graph and no helper running; the
+        next refresh lands bitwise on a fresh fit."""
+        n, d = 4 * 1024 + 100, 16
+        ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+        graph = AttributedGraph.from_edges(n, ring, attributes=_unit_rows(rng, n, d))
+        config = LacaConfig(k=8)
+        model = LACA(config).fit(graph)
+        tnam, head = model.tnam, model.graph
+        store = GraphStore(graph)
+        store.apply(GraphDelta(set_attributes=([5, 1500, n - 1], _unit_rows(rng, 3, d))))
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "MIN_HELPER_WORK", 1)
+        caller = threading.current_thread()
+        real = getattr(tnam_module, stage)
+
+        def failing_on_helpers(*args):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("helper chunk failed")
+            return real(*args)
+
+        monkeypatch.setattr(tnam_module, stage, failing_on_helpers)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper chunk failed"):
+            model.refresh(store)
+        assert threading.active_count() == before
+        assert model.tnam is tnam and model.graph is head
+        monkeypatch.setattr(tnam_module, stage, real)
+        model.refresh(store)
+        fresh = LACA(config).fit(store.head)
+        np.testing.assert_array_equal(model.tnam.z, fresh.tnam.z)
+        np.testing.assert_array_equal(model.tnam.basis, fresh.tnam.basis)
 
 
 class TestFitStateEpoch:

@@ -17,6 +17,7 @@ from repro.diffusion.base import (
     end_kernel_tally,
 )
 from repro.graphs.datasets import load_dataset
+from repro.parallel import contiguous_cuts
 
 SIZE = 20
 
@@ -196,4 +197,4 @@ def test_saturated_chunks_are_claimed_once_under_contention(
     ],
 )
 def test_contiguous_cuts_differ_by_at_most_one(start, stop, count, cuts):
-    assert routing.contiguous_cuts(start, stop, count) == cuts
+    assert contiguous_cuts(start, stop, count) == cuts
