@@ -32,6 +32,8 @@ from repro.graphs.datasets import load_dataset
 
 SCALE = 21.0
 N_DELTAS = 24
+#: Alternating refit / incremental rounds of the attribute bar.
+ROUNDS = 3
 
 
 def _full_refit_seconds(graph, config):
@@ -137,19 +139,26 @@ def test_incremental_attribute_update_beats_refit_5x(setup):
     the Gram blocks holding the touched rows and reruns the d × d
     eigensolve and the projection, instead of re-forming the whole
     ``XᵀX``.  Rows are drawn inside the basis span, as they have been
-    since this bar was set; any row takes the same path."""
-    graph, config, model, refit_s = setup
+    since this bar was set; any row takes the same path.  Refits and
+    rounds of 8 deltas alternate and the best of each is compared, so
+    drift in host speed hits both sides alike."""
+    graph, config, model, _ = setup
     store = GraphStore(model.graph)
     model.refresh(store)
     basis = model.tnam.basis
     rng = np.random.default_rng(1)
-    nodes = rng.choice(graph.n, size=8, replace=False)
-    start = time.perf_counter()
-    for node in nodes:
-        new_row = (rng.normal(size=basis.shape[0]) @ basis)[None, :]
-        store.apply(GraphDelta(set_attributes=([int(node)], new_row)))
-        model.refresh(store)
-    incremental_s = (time.perf_counter() - start) / len(nodes)
+    refit_s = incremental_s = float("inf")
+    for _ in range(ROUNDS):
+        refit_s = min(refit_s, _full_refit_seconds(graph, config))
+        nodes = rng.choice(graph.n, size=8, replace=False)
+        start = time.perf_counter()
+        for node in nodes:
+            new_row = (rng.normal(size=basis.shape[0]) @ basis)[None, :]
+            store.apply(GraphDelta(set_attributes=([int(node)], new_row)))
+            model.refresh(store)
+        incremental_s = min(
+            incremental_s, (time.perf_counter() - start) / len(nodes)
+        )
 
     speedup = refit_s / incremental_s
     assert speedup >= 5.0, (

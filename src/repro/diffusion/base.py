@@ -42,18 +42,22 @@ __all__ = [
 SELECTIVE_VOLUME_FRACTION = 0.0625
 
 
-def full_scatter_cost(nnz: int, n: int, n_columns: int = 1) -> float:
-    """Cost model of one full transition mat-vec (or mat-mat of width B).
+def full_scatter_cost(nnz: int, n: int) -> float:
+    """Cost model of one full transition mat-vec.
 
     ``nnz`` edge visits for the sparse product plus a handful of dense
     length-``n`` passes (degree normalization, residual update, support
-    rescan), per column.
+    rescan).
     """
-    return float(nnz + 4 * n) * n_columns
+    return float(nnz + 4 * n)
 
 
 def selective_scatter_is_cheaper(support_volume: float, full_cost: float) -> bool:
-    """Volume-based kernel switch shared by sequential and batch engines.
+    """Volume-based kernel switch of the sequential engines.
+
+    The block engine has no selective kernel, so only the sequential
+    scatter (:func:`~repro.diffusion.scatter.scatter_step`) and the
+    one-shot conversion of :mod:`repro.diffusion.frontier` consult it.
 
     ``support_volume`` is ``degrees[support].sum()`` — the work the
     selective scatter actually performs — compared against the cost of a

@@ -12,6 +12,12 @@ independently the moment none of their residuals clears their own
 threshold, so the block shrinks as queries converge and every column
 ends with exactly the state its sequential counterpart would produce.
 
+An iteration runs in one of two regimes: the saturated fast path, where
+every residual of every live column clears its threshold and ``Γ = R``,
+or the dense mat-mat over the masked ``Γ``.  There is no selective
+(sparse-Γ) scatter: the router sends a block here only once its queries
+saturate the graph, where a dense mat-mat is the cheaper product.
+
 Three block engines mirror their vector originals one-for-one:
 
 * :func:`batch_greedy_diffuse` — Algo 1 column-wise.
@@ -31,15 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graphs.graph import AttributedGraph
-from .base import (
-    DiffusionResult,
-    full_scatter_cost,
-    note_kernel,
-    selective_scatter_is_cheaper,
-)
+from .base import DiffusionResult, note_kernel
 from .push import push_diffuse
 
 __all__ = [
@@ -141,13 +141,6 @@ def validate_batch_inputs(
 _COMPACT_LIMIT = 0.75
 
 
-def _sparse_gamma(rows, cols, data, shape) -> sp.csr_matrix:
-    """CSR matrix for Γ from a row-major nonzero scan (zero-copy build)."""
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((data, cols, indptr), shape=shape)
-
-
 def _block_diffuse(
     graph: AttributedGraph,
     F: np.ndarray,
@@ -164,11 +157,17 @@ def _block_diffuse(
     ``γ_b`` — the above-threshold residuals (greedy), the whole residual
     (non-greedy), or whichever Algo 2's per-column test prefers
     (adaptive) — and the update ``Q += (1-α)Γ;  R ← R − Γ + α A (Γ/d)``
-    runs once for the whole block.  Three regimes keep the work
-    proportional to what actually moves: a sparse Γ mat-mat while the
-    selections are local, a saturated fast path when every residual is
-    above threshold, and a dense mat-mat in between.  Converged columns
-    are masked out immediately and compacted away once they dominate.
+    runs once for the whole block.  Two regimes: a saturated fast path
+    (``Γ = R``) when every residual of every column is above threshold,
+    and the dense mat-mat ``A (Γ/d)`` otherwise.  Converged columns are
+    masked out immediately and compacted away once they dominate.
+
+    Only blocks whose queries saturate the graph are routed here
+    (:func:`~repro.diffusion.base.block_diffusion_pays`), so there is no
+    selective scatter: on the n = 8,000 arxiv analog a sparse-Γ SpGEMM
+    was never faster than the dense mat-mat (README, Batched queries).  Both
+    products add each output row's terms in ascending CSR order, as the
+    sequential kernels do, so every column is bitwise its sequential run.
     """
     F, eps = validate_batch_inputs(F, graph.n, alpha, epsilon)
     if mode == "adaptive" and sigma < 0.0:
@@ -178,6 +177,9 @@ def _block_diffuse(
     dcol = degrees[:, None]
     volume = float(degrees.sum())
     adjacency = graph.adjacency
+    # Per-column counts of a boolean block as one BLAS product: a
+    # strided axis-0 count_nonzero costs several times as much.
+    ones = np.ones(n)
 
     out_q = np.zeros((n, n_cols))
     out_r = F.copy()
@@ -187,7 +189,12 @@ def _block_diffuse(
     work = np.zeros(n_cols)
     history: list[float] = []
     if mode == "adaptive":
-        budgets = np.abs(F).sum(axis=0) / ((1.0 - alpha) * eps)
+        # Sum each column contiguously: numpy then adds it pairwise, as
+        # ``f.sum()`` does in the sequential engine (an axis-0 reduction
+        # of the C-ordered block adds it row by row instead, and a budget
+        # one ulp off flips a one-shot decision).  F is validated
+        # non-negative, so no abs.
+        budgets = np.ascontiguousarray(F.T).sum(axis=1) / ((1.0 - alpha) * eps)
         c_tot = np.zeros(n_cols)
 
     # Working block: the still-active columns, compacted side by side.
@@ -216,7 +223,7 @@ def _block_diffuse(
 
     while active.size:
         above = R >= T
-        counts = np.count_nonzero(above, axis=0)
+        counts = ones @ above
         newly_done = (counts == 0) & alive
         if newly_done.any():
             _retire(newly_done)
@@ -240,7 +247,7 @@ def _block_diffuse(
             nongreedy_steps[live_cols] += 1
         else:
             nonzero = R != 0.0
-            nzcounts = np.count_nonzero(nonzero, axis=0)
+            nzcounts = ones @ nonzero
             vol_r = degrees @ nonzero
             ratio = counts / np.maximum(nzcounts, 1)
             one_shot = (ratio > sigma) & (c_tot[active] + vol_r < budgets[active])
@@ -250,45 +257,19 @@ def _block_diffuse(
             nongreedy_steps[active[one_shot]] += 1
             greedy_steps[active[alive & ~one_shot]] += 1
 
-        saturated = alive.all() and int(counts.min()) == n and sel is above
-        # Per-column selected volume: the work the scatter actually does,
-        # and the quantity the kernel switch compares against the dense
-        # mat-mat cost (volume-based, not selection-count-based — a few
-        # selected hubs can cover most of the graph's edges).
-        sel_vol = degrees @ sel
-        n_alive = int(np.count_nonzero(alive))
-
-        if saturated:
+        note_kernel("block_dense")
+        if alive.all() and counts.min() == n and sel is above:
             # Every residual converts (the non-greedy regime): Γ = R.
-            note_kernel("block_dense")
             work[live_cols] += volume
             Q += (1.0 - alpha) * R
             scaled = R / dcol
             R = adjacency.dot(scaled)
             R *= alpha
-        elif selective_scatter_is_cheaper(
-            float(sel_vol.sum()), full_scatter_cost(adjacency.nnz, n, n_alive)
-        ):
-            # Local regime: route the scatter through a sparse Γ so the
-            # mat-mat costs vol(supp(Γ)), not nnz(A)·B (Eq. 16, batched
-            # analog of the selective scatter).
-            note_kernel("block_sparse")
-            rows, cols = np.nonzero(sel)
-            data = R[rows, cols]
-            if mode != "adaptive":
-                work[active] += sel_vol
-            elif not one_shot.all():
-                sel_g = alive & ~one_shot
-                work[active[sel_g]] += sel_vol[sel_g]
-            Q[rows, cols] += (1.0 - alpha) * data
-            R[rows, cols] = 0.0
-            scatter = adjacency.dot(
-                _sparse_gamma(rows, cols, data / degrees[rows], sel.shape)
-            ).tocoo()
-            R[scatter.row, scatter.col] += alpha * scatter.data
         else:
-            note_kernel("block_dense")
-            Gamma = np.where(sel, R, 0.0)
+            # R is finite and ≥ 0, so R·sel zeroes the unselected entries exactly.
+            Gamma = R * sel
+            # Per-column selected volume: the work this scatter does.
+            sel_vol = degrees @ sel
             if mode != "adaptive":
                 work[active] += sel_vol
             elif not one_shot.all():

@@ -11,8 +11,13 @@ import numpy as np
 import pytest
 
 from repro.diffusion import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
-from repro.diffusion.base import DiffusionResult
+from repro.diffusion.base import (
+    DiffusionResult,
+    begin_kernel_tally,
+    end_kernel_tally,
+)
 from repro.diffusion.batch import (
+    BLOCK_ENGINES,
     BatchDiffusionResult,
     batch_adaptive_diffuse,
     batch_diffuse,
@@ -22,6 +27,7 @@ from repro.diffusion.batch import (
 )
 from repro.diffusion.exact import exact_diffusion
 from repro.diffusion.push import push_diffuse
+from repro.graphs.datasets import load_dataset
 
 ALPHA = 0.8
 EPSILON = 1e-5
@@ -123,6 +129,100 @@ class TestAdaptiveParity:
             batch_adaptive_diffuse(
                 small_sbm, np.ones((small_sbm.n, 2)), sigma=-0.5
             )
+
+
+def _straddling_epsilon(graph, f, alpha, max_steps=256):
+    """An ε whose budget ``‖f‖₁ / ((1-α)ε)`` sits on one side of
+    ``vol(supp f)`` — the first one-shot volume — when ``‖f‖₁`` is summed
+    pairwise (``f.sum()``, as the sequential engine does) and on the
+    other when it is summed row by row (an axis-0 reduction of a
+    C-ordered block); ``None`` if no such ε lies within ``max_steps``
+    ulps of ``f.sum() / ((1-α) vol(supp f))``."""
+    volume = float(graph.degrees[np.flatnonzero(f)].sum())
+    pairwise = float(f.sum())
+    row_by_row = float(np.cumsum(f)[-1])
+    start = pairwise / ((1.0 - alpha) * volume)
+    for toward in (np.inf, 0.0):
+        eps = start
+        for _ in range(max_steps):
+            pair_shot = volume < pairwise / ((1.0 - alpha) * eps)
+            row_shot = volume < row_by_row / ((1.0 - alpha) * eps)
+            if pair_shot != row_shot:
+                return eps
+            eps = np.nextafter(eps, toward)
+    return None
+
+
+def test_adaptive_budget_sums_each_column_pairwise():
+    """A column whose one-shot decision hinges on the last ulp of its
+    budget still replays ``adaptive_diffuse`` bitwise: the block engine
+    sums ``‖f‖₁`` the way the sequential engine does."""
+    graph = load_dataset("arxiv", scale=0.12)
+    rng = np.random.default_rng(5)
+    F = rng.random((graph.n, 3)) * (rng.random((graph.n, 3)) < 0.5) * 1e-3
+    F[rng.integers(graph.n, size=3), [0, 1, 2]] = 1.0  # spikes clear the threshold
+    epsilons = [_straddling_epsilon(graph, F[:, b], ALPHA) for b in range(3)]
+    assert None not in epsilons
+
+    result = batch_adaptive_diffuse(
+        graph, F, alpha=ALPHA, sigma=0.0, epsilon=np.array(epsilons)
+    )
+    for b, eps in enumerate(epsilons):
+        seq = adaptive_diffuse(graph, F[:, b], alpha=ALPHA, sigma=0.0, epsilon=eps)
+        np.testing.assert_array_equal(result.q[:, b], seq.q)
+        np.testing.assert_array_equal(result.residual[:, b], seq.residual)
+        assert result.column_iterations[b] == seq.iterations
+        assert result.greedy_steps[b] == seq.greedy_steps
+        assert result.nongreedy_steps[b] == seq.nongreedy_steps
+
+
+SEQUENTIAL = {
+    "greedy": greedy_diffuse,
+    "nongreedy": nongreedy_diffuse,
+    "adaptive": adaptive_diffuse,
+}
+
+
+def _tallied(call):
+    """Run ``call()`` under a fresh kernel tally; return result and tally."""
+    begin_kernel_tally()
+    try:
+        result = call()
+    finally:
+        tally = end_kernel_tally()
+    return result, tally
+
+
+@pytest.mark.parametrize("engine", BLOCK_ENGINES)
+def test_local_iterations_scatter_through_the_dense_mat_mat(engine):
+    """One-hot columns on the arxiv analog (n = 800) start local: the
+    sequential engines' volume switch picks a selective kernel for some
+    of their iterations, i.e. those select at most 1/16 of a full
+    mat-vec's cost.  The block engine still scatters every iteration
+    through the dense mat-mat, and every column is bitwise its
+    sequential run."""
+    graph = load_dataset("arxiv", scale=0.1)
+    F = np.zeros((graph.n, 4))
+    for b, node in enumerate((0, 7, 130, 611)):
+        F[node, b] = 1.0
+    result, tally = _tallied(
+        lambda: batch_diffuse(graph, F, alpha=ALPHA, epsilon=1e-6, engine=engine)
+    )
+    assert set(tally) == {"block_dense"}, tally
+    assert tally["block_dense"] == result.iterations
+
+    local = 0
+    for b in range(F.shape[1]):
+        seq, seq_tally = _tallied(
+            lambda: SEQUENTIAL[engine](graph, F[:, b], alpha=ALPHA, epsilon=1e-6)
+        )
+        local += seq_tally.get("gather", 0) + seq_tally.get("csc", 0)
+        np.testing.assert_array_equal(result.q[:, b], seq.q)
+        np.testing.assert_array_equal(result.residual[:, b], seq.residual)
+        assert result.column_iterations[b] == seq.iterations
+        assert result.greedy_steps[b] == seq.greedy_steps
+        assert result.nongreedy_steps[b] == seq.nongreedy_steps
+    assert local > 0
 
 
 class TestGuarantees:
