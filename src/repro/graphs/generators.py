@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import AttributedGraph, normalize_rows
+from .graph import ATTRIBUTE_BLOCK_ROWS, AttributedGraph, _normalize_rows_in_place
 
 __all__ = [
     "SBMConfig",
@@ -240,7 +240,9 @@ def sparse_topic_profiles(
     Each profile has exponential weight on a small random support —
     the building block of :func:`topic_attributes`, exposed so dynamic
     scenarios can mint topics for communities born mid-stream with the
-    same statistics as the base graph's.
+    same statistics as the base graph's.  The profiles are normalized in
+    place, in row blocks, so the returned matrix is the only
+    ``count × d`` array built.
     """
     if support_size is None:
         support_size = max(2, d // 4)
@@ -248,7 +250,7 @@ def sparse_topic_profiles(
     for row in range(count):
         support = rng.choice(d, size=support_size, replace=False)
         profiles[row, support] = rng.exponential(scale=1.0, size=support_size)
-    return normalize_rows(profiles)
+    return _normalize_rows_in_place(profiles)
 
 
 def topic_attributes(
@@ -270,32 +272,48 @@ def topic_attributes(
     ``topic_overlap`` blends each topic with a shared background profile
     so communities are not trivially separable in attribute space, and
     ``attribute_noise`` mixes in a per-node random keyword profile.
+
+    Node ``i``'s row is ``normalize(signal_i + attribute_noise · noise_i)``
+    with ``noise_i = normalize(0.7 · confuser_i + 0.3 · random_i)``.  It is
+    computed in place in the ``n × d`` array of random profiles, one
+    ``ATTRIBUTE_BLOCK_ROWS``-row block at a time, so that array is the
+    only ``n × d`` one built; the values are bitwise those of the
+    whole-matrix expressions.
     """
     n_communities = int(labels.max()) + 1
     n = labels.shape[0]
 
     topics = sparse_topic_profiles(n_communities, d, rng)
     background = sparse_topic_profiles(1, d, rng)[0]
-    topics = (1.0 - topic_overlap) * topics + topic_overlap * background
-    topics = normalize_rows(topics)
+    topics = _normalize_rows_in_place(
+        (1.0 - topic_overlap) * topics + topic_overlap * background
+    )
 
     # Noise is *confusable*: a blend of some other community's topic and a
     # random keyword profile.  Pure white noise would average out over a
     # community and leave the clustering trivially easy; topic-confusion
     # noise creates the cross-community attribute ambiguity real
     # bag-of-words data exhibits.
-    confusers = topics[rng.integers(0, n_communities, size=n)]
-    random_profiles = sparse_topic_profiles(n, d, rng)
-    noise = normalize_rows(0.7 * confusers + 0.3 * random_profiles)
-    signal = topics[labels]
-    if secondary is not None:
-        has_secondary = secondary >= 0
-        signal = signal.copy()
+    confusers = rng.integers(0, n_communities, size=n)
+    attrs = sparse_topic_profiles(n, d, rng)
+    attrs *= 0.3
+    confuser_topics = 0.7 * topics
+    if secondary is None:
+        secondary = np.full(n, -1)
+    for lo in range(0, n, ATTRIBUTE_BLOCK_ROWS):
+        rows = slice(lo, lo + ATTRIBUTE_BLOCK_ROWS)
+        block = attrs[rows]
+        block += confuser_topics[confusers[rows]]
+        _normalize_rows_in_place(block)
+        block *= attribute_noise
+        signal = topics[labels[rows]]
+        has_secondary = secondary[rows] >= 0
         signal[has_secondary] = (1.0 - secondary_weight) * signal[
             has_secondary
-        ] + secondary_weight * topics[secondary[has_secondary]]
-    attrs = signal + attribute_noise * noise
-    return normalize_rows(attrs)
+        ] + secondary_weight * topics[secondary[rows][has_secondary]]
+        block += signal
+        _normalize_rows_in_place(block)
+    return attrs
 
 
 def rewire_edges(

@@ -50,11 +50,42 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     Rows that are entirely zero are left as zeros (they cannot be
     normalized); the paper assumes ``‖x(i)‖₂ = 1`` and the dataset
     generators never emit all-zero rows, but user-supplied matrices may.
+    The copy keeps ``matrix``'s memory layout and is then normalized in
+    place, one ``ATTRIBUTE_BLOCK_ROWS``-row block at a time, so the only
+    temporaries are block-sized.  Each row's norm is bitwise
+    ``np.linalg.norm(matrix, axis=1)``.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return matrix / safe[:, None]
+    return _normalize_rows_in_place(np.array(matrix, dtype=np.float64, order="K"))
+
+
+def _normalize_rows_in_place(matrix: np.ndarray) -> np.ndarray:
+    """Scale each row of the float64 ``matrix`` to unit L2 norm in place
+    (all-zero rows stay zero) and return it.
+
+    The norms are ``sqrt(add.reduce(block * block, axis=1))`` over row
+    blocks: the same per-row reduction ``np.linalg.norm(axis=1)`` makes
+    over the whole matrix, without its matrix-sized products.
+    """
+    for block in row_blocks(matrix):
+        norms = np.sqrt(np.add.reduce(block * block, axis=1))
+        block /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    return matrix
+
+
+def _edge_adjacency(n: int, edges: np.ndarray | list) -> sp.csr_matrix:
+    """The binary symmetric CSR adjacency of an undirected edge list, with
+    loops and duplicate edges dropped.
+
+    Its own function so the edge-sized temporaries are freed before the
+    graph validates the matrix and copies the attribute rows.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    adj = sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+    adj.data[:] = 1.0  # collapse duplicate edges
+    return adj
 
 
 def row_blocks(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -139,8 +170,13 @@ class AttributedGraph:
     )
 
     def __post_init__(self) -> None:
-        adj = sp.csr_matrix(self.adjacency, dtype=np.float64)
-        adj.setdiag(0.0)
+        # A copy: the edits below work in place, and the caller's matrix
+        # may share its arrays with ``adj`` (or be read-only).
+        adj = sp.csr_matrix(self.adjacency, dtype=np.float64, copy=True)
+        # Clearing a diagonal that holds nothing would insert n explicit
+        # zeros only for ``eliminate_zeros`` to drop them again.
+        if adj.diagonal().any():
+            adj.setdiag(0.0)
         adj.eliminate_zeros()
         adj.sort_indices()
         if adj.shape[0] != adj.shape[1]:
@@ -386,16 +422,8 @@ class AttributedGraph:
         name: str = "graph",
     ) -> "AttributedGraph":
         """Build a graph from an edge list (duplicates and loops dropped)."""
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        mask = edges[:, 0] != edges[:, 1]
-        edges = edges[mask]
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        data = np.ones(rows.shape[0])
-        adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        adj.data[:] = 1.0  # collapse duplicate edges
         return cls(
-            adjacency=adj,
+            adjacency=_edge_adjacency(n, edges),
             attributes=attributes,
             communities=communities,
             secondary_communities=secondary_communities,

@@ -97,6 +97,65 @@ class TestConstruction:
                 secondary_communities=np.array([-1, 0, -1]),
             )
 
+    @pytest.mark.parametrize("diagonal", [2.0, 0.0])
+    def test_stored_diagonal_dropped(self, diagonal):
+        rows, cols = [0, 0, 1, 2, 1], [1, 2, 0, 0, 1]
+        adj = sp.csr_matrix(([1.0, 1.0, 1.0, 1.0, diagonal], (rows, cols)), shape=(3, 3))
+        assert adj.nnz == 5  # the diagonal entry is stored even when zero
+        graph = AttributedGraph(adjacency=adj)
+        assert graph.adjacency.diagonal().tolist() == [0.0, 0.0, 0.0]
+        assert graph.adjacency.nnz == 4
+        assert np.array_equal(graph.degrees, [2.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "entries, symmetric",
+        [
+            ({(0, 1): 0.5, (1, 0): 0.5 + 4e-13}, True),  # within the tolerance
+            ({(0, 1): 0.5, (1, 0): 0.5 + 4e-12}, False),  # beyond it
+            ({(0, 1): 0.5, (1, 0): 0.5, (0, 2): 4e-13}, True),  # tiny, unmirrored
+            ({(0, 1): 0.5, (1, 0): 0.5, (0, 2): 0.25}, False),  # unmirrored
+        ],
+    )
+    def test_symmetry_tolerance(self, entries, symmetric):
+        """``|a_ij - a_ji| ≤ 1e-12`` passes, whether or not both are stored."""
+        rows, cols = zip(*entries)
+        adj = sp.csr_matrix((list(entries.values()), (rows, cols)), shape=(3, 3))
+        adj = adj + sp.csr_matrix(([1.0, 1.0], ([1, 2], [2, 1])), shape=(3, 3))
+        if symmetric:
+            AttributedGraph(adjacency=adj)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                AttributedGraph(adjacency=adj)
+
+    @pytest.mark.parametrize(
+        "data, indices, indptr",
+        [
+            # an explicit zero and an unsorted row, no diagonal
+            ([1.0, 1.0, 0.0, 1.0, 1.0], [2, 1, 2, 0, 0], [0, 2, 4, 5]),
+            # every diagonal entry stored, rows unsorted
+            ([1.0, 5.0, 1.0, 5.0, 1.0, 1.0, 5.0], [2, 0, 1, 1, 0, 0, 2], [0, 3, 5, 7]),
+        ],
+    )
+    def test_callers_matrix_left_unchanged(self, data, indices, indptr):
+        """The graph edits its own copy: the caller's arrays keep their
+        values and order, and a read-only matrix is accepted."""
+        arrays = (
+            np.array(data),
+            np.array(indices, dtype=np.int32),
+            np.array(indptr, dtype=np.int32),
+        )
+        for array in arrays:
+            array.flags.writeable = False
+        adj = sp.csr_matrix(arrays, shape=(3, 3))
+        graph = AttributedGraph(adjacency=adj)
+        assert graph.adjacency.nnz == 4
+        assert graph.adjacency.has_canonical_format
+        assert np.array_equal(graph.degrees, [2.0, 1.0, 1.0])
+        assert not np.shares_memory(graph.adjacency.data, adj.data)
+        assert adj.data.tolist() == data
+        assert adj.indices.tolist() == indices
+        assert adj.indptr.tolist() == indptr
+
 
 class TestAccessors:
     def test_neighbors_sorted(self, tiny_graph):

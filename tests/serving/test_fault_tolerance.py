@@ -34,10 +34,6 @@ def _model(graph, **overrides):
     return LACA(LacaConfig(**overrides)).fit(graph)
 
 
-def _psm_segments() -> set[str]:
-    return {path.name for path in Path("/dev/shm").glob("psm_*")}
-
-
 def _wait(predicate, timeout=15.0, interval=0.02):
     deadline = time.perf_counter() + timeout
     while time.perf_counter() < deadline:
@@ -460,7 +456,9 @@ class TestRetryAndRespawn:
         finally:
             service.close(timeout=60)
 
-    def test_restart_budget_exhaustion_answers_in_process(self, small_sbm):
+    def test_restart_budget_exhaustion_answers_in_process(
+        self, small_sbm, created_segments
+    ):
         """When every incarnation dies and the budget runs out, the
         dispatcher answers every block itself: bitwise answers, the
         service stays up, and an update still lands with no live worker
@@ -470,7 +468,6 @@ class TestRetryAndRespawn:
         plan = FaultPlan(
             [FaultRule(site="worker.block", action="exit", times=0)]
         )
-        segments = _psm_segments()
         service = ClusterService(
             _model(small_sbm),
             workers=1,
@@ -514,7 +511,8 @@ class TestRetryAndRespawn:
             assert service.stats()["epoch"] == service.store.head.epoch
         finally:
             assert service.close(timeout=60) is True
-        assert not _psm_segments() - segments
+        assert created_segments.names
+        assert not created_segments.present()
 
     def test_engine_crash_fails_block_but_worker_survives(self, small_sbm):
         """action='raise' emulates an engine bug: the block fails with
