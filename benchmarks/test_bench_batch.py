@@ -5,7 +5,8 @@ query batch width B grows.  ``batch_size=1`` is the sequential per-seed
 online stage; larger widths answer the same seeds through the block
 diffusion engine, sharing one sparse mat-mat per iteration.  The headline
 assertion is the acceptance bar for the batching subsystem: at B=64 the
-block path must clear 3× the sequential throughput.
+block path must clear 3× the sequential throughput.  One test has no
+timing: it pins every width bitwise to the sequential answers.
 """
 
 import time
@@ -13,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import pipeline
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs.datasets import load_dataset
@@ -78,3 +80,29 @@ def test_throughput_monotone_in_batch_width(setup):
     rates = _seeds_per_second(model, seeds, (1, 16, 64))
     assert rates[16] > rates[1]
     assert rates[64] > rates[1]
+
+
+def test_block_widths_match_sequential_bitwise(setup, monkeypatch):
+    """Correctness, no timing: every width answers bitwise ``batch_size=1``,
+    and the block engine really runs (``block_dense`` in the kernel tally
+    of the routed blocks), so the comparison covers the block path."""
+    model, seeds = setup
+    route_block = pipeline.route_block
+    tally = {}
+
+    def tallying_route_block(*args):
+        records, block_tally = route_block(*args)
+        for kind, count in block_tally.items():
+            tally[kind] = tally.get(kind, 0) + count
+        return records, block_tally
+
+    monkeypatch.setattr(pipeline, "route_block", tallying_route_block)
+    sequential = model.cluster_many(seeds, size=CLUSTER_SIZE, batch_size=1)
+    assert "block_dense" not in tally
+    for batch_size in (16, 64, 256):
+        tally.clear()
+        clusters = model.cluster_many(seeds, size=CLUSTER_SIZE, batch_size=batch_size)
+        assert tally.get("block_dense", 0) > 0, (batch_size, tally)
+        assert clusters.keys() == sequential.keys()
+        for seed in seeds:
+            np.testing.assert_array_equal(clusters[seed], sequential[seed])

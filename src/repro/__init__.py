@@ -41,10 +41,7 @@ from .graphs import (
 from .attributes import build_tnam, snas_matrix, TNAM
 from .diffusion import (
     adaptive_diffuse,
-    batch_adaptive_diffuse,
     batch_diffuse,
-    batch_greedy_diffuse,
-    batch_nongreedy_diffuse,
     exact_diffusion,
     exact_rwr,
     greedy_diffuse,
@@ -75,10 +72,7 @@ __all__ = [
     "snas_matrix",
     "TNAM",
     "adaptive_diffuse",
-    "batch_adaptive_diffuse",
     "batch_diffuse",
-    "batch_greedy_diffuse",
-    "batch_nongreedy_diffuse",
     "exact_diffusion",
     "exact_rwr",
     "greedy_diffuse",

@@ -48,8 +48,7 @@ class _LacaAdapter(LocalClusteringMethod):
         return self.model.score_vector(seed)
 
     def score_vector_batch(self, seeds):
-        result = self.model.scores_batch(seeds)
-        return [result.column(b) for b in range(len(seeds))]
+        return [result.scores for result in self.model.scores_batch(seeds)]
 
     def cluster_batch(self, seeds, sizes):
         return self.model.cluster_block(seeds, sizes)

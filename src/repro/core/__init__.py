@@ -8,7 +8,6 @@ from .bdd import (
 )
 from .config import LacaConfig
 from .laca import (
-    LacaBatchResult,
     LacaResult,
     extract_cluster,
     laca_scores,
@@ -27,7 +26,6 @@ __all__ = [
     "exact_bdd_via_transform",
     "LacaConfig",
     "LacaResult",
-    "LacaBatchResult",
     "extract_cluster",
     "laca_scores",
     "laca_scores_batch",

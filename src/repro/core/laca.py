@@ -16,7 +16,7 @@ import numpy as np
 
 from ..attributes.tnam import TNAM
 from ..diffusion.base import DiffusionResult
-from ..diffusion.batch import BatchDiffusionResult, batch_diffuse
+from ..diffusion.batch import batch_diffuse
 from ..diffusion.frontier import adaptive_diffuse, greedy_diffuse, nongreedy_diffuse
 from ..diffusion.push import push_diffuse
 from ..graphs.graph import AttributedGraph
@@ -25,7 +25,6 @@ from .config import LacaConfig
 
 __all__ = [
     "LacaResult",
-    "LacaBatchResult",
     "laca_scores",
     "laca_scores_batch",
     "extract_cluster",
@@ -182,53 +181,9 @@ def laca_scores(
     )
 
 
-@dataclass
-class LacaBatchResult:
-    """Scores and diagnostics from one batched LACA run over ``B`` seeds.
-
-    ``scores`` stacks the per-seed approximate BDD vectors ρ′ as columns;
-    column ``b`` answers ``seeds[b]`` and is bitwise the ``scores`` of
-    :func:`laca_scores` for that seed.  Diagnostics expose the two block
-    diffusions, one column per seed.
-    """
-
-    scores: np.ndarray
-    seeds: np.ndarray
-    rwr: BatchDiffusionResult
-    bdd: BatchDiffusionResult
-    psi: np.ndarray | None
-
-    @property
-    def n_queries(self) -> int:
-        return self.seeds.shape[0]
-
-    def support_sizes(self) -> np.ndarray:
-        """Per-query count of non-zero scores."""
-        return np.count_nonzero(self.scores, axis=0)
-
-    def column(self, b: int) -> np.ndarray:
-        """The ρ′ vector of query ``b`` (a copy-free column view)."""
-        return self.scores[:, b]
-
-    def query(self, b: int) -> LacaResult:
-        """Query ``b`` as a :class:`LacaResult` of column views.
-
-        Its scores, and so its :meth:`LacaResult.cluster`, are bitwise
-        those of :func:`laca_scores` for ``seeds[b]``.  The block engine
-        tracks no frontier, so ``touched`` and ``scores_support`` are None.
-        """
-        return LacaResult(
-            scores=self.scores[:, b],
-            seed=int(self.seeds[b]),
-            rwr=self.rwr.column(b),
-            bdd=self.bdd.column(b),
-            psi=None if self.psi is None else self.psi[b],
-        )
-
-
 def _batch_diffuse_cfg(
     graph: AttributedGraph, F: np.ndarray, config: LacaConfig, epsilon
-) -> BatchDiffusionResult:
+) -> list[DiffusionResult]:
     # The block engine's per-iteration volumes (``degrees @ sel``) are
     # dense float·bool products, so they reach BLAS as Step 2 does.
     with single_blas_thread():
@@ -247,21 +202,23 @@ def laca_scores_batch(
     seeds,
     config: LacaConfig | None = None,
     tnam: TNAM | None = None,
-) -> LacaBatchResult:
+) -> list[LacaResult]:
     """Run Algo 4 for many seeds at once via block diffusion.
 
-    Column ``b`` of the result is bitwise ``laca_scores(graph, seeds[b])``
-    run with the same config.  Step 1 diffuses all one-hot seed columns
-    as one ``n × B`` block; Step 2 runs per column, through the same
-    Eqs. 12–13 code as :func:`laca_scores` on that column's own support;
-    Step 3 block-diffuses Φ′ with per-column thresholds ``ε·‖φ′_b‖₁``.
-    The block diffusions replay each column's sequential schedule, so
-    the columns agree bit for bit.  A zero-mass column (no positive SNAS
-    mass on its support) has an all-zero input, never activates, and
-    keeps all-zero scores, as :func:`laca_scores` returns.
-    Duplicate seeds are answered independently (identical columns); a
+    Element ``b`` of the result answers ``seeds[b]``; its scores, and so
+    its :meth:`LacaResult.cluster`, are bitwise ``laca_scores(graph,
+    seeds[b])`` run with the same config.  Step 1 diffuses all one-hot
+    seed columns as one ``n × B`` block; Step 2 runs per column, through
+    the same Eqs. 12–13 code as :func:`laca_scores` on that column's own
+    support; Step 3 block-diffuses Φ′ with per-column thresholds
+    ``ε·‖φ′_b‖₁``.  The block diffusions replay each column's sequential
+    schedule, so the columns agree bit for bit.  A zero-mass column (no
+    positive SNAS mass on its support) has an all-zero input, never
+    activates, and keeps all-zero scores, as :func:`laca_scores` returns.
+    Duplicate seeds are answered independently (identical results); a
     ``"push"`` diffusion config degrades to a per-column loop because the
-    queue-based engine has no block form.
+    queue-based engine has no block form.  The block engine tracks no
+    frontier, so ``scores_support`` is None.
     """
     config = config or LacaConfig()
     config.validate()
@@ -283,35 +240,31 @@ def laca_scores_batch(
     # the column-stacked one-hot seeds.
     F = np.zeros((n, n_queries))
     F[seeds, np.arange(n_queries)] = 1.0
-    rwr_result = _batch_diffuse_cfg(graph, F, config, config.epsilon)
-    Pi = rwr_result.q
+    rwr_results = _batch_diffuse_cfg(graph, F, config, config.epsilon)
 
     # Step 2, column by column, through laca_scores' own code: π′_b and
-    # φ′_b are contiguous rows of the transposed blocks, as in laca_scores.
+    # φ′_b are contiguous rows, as in laca_scores.
     z = tnam.z if use_snas else None
-    psi = np.zeros((n_queries, z.shape[1])) if use_snas else None
+    psis = []
     masses = np.zeros(n_queries)
     PhiT = np.zeros((n_queries, n))
     with single_blas_thread():
-        for b, pi in enumerate(np.ascontiguousarray(Pi.T)):
-            psi_b, masses[b] = _snas_input(pi, np.flatnonzero(pi), degrees, z, PhiT[b])
-            if use_snas:
-                psi[b] = psi_b
+        for b, rwr in enumerate(rwr_results):
+            pi = np.ascontiguousarray(rwr.q)
+            psi, masses[b] = _snas_input(pi, np.flatnonzero(pi), degrees, z, PhiT[b])
+            psis.append(psi)
 
     # Step 3 (block): diffuse Φ′ with per-column thresholds ε·‖φ′_b‖₁
     # and divide by degrees.  A zero-mass column gets any positive
     # threshold: its all-zero input never activates.
     thresholds = config.epsilon * np.where(masses > 0.0, masses, 1.0)
-    bdd_result = _batch_diffuse_cfg(
+    bdd_results = _batch_diffuse_cfg(
         graph, np.ascontiguousarray(PhiT.T), config, thresholds
     )
-    return LacaBatchResult(
-        scores=bdd_result.q / degrees[:, None],
-        seeds=seeds,
-        rwr=rwr_result,
-        bdd=bdd_result,
-        psi=psi,
-    )
+    return [
+        LacaResult(scores=bdd.q / degrees, seed=int(seed), rwr=rwr, bdd=bdd, psi=psi)
+        for seed, rwr, bdd, psi in zip(seeds, rwr_results, bdd_results, psis)
+    ]
 
 
 def top_k_cluster(

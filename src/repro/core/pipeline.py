@@ -13,10 +13,13 @@ Many seed queries go through :meth:`LACA.cluster_many`, which answers
 them one at a time while they stay local and stacks the rest of a block
 into one ``n × B`` block diffusion (:meth:`LACA.scores_batch`, shared
 sparse mat-mats instead of ``B`` traversals) once they saturate the graph.
-Both paths return bitwise the same scores, hence the same clusters:
+The block diffusion is an execution strategy with one entry point,
+:func:`~repro.diffusion.batch.batch_diffuse`, and returns one result per
+seed.  Both paths return bitwise the same scores, hence the same clusters:
 
     >>> clusters = model.cluster_many([0, 17, 42], size=120)
-    >>> block = model.scores_batch([0, 17, 42])  # per-seed ρ′ columns
+    >>> results = model.scores_batch([0, 17, 42])  # one LacaResult per seed
+    >>> results[2].cluster(120)  # == model.cluster(42, 120)
 """
 
 from __future__ import annotations
@@ -30,13 +33,7 @@ from ..attributes.tnam import TNAM, build_tnam
 from ..graphs.graph import AttributedGraph
 from ..graphs.store import GraphStore
 from .config import LacaConfig
-from .laca import (
-    LacaBatchResult,
-    LacaResult,
-    laca_scores,
-    laca_scores_batch,
-    top_k_cluster,
-)
+from .laca import LacaResult, laca_scores, laca_scores_batch, top_k_cluster
 from .routing import route_block
 
 __all__ = ["LACA"]
@@ -163,13 +160,13 @@ class LACA:
         result = self.scores(seed)
         return top_k_cluster(result.scores, size, seed, support=result.scores_support)
 
-    def scores_batch(self, seeds) -> LacaBatchResult:
+    def scores_batch(self, seeds) -> list[LacaResult]:
         """Answer many seed queries with one block diffusion (Algo 4 ×B).
 
-        Column ``b`` of the result is the ρ′ vector of ``seeds[b]``,
-        bitwise :meth:`scores` of that seed; all columns share a single
-        sparse mat-mat per diffusion iteration instead of one traversal
-        per seed.
+        Element ``b`` of the result answers ``seeds[b]``, with scores
+        bitwise those of :meth:`scores` for that seed; all seeds share a
+        single sparse mat-mat per diffusion iteration instead of one
+        traversal per seed.
         """
         graph = self._require_fit()
         return laca_scores_batch(graph, seeds, config=self.config, tnam=self.tnam)

@@ -27,7 +27,9 @@ tally decides what each of them claims next:
   one seed left, cuts the rest into contiguous chunks, one per routing
   thread, whose sizes differ by at most one.  Each thread then claims
   one chunk and answers it with one
-  :meth:`~repro.core.pipeline.LACA.scores_batch` block diffusion.  On
+  :meth:`~repro.core.pipeline.LACA.scores_batch` call: block diffusions
+  through :func:`~repro.diffusion.batch.batch_diffuse`, the block
+  engine's one entry point, and one result per seed.  On
   one thread the rest is one chunk; a fanned-out block that saturates
   part-way splits its rest over the same threads.
 
@@ -35,8 +37,9 @@ One claim loop, :meth:`_Block.answer_next`, hands out both kinds.
 
 Every seed's scores are bitwise those of
 :meth:`~repro.core.pipeline.LACA.scores`, whichever path and thread
-answered it: a batch column runs the same Step 2 code as the sequential
-path (see :func:`~repro.core.laca.laca_scores_batch`).
+answered it: a batched seed runs the same Step 2 code as the sequential
+path (see :func:`~repro.core.laca.laca_scores_batch`), and both hand the
+same :class:`~repro.core.laca.LacaResult` shape to ``take``.
 Helper threads live only inside one :func:`route_block` call, and an
 exception on any thread fails the whole call.
 """
@@ -130,10 +133,9 @@ class _Block:
             result = self.model.scores(int(self.seeds[b]))
             self.records[b] = self.take(result, int(self.sizes[b]))
         else:
-            batch = self.model.scores_batch(self.seeds[start:stop])
-            for c in range(stop - start):
-                size = int(self.sizes[start + c])
-                self.records[start + c] = self.take(batch.query(c), size)
+            results = self.model.scores_batch(self.seeds[start:stop])
+            for b, batched in enumerate(results, start):
+                self.records[b] = self.take(batched, int(self.sizes[b]))
             result = None
         self.merge(local)
         return result
@@ -171,8 +173,7 @@ def route_block(model, threads, seeds, sizes, take):
     ``threads`` (at least 1) caps the routing threads, the calling
     thread included.  ``take(result, size)`` turns a seed's
     :class:`~repro.core.laca.LacaResult` into the record kept for it, on
-    the thread that answered the seed; a batched seed's result is
-    :meth:`~repro.core.laca.LacaBatchResult.query` of its column.
+    the thread that answered the seed, whichever path answered it.
 
     Returns ``(records, tally)``: ``records[b]`` answers ``seeds[b]`` and
     ``tally`` is the block's merged kernel-selection count, every

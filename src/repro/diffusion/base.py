@@ -23,6 +23,7 @@ __all__ = [
     "DiffusionResult",
     "validate_diffusion_inputs",
     "check_diffusion_parameters",
+    "check_input_entries",
     "selective_scatter_is_cheaper",
     "block_diffusion_pays",
     "full_scatter_cost",
@@ -185,16 +186,28 @@ def check_diffusion_parameters(
     """Canonicalize ``f`` and check its shape, ``alpha`` and ``epsilon``.
 
     Everything :func:`validate_diffusion_inputs` checks except the Θ(n)
-    non-negativity scan, which a caller vouching for ``supp(f)`` skips.
+    scan of the entries, which a caller vouching for ``supp(f)`` skips.
     """
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (n,):
         raise ValueError(f"input vector has shape {f.shape}, expected ({n},)")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"restart factor alpha must be in (0, 1), got {alpha}")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN fails too
         raise ValueError(f"diffusion threshold epsilon must be positive, got {epsilon}")
     return f
+
+
+def check_input_entries(values: np.ndarray) -> None:
+    """Reject a diffusion input (vector or block) with a negative, NaN or
+    infinite entry.
+
+    ``values >= 0`` is False on NaN, and a finite maximum then rules out
+    ``+inf``.  A NaN would spread through a block diffusion's mat-mat
+    into other nodes; an ``inf`` never drops below any threshold.
+    """
+    if values.size and not ((values >= 0.0).all() and np.isfinite(values.max())):
+        raise ValueError("diffusion input must be finite and non-negative")
 
 
 def validate_diffusion_inputs(
@@ -202,6 +215,5 @@ def validate_diffusion_inputs(
 ) -> np.ndarray:
     """Check and canonicalize diffusion inputs shared by every algorithm."""
     f = check_diffusion_parameters(f, n, alpha, epsilon)
-    if np.any(f < 0):
-        raise ValueError("diffusion input vector must be non-negative")
+    check_input_entries(f)
     return f

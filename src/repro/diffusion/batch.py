@@ -18,13 +18,15 @@ or the dense mat-mat over the masked ``Γ``.  There is no selective
 (sparse-Γ) scatter: the router sends a block here only once its queries
 saturate the graph, where a dense mat-mat is the cheaper product.
 
-Three block engines mirror their vector originals one-for-one:
-
-* :func:`batch_greedy_diffuse` — Algo 1 column-wise.
-* :func:`batch_nongreedy_diffuse` — Eq. (17) column-wise.
-* :func:`batch_adaptive_diffuse` — Algo 2 with per-column ratio /
-  cost-budget bookkeeping, so each column flips between strategies on
-  its own schedule while still sharing the mat-mat.
+The block form is an execution strategy, not another algorithm, so it
+has one entry point, :func:`batch_diffuse`, which returns one
+:class:`~repro.diffusion.base.DiffusionResult` per input column.  Its
+``engine`` names the sequential original each column replays:
+``"greedy"`` (Algo 1), ``"nongreedy"`` (Eq. 17) or ``"adaptive"``
+(Algo 2, with per-column ratio / cost-budget bookkeeping, so each column
+flips between strategies on its own schedule while still sharing the
+mat-mat).  ``"push"`` has no block form and runs one
+:func:`~repro.diffusion.push.push_diffuse` per column.
 
 Per-column thresholds are supported (``epsilon`` may be a length-``B``
 array), which is what LACA's Step 3 needs: column ``b`` diffuses with
@@ -34,79 +36,17 @@ additive guarantee as the sequential engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..graphs.graph import AttributedGraph
-from .base import DiffusionResult, note_kernel
+from .base import DiffusionResult, check_input_entries, note_kernel
 from .push import push_diffuse
 
-__all__ = [
-    "BatchDiffusionResult",
-    "validate_batch_inputs",
-    "batch_greedy_diffuse",
-    "batch_nongreedy_diffuse",
-    "batch_adaptive_diffuse",
-    "batch_diffuse",
-]
+__all__ = ["validate_batch_inputs", "batch_diffuse"]
 
-#: Engines answering a block natively; "push" falls back to a column loop.
-BLOCK_ENGINES = ("greedy", "nongreedy", "adaptive")
-
-
-@dataclass
-class BatchDiffusionResult:
-    """Outcome of one block diffusion over ``B`` stacked input columns.
-
-    Attributes
-    ----------
-    q:
-        ``n × B`` reserve block; column ``b`` satisfies Eq. (14) for its
-        input column and threshold.
-    residual:
-        ``n × B`` final residual block (all entries below threshold).
-    iterations:
-        Outer block iterations executed (= the slowest column's count).
-    column_iterations / greedy_steps / nongreedy_steps:
-        Per-column iteration bookkeeping, length ``B``.
-    work:
-        Per-column cost-model work (volume of the diffused supports).
-    residual_history:
-        Total ``‖R‖₁`` across columns after each block iteration.
-    """
-
-    q: np.ndarray
-    residual: np.ndarray
-    iterations: int
-    column_iterations: np.ndarray
-    greedy_steps: np.ndarray
-    nongreedy_steps: np.ndarray
-    work: np.ndarray
-    residual_history: list[float] = field(default_factory=list)
-
-    @property
-    def n_columns(self) -> int:
-        return self.q.shape[1]
-
-    @property
-    def support_sizes(self) -> np.ndarray:
-        """Per-column count of nodes the diffusion touched."""
-        return np.count_nonzero(self.q, axis=0)
-
-    def column(self, b: int) -> DiffusionResult:
-        """View column ``b`` as a sequential-style :class:`DiffusionResult`.
-
-        ``q`` and ``residual`` are views into the block, not copies.
-        """
-        return DiffusionResult(
-            q=self.q[:, b],
-            residual=self.residual[:, b],
-            iterations=int(self.column_iterations[b]),
-            greedy_steps=int(self.greedy_steps[b]),
-            nongreedy_steps=int(self.nongreedy_steps[b]),
-            work=float(self.work[b]),
-        )
+#: Safety valve of the block loop; Theorem IV.1's mass argument bounds
+#: every column's iterations long before this for sane parameters.
+MAX_ITERATIONS = 1_000_000
 
 
 def validate_batch_inputs(
@@ -120,8 +60,6 @@ def validate_batch_inputs(
     F = np.asarray(F, dtype=np.float64)
     if F.ndim != 2 or F.shape[0] != n:
         raise ValueError(f"input block has shape {F.shape}, expected (n={n}, B)")
-    if np.any(F < 0):
-        raise ValueError("diffusion input block must be non-negative")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"restart factor alpha must be in (0, 1), got {alpha}")
     eps = np.asarray(epsilon, dtype=np.float64)
@@ -131,8 +69,9 @@ def validate_batch_inputs(
         raise ValueError(
             f"epsilon has shape {eps.shape}, expected a scalar or ({F.shape[1]},)"
         )
-    if F.shape[1] and np.any(eps <= 0.0):
+    if not (eps > 0.0).all():  # NaN fails too
         raise ValueError("diffusion threshold epsilon must be positive")
+    check_input_entries(F)
     return F, eps
 
 
@@ -144,13 +83,11 @@ _COMPACT_LIMIT = 0.75
 def _block_diffuse(
     graph: AttributedGraph,
     F: np.ndarray,
+    eps: np.ndarray,
     alpha: float,
-    epsilon,
     mode: str,
-    sigma: float = 0.1,
-    max_iterations: int = 1_000_000,
-    track_history: bool = False,
-) -> BatchDiffusionResult:
+    sigma: float,
+) -> list[DiffusionResult]:
     """Shared kernel: one sparse mat-mat per iteration, per-column Γ picks.
 
     Every iteration the active columns each select a conversion batch
@@ -168,10 +105,8 @@ def _block_diffuse(
     was never faster than the dense mat-mat (README, Batched queries).  Both
     products add each output row's terms in ascending CSR order, as the
     sequential kernels do, so every column is bitwise its sequential run.
+    ``F`` and ``eps`` come from :func:`validate_batch_inputs`.
     """
-    F, eps = validate_batch_inputs(F, graph.n, alpha, epsilon)
-    if mode == "adaptive" and sigma < 0.0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
     n, n_cols = F.shape
     degrees = graph.degrees
     dcol = degrees[:, None]
@@ -187,7 +122,6 @@ def _block_diffuse(
     greedy_steps = np.zeros(n_cols, dtype=np.int64)
     nongreedy_steps = np.zeros(n_cols, dtype=np.int64)
     work = np.zeros(n_cols)
-    history: list[float] = []
     if mode == "adaptive":
         # Sum each column contiguously: numpy then adds it pairwise, as
         # ``f.sum()`` does in the sequential engine (an axis-0 reduction
@@ -230,9 +164,9 @@ def _block_diffuse(
             if not alive.any():
                 break
             continue
-        if iterations >= max_iterations:
+        if iterations >= MAX_ITERATIONS:
             raise RuntimeError(
-                f"block diffusion did not terminate within {max_iterations} iterations"
+                f"block diffusion did not terminate within {MAX_ITERATIONS} iterations"
             )
         iterations += 1
         live_cols = active[alive]
@@ -281,76 +215,18 @@ def _block_diffuse(
             scatter = adjacency.dot(Gamma)
             scatter *= alpha
             R += scatter
-        if track_history:
-            history.append(float(np.abs(R[:, alive]).sum()))
 
-    return BatchDiffusionResult(
-        q=out_q,
-        residual=out_r,
-        iterations=iterations,
-        column_iterations=column_iterations,
-        greedy_steps=greedy_steps,
-        nongreedy_steps=nongreedy_steps,
-        work=work,
-        residual_history=history,
-    )
-
-
-def batch_greedy_diffuse(
-    graph: AttributedGraph,
-    F: np.ndarray,
-    alpha: float = 0.8,
-    epsilon=1e-6,
-    max_iterations: int = 1_000_000,
-    track_history: bool = False,
-) -> BatchDiffusionResult:
-    """GreedyDiffuse (Algo 1) applied column-wise to the block ``F``.
-
-    Column ``b`` of the result equals ``greedy_diffuse(graph, F[:, b],
-    alpha, epsilon_b)``: the per-column batches replay the sequential
-    schedule exactly, they merely share one sparse mat-mat per iteration.
-    ``epsilon`` may be a scalar (shared) or a length-``B`` array.
-    """
-    return _block_diffuse(
-        graph, F, alpha, epsilon, "greedy",
-        max_iterations=max_iterations, track_history=track_history,
-    )
-
-
-def batch_nongreedy_diffuse(
-    graph: AttributedGraph,
-    F: np.ndarray,
-    alpha: float = 0.8,
-    epsilon=1e-6,
-    max_iterations: int = 100_000,
-    track_history: bool = False,
-) -> BatchDiffusionResult:
-    """Non-greedy one-shot diffusion (Eq. 17) applied column-wise."""
-    return _block_diffuse(
-        graph, F, alpha, epsilon, "nongreedy",
-        max_iterations=max_iterations, track_history=track_history,
-    )
-
-
-def batch_adaptive_diffuse(
-    graph: AttributedGraph,
-    F: np.ndarray,
-    alpha: float = 0.8,
-    sigma: float = 0.1,
-    epsilon=1e-6,
-    max_iterations: int = 1_000_000,
-    track_history: bool = False,
-) -> BatchDiffusionResult:
-    """AdaptiveDiffuse (Algo 2) applied column-wise to the block ``F``.
-
-    Each column keeps its own cost accumulator and batch-coverage ratio,
-    so it switches from one-shot to greedy conversions on the schedule
-    the sequential algorithm would follow for that input alone.
-    """
-    return _block_diffuse(
-        graph, F, alpha, epsilon, "adaptive", sigma=sigma,
-        max_iterations=max_iterations, track_history=track_history,
-    )
+    return [
+        DiffusionResult(
+            q=out_q[:, b],
+            residual=out_r[:, b],
+            iterations=int(column_iterations[b]),
+            greedy_steps=int(greedy_steps[b]),
+            nongreedy_steps=int(nongreedy_steps[b]),
+            work=float(work[b]),
+        )
+        for b in range(n_cols)
+    ]
 
 
 def batch_diffuse(
@@ -360,39 +236,30 @@ def batch_diffuse(
     epsilon=1e-6,
     engine: str = "greedy",
     sigma: float = 0.1,
-    max_iterations: int = 1_000_000,
-) -> BatchDiffusionResult:
-    """Dispatch a block diffusion to the named engine.
+) -> list[DiffusionResult]:
+    """Diffuse every column of the ``n × B`` block ``F`` with ``engine``.
 
-    ``"greedy"``, ``"nongreedy"`` and ``"adaptive"`` run natively on the
-    block; ``"push"`` has no batched form (its queue is inherently
-    sequential) and falls back to one :func:`push_diffuse` per column,
-    repackaged in the block result type for a uniform API.
+    Element ``b`` of the returned list is column ``b``'s run, bitwise
+    the sequential engine's run on ``F[:, b]`` with threshold
+    ``epsilon_b`` (``epsilon`` is a scalar or a length-``B`` array):
+    the per-column batches replay the sequential schedule exactly and
+    merely share one sparse mat-mat per iteration.  Its ``q`` and
+    ``residual`` are views of the engine's ``n × B`` blocks; it tracks
+    no frontier (``touched`` is None, ``frontier_peak`` 0).
+
+    ``"greedy"``, ``"nongreedy"`` and ``"adaptive"`` (with balancing
+    parameter ``sigma``) run natively on the block; ``"push"`` has no
+    block form (its queue is inherently sequential), so it returns one
+    :func:`push_diffuse` run per column.
     """
-    if engine in BLOCK_ENGINES:
-        return _block_diffuse(
-            graph, F, alpha, epsilon, engine, sigma=sigma,
-            max_iterations=max_iterations,
-        )
-    if engine != "push":
+    if engine not in ("greedy", "nongreedy", "adaptive", "push"):
         raise ValueError(f"unknown diffusion engine {engine!r}")
     F, eps = validate_batch_inputs(F, graph.n, alpha, epsilon)
-    n_cols = F.shape[1]
-    result = BatchDiffusionResult(
-        q=np.zeros_like(F),
-        residual=np.zeros_like(F),
-        iterations=0,
-        column_iterations=np.zeros(n_cols, dtype=np.int64),
-        greedy_steps=np.zeros(n_cols, dtype=np.int64),
-        nongreedy_steps=np.zeros(n_cols, dtype=np.int64),
-        work=np.zeros(n_cols),
-    )
-    for b in range(n_cols):
-        column = push_diffuse(graph, F[:, b], alpha=alpha, epsilon=float(eps[b]))
-        result.q[:, b] = column.q
-        result.residual[:, b] = column.residual
-        result.column_iterations[b] = column.iterations
-        result.greedy_steps[b] = column.greedy_steps
-        result.work[b] = column.work
-        result.iterations = max(result.iterations, column.iterations)
-    return result
+    if engine == "push":
+        return [
+            push_diffuse(graph, F[:, b], alpha=alpha, epsilon=float(eps[b]))
+            for b in range(F.shape[1])
+        ]
+    if engine == "adaptive" and sigma < 0.0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    return _block_diffuse(graph, F, eps, alpha, engine, sigma)

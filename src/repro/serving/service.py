@@ -8,8 +8,10 @@ kernels the engines themselves pick: while the queries stay local
 (Theorem IV.1: cost tied to the touched volume, not to ``n``) every seed
 is answered on the sequential path; once the block's queries
 saturate the graph (most scatters go graph-wide), the remaining seeds
-go to :meth:`LACA.scores_batch` block diffusions, one contiguous chunk
-per routing thread.  Either way each answer is bitwise
+go to :meth:`LACA.scores_batch`, one contiguous chunk per routing
+thread, whose block diffusion (the one entry point
+:func:`~repro.diffusion.batch.batch_diffuse`) returns one result per
+seed.  Either way each answer is bitwise
 :meth:`LACA.cluster` (see :func:`answer_block`).  Answers are remembered
 in an LRU result cache consulted before enqueueing.
 
@@ -205,9 +207,10 @@ def answer_block(model: LACA, threads, seeds, sizes, metrics):
     raises on any thread.  Returns ``(clusters, engine_seconds)``.
 
     Path contract: every answer is bitwise :meth:`LACA.cluster`, on
-    whichever path, thread or block it was computed.  A block column of
-    :meth:`LACA.scores_batch` runs Step 2 through the same code as
-    :meth:`LACA.scores` and is handed to the same record function.
+    whichever path, thread or block it was computed.  Each per-seed
+    result of :meth:`LACA.scores_batch` runs Step 2 through the same
+    code as :meth:`LACA.scores` and is handed to the same record
+    function.
     """
 
     def record(result, size: int) -> tuple:

@@ -38,9 +38,11 @@ def _fit(graph, config):
 
 
 def _assert_columns_bitwise(batch, graph, seeds, config, tnam):
-    for b, seed in enumerate(seeds):
+    assert len(batch) == len(seeds)
+    for result, seed in zip(batch, seeds):
         seq = laca_scores(graph, seed, config=config, tnam=tnam)
-        np.testing.assert_array_equal(batch.scores[:, b], seq.scores)
+        assert result.seed == seed
+        np.testing.assert_array_equal(result.scores, seq.scores)
 
 
 class TestScoresParity:
@@ -69,7 +71,7 @@ class TestScoresParity:
         config = _config()
         model = _fit(small_sbm, config)
         batch = laca_scores_batch(small_sbm, [7], config=config, tnam=model.tnam)
-        assert batch.n_queries == 1
+        assert len(batch) == 1
         _assert_columns_bitwise(batch, small_sbm, [7], config, model.tnam)
 
     def test_duplicate_seeds_identical_columns(self, small_sbm):
@@ -78,8 +80,8 @@ class TestScoresParity:
         batch = laca_scores_batch(
             small_sbm, [9, 9, 41, 9], config=config, tnam=model.tnam
         )
-        np.testing.assert_array_equal(batch.scores[:, 0], batch.scores[:, 1])
-        np.testing.assert_array_equal(batch.scores[:, 0], batch.scores[:, 3])
+        np.testing.assert_array_equal(batch[0].scores, batch[1].scores)
+        np.testing.assert_array_equal(batch[0].scores, batch[3].scores)
 
     def test_non_attributed_graph(self, plain_graph):
         config = _config()
@@ -88,19 +90,22 @@ class TestScoresParity:
         _assert_columns_bitwise(batch, plain_graph, seeds, config, None)
 
     def test_query_is_the_sequential_result(self, small_sbm):
-        """``query(b)`` carries the column's diagnostics and clusters like
+        """Each element carries its seed's diagnostics and clusters like
         the sequential result."""
         config = _config()
         model = _fit(small_sbm, config)
         seeds = [0, 5, 33]
         batch = model.scores_batch(seeds)
-        for b, seed in enumerate(seeds):
-            result, seq = batch.query(b), model.scores(seed)
+        for result, seed in zip(batch, seeds):
+            seq = model.scores(seed)
             assert result.seed == seed
             np.testing.assert_array_equal(result.scores, seq.scores)
             np.testing.assert_array_equal(result.rwr.q, seq.rwr.q)
+            np.testing.assert_array_equal(result.bdd.q, seq.bdd.q)
             np.testing.assert_array_equal(result.psi, seq.psi)
-            assert np.shares_memory(result.bdd.q, batch.bdd.q)
+            # Column views of the block engine's n × B reserve block.
+            assert result.bdd.q.base is batch[0].bdd.q.base is not None
+            assert result.scores_support is None
             np.testing.assert_array_equal(result.cluster(12), model.cluster(seed, 12))
 
 
@@ -133,22 +138,24 @@ class TestZeroMassColumns:
         seeds = [0, 4, 1, 3]
         batch = laca_scores_batch(two_triangles, seeds, config=config, tnam=tnam)
         _assert_columns_bitwise(batch, two_triangles, seeds, config, tnam)
-        assert batch.scores[:, [0, 2]].sum() == 0.0
-        assert (batch.scores[:, [1, 3]].sum(axis=0) > 0.0).all()
-        np.testing.assert_array_equal(batch.support_sizes()[[0, 2]], [0, 0])
+        dead, live = [batch[0], batch[2]], [batch[1], batch[3]]
+        assert all(result.scores.sum() == 0.0 for result in dead)
+        assert all(result.scores.sum() > 0.0 for result in live)
+        assert [result.support_size for result in dead] == [0, 0]
         # Diagnostics for the dead columns are all-zero but still aligned.
-        np.testing.assert_array_equal(batch.bdd.column_iterations[[0, 2]], [0, 0])
-        assert (batch.bdd.column_iterations[[1, 3]] > 0).all()
+        assert [result.bdd.iterations for result in dead] == [0, 0]
+        assert all(result.bdd.iterations > 0 for result in live)
 
     def test_all_columns_zero_mass(self, two_triangles):
         config = LacaConfig(metric="cosine", k=2, diffusion="greedy", epsilon=1e-3)
         tnam = self._tnam(two_triangles.n, dead_nodes=list(range(6)))
         batch = laca_scores_batch(two_triangles, [0, 3], config=config, tnam=tnam)
-        assert batch.scores.sum() == 0.0
-        assert not batch.bdd.q.any() and not batch.bdd.residual.any()
-        np.testing.assert_array_equal(batch.bdd.column_iterations, [0, 0])
+        for result in batch:
+            assert result.scores.sum() == 0.0
+            assert not result.bdd.q.any() and not result.bdd.residual.any()
+            assert result.bdd.iterations == 0
         # Clusters still contain the forced seed plus index-order filler.
-        cluster = batch.query(0).cluster(3)
+        cluster = batch[0].cluster(3)
         assert 0 in cluster
         np.testing.assert_array_equal(
             cluster, laca_scores(two_triangles, 0, config, tnam).cluster(3)
@@ -177,10 +184,10 @@ class TestClusterEquality:
         rng = np.random.default_rng(0)
         seeds = [int(s) for s in rng.choice(graph.n, size=4, replace=False)]
         batch = model.scores_batch(seeds)
-        for b, seed in enumerate(seeds):
+        for result, seed in zip(batch, seeds):
             size = graph.ground_truth_cluster(seed).shape[0]
             np.testing.assert_array_equal(
-                batch.query(b).cluster(size), model.cluster(seed, size)
+                result.cluster(size), model.cluster(seed, size)
             )
 
 
@@ -199,9 +206,8 @@ class TestClusterManyRouting:
         seeds = [int(s) for s in rng.choice(graph.n, 8, replace=False)]
         block_only = {}
         for lo in (0, 4):
-            batch = model.scores_batch(seeds[lo : lo + 4])
-            for b, seed in enumerate(seeds[lo : lo + 4]):
-                block_only[seed] = batch.query(b).cluster(15)
+            for result in model.scores_batch(seeds[lo : lo + 4]):
+                block_only[result.seed] = result.cluster(15)
         widths = []
         original = model.scores_batch
 
@@ -252,9 +258,11 @@ class TestPipelineBatchAPI:
     def test_batch_result_diagnostics(self, small_sbm):
         model = _fit(small_sbm, _config("greedy"))
         seeds = [0, 5]
-        result = model.scores_batch(seeds)
-        assert result.rwr.n_columns == 2
-        assert result.bdd is not None
-        assert result.psi is not None and result.psi.shape[0] == 2
-        assert (result.support_sizes() > 0).all()
-        np.testing.assert_array_equal(result.column(1), result.scores[:, 1])
+        batch = model.scores_batch(seeds)
+        assert [result.seed for result in batch] == seeds
+        for result in batch:
+            assert result.rwr.iterations > 0 and result.bdd.iterations > 0
+            assert result.rwr.touched is None and result.bdd.touched is None
+            assert result.psi is not None and result.psi.shape == (model.tnam.z.shape[1],)
+            assert result.support_size > 0
+            assert result.scores.flags.c_contiguous

@@ -1,10 +1,10 @@
-"""Batch-parity tests: every block engine column equals its sequential run.
+"""Batch-parity tests: every block diffusion column equals its sequential run.
 
-The block engines are *schedules*, not approximations: column ``b`` of
-``batch_*_diffuse(graph, F)`` must replay exactly the iterations that
-``*_diffuse(graph, F[:, b])`` would perform, so outputs are compared
-bitwise-close (tiny atol, zero rtol) and the per-column iteration
-bookkeeping is compared exactly.
+The block form is a *schedule*, not an approximation: element ``b`` of
+``batch_diffuse(graph, F, engine=...)`` must replay exactly the
+iterations that the sequential engine would perform on ``F[:, b]``, so
+outputs are compared bitwise-close (tiny atol, zero rtol) and the
+per-column iteration bookkeeping is compared exactly.
 """
 
 import numpy as np
@@ -16,15 +16,7 @@ from repro.diffusion.base import (
     begin_kernel_tally,
     end_kernel_tally,
 )
-from repro.diffusion.batch import (
-    BLOCK_ENGINES,
-    BatchDiffusionResult,
-    batch_adaptive_diffuse,
-    batch_diffuse,
-    batch_greedy_diffuse,
-    batch_nongreedy_diffuse,
-    validate_batch_inputs,
-)
+from repro.diffusion.batch import batch_diffuse, validate_batch_inputs
 from repro.diffusion.exact import exact_diffusion
 from repro.diffusion.push import push_diffuse
 from repro.graphs.datasets import load_dataset
@@ -36,10 +28,14 @@ EPSILON = 1e-5
 #: noise that is orders of magnitude below the Eq. (14) guarantee.
 ATOL = 1e-15
 
-PAIRS = {
-    "greedy": (batch_greedy_diffuse, greedy_diffuse),
-    "nongreedy": (batch_nongreedy_diffuse, nongreedy_diffuse),
+SEQUENTIAL = {
+    "greedy": greedy_diffuse,
+    "nongreedy": nongreedy_diffuse,
+    "adaptive": adaptive_diffuse,
 }
+
+#: Engines the block loop answers natively ("push" runs per column).
+BLOCK_ENGINES = tuple(SEQUENTIAL)
 
 
 def _block(graph, rng, n_cols=6):
@@ -53,81 +49,76 @@ def _block(graph, rng, n_cols=6):
     return F
 
 
-@pytest.mark.parametrize("engine", list(PAIRS))
+@pytest.mark.parametrize("engine", ["greedy", "nongreedy"])
 class TestColumnParity:
     def test_columns_match_sequential(self, small_sbm, engine, rng):
-        batch_fn, seq_fn = PAIRS[engine]
         F = _block(small_sbm, rng)
-        result = batch_fn(small_sbm, F, alpha=ALPHA, epsilon=EPSILON)
-        for b in range(F.shape[1]):
-            seq = seq_fn(small_sbm, F[:, b], alpha=ALPHA, epsilon=EPSILON)
-            np.testing.assert_allclose(result.q[:, b], seq.q, rtol=0, atol=ATOL)
-            np.testing.assert_allclose(
-                result.residual[:, b], seq.residual, rtol=0, atol=ATOL
-            )
-            assert result.column_iterations[b] == seq.iterations
-            assert np.isclose(result.work[b], seq.work)
+        result = batch_diffuse(small_sbm, F, alpha=ALPHA, epsilon=EPSILON, engine=engine)
+        for b, column in enumerate(result):
+            seq = SEQUENTIAL[engine](small_sbm, F[:, b], alpha=ALPHA, epsilon=EPSILON)
+            np.testing.assert_allclose(column.q, seq.q, rtol=0, atol=ATOL)
+            np.testing.assert_allclose(column.residual, seq.residual, rtol=0, atol=ATOL)
+            assert column.iterations == seq.iterations
+            assert np.isclose(column.work, seq.work)
 
     def test_single_column_block(self, small_sbm, engine):
-        batch_fn, seq_fn = PAIRS[engine]
         f = np.zeros(small_sbm.n)
         f[11] = 1.0
-        result = batch_fn(small_sbm, f[:, None], alpha=ALPHA, epsilon=EPSILON)
-        seq = seq_fn(small_sbm, f, alpha=ALPHA, epsilon=EPSILON)
-        assert result.n_columns == 1
-        np.testing.assert_allclose(result.q[:, 0], seq.q, rtol=0, atol=ATOL)
-        assert result.column_iterations[0] == seq.iterations
+        result = batch_diffuse(
+            small_sbm, f[:, None], alpha=ALPHA, epsilon=EPSILON, engine=engine
+        )
+        seq = SEQUENTIAL[engine](small_sbm, f, alpha=ALPHA, epsilon=EPSILON)
+        assert len(result) == 1
+        np.testing.assert_allclose(result[0].q, seq.q, rtol=0, atol=ATOL)
+        assert result[0].iterations == seq.iterations
 
     def test_duplicate_columns_identical(self, small_sbm, engine, rng):
-        batch_fn, _ = PAIRS[engine]
         F = _block(small_sbm, rng)
-        result = batch_fn(small_sbm, F, alpha=ALPHA, epsilon=EPSILON)
+        result = batch_diffuse(small_sbm, F, alpha=ALPHA, epsilon=EPSILON, engine=engine)
         # columns 0 and 3 carry the same one-hot input
-        np.testing.assert_array_equal(result.q[:, 0], result.q[:, 3])
-        np.testing.assert_array_equal(result.residual[:, 0], result.residual[:, 3])
+        np.testing.assert_array_equal(result[0].q, result[3].q)
+        np.testing.assert_array_equal(result[0].residual, result[3].residual)
 
     def test_zero_column_stays_zero(self, small_sbm, engine, rng):
-        batch_fn, _ = PAIRS[engine]
         F = _block(small_sbm, rng)
-        result = batch_fn(small_sbm, F, alpha=ALPHA, epsilon=EPSILON)
-        assert result.q[:, -1].sum() == 0.0
-        assert result.column_iterations[-1] == 0
+        result = batch_diffuse(small_sbm, F, alpha=ALPHA, epsilon=EPSILON, engine=engine)
+        assert result[-1].q.sum() == 0.0
+        assert result[-1].iterations == 0
 
     def test_per_column_epsilon(self, small_sbm, engine):
         """A length-B epsilon applies column-wise."""
-        batch_fn, seq_fn = PAIRS[engine]
         F = np.zeros((small_sbm.n, 2))
         F[5, 0] = 1.0
         F[5, 1] = 1.0
         epsilons = np.array([1e-3, 1e-6])
-        result = batch_fn(small_sbm, F, alpha=ALPHA, epsilon=epsilons)
+        result = batch_diffuse(small_sbm, F, alpha=ALPHA, epsilon=epsilons, engine=engine)
         for b, eps in enumerate(epsilons):
-            seq = seq_fn(small_sbm, F[:, b], alpha=ALPHA, epsilon=float(eps))
-            np.testing.assert_allclose(result.q[:, b], seq.q, rtol=0, atol=ATOL)
+            seq = SEQUENTIAL[engine](small_sbm, F[:, b], alpha=ALPHA, epsilon=float(eps))
+            np.testing.assert_allclose(result[b].q, seq.q, rtol=0, atol=ATOL)
         # The loose column must converge in strictly fewer iterations.
-        assert result.column_iterations[0] < result.column_iterations[1]
+        assert result[0].iterations < result[1].iterations
 
 
 class TestAdaptiveParity:
     @pytest.mark.parametrize("sigma", [0.0, 0.1, 1.0])
     def test_columns_match_sequential(self, small_sbm, sigma, rng):
         F = _block(small_sbm, rng)
-        result = batch_adaptive_diffuse(
-            small_sbm, F, alpha=ALPHA, sigma=sigma, epsilon=EPSILON
+        result = batch_diffuse(
+            small_sbm, F, alpha=ALPHA, sigma=sigma, epsilon=EPSILON, engine="adaptive"
         )
-        for b in range(F.shape[1]):
+        for b, column in enumerate(result):
             seq = adaptive_diffuse(
                 small_sbm, F[:, b], alpha=ALPHA, sigma=sigma, epsilon=EPSILON
             )
-            np.testing.assert_allclose(result.q[:, b], seq.q, rtol=0, atol=ATOL)
-            assert result.column_iterations[b] == seq.iterations
-            assert result.greedy_steps[b] == seq.greedy_steps
-            assert result.nongreedy_steps[b] == seq.nongreedy_steps
+            np.testing.assert_allclose(column.q, seq.q, rtol=0, atol=ATOL)
+            assert column.iterations == seq.iterations
+            assert column.greedy_steps == seq.greedy_steps
+            assert column.nongreedy_steps == seq.nongreedy_steps
 
     def test_rejects_negative_sigma(self, small_sbm):
         with pytest.raises(ValueError, match="sigma"):
-            batch_adaptive_diffuse(
-                small_sbm, np.ones((small_sbm.n, 2)), sigma=-0.5
+            batch_diffuse(
+                small_sbm, np.ones((small_sbm.n, 2)), sigma=-0.5, engine="adaptive"
             )
 
 
@@ -164,23 +155,16 @@ def test_adaptive_budget_sums_each_column_pairwise():
     epsilons = [_straddling_epsilon(graph, F[:, b], ALPHA) for b in range(3)]
     assert None not in epsilons
 
-    result = batch_adaptive_diffuse(
-        graph, F, alpha=ALPHA, sigma=0.0, epsilon=np.array(epsilons)
+    result = batch_diffuse(
+        graph, F, alpha=ALPHA, sigma=0.0, epsilon=np.array(epsilons), engine="adaptive"
     )
     for b, eps in enumerate(epsilons):
         seq = adaptive_diffuse(graph, F[:, b], alpha=ALPHA, sigma=0.0, epsilon=eps)
-        np.testing.assert_array_equal(result.q[:, b], seq.q)
-        np.testing.assert_array_equal(result.residual[:, b], seq.residual)
-        assert result.column_iterations[b] == seq.iterations
-        assert result.greedy_steps[b] == seq.greedy_steps
-        assert result.nongreedy_steps[b] == seq.nongreedy_steps
-
-
-SEQUENTIAL = {
-    "greedy": greedy_diffuse,
-    "nongreedy": nongreedy_diffuse,
-    "adaptive": adaptive_diffuse,
-}
+        np.testing.assert_array_equal(result[b].q, seq.q)
+        np.testing.assert_array_equal(result[b].residual, seq.residual)
+        assert result[b].iterations == seq.iterations
+        assert result[b].greedy_steps == seq.greedy_steps
+        assert result[b].nongreedy_steps == seq.nongreedy_steps
 
 
 def _tallied(call):
@@ -209,7 +193,8 @@ def test_local_iterations_scatter_through_the_dense_mat_mat(engine):
         lambda: batch_diffuse(graph, F, alpha=ALPHA, epsilon=1e-6, engine=engine)
     )
     assert set(tally) == {"block_dense"}, tally
-    assert tally["block_dense"] == result.iterations
+    # The slowest column is live in every block iteration.
+    assert tally["block_dense"] == max(column.iterations for column in result)
 
     local = 0
     for b in range(F.shape[1]):
@@ -217,11 +202,11 @@ def test_local_iterations_scatter_through_the_dense_mat_mat(engine):
             lambda: SEQUENTIAL[engine](graph, F[:, b], alpha=ALPHA, epsilon=1e-6)
         )
         local += seq_tally.get("gather", 0) + seq_tally.get("csc", 0)
-        np.testing.assert_array_equal(result.q[:, b], seq.q)
-        np.testing.assert_array_equal(result.residual[:, b], seq.residual)
-        assert result.column_iterations[b] == seq.iterations
-        assert result.greedy_steps[b] == seq.greedy_steps
-        assert result.nongreedy_steps[b] == seq.nongreedy_steps
+        np.testing.assert_array_equal(result[b].q, seq.q)
+        np.testing.assert_array_equal(result[b].residual, seq.residual)
+        assert result[b].iterations == seq.iterations
+        assert result[b].greedy_steps == seq.greedy_steps
+        assert result[b].nongreedy_steps == seq.nongreedy_steps
     assert local > 0
 
 
@@ -234,9 +219,9 @@ class TestGuarantees:
         result = batch_diffuse(
             small_sbm, F, alpha=ALPHA, epsilon=EPSILON, engine=engine
         )
-        for b in range(F.shape[1]):
+        for b, column in enumerate(result):
             exact = exact_diffusion(small_sbm, F[:, b], ALPHA)
-            error = exact - result.q[:, b]
+            error = exact - column.q
             assert (error >= -1e-9).all()
             assert (error <= EPSILON * small_sbm.degrees + 1e-9).all()
 
@@ -246,11 +231,12 @@ class TestGuarantees:
         result = batch_diffuse(
             small_sbm, F, alpha=ALPHA, epsilon=EPSILON, engine=engine
         )
-        totals = result.q.sum(axis=0) + result.residual.sum(axis=0)
+        totals = [column.q.sum() + column.residual.sum() for column in result]
         np.testing.assert_allclose(totals, F.sum(axis=0), rtol=1e-9)
-        thresholds = small_sbm.degrees[:, None] * EPSILON
-        assert (result.residual < thresholds).all()
-        assert (result.q >= 0.0).all()
+        thresholds = small_sbm.degrees * EPSILON
+        for column in result:
+            assert (column.residual < thresholds).all()
+            assert (column.q >= 0.0).all()
 
 
 class TestDispatcher:
@@ -259,57 +245,85 @@ class TestDispatcher:
         result = batch_diffuse(
             small_sbm, F, alpha=ALPHA, epsilon=EPSILON, engine="push"
         )
-        assert isinstance(result, BatchDiffusionResult)
-        for b in range(F.shape[1]):
+        assert len(result) == F.shape[1]
+        for b, column in enumerate(result):
             seq = push_diffuse(small_sbm, F[:, b], alpha=ALPHA, epsilon=EPSILON)
-            np.testing.assert_array_equal(result.q[:, b], seq.q)
+            np.testing.assert_array_equal(column.q, seq.q)
+            np.testing.assert_array_equal(column.residual, seq.residual)
+            assert column.iterations == seq.iterations
 
     def test_unknown_engine_rejected(self, small_sbm):
         with pytest.raises(ValueError, match="unknown diffusion engine"):
             batch_diffuse(small_sbm, np.ones((small_sbm.n, 1)), engine="magic")
 
     def test_column_view_roundtrip(self, small_sbm, rng):
+        """Each element is a DiffusionResult over views of the engine's
+        n × B blocks, with no frontier tracked."""
         F = _block(small_sbm, rng)
-        result = batch_greedy_diffuse(small_sbm, F, alpha=ALPHA, epsilon=EPSILON)
-        column = result.column(0)
-        assert isinstance(column, DiffusionResult)
-        np.testing.assert_array_equal(column.q, result.q[:, 0])
-        assert column.iterations == result.column_iterations[0]
-        # Views into the block, not copies.
-        assert np.shares_memory(column.q, result.q)
-        assert np.shares_memory(column.residual, result.residual)
+        result = batch_diffuse(small_sbm, F, alpha=ALPHA, epsilon=EPSILON)
+        assert len(result) == F.shape[1]
+        for column in result:
+            assert isinstance(column, DiffusionResult)
+            assert column.touched is None and column.frontier_peak == 0
+            # Column views into the blocks, not copies.
+            assert column.q.base is result[0].q.base is not None
+            assert column.residual.base is result[0].residual.base is not None
+            assert column.q.base.shape == (small_sbm.n, F.shape[1])
 
 
 class TestValidation:
     def test_empty_block(self, small_sbm):
-        result = batch_greedy_diffuse(small_sbm, np.zeros((small_sbm.n, 0)))
-        assert result.n_columns == 0
-        assert result.iterations == 0
+        begin_kernel_tally()
+        try:
+            result = batch_diffuse(small_sbm, np.zeros((small_sbm.n, 0)))
+        finally:
+            tally = end_kernel_tally()
+        assert result == []
+        assert tally == {}  # no block iteration ran
 
     def test_rejects_wrong_shape(self, small_sbm):
         with pytest.raises(ValueError, match="shape"):
-            batch_greedy_diffuse(small_sbm, np.ones(small_sbm.n))
+            batch_diffuse(small_sbm, np.ones(small_sbm.n))
         with pytest.raises(ValueError, match="shape"):
-            batch_greedy_diffuse(small_sbm, np.ones((3, 2)))
+            batch_diffuse(small_sbm, np.ones((3, 2)))
 
     def test_rejects_negative_entries(self, small_sbm):
         F = np.zeros((small_sbm.n, 2))
         F[0, 1] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
-            batch_greedy_diffuse(small_sbm, F)
+            batch_diffuse(small_sbm, F)
 
     def test_rejects_bad_alpha(self, small_sbm):
         with pytest.raises(ValueError, match="alpha"):
-            batch_greedy_diffuse(small_sbm, np.ones((small_sbm.n, 1)), alpha=1.5)
+            batch_diffuse(small_sbm, np.ones((small_sbm.n, 1)), alpha=1.5)
 
     def test_rejects_bad_epsilon(self, small_sbm):
         F = np.ones((small_sbm.n, 2))
         with pytest.raises(ValueError, match="epsilon"):
-            batch_greedy_diffuse(small_sbm, F, epsilon=0.0)
+            batch_diffuse(small_sbm, F, epsilon=0.0)
         with pytest.raises(ValueError, match="positive"):
-            batch_greedy_diffuse(small_sbm, F, epsilon=np.array([1e-5, 0.0]))
+            batch_diffuse(small_sbm, F, epsilon=np.array([1e-5, 0.0]))
         with pytest.raises(ValueError, match="epsilon"):
-            batch_greedy_diffuse(small_sbm, F, epsilon=np.array([1e-5, 1e-5, 1e-5]))
+            batch_diffuse(small_sbm, F, epsilon=np.array([1e-5, 1e-5, 1e-5]))
+
+    @pytest.mark.parametrize("engine", [*BLOCK_ENGINES, "push"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, small_sbm, engine, bad):
+        """A NaN entry would spread through the shared mat-mat to nodes
+        its sequential run never reaches; an inf would never converge."""
+        F = np.zeros((small_sbm.n, 2))
+        F[3, 0] = F[7, 1] = 1.0
+        F[40, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            batch_diffuse(small_sbm, F, alpha=ALPHA, epsilon=1e-4, engine=engine)
+
+    @pytest.mark.parametrize("engine", [*BLOCK_ENGINES, "push"])
+    def test_rejects_nan_epsilon(self, small_sbm, engine):
+        F = np.ones((small_sbm.n, 2))
+        with pytest.raises(ValueError, match="epsilon"):
+            batch_diffuse(small_sbm, F, epsilon=np.nan, engine=engine)
+        with pytest.raises(ValueError, match="epsilon"):
+            batch_diffuse(small_sbm, F, epsilon=np.array([1e-5, np.nan]), engine=engine)
 
     def test_validate_broadcasts_scalar(self, small_sbm):
         F, eps = validate_batch_inputs(

@@ -40,12 +40,12 @@ def _run_all(graph, f, alpha, epsilon):
     results = {
         name: engine(graph, f, alpha, epsilon) for name, engine in ENGINES.items()
     }
-    # The block engines answer the same query through the batched path.
+    # The block diffusion answers the same query as a one-column block.
     for engine in ("greedy", "nongreedy", "adaptive"):
-        block = batch_diffuse(
+        (block,) = batch_diffuse(
             graph, f[:, None], alpha=alpha, epsilon=epsilon, engine=engine
         )
-        results[f"batch-{engine}"] = block.column(0)
+        results[f"batch-{engine}"] = block
     return results
 
 

@@ -103,6 +103,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape"):
             ENGINES[engine](small_sbm, np.ones(3), alpha=0.8, epsilon=1e-4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, small_sbm, engine, bad):
+        """A NaN or inf entry raises at once: an inf never drops below
+        any threshold, so it would otherwise run to the iteration limit."""
+        f = _one_hot(small_sbm.n, 0)
+        f[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ENGINES[engine](small_sbm, f, alpha=0.8, epsilon=1e-4)
+
+    def test_rejects_nan_epsilon(self, small_sbm, engine):
+        f = _one_hot(small_sbm.n, 0)
+        with pytest.raises(ValueError, match="epsilon"):
+            ENGINES[engine](small_sbm, f, alpha=0.8, epsilon=np.nan)
+        with pytest.raises(ValueError, match="epsilon"):
+            ENGINES[engine](
+                small_sbm, f, alpha=0.8, epsilon=np.nan,
+                f_support=np.array([0]),
+            )
+
 
 @given(
     graph_seed=st.integers(min_value=0, max_value=50),

@@ -231,8 +231,7 @@ class TestTouchedHistograms:
         seeds = [0, 2, 4]
         nodes, volumes, kernels = _observed_touch(model, seeds)
         assert any(kind.startswith("block_") for kind in kernels), kernels
-        batch = model.scores_batch(seeds[1:])
-        columns = [batch.query(column) for column in range(len(seeds) - 1)]
+        columns = model.scores_batch(seeds[1:])
         for column in columns:
             assert column.rwr.touched is None and column.bdd.touched is None
             pushed = np.union1d(

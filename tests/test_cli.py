@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -429,21 +430,41 @@ class TestServeCLI:
         assert "p50_queue_wait_s" in scraped["stats"]
 
 
-@pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
+def _mapped_segments(pid: int) -> set[str]:
+    """Names of the ``psm_*`` shared-memory segments that process ``pid``
+    and its children (the pool workers) have mapped.  Each thread lists
+    the children it forked, so every ``task/*/children`` file is read."""
+    pids = [pid]
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        try:
+            pids += [int(child) for child in (task / "children").read_text().split()]
+        except OSError:
+            continue  # the thread exited
+    names = set()
+    for member in pids:
+        try:
+            maps = Path(f"/proc/{member}/maps").read_text()
+        except OSError:
+            continue  # raced an exit
+        names.update(re.findall(r"/dev/shm/(psm_\w+)", maps))
+    return names
+
+
+@pytest.mark.skipif(
+    not (Path("/dev/shm").is_dir() and Path("/proc/self/task").is_dir()),
+    reason="no /dev/shm or /proc",
+)
 def test_serve_sigterm_closes_pool_and_unlinks_shared_memory(tmp_path):
     """SIGTERM to a lingering ``serve --workers 2`` exits promptly through
     the service's close, which unlinks every shared-memory segment it
-    published."""
-    def segments():
-        return {p.name for p in Path("/dev/shm").glob("psm_*")}
-
+    published.  Only the segments this serve process and its workers
+    mapped are checked, so a pool of another process cannot fail it."""
     queries = tmp_path / "queries.txt"
     queries.write_text("".join(f"{seed} 15\n" for seed in range(8)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
-    before = segments()
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--dataset", "cora",
          "--scale", "0.2", "--workers", "2", "--linger-s", "30",
@@ -454,6 +475,7 @@ def test_serve_sigterm_closes_pool_and_unlinks_shared_memory(tmp_path):
     try:
         answers = [json.loads(proc.stdout.readline()) for _ in range(8)]
         assert [answer["seed"] for answer in answers] == list(range(8))
+        mapped = _mapped_segments(proc.pid)
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=10)
     finally:
@@ -464,7 +486,8 @@ def test_serve_sigterm_closes_pool_and_unlinks_shared_memory(tmp_path):
         proc.wait()
         proc.stdout.close()
     assert code == 128 + signal.SIGTERM
-    assert segments() - before == set()
+    assert mapped, "the serve process and its workers mapped no psm_* segment"
+    assert {name for name in mapped if (Path("/dev/shm") / name).exists()} == set()
 
 
 def test_second_sigterm_takes_the_default_action():

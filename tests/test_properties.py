@@ -127,7 +127,7 @@ class TestLacaPathIndependence:
         ).fit(graph)
         seeds = np.random.default_rng(seeds_seed).choice(graph.n, size=width)
         batch = model.scores_batch(seeds)
-        for b, seed in enumerate(seeds):
-            np.testing.assert_array_equal(
-                batch.scores[:, b], model.scores(int(seed)).scores
-            )
+        assert len(batch) == len(seeds)
+        for result, seed in zip(batch, seeds):
+            assert result.seed == seed
+            np.testing.assert_array_equal(result.scores, model.scores(int(seed)).scores)
